@@ -7,14 +7,12 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 
 ``--filter`` restricts queries to a document subset and may be repeated
 (conjunction).  Accepted forms: ``date=LO..HI`` (midpoint within the
-interval), ``typology=TAG``, ``dated``.  The environment variable
-``DIACHRONA_THREADS`` caps counting parallelism (0 = auto).
+interval), ``typology=TAG``, ``dated``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -42,17 +40,6 @@ def _write_text(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("DIACHRONA_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CorpusError(f"DIACHRONA_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise CorpusError("DIACHRONA_THREADS must be >= 0")
-    return (os.cpu_count() or 1) if value == 0 else value
 
 
 def _parse_filter(expr: str):
@@ -94,27 +81,30 @@ def _comma_set(raw: str | None) -> frozenset[str] | None:
 # --------------------------------------------------------------------------
 
 
+def _text_lines(path: str):
+    """Lines of a UTF-8 text file; a decoding failure names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+
+
 def _cmd_index_build(args) -> int:
     if args.plain:
         lex = Lexicon()
         if args.lexicon:
-            with open(args.lexicon, encoding="utf-8") as fh:
-                lex = Lexicon.from_tsv(fh)
+            lex = Lexicon.from_tsv(_text_lines(args.lexicon))
         docs = []
         for path in args.input:
-            text = Path(path).read_text(encoding="utf-8")
+            text = "".join(_text_lines(path))
             records = lemmatize(tokenize_plain(text), lex)
             docs.append((Path(path).stem, DateSpec.undated(), None, records))
         index = index_from_documents(docs)
     else:
         drop = _comma_set(args.drop_pos) or frozenset()
-
-        def lines():
-            for path in args.input:
-                with open(path, encoding="utf-8") as fh:
-                    yield from fh
-
-        index = parse_vertical(lines(), drop_pos=drop)
+        lines = (line for path in args.input for line in _text_lines(path))
+        index = parse_vertical(lines, drop_pos=drop)
     save_index(index, args.out)
     sys.stderr.write(
         f"indexed {index.total_tokens} tokens in {len(index.documents)} documents "
@@ -249,7 +239,6 @@ def _cmd_cooc_top(args) -> int:
         k=args.k,
         pos_filter=_comma_set(args.pos),
         min_count=args.min,
-        shards=_worker_count(),
     )
     lines = ["lemma\tpair_count\tfreq\tdice"]
     for entry_ in ranked:

@@ -6,23 +6,26 @@ pivot lemma, adds 1 to that neighbor's pair count.  Pairs never cross
 document boundaries, and pivot-pivot pairs are excluded, so a pivot never
 appears among its own neighbors.
 
-The counters are implemented as w shifted-slice passes over the columnar
-arrays (O(w * N) with numpy doing the inner loops), which keeps
-100M-token-scale corpora tractable.  Counting by document shards merges
-associatively, so results are independent of shard boundaries.
+Every window count in the package (collocate vectors, pair counts of two
+lemmas, tranche and year-bin series, field-map submatrices) comes from one
+kernel, ``_window_pairs``.  It looks at the 2w neighbours of each
+occurrence of the requested row lemmas and bincounts them under one key,
+(bucket, row, neighbor column), where a document's bucket (a docset
+member, a tranche, a year bin, or -1 for left out) is fixed per call.  So
+a per-tranche or per-bin series costs one pass, not one per bucket, and
+the work follows the row occurrences, not the corpus size.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import CorpusError, CorpusIndex
-from .frequency import _dated_doc_arrays, _docset_counts
+from .frequency import _binned_lemma_counts, _dated_doc_arrays, _docset_counts
 
 __all__ = [
     "CoocTable",
@@ -68,55 +71,106 @@ class Cooccurrent(NamedTuple):
     dice: float
 
 
-def _pivot_pair_vector(
-    index: CorpusIndex, dmask: np.ndarray | None, pivot_id: int, window: int
+def _window_pairs(
+    index: CorpusIndex,
+    doc_bucket: np.ndarray | None,
+    n_buckets: int,
+    rows,
+    window: int,
+    cols=None,
 ) -> np.ndarray:
-    """Per-lemma pair counts with the pivot, as a dense int64 vector."""
-    counts = np.zeros(len(index.lemmas), dtype=np.int64)
+    """Windowed pair counts, shape (n_buckets, len(rows), len(cols) or V).
+
+    Cell [b, r, c] counts the token pairs at distance 1..window inside one
+    document of bucket b where one side carries lemma ``rows[r]`` and the
+    other carries lemma ``cols[c]`` (lemma c when ``cols`` is None).  A pair
+    whose two sides carry the same row lemma counts once.  ``doc_bucket``
+    maps each document position to its bucket, or to -1 to leave it out;
+    None puts every document in bucket 0.  ``rows`` must be distinct.
+
+    This is the only window counter: for each offset d it looks d tokens
+    to either side of every row occurrence whose document reaches that
+    far, so the work follows the row occurrences, and a window wider than
+    the longest document costs no more than the longest document.
+    """
     lem = index.lemma_ids
-    n = len(lem)
-    if n == 0:
-        return counts
+    rows = np.asarray(rows, dtype=np.int64)
+    n_rows = len(rows)
+    n_cols = len(index.lemmas) if cols is None else len(cols)
+    if n_rows == 1:
+        occ = np.flatnonzero(lem == int(rows[0]))
+    else:
+        is_row = np.zeros(len(index.lemmas), dtype=bool)
+        is_row[rows] = True
+        occ = np.flatnonzero(is_row[lem])
     doc_of = index.doc_of()
-    for d in range(1, window + 1):
-        if d >= n:
-            break
-        left = lem[:-d]
-        right = lem[d:]
-        ok = doc_of[:-d] == doc_of[d:]
-        if dmask is not None:
-            ok &= dmask[doc_of[:-d]]
-        lp = left == pivot_id
-        rp = right == pivot_id
-        sel = ok & (lp ^ rp)
-        if not sel.any():
-            continue
-        neighbors = np.where(lp[sel], right[sel], left[sel])
-        counts += np.bincount(neighbors, minlength=len(index.lemmas))
+    docs = doc_of[occ]
+    # base: flat offset of each occurrence's (bucket, row) block of cells
+    base = 0
+    if doc_bucket is not None:
+        bucket = doc_bucket[docs]
+        keep = bucket >= 0
+        occ, docs = occ[keep], docs[keep]
+        base = bucket[keep] * (n_rows * n_cols)
+    if n_rows > 1:
+        row_of = np.zeros(len(index.lemmas), dtype=np.int64)
+        row_of[rows] = np.arange(n_rows)
+        base = base + row_of[lem[occ]] * n_cols
+    col_of = None
+    if cols is not None:
+        col_of = np.full(len(index.lemmas), -1, dtype=np.int64)
+        col_of[np.asarray(cols, dtype=np.int64)] = np.arange(n_cols)
+    # with cols == rows the pairs seen from the left sides are the transpose
+    # of those seen from the right sides, so one side is enough
+    mirror = cols is not None and np.array_equal(rows, cols)
+    doc_start = np.searchsorted(doc_of, np.arange(len(index.documents) + 1, dtype=doc_of.dtype))
+    counts = np.zeros(n_buckets * n_rows * n_cols, dtype=np.int64)
+    for step in (1,) if mirror else (1, -1):
+        # tokens between each occurrence and its document's edge on this side
+        room = doc_start[docs + 1] - 1 - occ if step == 1 else occ - doc_start[docs]
+        for d in range(1, min(window, int(room.max(initial=0))) + 1):
+            col = np.take(lem, occ + step * d, mode="clip")
+            ok = room >= d
+            if col_of is not None:
+                col = col_of[col]
+                ok &= col >= 0
+            counts += np.bincount((base + col)[ok], minlength=len(counts))
+    counts = counts.reshape(n_buckets, n_rows, n_cols)
+    if mirror:
+        counts = counts + counts.transpose(0, 2, 1)
+    # a pair of two occurrences of the same row lemma was reached from both
+    self_cols = rows if col_of is None else col_of[rows]
+    hit = self_cols >= 0
+    counts[:, np.arange(n_rows)[hit], self_cols[hit]] //= 2
     return counts
 
 
-def _sharded_pair_vector(
-    index: CorpusIndex, docset, pivot_id: int, window: int, shards: int
+def _docset_bucket(index: CorpusIndex, docset) -> np.ndarray | None:
+    """Bucket map of a docset: 0 for its documents, -1 elsewhere; None = all."""
+    dmask = index.doc_mask(docset)
+    return None if dmask is None else np.where(dmask, 0, -1)
+
+
+def _pivot_pairs(
+    index: CorpusIndex, doc_bucket: np.ndarray | None, n_buckets: int, pivot_id: int, window: int
 ) -> np.ndarray:
-    """Shard the docset into contiguous document groups and merge counts."""
-    positions = index.doc_positions(docset)
-    shards = max(1, min(shards, len(positions)))
-    if shards == 1:
-        return _pivot_pair_vector(index, index.doc_mask(docset), pivot_id, window)
-    groups = np.array_split(positions, shards)
-
-    def run(group: np.ndarray) -> np.ndarray:
-        return _pivot_pair_vector(index, index.doc_mask(group), pivot_id, window)
-
-    with ThreadPoolExecutor(max_workers=shards) as pool:
-        parts = list(pool.map(run, groups))
-    return np.sum(parts, axis=0)
+    """Per-bucket pair counts of every lemma with the pivot, shape
+    (n_buckets, V); pivot-pivot pairs are excluded."""
+    pairs = _window_pairs(index, doc_bucket, n_buckets, [pivot_id], window)[:, 0]
+    pairs[:, pivot_id] = 0
+    return pairs
 
 
-def cooc_counts(
-    index: CorpusIndex, docset, pivot: str, window: int, shards: int = 1
+def _cooc_table(
+    index: CorpusIndex, pivot: str, window: int, pairs: np.ndarray, freqs: np.ndarray, pivot_id: int
 ) -> CoocTable:
+    nonzero = np.nonzero(pairs)[0]
+    pair_counts = {index.lemmas[int(i)]: int(pairs[i]) for i in nonzero}
+    neighbor_freqs = {index.lemmas[int(i)]: int(freqs[i]) for i in nonzero}
+    return CoocTable(pivot, window, pair_counts, int(freqs[pivot_id]), neighbor_freqs)
+
+
+def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTable:
     """Window-w pair counts of every lemma with ``pivot`` over the docset."""
     if window < 1:
         raise CorpusError("window must be >= 1")
@@ -124,11 +178,8 @@ def cooc_counts(
     freqs = _docset_counts(index, docset)
     if pivot_id is None:
         return CoocTable(pivot, window, {}, 0, {})
-    counts = _sharded_pair_vector(index, docset, pivot_id, window, shards)
-    nonzero = np.nonzero(counts)[0]
-    pair_counts = {index.lemmas[int(i)]: int(counts[i]) for i in nonzero}
-    neighbor_freqs = {index.lemmas[int(i)]: int(freqs[i]) for i in nonzero}
-    return CoocTable(pivot, window, pair_counts, int(freqs[pivot_id]), neighbor_freqs)
+    pairs = _pivot_pairs(index, _docset_bucket(index, docset), 1, pivot_id, window)[0]
+    return _cooc_table(index, pivot, window, pairs, freqs, pivot_id)
 
 
 def _pos_majority_pass(
@@ -160,7 +211,6 @@ def top_cooccurrents(
     k: int,
     pos_filter: Iterable[str] | None = None,
     min_count: int = 1,
-    shards: int = 1,
 ) -> list[Cooccurrent]:
     """Top-k collocates of ``pivot`` ranked by Dice.
 
@@ -179,12 +229,11 @@ def top_cooccurrents(
     freqs = _docset_counts(index, docset)
     if freqs[pivot_id] == 0:
         return []
-    counts = _sharded_pair_vector(index, docset, pivot_id, window, shards)
+    counts = _pivot_pairs(index, _docset_bucket(index, docset), 1, pivot_id, window)[0]
     candidate = counts >= max(min_count, 1)
     pos_ok = _pos_majority_pass(index, docset, pos_filter)
     if pos_ok is not None:
         candidate &= pos_ok
-    candidate[pivot_id] = False
     ids = np.nonzero(candidate)[0]
     pivot_freq = int(freqs[pivot_id])
     scored = [
@@ -200,39 +249,13 @@ def top_cooccurrents(
     return scored[:k]
 
 
-def _pair_count_vectorized(
-    index: CorpusIndex, dmask: np.ndarray | None, a_id: int, b_id: int, window: int
-) -> int:
-    """Unordered pair count of two specific lemmas within the window."""
-    lem = index.lemma_ids
-    n = len(lem)
-    total = 0
-    doc_of = index.doc_of()
-    for d in range(1, window + 1):
-        if d >= n:
-            break
-        left = lem[:-d]
-        right = lem[d:]
-        ok = doc_of[:-d] == doc_of[d:]
-        if dmask is not None:
-            ok &= dmask[doc_of[:-d]]
-        if a_id == b_id:
-            sel = ok & (left == a_id) & (right == a_id)
-        else:
-            sel = ok & (
-                ((left == a_id) & (right == b_id)) | ((left == b_id) & (right == a_id))
-            )
-        total += int(np.count_nonzero(sel))
-    return total
-
-
 def adjacency_count(index: CorpusIndex, docset, lemma_a: str, lemma_b: str) -> int:
     """Pairs of the two lemmas at distance exactly 1 (either order)."""
     a_id = index.lemmas.id_of(lemma_a)
     b_id = index.lemmas.id_of(lemma_b)
     if a_id is None or b_id is None:
         return 0
-    return _pair_count_vectorized(index, index.doc_mask(docset), a_id, b_id, 1)
+    return int(_window_pairs(index, _docset_bucket(index, docset), 1, [a_id], 1, [b_id]).sum())
 
 
 class PairBin(NamedTuple):
@@ -266,18 +289,18 @@ def pair_evolution(
     b_id = index.lemmas.id_of(lemma_b)
     starts = (mids // bin_width) * bin_width
     lo = int(starts.min())
-    hi = int(starts.max())
+    n_bins = (int(starts.max()) - lo) // bin_width + 1
+    if a_id is None or b_id is None:
+        return [PairBin(lo + b * bin_width, 0, 0.0) for b in range(n_bins)]
+    bin_of_doc = (starts - lo) // bin_width
+    doc_bucket = np.full(len(index.documents), -1, dtype=np.int64)
+    doc_bucket[positions] = bin_of_doc
+    pairs = _window_pairs(index, doc_bucket, n_bins, [a_id], window, [b_id])[:, 0, 0]
+    freq_a = _binned_lemma_counts(index, a_id, positions, bin_of_doc, n_bins)
+    freq_b = _binned_lemma_counts(index, b_id, positions, bin_of_doc, n_bins)
     out = []
-    for start in range(lo, hi + 1, bin_width):
-        in_bin = positions[starts == start]
-        if a_id is None or b_id is None:
-            out.append(PairBin(start, 0, 0.0))
-            continue
-        dmask = index.doc_mask(in_bin)
-        pair = _pair_count_vectorized(index, dmask, a_id, b_id, window)
-        freqs = _docset_counts(index, in_bin)
-        fa = int(freqs[a_id])
-        fb = int(freqs[b_id])
+    for b in range(n_bins):
+        pair, fa, fb = int(pairs[b]), int(freq_a[b]), int(freq_b[b])
         value = dice(pair, fa, fb) if fa + fb > 0 else 0.0
-        out.append(PairBin(start, pair, value))
+        out.append(PairBin(lo + b * bin_width, pair, value))
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooc import _pivot_pair_vector, _pos_majority_pass, cooc_counts
+from .cooc import CoocTable, _cooc_table, _pivot_pairs, _pos_majority_pass
 from .corpus import CorpusError, CorpusIndex
 from .frequency import _docset_counts
 
@@ -94,27 +94,34 @@ def make_tranches(index: CorpusIndex, k: int) -> TrancheSet:
     return TrancheSet(k, tuple(boundaries), masses, order)
 
 
-def _tranche_matrices(
-    index: CorpusIndex, tranches: TrancheSet, pivot_id: int, window: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-tranche pair counts, lemma frequencies, pivot frequencies."""
-    v = len(index.lemmas)
-    pairs = np.zeros((tranches.k, v), dtype=np.int64)
-    freqs = np.zeros((tranches.k, v), dtype=np.int64)
-    for t in range(tranches.k):
-        positions = tranches.tranche_positions(t)
-        dmask = index.doc_mask(positions)
-        pairs[t] = _pivot_pair_vector(index, dmask, pivot_id, window)
-        freqs[t] = _docset_counts(index, positions)
-    pivot_freqs = freqs[:, pivot_id].copy()
-    return pairs, freqs, pivot_freqs
+def _tranche_scores(
+    index: CorpusIndex,
+    tranches: TrancheSet,
+    pivot_id: int,
+    window: int,
+    pos_filter: Iterable[str] | None,
+    min_count: int,
+):
+    """Per-tranche pair counts and frequencies (k x V), the Dice matrix, and
+    the ids of the candidate collocates.
 
-
-def _dice_matrix(pairs: np.ndarray, freqs: np.ndarray, pivot_freqs: np.ndarray) -> np.ndarray:
-    denom = freqs + pivot_freqs[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(denom > 0, 2.0 * pairs / np.maximum(denom, 1), 0.0)
-    return d
+    A candidate's total pair count reaches ``min_count`` and its POS
+    majority over all dated documents passes the filter.
+    """
+    all_dated = np.asarray(tranches.doc_order, dtype=np.int64)
+    doc_bucket = np.full(len(index.documents), -1, dtype=np.int64)
+    doc_bucket[all_dated] = np.repeat(np.arange(tranches.k), np.diff(tranches.boundaries))
+    pairs = _pivot_pairs(index, doc_bucket, tranches.k, pivot_id, window)
+    freqs = np.stack(
+        [_docset_counts(index, tranches.tranche_positions(t)) for t in range(tranches.k)]
+    )
+    denom = freqs + freqs[:, pivot_id, None]
+    dice_mat = np.where(denom > 0, 2.0 * pairs / np.maximum(denom, 1), 0.0)
+    candidate = pairs.sum(axis=0) >= max(min_count, 1)
+    pos_ok = _pos_majority_pass(index, all_dated, pos_filter)
+    if pos_ok is not None:
+        candidate &= pos_ok
+    return pairs, freqs, dice_mat, np.nonzero(candidate)[0]
 
 
 def cooc_by_tranche(
@@ -134,25 +141,18 @@ def cooc_by_tranche(
     documents) passes the filter.  Tranches where a lemma is absent
     contribute 0.0.
     """
+    if window < 1:
+        raise CorpusError("window must be >= 1")
     pivot_id = index.lemmas.id_of(pivot)
-    tables = [
-        cooc_counts(index, tranches.tranche_positions(t), pivot, window)
-        for t in range(tranches.k)
-    ]
     if pivot_id is None:
-        return tables, {}
-    pairs, freqs, pivot_freqs = _tranche_matrices(index, tranches, pivot_id, window)
-    dice_mat = _dice_matrix(pairs, freqs, pivot_freqs)
-    totals = pairs.sum(axis=0)
-    candidate = totals >= max(min_count, 1)
-    all_dated = np.asarray(tranches.doc_order, dtype=np.int64)
-    pos_ok = _pos_majority_pass(index, all_dated, pos_filter)
-    if pos_ok is not None:
-        candidate &= pos_ok
-    candidate[pivot_id] = False
-    vectors = {
-        index.lemmas[int(i)]: dice_mat[:, i].copy() for i in np.nonzero(candidate)[0]
-    }
+        return [CoocTable(pivot, window, {}, 0, {}) for _ in range(tranches.k)], {}
+    pairs, freqs, dice_mat, ids = _tranche_scores(
+        index, tranches, pivot_id, window, pos_filter, min_count
+    )
+    tables = [
+        _cooc_table(index, pivot, window, pairs[t], freqs[t], pivot_id) for t in range(tranches.k)
+    ]
+    vectors = {index.lemmas[int(i)]: dice_mat[:, i].copy() for i in ids}
     return tables, vectors
 
 
@@ -206,18 +206,13 @@ def evolving_cooccurrents(
     pivot_id = index.lemmas.id_of(pivot)
     if pivot_id is None:
         return TrendReport(pivot, window, tranches.k, ())
-    pairs, freqs, pivot_freqs = _tranche_matrices(index, tranches, pivot_id, window)
-    dice_mat = _dice_matrix(pairs, freqs, pivot_freqs)
+    pairs, _, dice_mat, ids = _tranche_scores(
+        index, tranches, pivot_id, window, pos_filter, min_count
+    )
     totals = pairs.sum(axis=0)
-    candidate = totals >= min_count
-    all_dated = np.asarray(tranches.doc_order, dtype=np.int64)
-    pos_ok = _pos_majority_pass(index, all_dated, pos_filter)
-    if pos_ok is not None:
-        candidate &= pos_ok
-    candidate[pivot_id] = False
 
     entries = []
-    for i in np.nonzero(candidate)[0]:
+    for i in ids:
         d = dice_mat[:, i]
         slope = ols_slope(d)
         score = slope / max(float(d.mean()), SCORE_EPSILON)

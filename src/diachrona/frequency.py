@@ -189,6 +189,16 @@ def _dated_doc_arrays(index: CorpusIndex, docset) -> tuple[np.ndarray, np.ndarra
     return np.asarray(dated, dtype=np.int64), np.asarray(mids, dtype=np.int64)
 
 
+def _binned_lemma_counts(
+    index: CorpusIndex, lid: int, positions: np.ndarray, bin_of_doc: np.ndarray, n_bins: int
+) -> np.ndarray:
+    """Tokens of lemma ``lid`` per bin, over the documents at ``positions``
+    (document ``positions[i]`` falls in bin ``bin_of_doc[i]``)."""
+    hit_docs = index.doc_of()[index.lemma_ids == lid]
+    per_doc = np.bincount(hit_docs, minlength=len(index.documents))
+    return np.bincount(bin_of_doc, weights=per_doc[positions], minlength=n_bins).astype(np.int64)
+
+
 def time_series(
     index: CorpusIndex,
     lemma: str,
@@ -222,11 +232,7 @@ def time_series(
     counts = np.zeros(n_bins, dtype=np.int64)
     lid = index.lemmas.id_of(lemma)
     if lid is not None:
-        doc_of = index.doc_of()
-        hit_docs = doc_of[index.lemma_ids == lid]
-        per_doc = np.bincount(hit_docs, minlength=len(index.documents))
-        doc_counts = per_doc[positions]
-        counts = np.bincount(bin_of_doc, weights=doc_counts, minlength=n_bins).astype(np.int64)
+        counts = _binned_lemma_counts(index, lid, positions, bin_of_doc, n_bins)
 
     bins = []
     for b in range(n_bins):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cooc import top_cooccurrents
+from .cooc import _docset_bucket, _window_pairs, top_cooccurrents
 from .corpus import CorpusError, CorpusIndex
 from .frequency import _docset_counts
 from .jacobi import jacobi_svd
@@ -90,7 +90,7 @@ def build_submatrix(
     terms = ([pivot] if include_pivot else []) + [c.lemma for c in ranked]
     term_ids = np.asarray([index.lemmas.id_of(t) for t in terms], dtype=np.int64)
 
-    counts = _pairs_among(index, docset, term_ids, window)
+    counts = _window_pairs(index, _docset_bucket(index, docset), 1, term_ids, window, term_ids)[0]
     np.fill_diagonal(counts, 0)
 
     if weight == "dice":
@@ -111,31 +111,6 @@ def build_submatrix(
         matrix = matrix[np.ix_(keep, keep)]
         terms = [t for t, ok in zip(terms, keep) if ok]
     return DSMSubmatrix(tuple(terms), matrix, pruned)
-
-
-def _pairs_among(index: CorpusIndex, docset, term_ids: np.ndarray, window: int) -> np.ndarray:
-    """Windowed unordered pair counts among a restricted lemma set."""
-    t = len(term_ids)
-    slot = np.full(len(index.lemmas), -1, dtype=np.int64)
-    slot[term_ids] = np.arange(t)
-    counts = np.zeros((t, t), dtype=np.int64)
-    lem = index.lemma_ids
-    n = len(lem)
-    if n == 0:
-        return counts
-    doc_of = index.doc_of()
-    dmask = index.doc_mask(docset)
-    for d in range(1, window + 1):
-        if d >= n:
-            break
-        si = slot[lem[:-d]]
-        sj = slot[lem[d:]]
-        ok = (si >= 0) & (sj >= 0) & (doc_of[:-d] == doc_of[d:])
-        if dmask is not None:
-            ok &= dmask[doc_of[:-d]]
-        np.add.at(counts, (si[ok], sj[ok]), 1)
-    full = counts + counts.T  # each unordered pair was seen once, in position order
-    return full
 
 
 class CAResult(NamedTuple):

@@ -1,7 +1,11 @@
+import time
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diachrona.cooc import (
     adjacency_count,
@@ -11,27 +15,44 @@ from diachrona.cooc import (
     top_cooccurrents,
 )
 from diachrona.corpus import CorpusError, DateSpec
+from diachrona.diachrony import cooc_by_tranche, make_tranches
 from diachrona.frequency import lemma_count
+from diachrona.semfield import build_submatrix
+from diachrona.synth import synthetic_index
 
 from conftest import build_index, doc_lemma_lists, lemma_doc, random_index
 
 
-def brute_pair_counts(index, pivot, window):
-    """O(N*w) enumeration over per-document lemma lists (pure Python)."""
+def brute_pairs(index, window, docs=None):
+    """Unordered in-document lemma pairs at distance 1..window, keyed by the
+    sorted lemma pair; every token pair of every document in ``docs`` (all
+    when None) is enumerated, O(N^2)."""
     counts = Counter()
-    for lemmas in doc_lemma_lists(index):
-        for i, left in enumerate(lemmas):
-            for j in range(i + 1, min(i + window, len(lemmas) - 1) + 1):
-                right = lemmas[j]
-                if (left == pivot) != (right == pivot):
-                    counts[right if left == pivot else left] += 1
+    for doc, lemmas in zip(index.documents, doc_lemma_lists(index)):
+        if docs is not None and doc.doc_id not in docs:
+            continue
+        for i in range(len(lemmas)):
+            for j in range(i + 1, len(lemmas)):
+                if j - i <= window:
+                    counts[tuple(sorted((lemmas[i], lemmas[j])))] += 1
+    return counts
+
+
+def brute_pair_counts(index, pivot, window, docs=None):
+    """Pair counts of every other lemma with ``pivot`` (pivot-pivot pairs
+    excluded), from the all-pairs enumeration."""
+    counts = Counter()
+    for (a, b), n in brute_pairs(index, window, docs).items():
+        if (a == pivot) != (b == pivot):
+            counts[b if a == pivot else a] += n
     return dict(counts)
 
 
-def brute_freqs(index):
+def brute_freqs(index, docs=None):
     freqs = Counter()
-    for lemmas in doc_lemma_lists(index):
-        freqs.update(lemmas)
+    for doc, lemmas in zip(index.documents, doc_lemma_lists(index)):
+        if docs is None or doc.doc_id in docs:
+            freqs.update(lemmas)
     return freqs
 
 
@@ -119,15 +140,6 @@ class TestCoocCounts:
         b = cooc_counts(shuffled, None, pivot, 4)
         assert a.pair_counts == b.pair_counts
         assert a.neighbor_freqs == b.neighbor_freqs
-
-    def test_shard_independence(self):
-        rng = np.random.default_rng(33)
-        index = random_index(rng, min_tokens=200, max_tokens=500, max_vocab=10)
-        pivot = index.lemmas[0]
-        base = cooc_counts(index, None, pivot, 5, shards=1)
-        for shards in (2, 3, 7):
-            sharded = cooc_counts(index, None, pivot, 5, shards=shards)
-            assert sharded.pair_counts == base.pair_counts
 
     def test_pair_count_bound(self):
         rng = np.random.default_rng(34)
@@ -315,3 +327,155 @@ class TestPairEvolution:
         )
         bins = pair_evolution(index, "x", "y", 3, 100)
         assert sum(b.pair_count for b in bins) == 1
+
+
+# ---------------------------------------------------------------------------
+# properties: every window-counting entry point against the all-pairs oracle
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def corpora(draw, vocab_sizes=st.integers(1, 5)):
+    """Small corpus with a tiny vocabulary (so same-lemma pairs are common)
+    and empty, undated, exact and ranged documents."""
+    vocab = draw(vocab_sizes)
+    docs = []
+    for i in range(draw(st.integers(1, 7))):
+        lemmas = draw(st.lists(st.integers(0, vocab - 1), min_size=int(i == 0), max_size=20))
+        lo = draw(st.none() | st.integers(800, 1100))
+        if lo is None:
+            date = DateSpec.undated()
+        else:
+            date = DateSpec.year_range(lo, lo + draw(st.integers(0, 60)))
+        docs.append(lemma_doc(f"d{i}", date, [f"l{v}" for v in lemmas]))
+    return build_index(docs)
+
+
+@st.composite
+def cases(draw, vocab_sizes=st.integers(1, 5)):
+    """(index, window, docs, lemma a, lemma b); docs is None or an id set."""
+    index = draw(corpora(vocab_sizes))
+    lemmas = st.sampled_from(index.lemmas.entries)
+    ids = [d.doc_id for d in index.documents]
+    docs = draw(st.none() | st.sets(st.sampled_from(ids)))
+    return index, draw(st.integers(1, 8)), docs, draw(lemmas), draw(lemmas)
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(cases())
+    def test_cooc_counts_match_brute_force(self, case):
+        index, window, docs, a, _ = case
+        table = cooc_counts(index, docs, a, window)
+        assert table.pair_counts == brute_pair_counts(index, a, window, docs)
+        assert table.pivot_freq == brute_freqs(index, docs)[a]
+
+    @PROPERTY
+    @given(cases())
+    def test_adjacency_count_matches_brute_force(self, case):
+        index, _, docs, a, b = case  # a == b counts each a-a pair once
+        assert adjacency_count(index, docs, a, b) == brute_pairs(index, 1, docs)[tuple(sorted((a, b)))]
+
+    @PROPERTY
+    @given(cases(), st.integers(1, 80))
+    def test_pair_evolution_matches_brute_force(self, case, bin_width):
+        index, window, docs, a, b = case
+        groups = {}
+        for doc in index.documents:
+            mid = doc.date.midpoint()
+            if mid is not None and (docs is None or doc.doc_id in docs):
+                groups.setdefault(mid // bin_width * bin_width, set()).add(doc.doc_id)
+        bins = pair_evolution(index, a, b, window, bin_width, docset=docs)
+        if not groups:
+            assert bins == []
+            return
+        starts = range(min(groups), max(groups) + 1, bin_width)
+        assert [pb.start_year for pb in bins] == list(starts)
+        for pb in bins:
+            members = groups.get(pb.start_year, set())
+            pairs = brute_pairs(index, window, members)[tuple(sorted((a, b)))]
+            freqs = brute_freqs(index, members)
+            total = freqs[a] + freqs[b]
+            assert pb.pair_count == pairs
+            assert pb.dice == (2.0 * pairs / total if total else 0.0)
+
+    @PROPERTY
+    @given(cases(), st.data())
+    def test_cooc_by_tranche_matches_brute_force(self, case, data):
+        index, window, _, a, _ = case
+        n_dated = len(index.dated_order())
+        assume(n_dated >= 2)
+        tranches = make_tranches(index, data.draw(st.integers(2, n_dated)))
+        tables, vectors = cooc_by_tranche(index, tranches, a, window)
+        totals = Counter()
+        expected_dice = {}
+        for t, table in enumerate(tables):
+            members = {index.documents[int(p)].doc_id for p in tranches.tranche_positions(t)}
+            pairs = brute_pair_counts(index, a, window, members)
+            freqs = brute_freqs(index, members)
+            assert table.pair_counts == pairs
+            assert table.pivot_freq == freqs[a]
+            totals.update(pairs)
+            for lemma in index.lemmas:
+                denom = freqs[lemma] + freqs[a]
+                value = 2.0 * pairs.get(lemma, 0) / denom if denom else 0.0
+                expected_dice.setdefault(lemma, []).append(value)
+        assert set(vectors) == set(totals)
+        for lemma, vector in vectors.items():
+            assert vector.tolist() == expected_dice[lemma]
+
+    @PROPERTY
+    @given(cases(st.integers(4, 8)), st.integers(3, 5), st.booleans())
+    def test_build_submatrix_matches_brute_force(self, case, m, include_pivot):
+        index, window, docs, a, _ = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                sub = build_submatrix(index, docs, a, window, m, include_pivot=include_pivot)
+            except CorpusError:
+                assume(False)  # too few collocates for an m-term map
+        pairs = brute_pairs(index, window, docs)
+        terms = sub.terms + sub.pruned
+        for i, x in enumerate(sub.terms):
+            for j, y in enumerate(sub.terms):
+                assert sub.counts[i, j] == (0 if i == j else pairs[tuple(sorted((x, y)))])
+        for x in sub.pruned:
+            assert all(pairs[tuple(sorted((x, y)))] == 0 for y in terms if y != x)
+
+    @PROPERTY
+    @given(cases(), st.data())
+    def test_docset_partition_additivity(self, case, data):
+        index, window, _, a, b = case
+        n_groups = data.draw(st.integers(1, 4))
+        group_of = data.draw(
+            st.lists(st.integers(0, n_groups - 1), min_size=len(index), max_size=len(index))
+        )
+        parts = [
+            {doc.doc_id for doc, g in zip(index.documents, group_of) if g == part}
+            for part in range(n_groups)
+        ]
+        whole = cooc_counts(index, None, a, window).pair_counts
+        summed = Counter()
+        for part in parts:
+            summed.update(cooc_counts(index, part, a, window).pair_counts)
+        assert summed == Counter(whole)
+        assert sum(adjacency_count(index, part, a, b) for part in parts) == adjacency_count(
+            index, None, a, b
+        )
+
+
+def test_huge_window_counts_like_the_longest_document():
+    # pairs never cross documents, so no window beyond the longest document
+    # adds a pair, and a huge window must not cost a pass per offset
+    index = synthetic_index(200_000, 500, 20_000, seed=5)
+    longest = max(doc.token_len for doc in index.documents)
+    pivot = index.lemmas[0]
+    began = time.perf_counter()
+    huge = cooc_counts(index, None, pivot, 10**9)
+    elapsed = time.perf_counter() - began
+    exact = cooc_counts(index, None, pivot, longest)
+    assert (huge.pair_counts, huge.neighbor_freqs) == (exact.pair_counts, exact.neighbor_freqs)
+    assert huge.pivot_freq == exact.pivot_freq
+    assert elapsed < 10.0

@@ -511,3 +511,7 @@ def run_cli(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(run_cli())
+
+
+if __name__ == "__main__":
+    entry()

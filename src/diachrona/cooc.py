@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CorpusError, CorpusIndex
-from .frequency import _binned_lemma_counts, _dated_doc_arrays, _docset_counts
+from .frequency import _binned_lemma_counts, _docset_counts, _within, _year_bins
 
 __all__ = [
     "CoocTable",
@@ -103,8 +103,7 @@ def _window_pairs(
         is_row = np.zeros(len(index.lemmas), dtype=bool)
         is_row[rows] = True
         occ = np.flatnonzero(is_row[lem])
-    doc_of = index.doc_of()
-    docs = doc_of[occ]
+    docs = index.doc_of()[occ]
     # base: flat offset of each occurrence's (bucket, row) block of cells
     base = 0
     if doc_bucket is not None:
@@ -123,11 +122,10 @@ def _window_pairs(
     # with cols == rows the pairs seen from the left sides are the transpose
     # of those seen from the right sides, so one side is enough
     mirror = cols is not None and np.array_equal(rows, cols)
-    doc_start = np.searchsorted(doc_of, np.arange(len(index.documents) + 1, dtype=doc_of.dtype))
     counts = np.zeros(n_buckets * n_rows * n_cols, dtype=np.int64)
     for step in (1,) if mirror else (1, -1):
         # tokens between each occurrence and its document's edge on this side
-        room = doc_start[docs + 1] - 1 - occ if step == 1 else occ - doc_start[docs]
+        room = index.doc_starts[docs + 1] - 1 - occ if step == 1 else occ - index.doc_starts[docs]
         for d in range(1, min(window, int(room.max(initial=0))) + 1):
             col = np.take(lem, occ + step * d, mode="clip")
             ok = room >= d
@@ -145,10 +143,9 @@ def _window_pairs(
     return counts
 
 
-def _docset_bucket(index: CorpusIndex, docset) -> np.ndarray | None:
-    """Bucket map of a docset: 0 for its documents, -1 elsewhere; None = all."""
-    dmask = index.doc_mask(docset)
-    return None if dmask is None else np.where(dmask, 0, -1)
+def _docset_bucket(dmask: np.ndarray) -> np.ndarray | None:
+    """Bucket map of a document mask (0 in, -1 out); None when it holds every document."""
+    return None if dmask.all() else np.where(dmask, 0, -1)
 
 
 def _pivot_pairs(
@@ -175,32 +172,27 @@ def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTabl
     if window < 1:
         raise CorpusError("window must be >= 1")
     pivot_id = index.lemmas.id_of(pivot)
-    freqs = _docset_counts(index, docset)
+    dmask = index.doc_mask(docset)
+    freqs = _docset_counts(index, dmask)
     if pivot_id is None:
         return CoocTable(pivot, window, {}, 0, {})
-    pairs = _pivot_pairs(index, _docset_bucket(index, docset), 1, pivot_id, window)[0]
+    pairs = _pivot_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
     return _cooc_table(index, pivot, window, pairs, freqs, pivot_id)
 
 
 def _pos_majority_pass(
-    index: CorpusIndex, docset, pos_filter: Iterable[str] | None
+    index: CorpusIndex, dmask: np.ndarray, pos_filter: Iterable[str] | None, freqs: np.ndarray
 ) -> np.ndarray | None:
-    """Boolean per-lemma vector: at least half its docset tokens carry an
-    allowed POS tag.  None when no filter applies."""
+    """Boolean per-lemma vector: at least half of a lemma's tokens in the
+    document mask (``freqs``, its counts there) carry an allowed POS tag.
+    None when no filter applies."""
     if pos_filter is None:
         return None
-    allowed_ids = {index.pos_tags.id_of(t) for t in pos_filter}
-    allowed_ids.discard(None)
-    mask = index.token_mask(docset)
-    lem = index.lemma_ids if mask is None else index.lemma_ids[mask]
-    pos = index.pos_ids if mask is None else index.pos_ids[mask]
-    totals = np.bincount(lem, minlength=len(index.lemmas))
-    if allowed_ids:
-        pos_ok = np.isin(pos, np.fromiter(allowed_ids, dtype=np.uint16))
-        good = np.bincount(lem[pos_ok], minlength=len(index.lemmas))
-    else:
-        good = np.zeros(len(index.lemmas), dtype=np.int64)
-    return 2 * good >= np.maximum(totals, 1)
+    allowed = np.zeros(len(index.pos_tags), dtype=bool)
+    allowed[[i for i in map(index.pos_tags.id_of, pos_filter) if i is not None]] = True
+    pos_ok = _within(index, dmask, allowed[index.pos_ids])
+    good = np.bincount(index.lemma_ids[pos_ok], minlength=len(index.lemmas))
+    return 2 * good >= np.maximum(freqs, 1)
 
 
 def top_cooccurrents(
@@ -226,12 +218,13 @@ def top_cooccurrents(
     pivot_id = index.lemmas.id_of(pivot)
     if pivot_id is None:
         return []
-    freqs = _docset_counts(index, docset)
+    dmask = index.doc_mask(docset)
+    freqs = _docset_counts(index, dmask)
     if freqs[pivot_id] == 0:
         return []
-    counts = _pivot_pairs(index, _docset_bucket(index, docset), 1, pivot_id, window)[0]
+    counts = _pivot_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
     candidate = counts >= max(min_count, 1)
-    pos_ok = _pos_majority_pass(index, docset, pos_filter)
+    pos_ok = _pos_majority_pass(index, dmask, pos_filter, freqs)
     if pos_ok is not None:
         candidate &= pos_ok
     ids = np.nonzero(candidate)[0]
@@ -255,7 +248,8 @@ def adjacency_count(index: CorpusIndex, docset, lemma_a: str, lemma_b: str) -> i
     b_id = index.lemmas.id_of(lemma_b)
     if a_id is None or b_id is None:
         return 0
-    return int(_window_pairs(index, _docset_bucket(index, docset), 1, [a_id], 1, [b_id]).sum())
+    doc_bucket = _docset_bucket(index.doc_mask(docset))
+    return int(_window_pairs(index, doc_bucket, 1, [a_id], 1, [b_id]).sum())
 
 
 class PairBin(NamedTuple):
@@ -282,22 +276,17 @@ def pair_evolution(
         raise CorpusError("window must be >= 1")
     if bin_width < 1:
         raise CorpusError("bin width must be >= 1")
-    positions, mids = _dated_doc_arrays(index, docset)
-    if len(positions) == 0:
+    binning = _year_bins(index, index.doc_mask(docset), bin_width)
+    if binning is None:
         return []
+    lo, n_bins, doc_bin = binning
     a_id = index.lemmas.id_of(lemma_a)
     b_id = index.lemmas.id_of(lemma_b)
-    starts = (mids // bin_width) * bin_width
-    lo = int(starts.min())
-    n_bins = (int(starts.max()) - lo) // bin_width + 1
     if a_id is None or b_id is None:
         return [PairBin(lo + b * bin_width, 0, 0.0) for b in range(n_bins)]
-    bin_of_doc = (starts - lo) // bin_width
-    doc_bucket = np.full(len(index.documents), -1, dtype=np.int64)
-    doc_bucket[positions] = bin_of_doc
-    pairs = _window_pairs(index, doc_bucket, n_bins, [a_id], window, [b_id])[:, 0, 0]
-    freq_a = _binned_lemma_counts(index, a_id, positions, bin_of_doc, n_bins)
-    freq_b = _binned_lemma_counts(index, b_id, positions, bin_of_doc, n_bins)
+    pairs = _window_pairs(index, doc_bin, n_bins, [a_id], window, [b_id])[:, 0, 0]
+    freq_a = _binned_lemma_counts(index, a_id, doc_bin, n_bins)
+    freq_b = _binned_lemma_counts(index, b_id, doc_bin, n_bins)
     out = []
     for b in range(n_bins):
         pair, fa, fb = int(pairs[b]), int(freq_a[b]), int(freq_b[b])

@@ -4,8 +4,11 @@ and a document table with dating metadata.
 A :class:`CorpusIndex` stores three parallel integer arrays (lemma ids,
 form ids, POS ids) covering every retained token of the corpus, plus an
 ordered document table mapping each document onto a contiguous slice of
-those arrays.  Everything is frozen after construction, so an index can be
-shared freely between threads; all query modules are pure readers.
+those arrays.  Queries read the table as three columns, ``doc_starts``,
+``doc_dated`` and ``doc_mids``, and resolve any docset once into a boolean
+mask over documents (``doc_mask``).  Everything is frozen after
+construction, so an index can be shared freely between threads; all query
+modules are pure readers.
 """
 
 from __future__ import annotations
@@ -184,21 +187,23 @@ class CorpusIndex:
         if len(pos_tags) > MAX_POS_ENTRIES:
             raise CorpusError("POS vocabulary exceeds u16 capacity")
 
-        offset = 0
-        seen: set[str] = set()
-        for doc in documents:
+        starts = [0]
+        mids = []
+        self._position_of: dict[str, int] = {}
+        for pos, doc in enumerate(documents):
             if doc.token_len < 0:
                 raise CorpusError(f"negative token_len in document {doc.doc_id!r}")
-            if doc.token_start != offset:
+            if doc.token_start != starts[-1]:
                 raise CorpusError(
-                    f"document {doc.doc_id!r} starts at {doc.token_start}, expected {offset}"
+                    f"document {doc.doc_id!r} starts at {doc.token_start}, expected {starts[-1]}"
                 )
-            if doc.doc_id in seen:
+            if doc.doc_id in self._position_of:
                 raise CorpusError(f"duplicate document id: {doc.doc_id!r}")
-            seen.add(doc.doc_id)
-            offset += doc.token_len
-        if offset != n:
-            raise CorpusError(f"documents cover {offset} tokens, arrays hold {n}")
+            self._position_of[doc.doc_id] = pos
+            starts.append(starts[-1] + doc.token_len)
+            mids.append(doc.date.midpoint())
+        if starts[-1] != n:
+            raise CorpusError(f"documents cover {starts[-1]} tokens, arrays hold {n}")
 
         self.lemmas = lemmas
         self.forms = forms
@@ -207,9 +212,14 @@ class CorpusIndex:
         self.form_ids = form_ids.astype(np.uint32, copy=False)
         self.pos_ids = pos_ids.astype(np.uint16, copy=False)
         self.documents = tuple(documents)
-        for arr in (self.lemma_ids, self.form_ids, self.pos_ids):
+        # the document table as columns: token offsets (one more entry than
+        # there are documents), dated flags, date midpoints (0 when undated)
+        self.doc_starts = np.asarray(starts, dtype=np.int64)
+        self.doc_dated = np.asarray([mid is not None for mid in mids], dtype=bool)
+        self.doc_mids = np.asarray([mid or 0 for mid in mids], dtype=np.int64)
+        columns = (self.doc_starts, self.doc_dated, self.doc_mids)
+        for arr in (self.lemma_ids, self.form_ids, self.pos_ids, *columns):
             arr.flags.writeable = False
-        self._position_of = {doc.doc_id: i for i, doc in enumerate(self.documents)}
         self._doc_of: np.ndarray | None = None
         self._dated_order: tuple[int, ...] | None = None
 
@@ -242,10 +252,7 @@ class CorpusIndex:
     def doc_of(self) -> np.ndarray:
         """Token-aligned array: document position of every token (cached)."""
         if self._doc_of is None:
-            lens = np.fromiter(
-                (d.token_len for d in self.documents), dtype=np.int64, count=len(self.documents)
-            )
-            arr = np.repeat(np.arange(len(self.documents), dtype=np.int32), lens)
+            arr = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.doc_starts))
             arr.flags.writeable = False
             self._doc_of = arr
         return self._doc_of
@@ -253,45 +260,47 @@ class CorpusIndex:
     def dated_order(self) -> tuple[int, ...]:
         """Positions of dated documents sorted by (midpoint, doc_id), stable."""
         if self._dated_order is None:
-            dated = [
-                (doc.date.midpoint(), doc.doc_id, pos)
-                for pos, doc in enumerate(self.documents)
-                if doc.date.is_dated
-            ]
-            dated.sort(key=lambda t: (t[0], t[1]))
-            self._dated_order = tuple(t[2] for t in dated)
+            ids = list(self._position_of)  # in position order
+            mids = self.doc_mids.tolist()
+            order = np.flatnonzero(self.doc_dated).tolist()
+            order.sort(key=lambda pos: (mids[pos], ids[pos]))
+            self._dated_order = tuple(order)
         return self._dated_order
 
-    def doc_positions(self, docset: Iterable[str] | np.ndarray | None) -> np.ndarray:
-        """Resolve a docset to sorted document positions.
+    def doc_mask(self, docset: Iterable[str] | np.ndarray | None) -> np.ndarray:
+        """Resolve a docset, once per query, to a boolean table over document positions.
 
         ``docset`` may be None (all documents), an iterable of document id
-        strings, or an integer array of document positions.
+        strings, an integer array of document positions, or such a boolean
+        table, which is returned unchanged.
         """
+        n_docs = len(self)
         if docset is None:
-            return np.arange(len(self.documents), dtype=np.int64)
+            return np.ones(n_docs, dtype=bool)
+        if isinstance(docset, np.ndarray) and docset.dtype == bool:
+            if docset.shape != (n_docs,):
+                raise CorpusError(f"document mask of shape {docset.shape} for {n_docs} documents")
+            return docset
         if isinstance(docset, np.ndarray) and docset.dtype.kind in "iu":
-            positions = np.unique(docset.astype(np.int64))
-            if len(positions) and (positions[0] < 0 or positions[-1] >= len(self.documents)):
+            positions = docset.astype(np.int64)
+            if positions.size and (positions.min() < 0 or positions.max() >= n_docs):
                 raise CorpusError("document position out of range")
-            return positions
-        positions = sorted({self.position_of(d) for d in docset})
-        return np.asarray(positions, dtype=np.int64)
-
-    def doc_mask(self, docset: Iterable[str] | np.ndarray | None) -> np.ndarray | None:
-        """Boolean membership table over document positions; None = all."""
-        if docset is None:
-            return None
-        mask = np.zeros(len(self.documents), dtype=bool)
-        mask[self.doc_positions(docset)] = True
+        else:
+            positions = [self.position_of(d) for d in docset]
+        mask = np.zeros(n_docs, dtype=bool)
+        mask[positions] = True
         return mask
 
+    def doc_positions(self, docset: Iterable[str] | np.ndarray | None) -> np.ndarray:
+        """Sorted document positions of a docset (any form ``doc_mask`` takes)."""
+        return np.flatnonzero(self.doc_mask(docset))
+
     def token_mask(self, docset: Iterable[str] | np.ndarray | None) -> np.ndarray | None:
-        """Boolean mask over tokens belonging to the docset; None = all."""
+        """Boolean mask over the tokens of a docset; None when it holds every document."""
         dmask = self.doc_mask(docset)
-        if dmask is None:
+        if dmask.all():
             return None
-        return dmask[self.doc_of()]
+        return np.repeat(dmask, np.diff(self.doc_starts))
 
 
 def _check_ids(ids: np.ndarray, size: int, what: str) -> None:

@@ -69,8 +69,7 @@ def make_tranches(index: CorpusIndex, k: int) -> TrancheSet:
     n = len(order)
     if n < k:
         raise CorpusError(f"need at least {k} dated documents, found {n}")
-    lens = [index.documents[pos].token_len for pos in order]
-    cum = np.cumsum(lens)  # cum[j] = mass of docs 0..j
+    cum = np.cumsum(np.diff(index.doc_starts)[list(order)])  # cum[j] = mass of docs 0..j
     total = int(cum[-1]) if n else 0
 
     boundaries = [0]
@@ -108,17 +107,15 @@ def _tranche_scores(
     A candidate's total pair count reaches ``min_count`` and its POS
     majority over all dated documents passes the filter.
     """
-    all_dated = np.asarray(tranches.doc_order, dtype=np.int64)
-    doc_bucket = np.full(len(index.documents), -1, dtype=np.int64)
-    doc_bucket[all_dated] = np.repeat(np.arange(tranches.k), np.diff(tranches.boundaries))
+    doc_bucket = np.full(len(index), -1, dtype=np.int64)
+    sizes = np.diff(tranches.boundaries)
+    doc_bucket[list(tranches.doc_order)] = np.repeat(np.arange(tranches.k), sizes)
     pairs = _pivot_pairs(index, doc_bucket, tranches.k, pivot_id, window)
-    freqs = np.stack(
-        [_docset_counts(index, tranches.tranche_positions(t)) for t in range(tranches.k)]
-    )
+    freqs = np.stack([_docset_counts(index, doc_bucket == t) for t in range(tranches.k)])
     denom = freqs + freqs[:, pivot_id, None]
     dice_mat = np.where(denom > 0, 2.0 * pairs / np.maximum(denom, 1), 0.0)
     candidate = pairs.sum(axis=0) >= max(min_count, 1)
-    pos_ok = _pos_majority_pass(index, all_dated, pos_filter)
+    pos_ok = _pos_majority_pass(index, doc_bucket >= 0, pos_filter, freqs.sum(axis=0))
     if pos_ok is not None:
         candidate &= pos_ok
     return pairs, freqs, dice_mat, np.nonzero(candidate)[0]
@@ -199,6 +196,8 @@ def evolving_cooccurrents(
     max(mean Dice, epsilon); entries are ranked by |score| with ties broken
     by total pair count then lemma.  Direction follows the slope sign.
     """
+    if window < 1:
+        raise CorpusError("window must be >= 1")
     if min_count < 1:
         raise CorpusError("min_count must be >= 1")
     if top_n < 1:

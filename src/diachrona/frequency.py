@@ -30,11 +30,19 @@ __all__ = [
     "moving_average",
 ]
 
-def _docset_counts(index: CorpusIndex, docset) -> np.ndarray:
-    """Per-lemma frequency vector over the docset."""
-    mask = index.token_mask(docset)
+def _docset_counts(index: CorpusIndex, dmask: np.ndarray) -> np.ndarray:
+    """Per-lemma frequency vector over the documents of a document mask."""
+    mask = index.token_mask(dmask)
     ids = index.lemma_ids if mask is None else index.lemma_ids[mask]
     return np.bincount(ids, minlength=len(index.lemmas))
+
+
+def _within(index: CorpusIndex, dmask: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """The token mask ``hits`` cleared, in place, outside the document mask."""
+    mask = index.token_mask(dmask)
+    if mask is not None:
+        hits &= mask
+    return hits
 
 
 def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
@@ -42,11 +50,7 @@ def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
     lid = index.lemmas.id_of(lemma)
     if lid is None:
         return 0
-    mask = index.token_mask(docset)
-    hits = index.lemma_ids == lid
-    if mask is not None:
-        hits &= mask
-    return int(np.count_nonzero(hits))
+    return int(np.count_nonzero(_within(index, index.doc_mask(docset), index.lemma_ids == lid)))
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,7 @@ def count_table(
         labels = [f"docset{j}" for j in range(len(docsets))]
     mat = np.zeros((len(lemmas), len(docsets)), dtype=np.int64)
     for j, docset in enumerate(docsets):
-        freqs = _docset_counts(index, docset)
+        freqs = _docset_counts(index, index.doc_mask(docset))
         for i, lemma in enumerate(lemmas):
             lid = index.lemmas.id_of(lemma)
             if lid is not None:
@@ -126,7 +130,7 @@ def lemma_rank(index: CorpusIndex, docset, lemma: str) -> int | None:
     lid = index.lemmas.id_of(lemma)
     if lid is None:
         return None
-    freqs = _docset_counts(index, docset)
+    freqs = _docset_counts(index, index.doc_mask(docset))
     target = freqs[lid]
     if target == 0:
         return None
@@ -139,7 +143,8 @@ def lemma_rank(index: CorpusIndex, docset, lemma: str) -> int | None:
 def form_share(index: CorpusIndex, docset, lemma: str, forms: Iterable[str]) -> float:
     """Share of the lemma's tokens whose surface form (case-folded) is in ``forms``."""
     lid = index.lemmas.id_of(lemma)
-    total = lemma_count(index, docset, lemma)
+    hits = None if lid is None else _within(index, index.doc_mask(docset), index.lemma_ids == lid)
+    total = 0 if hits is None else int(np.count_nonzero(hits))
     if total == 0:
         raise CorpusError(f"form share undefined: lemma {lemma!r} has zero count in docset")
     folded = {f.casefold() for f in forms}
@@ -147,10 +152,6 @@ def form_share(index: CorpusIndex, docset, lemma: str, forms: Iterable[str]) -> 
         (i for i, entry in enumerate(index.forms) if entry.casefold() in folded),
         dtype=np.int64,
     )
-    mask = index.token_mask(docset)
-    hits = index.lemma_ids == lid
-    if mask is not None:
-        hits &= mask
     if len(wanted_ids) == 0:
         return 0.0
     in_set = np.isin(index.form_ids[hits], wanted_ids.astype(np.uint32))
@@ -176,27 +177,30 @@ class TimeSeries:
         return sum(b.count for b in self.bins)
 
 
-def _dated_doc_arrays(index: CorpusIndex, docset) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, midpoints) of dated documents inside the docset."""
-    positions = index.doc_positions(docset)
-    mids = []
-    dated = []
-    for pos in positions:
-        mid = index.documents[int(pos)].date.midpoint()
-        if mid is not None:
-            dated.append(int(pos))
-            mids.append(mid)
-    return np.asarray(dated, dtype=np.int64), np.asarray(mids, dtype=np.int64)
+def _year_bins(
+    index: CorpusIndex, dmask: np.ndarray, bin_width: int
+) -> tuple[int, int, np.ndarray] | None:
+    """(first bin start, bin count, bin of each document) of the midpoint
+    year bins, aligned to multiples of ``bin_width``, of the dated documents
+    in the document mask; other documents get bin -1.  None if none is dated."""
+    dated = dmask & index.doc_dated
+    if not dated.any():
+        return None
+    starts = (index.doc_mids // bin_width) * bin_width
+    lo = int(starts[dated].min())
+    n_bins = (int(starts[dated].max()) - lo) // bin_width + 1
+    return lo, n_bins, np.where(dated, (starts - lo) // bin_width, -1)
 
 
 def _binned_lemma_counts(
-    index: CorpusIndex, lid: int, positions: np.ndarray, bin_of_doc: np.ndarray, n_bins: int
+    index: CorpusIndex, lid: int, doc_bin: np.ndarray, n_bins: int
 ) -> np.ndarray:
-    """Tokens of lemma ``lid`` per bin, over the documents at ``positions``
-    (document ``positions[i]`` falls in bin ``bin_of_doc[i]``)."""
+    """Tokens of lemma ``lid`` per bin, where document i falls in bin
+    ``doc_bin[i]`` (-1 leaves it out)."""
     hit_docs = index.doc_of()[index.lemma_ids == lid]
-    per_doc = np.bincount(hit_docs, minlength=len(index.documents))
-    return np.bincount(bin_of_doc, weights=per_doc[positions], minlength=n_bins).astype(np.int64)
+    per_doc = np.bincount(hit_docs, minlength=len(doc_bin))
+    binned = doc_bin >= 0
+    return np.bincount(doc_bin[binned], weights=per_doc[binned], minlength=n_bins).astype(np.int64)
 
 
 def time_series(
@@ -217,22 +221,18 @@ def time_series(
         raise CorpusError("bin width must be >= 1")
     if date_policy != "midpoint":
         raise CorpusError(f"unsupported date policy: {date_policy!r}")
-    positions, mids = _dated_doc_arrays(index, docset)
-    if len(positions) == 0:
+    binning = _year_bins(index, index.doc_mask(docset), bin_width)
+    if binning is None:
         return TimeSeries(lemma, bin_width, ())
-    starts = (mids // bin_width) * bin_width
-    lo = int(starts.min())
-    hi = int(starts.max())
-    n_bins = (hi - lo) // bin_width + 1
-    bin_of_doc = (starts - lo) // bin_width
-
-    lens = np.fromiter((index.documents[int(p)].token_len for p in positions), dtype=np.int64)
-    masses = np.bincount(bin_of_doc, weights=lens, minlength=n_bins).astype(np.int64)
+    lo, n_bins, doc_bin = binning
+    binned = doc_bin >= 0
+    lens = np.diff(index.doc_starts)[binned]
+    masses = np.bincount(doc_bin[binned], weights=lens, minlength=n_bins).astype(np.int64)
 
     counts = np.zeros(n_bins, dtype=np.int64)
     lid = index.lemmas.id_of(lemma)
     if lid is not None:
-        counts = _binned_lemma_counts(index, lid, positions, bin_of_doc, n_bins)
+        counts = _binned_lemma_counts(index, lid, doc_bin, n_bins)
 
     bins = []
     for b in range(n_bins):

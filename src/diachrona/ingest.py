@@ -6,8 +6,9 @@ document and carry space-separated key=value pairs (``id`` required,
 ``date`` and ``typology`` optional).  The fallback path tokenizes raw text
 and lemmatizes through a lookup lexicon.
 
-Ingestion fails loud: wrong column counts, missing ids, and malformed
-dates raise :class:`VerticalParseError` with the offending line number.
+Ingestion fails loud: wrong column counts, missing or reused ids,
+repeated header keys and malformed dates raise :class:`VerticalParseError`
+with the offending line number.
 Token lines whose POS tag is in the drop set (punctuation by default) are
 not emitted as positions, so window distances downstream are measured on
 the retained word stream.
@@ -106,6 +107,7 @@ class _Builder:
         self.form_col = array("I")
         self.pos_col = array("I")
         self.documents: list[Document] = []
+        self.doc_ids: set[str] = set()
         self._open_id: str | None = None
         self._open_date = DateSpec.undated()
         self._open_typology: str | None = None
@@ -113,6 +115,7 @@ class _Builder:
 
     def open_document(self, doc_id: str, date: DateSpec, typology: str | None) -> None:
         self.close_document()
+        self.doc_ids.add(doc_id)
         self._open_id = doc_id
         self._open_date = date
         self._open_typology = typology
@@ -160,6 +163,8 @@ def _parse_header(line: str, line_no: int) -> tuple[str, DateSpec, str | None]:
         if "=" not in chunk:
             raise VerticalParseError(line_no, f"malformed header field {chunk!r} (expected key=value)")
         key, _, value = chunk.partition("=")
+        if key in fields:
+            raise VerticalParseError(line_no, f"repeated header key {key!r}")
         fields[key] = value
     doc_id = fields.get("id")
     if not doc_id:
@@ -195,7 +200,10 @@ def parse_vertical(
         if not line.strip():
             continue
         if line.startswith("#doc"):
-            builder.open_document(*_parse_header(line, line_no))
+            doc_id, date, typology = _parse_header(line, line_no)
+            if doc_id in builder.doc_ids:
+                raise VerticalParseError(line_no, f"duplicate document id: {doc_id!r}")
+            builder.open_document(doc_id, date, typology)
             continue
         cols = line.split("\t")
         if len(cols) != 3:

@@ -79,8 +79,9 @@ def build_submatrix(
     if weight not in ("raw", "dice"):
         raise CorpusError(f"unknown weight mode: {weight!r}")
     needed = m - 1 if include_pivot else m
+    dmask = index.doc_mask(docset)
     ranked = top_cooccurrents(
-        index, docset, pivot, window, k=needed, pos_filter=pos_filter, min_count=min_count
+        index, dmask, pivot, window, k=needed, pos_filter=pos_filter, min_count=min_count
     )
     if len(ranked) < needed:
         raise CorpusError(
@@ -90,11 +91,11 @@ def build_submatrix(
     terms = ([pivot] if include_pivot else []) + [c.lemma for c in ranked]
     term_ids = np.asarray([index.lemmas.id_of(t) for t in terms], dtype=np.int64)
 
-    counts = _window_pairs(index, _docset_bucket(index, docset), 1, term_ids, window, term_ids)[0]
+    counts = _window_pairs(index, _docset_bucket(dmask), 1, term_ids, window, term_ids)[0]
     np.fill_diagonal(counts, 0)
 
     if weight == "dice":
-        freqs = _docset_counts(index, docset)[term_ids].astype(np.float64)
+        freqs = _docset_counts(index, dmask)[term_ids].astype(np.float64)
         denom = freqs[:, None] + freqs[None, :]
         weighted = np.where(denom > 0, 2.0 * counts / np.maximum(denom, 1.0), 0.0)
         matrix = weighted

@@ -1,10 +1,14 @@
 import importlib.resources
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import diachrona
 from diachrona.cli import run_cli
 from diachrona.indexio import load_index
 
@@ -185,6 +189,16 @@ class TestQueries:
         assert 2 <= len(lines) <= 5
         assert lines[1].split("\t")[-1] in ("rising", "falling", "flat")
 
+    def test_evolve_window_zero_is_domain_error(self, sample_index, capsys):
+        code = run_cli(
+            ["evolve", "--pivot", "pater", "--k", "4", "--window", "0",
+             "--index", str(sample_index)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: window must be >= 1"
+
     def test_map_outputs_tsv_and_svg(self, sample_index, tmp_path, capsys):
         svg_path = tmp_path / "field.svg"
         tsv_path = tmp_path / "field.tsv"
@@ -255,3 +269,16 @@ class TestQueries:
         proc = subprocess.run(["diachrona", "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "usage: diachrona" in proc.stdout
+
+    def test_module_entry_point_matches_run_cli(self, sample_index, capsys):
+        argv = ["freq", "count", "--lemma", "pater", "--index", str(sample_index)]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out
+        env = dict(os.environ)
+        src = str(Path(diachrona.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "diachrona.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert expected and proc.stdout == expected

@@ -1,6 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from diachrona.cooc import adjacency_count, pair_evolution, top_cooccurrents
 from diachrona.corpus import (
     CorpusError,
     CorpusIndex,
@@ -13,8 +18,10 @@ from diachrona.corpus import (
     is_dated,
     subcorpus,
 )
+from diachrona.diachrony import cooc_by_tranche, make_tranches
+from diachrona.frequency import count_table, form_share, lemma_count, lemma_rank, time_series
 
-from conftest import build_index, lemma_doc, random_index
+from conftest import POS_TAGS, build_index, lemma_doc, random_index
 
 
 class TestVocabulary:
@@ -161,3 +168,120 @@ class TestCorpusIndex:
         assert np.array_equal(by_id, by_pos)
         with pytest.raises(CorpusError):
             index.doc_positions({"nope"})
+
+    def test_document_columns_match_documents(self):
+        index = random_index(np.random.default_rng(5))
+        docs = index.documents
+        starts = [d.token_start for d in docs] + [index.total_tokens]
+        assert index.doc_starts.tolist() == starts
+        assert index.doc_dated.tolist() == [d.date.is_dated for d in docs]
+        assert index.doc_mids.tolist() == [d.date.midpoint() or 0 for d in docs]
+        assert index.doc_starts.dtype == np.int64 and index.doc_mids.dtype == np.int64
+        for column in (index.doc_starts, index.doc_dated, index.doc_mids):
+            with pytest.raises(ValueError):
+                column[0] = column[-1]
+
+    def test_doc_mask_forms(self):
+        index = three_doc_index()
+        assert index.doc_mask(None).tolist() == [True, True, True]
+        assert index.doc_mask({"c", "a"}).tolist() == [True, False, True]
+        assert index.doc_mask(np.array([2, 0, 2])).tolist() == [True, False, True]
+        mask = np.array([False, True, False])
+        assert index.doc_mask(mask) is mask
+        assert index.token_mask(None) is None
+        assert index.token_mask(mask).tolist() == [False, False, True, False]
+        assert index.doc_positions(mask).tolist() == [1]
+        with pytest.raises(CorpusError, match="document mask"):
+            index.doc_mask(np.array([True, False]))
+        with pytest.raises(CorpusError, match="out of range"):
+            index.doc_mask(np.array([3]))
+
+    def test_id_docset_resolved_once_per_query(self, monkeypatch):
+        index = three_doc_index()
+        calls = Counter()
+        original = CorpusIndex.position_of
+
+        def counting(self, doc_id):
+            calls[doc_id] += 1
+            return original(self, doc_id)
+
+        monkeypatch.setattr(CorpusIndex, "position_of", counting)
+        assert top_cooccurrents(index, {"a", "b"}, "pater", 2, 5, pos_filter=["NOM"])
+        assert calls == {"a": 1, "b": 1}
+        calls.clear()
+        assert form_share(index, {"a", "b"}, "pater", ["pater"]) == 1.0
+        assert calls == {"a": 1, "b": 1}
+
+
+@st.composite
+def docset_cases(draw):
+    """(document records, lemma names, docset ids): a small corpus with
+    empty, undated, exact and ranged documents and mixed forms and POS
+    tags, and a random subset of its document ids."""
+    names = [f"l{v}" for v in range(draw(st.integers(1, 4)))]
+    token = st.tuples(st.sampled_from(names), st.sampled_from(POS_TAGS), st.booleans())
+    docs = []
+    for i in range(draw(st.integers(1, 6))):
+        lo = draw(st.none() | st.integers(800, 1100))
+        if lo is None:
+            date = DateSpec.undated()
+        else:
+            date = DateSpec.year_range(lo, lo + draw(st.integers(0, 60)))
+        tokens = draw(st.lists(token, max_size=15))
+        records = [(lem + "a" if alt else lem, pos, lem) for lem, pos, alt in tokens]
+        docs.append((f"d{i}", date, None, records))
+    ids = draw(st.sets(st.sampled_from([d[0] for d in docs])))
+    return docs, names, ids
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except CorpusError as exc:
+        return f"error: {exc}"
+
+
+def _docset_queries(index, docset, names, window, bin_width):
+    a, b = names[0], names[-1]
+    return [
+        lemma_count(index, docset, a),
+        count_table(index, names, [docset]).counts.tolist(),
+        lemma_rank(index, docset, a),
+        _outcome(lambda: form_share(index, docset, a, [a])),
+        time_series(index, a, bin_width, docset=docset),
+        top_cooccurrents(index, docset, a, window, 5, pos_filter=["NOM", "ADJ"]),
+        top_cooccurrents(index, docset, a, window, 5, pos_filter=["VER"]),
+        pair_evolution(index, a, b, window, bin_width, docset=docset),
+        adjacency_count(index, docset, a, b),
+    ]
+
+
+class TestDocsetForms:
+    @settings(max_examples=80, deadline=None)
+    @given(docset_cases(), st.integers(1, 4), st.integers(1, 80))
+    def test_docset_forms_agree_with_a_subset_index(self, case, window, bin_width):
+        # the id set, the position array and the mask give the answers of an
+        # index built from those documents alone
+        docs, names, ids = case
+        index = build_index(docs)
+        positions = np.array([index.position_of(d) for d in ids], dtype=np.int64)
+        mask = np.zeros(len(index), dtype=bool)
+        mask[positions] = True
+        alone = build_index([d for d in docs if d[0] in ids])
+        expected = _docset_queries(alone, None, names, window, bin_width)
+        for docset in (ids, positions[::-1], mask):
+            assert _docset_queries(index, docset, names, window, bin_width) == expected
+            assert index.doc_positions(docset).tolist() == np.flatnonzero(mask).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(docset_cases(), st.integers(1, 4), st.sampled_from([["NOM", "ADJ"], ["VER"]]))
+    def test_tranche_candidates_are_the_dated_docset_collocates(self, case, window, pos):
+        # tranches cover the dated documents, so the candidates (any pair,
+        # POS majority over the dated documents) are the collocates there
+        docs, names, _ = case
+        index = build_index(docs)
+        assume(len(index.dated_order()) >= 2)
+        _, vectors = cooc_by_tranche(index, make_tranches(index, 2), names[0], window, pos)
+        dated = subcorpus(index, is_dated)
+        ranked = top_cooccurrents(index, dated, names[0], window, len(index.lemmas) + 1, pos)
+        assert set(vectors) == {c.lemma for c in ranked}

@@ -222,6 +222,13 @@ class TestEvolvingCooccurrents:
         for lemma in sa:
             assert sa[lemma] == pytest.approx(sb[lemma], abs=1e-12)
 
+    def test_window_below_one_rejected(self):
+        index = staircase_corpus()
+        tranches = make_tranches(index, 10)
+        for window in (0, -3):
+            with pytest.raises(CorpusError, match="window must be >= 1"):
+                evolving_cooccurrents(index, tranches, "p", window)
+
     def test_min_count_gate(self):
         index = staircase_corpus()
         tranches = make_tranches(index, 10)

@@ -42,6 +42,22 @@ class TestParseVertical:
         with pytest.raises(VerticalParseError, match="key=value"):
             parse_vertical("#doc id=d1 stray\n")
 
+    def test_repeated_header_key_names_line_and_key(self):
+        with pytest.raises(VerticalParseError, match=r"line 2: repeated header key 'date'"):
+            parse_vertical("#doc id=d1\n#doc id=d2 date=900 date=1200\nx\tNOM\tx\n")
+
+    def test_reused_document_id_names_line(self):
+        text = "#doc id=a\nx\tNOM\tx\n#doc id=b\ny\tNOM\ty\n#doc id=a\nz\tNOM\tz\n"
+        with pytest.raises(VerticalParseError, match=r"line 5: duplicate document id: 'a'"):
+            parse_vertical(text)
+
+    def test_reused_implicit_doc0_names_line(self):
+        with pytest.raises(VerticalParseError, match=r"line 2: duplicate document id: 'doc0'"):
+            parse_vertical("x\tNOM\tx\n#doc id=doc0\ny\tNOM\ty\n")
+        # dropped tokens open no implicit document, so the id stays free
+        index = parse_vertical(".\tPUN\t.\n#doc id=doc0\ny\tNOM\ty\n")
+        assert [d.doc_id for d in index.documents] == ["doc0"]
+
     def test_invalid_date_syntax_fails_loud(self):
         for bad in ("ca.900", "900-", "-900", "900..950", "IXe"):
             with pytest.raises(VerticalParseError, match="date"):

@@ -14,6 +14,10 @@ occurrence of the requested row lemmas and bincounts them under one key,
 member, a tranche, a year bin, or -1 for left out) is fixed per call.  So
 a per-tranche or per-bin series costs one pass, not one per bucket, and
 the work follows the row occurrences, not the corpus size.
+
+Every Dice value comes from one array function, ``_dice`` (0 where both
+frequencies are 0), and every ranking from one helper, ``_top_k``, so
+Python objects are built only for the rows a query returns.
 """
 
 from __future__ import annotations
@@ -43,10 +47,25 @@ def dice(pair_count: int, freq_a: int, freq_b: int) -> float:
     """Sorensen-Dice association: 2 * pair_count / (freq_a + freq_b)."""
     if pair_count < 0 or freq_a < 0 or freq_b < 0:
         raise CorpusError("dice arguments must be non-negative")
-    total = freq_a + freq_b
-    if total == 0:
+    if freq_a + freq_b == 0:
         raise CorpusError("dice undefined: both frequencies are zero")
-    return 2.0 * pair_count / total
+    return float(_dice(pair_count, freq_a, freq_b))
+
+
+def _dice(pairs, freq_a, freq_b) -> np.ndarray:
+    """Elementwise, broadcasting Dice, 0 where both frequencies are 0."""
+    denom = np.add(freq_a, freq_b)
+    return np.where(denom > 0, 2.0 * np.asarray(pairs) / np.maximum(denom, 1), 0.0)
+
+
+def _top_k(index: CorpusIndex, ids: np.ndarray, primary, secondary, k: int) -> list[int]:
+    """Positions of the first k candidate lemmas ``ids`` in the order
+    (primary desc, secondary desc, lemma asc).  Only candidates whose primary
+    value reaches the k-th largest are sorted, so ties at it are all kept."""
+    pool = np.flatnonzero(primary >= (np.partition(primary, -k)[-k] if len(ids) > k else -np.inf))
+    lemmas = [index.lemmas[i] for i in ids[pool].tolist()]
+    keys = zip((-primary[pool]).tolist(), (-secondary[pool]).tolist(), lemmas, pool.tolist())
+    return [key[-1] for key in sorted(keys)[:k]]
 
 
 @dataclass(frozen=True)
@@ -227,19 +246,13 @@ def top_cooccurrents(
     pos_ok = _pos_majority_pass(index, dmask, pos_filter, freqs)
     if pos_ok is not None:
         candidate &= pos_ok
-    ids = np.nonzero(candidate)[0]
-    pivot_freq = int(freqs[pivot_id])
-    scored = [
-        Cooccurrent(
-            index.lemmas[int(i)],
-            int(counts[i]),
-            int(freqs[i]),
-            dice(int(counts[i]), pivot_freq, int(freqs[i])),
-        )
-        for i in ids
+    ids = np.flatnonzero(candidate)
+    pairs, cand_freqs = counts[ids], freqs[ids]
+    scores = _dice(pairs, freqs[pivot_id], cand_freqs)
+    return [
+        Cooccurrent(index.lemmas[int(ids[i])], int(pairs[i]), int(cand_freqs[i]), float(scores[i]))
+        for i in _top_k(index, ids, scores, pairs, k)
     ]
-    scored.sort(key=lambda c: (-c.dice, -c.pair_count, c.lemma))
-    return scored[:k]
 
 
 def adjacency_count(index: CorpusIndex, docset, lemma_a: str, lemma_b: str) -> int:
@@ -274,22 +287,16 @@ def pair_evolution(
     """
     if window < 1:
         raise CorpusError("window must be >= 1")
-    if bin_width < 1:
-        raise CorpusError("bin width must be >= 1")
     binning = _year_bins(index, index.doc_mask(docset), bin_width)
     if binning is None:
         return []
     lo, n_bins, doc_bin = binning
+    starts = range(lo, lo + n_bins * bin_width, bin_width)
     a_id = index.lemmas.id_of(lemma_a)
     b_id = index.lemmas.id_of(lemma_b)
     if a_id is None or b_id is None:
-        return [PairBin(lo + b * bin_width, 0, 0.0) for b in range(n_bins)]
+        return [PairBin(start, 0, 0.0) for start in starts]
     pairs = _window_pairs(index, doc_bin, n_bins, [a_id], window, [b_id])[:, 0, 0]
     freq_a = _binned_lemma_counts(index, a_id, doc_bin, n_bins)
     freq_b = _binned_lemma_counts(index, b_id, doc_bin, n_bins)
-    out = []
-    for b in range(n_bins):
-        pair, fa, fb = int(pairs[b]), int(freq_a[b]), int(freq_b[b])
-        value = dice(pair, fa, fb) if fa + fb > 0 else 0.0
-        out.append(PairBin(lo + b * bin_width, pair, value))
-    return out
+    return list(map(PairBin, starts, pairs.tolist(), _dice(pairs, freq_a, freq_b).tolist()))

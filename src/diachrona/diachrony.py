@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooc import CoocTable, _cooc_table, _pivot_pairs, _pos_majority_pass
+from .cooc import CoocTable, _cooc_table, _dice, _pivot_pairs, _pos_majority_pass, _top_k
 from .corpus import CorpusError, CorpusIndex
 from .frequency import _docset_counts
 
@@ -112,8 +112,7 @@ def _tranche_scores(
     doc_bucket[list(tranches.doc_order)] = np.repeat(np.arange(tranches.k), sizes)
     pairs = _pivot_pairs(index, doc_bucket, tranches.k, pivot_id, window)
     freqs = np.stack([_docset_counts(index, doc_bucket == t) for t in range(tranches.k)])
-    denom = freqs + freqs[:, pivot_id, None]
-    dice_mat = np.where(denom > 0, 2.0 * pairs / np.maximum(denom, 1), 0.0)
+    dice_mat = _dice(pairs, freqs[:, pivot_id, None], freqs)
     candidate = pairs.sum(axis=0) >= max(min_count, 1)
     pos_ok = _pos_majority_pass(index, doc_bucket >= 0, pos_filter, freqs.sum(axis=0))
     if pos_ok is not None:
@@ -155,13 +154,20 @@ def cooc_by_tranche(
 
 def ols_slope(values) -> float:
     """Ordinary-least-squares slope of values against positions 1..k."""
-    y = np.asarray(values, dtype=np.float64)
-    k = len(y)
-    if k < 2:
+    y = np.ascontiguousarray(values, dtype=np.float64)
+    if len(y) < 2:
         raise CorpusError("slope needs at least two values")
-    x = np.arange(1, k + 1, dtype=np.float64)
+    return float(_slopes(y[None, :])[0])
+
+
+def _slopes(rows: np.ndarray) -> np.ndarray:
+    """OLS slope of each row of a C-contiguous (candidates x k) float array.
+    Each equals ``np.dot(xc, y - y.mean()) / np.dot(xc, xc)`` of the row alone
+    bit for bit; ``rows @ xc`` would round differently on some rows."""
+    x = np.arange(1, rows.shape[1] + 1, dtype=np.float64)
     xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    centred = rows - rows.mean(axis=1, keepdims=True)
+    return (centred[:, None, :] @ xc[:, None])[:, 0, 0] / np.dot(xc, xc)
 
 
 @dataclass(frozen=True)
@@ -208,27 +214,18 @@ def evolving_cooccurrents(
     pairs, _, dice_mat, ids = _tranche_scores(
         index, tranches, pivot_id, window, pos_filter, min_count
     )
-    totals = pairs.sum(axis=0)
-
-    entries = []
-    for i in ids:
-        d = dice_mat[:, i]
-        slope = ols_slope(d)
-        score = slope / max(float(d.mean()), SCORE_EPSILON)
-        if slope > 0:
-            direction = "rising"
-        elif slope < 0:
-            direction = "falling"
-        else:
-            direction = "flat"
-        entries.append(
-            TrendEntry(
-                index.lemmas[int(i)],
-                tuple(float(x) for x in d),
-                int(totals[i]),
-                score,
-                direction,
-            )
+    totals = pairs.sum(axis=0)[ids]
+    rows = np.ascontiguousarray(dice_mat[:, ids].T)
+    slopes = _slopes(rows)
+    scores = slopes / np.maximum(rows.mean(axis=1), SCORE_EPSILON)
+    entries = tuple(
+        TrendEntry(
+            index.lemmas[int(ids[i])],
+            tuple(rows[i].tolist()),
+            int(totals[i]),
+            float(scores[i]),
+            "rising" if slopes[i] > 0 else "falling" if slopes[i] < 0 else "flat",
         )
-    entries.sort(key=lambda e: (-abs(e.score), -e.total_pairs, e.lemma))
-    return TrendReport(pivot, window, tranches.k, tuple(entries[:top_n]))
+        for i in _top_k(index, ids, np.abs(scores), totals, top_n)
+    )
+    return TrendReport(pivot, window, tranches.k, entries)

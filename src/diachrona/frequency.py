@@ -182,7 +182,12 @@ def _year_bins(
 ) -> tuple[int, int, np.ndarray] | None:
     """(first bin start, bin count, bin of each document) of the midpoint
     year bins, aligned to multiples of ``bin_width``, of the dated documents
-    in the document mask; other documents get bin -1.  None if none is dated."""
+    in the document mask; other documents get bin -1.  None if none is dated.
+    Every binned query reaches this, so the bin width is checked here."""
+    if bin_width < 1:
+        raise CorpusError("bin width must be >= 1")
+    if bin_width > np.iinfo(np.int64).max:
+        raise CorpusError(f"bin width must be <= {np.iinfo(np.int64).max}")
     dated = dmask & index.doc_dated
     if not dated.any():
         return None
@@ -217,8 +222,6 @@ def time_series(
     the token mass of contributing documents, and the per-million rate
     (None for bins with zero mass).
     """
-    if bin_width < 1:
-        raise CorpusError("bin width must be >= 1")
     if date_policy != "midpoint":
         raise CorpusError(f"unsupported date policy: {date_policy!r}")
     binning = _year_bins(index, index.doc_mask(docset), bin_width)

@@ -91,47 +91,62 @@ def save_index(index: CorpusIndex, path: str | os.PathLike) -> None:
 
 
 def load_index(path: str | os.PathLike) -> CorpusIndex:
-    """Read an index written by :func:`save_index`."""
+    """Read an index written by :func:`save_index`.
+
+    Every malformed file raises an :class:`IndexFormatError`.  Tables the
+    index itself rejects (a repeated vocabulary entry or document id,
+    documents that do not cover the tokens, a reversed date range) raise
+    the base class with the index's message.
+    """
     with open(path, "rb") as raw:
-        fh = _Reader(raw)
-        magic = raw.read(4)
-        if len(magic) < 4:
-            raise TruncatedFileError("file shorter than magic")
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic: {magic!r}")
-        version = _unpack(fh, "<I")[0]
-        if version != FORMAT_VERSION:
-            raise UnsupportedVersionError(f"unsupported format version: {version}")
-        lemmas = _read_vocab(fh)
-        forms = _read_vocab(fh)
-        pos_tags = _read_vocab(fh)
-        n = _unpack(fh, "<Q")[0]
-        lemma_ids = _read_array(fh, "<u4", n)
-        form_ids = _read_array(fh, "<u4", n)
-        pos_ids = _read_array(fh, "<u2", n)
-        _check_range(lemma_ids, len(lemmas), "lemma")
-        _check_range(form_ids, len(forms), "form")
-        _check_range(pos_ids, len(pos_tags), "POS")
-        doc_count = _unpack(fh, "<I")[0]
-        documents = []
-        for _ in range(doc_count):
-            doc_id = _read_str(fh)
-            kind_byte, lo, hi = _unpack(fh, "<Bii")
-            try:
-                kind = DateKind(kind_byte)
-            except ValueError:
-                raise IndexFormatError(f"invalid date kind byte: {kind_byte}") from None
-            if kind is DateKind.UNDATED:
-                date = DateSpec.undated()
-            elif kind is DateKind.EXACT:
-                date = DateSpec.exact(lo)
-            else:
-                date = DateSpec(DateKind.RANGE, lo, hi)
-            typology = _read_str(fh) or None
-            token_start, token_len = _unpack(fh, "<QI")
-            documents.append(Document(doc_id, date, typology, token_start, token_len))
-        if fh.remaining():
-            raise IndexFormatError("trailing bytes after document table")
+        try:
+            return _read_index(raw)
+        except IndexFormatError:
+            raise
+        except CorpusError as exc:
+            raise IndexFormatError(f"corrupt index: {exc}") from None
+
+
+def _read_index(raw: BinaryIO) -> CorpusIndex:
+    fh = _Reader(raw)
+    magic = raw.read(4)
+    if len(magic) < 4:
+        raise TruncatedFileError("file shorter than magic")
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic: {magic!r}")
+    version = _unpack(fh, "<I")[0]
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersionError(f"unsupported format version: {version}")
+    lemmas = _read_vocab(fh)
+    forms = _read_vocab(fh)
+    pos_tags = _read_vocab(fh)
+    n = _unpack(fh, "<Q")[0]
+    lemma_ids = _read_array(fh, "<u4", n)
+    form_ids = _read_array(fh, "<u4", n)
+    pos_ids = _read_array(fh, "<u2", n)
+    _check_range(lemma_ids, len(lemmas), "lemma")
+    _check_range(form_ids, len(forms), "form")
+    _check_range(pos_ids, len(pos_tags), "POS")
+    doc_count = _unpack(fh, "<I")[0]
+    documents = []
+    for _ in range(doc_count):
+        doc_id = _read_str(fh)
+        kind_byte, lo, hi = _unpack(fh, "<Bii")
+        try:
+            kind = DateKind(kind_byte)
+        except ValueError:
+            raise IndexFormatError(f"invalid date kind byte: {kind_byte}") from None
+        if kind is DateKind.UNDATED:
+            date = DateSpec.undated()
+        elif kind is DateKind.EXACT:
+            date = DateSpec.exact(lo)
+        else:
+            date = DateSpec(DateKind.RANGE, lo, hi)
+        typology = _read_str(fh) or None
+        token_start, token_len = _unpack(fh, "<QI")
+        documents.append(Document(doc_id, date, typology, token_start, token_len))
+    if fh.remaining():
+        raise IndexFormatError("trailing bytes after document table")
     return CorpusIndex(lemmas, forms, pos_tags, lemma_ids, form_ids, pos_ids, documents)
 
 
@@ -175,7 +190,10 @@ def _unpack(fh: "_Reader", fmt: str) -> tuple:
 
 def _read_str(fh: "_Reader") -> str:
     length = _unpack(fh, "<I")[0]
-    return fh.read_exact(length).decode("utf-8")
+    try:
+        return fh.read_exact(length).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"stored string is not valid UTF-8 ({exc.reason})") from None
 
 
 def _read_vocab(fh: "_Reader") -> Vocabulary:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cooc import _docset_bucket, _window_pairs, top_cooccurrents
+from .cooc import _dice, _docset_bucket, _window_pairs, top_cooccurrents
 from .corpus import CorpusError, CorpusIndex
 from .frequency import _docset_counts
 from .jacobi import jacobi_svd
@@ -95,23 +95,19 @@ def build_submatrix(
     np.fill_diagonal(counts, 0)
 
     if weight == "dice":
-        freqs = _docset_counts(index, dmask)[term_ids].astype(np.float64)
-        denom = freqs[:, None] + freqs[None, :]
-        weighted = np.where(denom > 0, 2.0 * counts / np.maximum(denom, 1.0), 0.0)
-        matrix = weighted
-    else:
-        matrix = counts
+        freqs = _docset_counts(index, dmask)[term_ids]
+        counts = _dice(counts, freqs[:, None], freqs[None, :])
 
-    keep = ~np.all(matrix == 0, axis=1)
+    keep = ~np.all(counts == 0, axis=1)
     pruned = tuple(t for t, ok in zip(terms, keep) if not ok)
     if pruned:
         warnings.warn(
             f"pruned {len(pruned)} all-zero term(s) from submatrix: {', '.join(pruned)}",
             stacklevel=2,
         )
-        matrix = matrix[np.ix_(keep, keep)]
+        counts = counts[np.ix_(keep, keep)]
         terms = [t for t, ok in zip(terms, keep) if ok]
-    return DSMSubmatrix(tuple(terms), matrix, pruned)
+    return DSMSubmatrix(tuple(terms), counts, pruned)
 
 
 class CAResult(NamedTuple):

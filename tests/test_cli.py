@@ -70,6 +70,29 @@ class TestExitCodes:
         assert run_cli(["freq", "rank", "--lemma", "zzznope", "--index", str(sample_index)]) == 1
         assert "not present" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new", [(b"pater", b"pa\xffer"), (b"s002", b"s001")], ids=["invalid-utf8", "repeated-doc-id"]
+    )
+    def test_corrupt_index_is_one_line_error(self, sample_index, tmp_path, capsys, old, new):
+        bad = tmp_path / "bad.csem"
+        bad.write_bytes(sample_index.read_bytes().replace(old, new, 1))
+        assert run_cli(["freq", "count", "--lemma", "pater", "--index", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["freq", "series", "--lemma", "pater"], ["cooc", "pair", "--a", "pater", "--b", "mater"]],
+        ids=["series", "pair"],
+    )
+    def test_bin_beyond_int64_is_one_line_error(self, sample_index, capsys, argv):
+        code = run_cli(argv + ["--bin", "100000000000000000000", "--index", str(sample_index)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bin width must be <= 9223372036854775807\n"
+
 
 class TestIndexBuild:
     def test_known_count_from_file_scan_oracle(self, sample_index, capsys):

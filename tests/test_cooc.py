@@ -15,12 +15,18 @@ from diachrona.cooc import (
     top_cooccurrents,
 )
 from diachrona.corpus import CorpusError, DateSpec
-from diachrona.diachrony import cooc_by_tranche, make_tranches
+from diachrona.diachrony import (
+    SCORE_EPSILON,
+    cooc_by_tranche,
+    evolving_cooccurrents,
+    make_tranches,
+    ols_slope,
+)
 from diachrona.frequency import lemma_count
 from diachrona.semfield import build_submatrix
 from diachrona.synth import synthetic_index
 
-from conftest import build_index, doc_lemma_lists, lemma_doc, random_index
+from conftest import POS_TAGS, build_index, doc_lemma_lists, lemma_doc, random_index
 
 
 def brute_pairs(index, window, docs=None):
@@ -54,6 +60,20 @@ def brute_freqs(index, docs=None):
         if docs is None or doc.doc_id in docs:
             freqs.update(lemmas)
     return freqs
+
+
+def brute_pos_majority(index, pos_filter, docs=None):
+    """Lemmas with at least half of their docset tokens tagged in ``pos_filter``."""
+    good, freqs = Counter(), Counter()
+    for doc in index.documents:
+        if docs is not None and doc.doc_id not in docs:
+            continue
+        span = slice(doc.token_start, doc.token_start + doc.token_len)
+        for lid, pid in zip(index.lemma_ids[span], index.pos_ids[span]):
+            lemma = index.lemmas[int(lid)]
+            freqs[lemma] += 1
+            good[lemma] += index.pos_tags[int(pid)] in pos_filter
+    return {lemma for lemma in freqs if 2 * good[lemma] >= freqs[lemma]}
 
 
 def single_doc(tokens, pivot=None):
@@ -328,6 +348,16 @@ class TestPairEvolution:
         bins = pair_evolution(index, "x", "y", 3, 100)
         assert sum(b.pair_count for b in bins) == 1
 
+    @pytest.mark.parametrize("bin_width", [0, 2**63, 10**20])
+    def test_bin_width_validated(self, bin_width):
+        index = build_index([lemma_doc("a", DateSpec.exact(850), ["x", "y"])])
+        with pytest.raises(CorpusError, match="bin width must be"):
+            pair_evolution(index, "x", "y", 3, bin_width)
+
+    def test_largest_bin_width_is_one_bin(self):
+        index = build_index([lemma_doc("a", DateSpec.exact(850), ["x", "y"])])
+        assert pair_evolution(index, "x", "y", 3, 2**63 - 1) == [(0, 1, 1.0)]
+
 
 # ---------------------------------------------------------------------------
 # properties: every window-counting entry point against the all-pairs oracle
@@ -337,26 +367,29 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def corpora(draw, vocab_sizes=st.integers(1, 5)):
+def corpora(draw, vocab_sizes=st.integers(1, 5), tagged=False):
     """Small corpus with a tiny vocabulary (so same-lemma pairs are common)
-    and empty, undated, exact and ranged documents."""
+    and empty, undated, exact and ranged documents.  Tokens are tagged NOM,
+    or with random tags from ``POS_TAGS`` when ``tagged``."""
     vocab = draw(vocab_sizes)
     docs = []
     for i in range(draw(st.integers(1, 7))):
         lemmas = draw(st.lists(st.integers(0, vocab - 1), min_size=int(i == 0), max_size=20))
+        tags = [draw(st.sampled_from(POS_TAGS)) if tagged else "NOM" for _ in lemmas]
         lo = draw(st.none() | st.integers(800, 1100))
         if lo is None:
             date = DateSpec.undated()
         else:
             date = DateSpec.year_range(lo, lo + draw(st.integers(0, 60)))
-        docs.append(lemma_doc(f"d{i}", date, [f"l{v}" for v in lemmas]))
+        tokens = [(f"l{v}", tag, f"l{v}") for v, tag in zip(lemmas, tags)]
+        docs.append((f"d{i}", date, None, tokens))
     return build_index(docs)
 
 
 @st.composite
-def cases(draw, vocab_sizes=st.integers(1, 5)):
+def cases(draw, vocab_sizes=st.integers(1, 5), tagged=False):
     """(index, window, docs, lemma a, lemma b); docs is None or an id set."""
-    index = draw(corpora(vocab_sizes))
+    index = draw(corpora(vocab_sizes, tagged))
     lemmas = st.sampled_from(index.lemmas.entries)
     ids = [d.doc_id for d in index.documents]
     docs = draw(st.none() | st.sets(st.sampled_from(ids)))
@@ -464,6 +497,56 @@ class TestKernelProperties:
         assert sum(adjacency_count(index, part, a, b) for part in parts) == adjacency_count(
             index, None, a, b
         )
+
+
+class TestRankingProperties:
+    """Few lemmas give many tied scores, so the k-th value is often shared."""
+
+    @settings(max_examples=200, deadline=None)  # at 60, a tie-dropping top-k often slips by
+    @given(cases(st.integers(3, 8), tagged=True), st.integers(1, 5), st.integers(1, 3), st.booleans())
+    def test_top_cooccurrents_is_the_head_of_a_full_sort(self, case, k, min_count, filtered):
+        index, window, docs, a, _ = case
+        pos_filter = {"NOM"} if filtered else None
+        freqs = brute_freqs(index, docs)
+        passing = brute_pos_majority(index, pos_filter, docs) if filtered else set(freqs)
+        scored = [
+            (lemma, n, freqs[lemma], dice(n, freqs[a], freqs[lemma]))
+            for lemma, n in brute_pair_counts(index, a, window, docs).items()
+            if n >= min_count and lemma in passing
+        ]
+        scored.sort(key=lambda c: (-c[3], -c[1], c[0]))
+        got = top_cooccurrents(index, docs, a, window, k, pos_filter=pos_filter, min_count=min_count)
+        assert [tuple(c) for c in got] == scored[:k]
+
+    @PROPERTY
+    @given(cases(st.integers(3, 8), tagged=True), st.data())
+    def test_evolving_cooccurrents_prefixes_and_scores(self, case, data):
+        index, window, _, a, _ = case
+        n_dated = len(index.dated_order())
+        assume(n_dated >= 2)
+        tranches = make_tranches(index, data.draw(st.integers(2, n_dated)))
+        min_count = data.draw(st.integers(1, 3))
+        pos_filter = data.draw(st.none() | st.just({"NOM"}))
+
+        def entries(top_n):
+            return evolving_cooccurrents(
+                index, tranches, a, window, pos_filter, min_count, top_n=top_n
+            ).entries
+
+        full = entries(10**9)
+        assert list(full) == sorted(full, key=lambda e: (-abs(e.score), -e.total_pairs, e.lemma))
+        tables, vectors = cooc_by_tranche(index, tranches, a, window, pos_filter, min_count)
+        assert {e.lemma: list(e.dice_by_tranche) for e in full} == {
+            lemma: v.tolist() for lemma, v in vectors.items()
+        }
+        for e in full:
+            d = np.array(e.dice_by_tranche)
+            slope = ols_slope(d)
+            assert e.score == slope / max(d.mean(), SCORE_EPSILON)
+            assert e.direction == ("rising" if slope > 0 else "falling" if slope < 0 else "flat")
+            assert e.total_pairs == sum(t.pair_counts.get(e.lemma, 0) for t in tables)
+        for n in range(1, 6):
+            assert entries(n) == full[:n]
 
 
 def test_huge_window_counts_like_the_longest_document():

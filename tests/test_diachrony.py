@@ -138,6 +138,17 @@ class TestOlsSlope:
     def test_flat_is_zero(self):
         assert ols_slope([3.0] * 8) == 0.0
 
+    def test_bit_identical_to_the_one_row_formula(self):
+        # Dice-like rows (ratios with zeros), read both as contiguous rows
+        # and as strided columns of a (k x 7) matrix
+        rng = np.random.default_rng(66)
+        for k in range(2, 41):
+            x = np.arange(1, k + 1, dtype=np.float64)
+            xc = x - x.mean()
+            mat = 2.0 * rng.integers(0, 5, size=(k, 7)) / rng.integers(1, 400, size=(k, 7))
+            for y in [*np.ascontiguousarray(mat.T), *(mat[:, j] for j in range(7))]:
+                assert ols_slope(y) == np.dot(xc, y - y.mean()) / np.dot(xc, xc)
+
 
 def staircase_corpus(blocks_per_doc=10):
     """Ten equal dated docs; X pairs with the pivot only in the last five,

@@ -236,6 +236,12 @@ class TestTimeSeries:
         with pytest.raises(CorpusError):
             time_series(index, "x", 0)
 
+    @pytest.mark.parametrize("bin_width", [2**63, 10**20])
+    def test_bin_width_beyond_int64_rejected(self, bin_width):
+        index = build_index([lemma_doc("a", DateSpec.exact(800), ["x"])])
+        with pytest.raises(CorpusError, match="bin width must be <="):
+            time_series(index, "x", bin_width)
+
     def test_unknown_policy_rejected(self):
         index = build_index([lemma_doc("a", DateSpec.exact(800), ["x"])])
         with pytest.raises(CorpusError):

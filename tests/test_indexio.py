@@ -107,6 +107,42 @@ def test_id_out_of_vocabulary_range(tmp_path):
         load_index(path)
 
 
+def _patch_last_token_len(raw):
+    return raw[:-4] + struct.pack("<I", 2)  # the last document holds 1 token
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        (lambda raw: raw.replace(b"aa", b"\xff\xfe", 1), "not valid UTF-8"),
+        (lambda raw: raw.replace(b"bb", b"aa", 1), "duplicate vocabulary entry"),
+        (lambda raw: raw.replace(b"docB", b"docA"), "duplicate document id"),
+        (_patch_last_token_len, "documents cover 4 tokens"),
+        (
+            lambda raw: raw.replace(struct.pack("<Bii", 2, 900, 950), struct.pack("<Bii", 2, 950, 900)),
+            "date interval reversed",
+        ),
+    ],
+    ids=["invalid-utf8", "repeated-lemma", "repeated-doc-id", "token-len-overcovers", "reversed-range"],
+)
+def test_corrupt_tables_raise_index_format_error(tmp_path, patch, message):
+    index = build_index(
+        [
+            lemma_doc("docA", DateSpec.exact(856), ["aa", "bb"]),
+            lemma_doc("docB", DateSpec.year_range(900, 950), ["aa"]),
+        ]
+    )
+    path = tmp_path / "x.csem"
+    save_index(index, path)
+    raw = path.read_bytes()
+    patched = patch(raw)
+    assert len(patched) == len(raw) and patched != raw
+    path.write_bytes(patched)
+    with pytest.raises(IndexFormatError, match=message) as caught:
+        load_index(path)
+    assert "\n" not in str(caught.value)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     index = build_index([lemma_doc("d", DateSpec.undated(), ["a"])])
     path = tmp_path / "x.csem"

@@ -1,13 +1,21 @@
 """Command-line interface: index building plus TSV/SVG query commands.
 
 Subcommands: ``index`` (build, synth), ``freq`` (count, table, ratio, rank,
-share, series), ``cooc`` (top, pair, adj), ``evolve``, ``map``.  Data goes
-to stdout or ``--out`` as tab-separated text; ``--svg`` writes charts.
+share, series), ``cooc`` (top, pair, adj), ``evolve``, ``map``.
 Exit codes: 0 success, 1 domain error, 2 usage error.
+
+Every query command takes one path, :func:`_run_query`: load the index,
+resolve ``--filter`` to a docset, run the query, write its tab-separated
+rows to stdout or ``--out`` (``map --tsv`` takes precedence), then render
+its chart to ``--svg`` when given.  A query is a function of
+``(index, docset, args)`` returning ``(rows, chart)``.
 
 ``--filter`` restricts queries to a document subset and may be repeated
 (conjunction).  Accepted forms: ``date=LO..HI`` (midpoint within the
-interval), ``typology=TAG``, ``dated``.
+interval), ``typology=TAG``, ``dated``.  ``evolve`` has no ``--filter``; it
+tranches the dated documents.  ``freq table`` AND-s ``--filter`` into each
+``--slice`` column, or uses it as its single ``all`` column.  ``--min``
+(minimum pair count) must be at least 1.
 """
 
 from __future__ import annotations
@@ -32,6 +40,13 @@ __all__ = ["run_cli", "entry", "build_parser"]
 
 def _num(value: float) -> str:
     return f"{value:.6g}"
+
+
+def _cell(value) -> str:
+    """One TSV cell: floats to six significant digits, None as NA."""
+    if value is None:
+        return "NA"
+    return _num(value) if isinstance(value, float) else str(value)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -64,10 +79,6 @@ def _docset_from_filters(index: CorpusIndex, filters: list[str] | None):
         return None
     predicates = [_parse_filter(f) for f in filters]
     return subcorpus(index, lambda doc: all(p(doc) for p in predicates))
-
-
-def _load(args) -> CorpusIndex:
-    return load_index(args.index)
 
 
 def _comma_set(raw: str | None) -> frozenset[str] | None:
@@ -127,110 +138,71 @@ def _cmd_index_synth(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# freq
+# queries: each maps (index, docset, args) to (TSV rows, chart or None)
 # --------------------------------------------------------------------------
 
 
-def _cmd_freq_count(args) -> int:
-    index = _load(args)
-    docset = _docset_from_filters(index, args.filter)
-    count = freq_mod.lemma_count(index, docset, args.lemma)
-    _write_text(f"{args.lemma}\t{count}\n", args.out)
-    return 0
+def _freq_count(index, docset, args):
+    return [[args.lemma, freq_mod.lemma_count(index, docset, args.lemma)]], None
 
 
-def _cmd_freq_table(args) -> int:
-    index = _load(args)
+def _freq_table(index, docset, args):
     lemmas = [part for part in args.lemmas.split(",") if part]
-    labels = []
-    docsets = []
-    for spec in args.slice or []:
-        label, sep, expr = spec.partition(":")
-        if not sep:
-            raise CorpusError(f"bad slice (expected LABEL:FILTER): {spec!r}")
-        labels.append(label)
-        docsets.append(_docset_from_filters(index, expr.split(";")))
-    if not docsets:
-        labels = ["all"]
-        docsets = [None]
+    labels, docsets = ["all"], [docset]
+    if args.slice:
+        labels, docsets = [], []
+        for spec in args.slice:
+            label, sep, expr = spec.partition(":")
+            if not sep:
+                raise CorpusError(f"bad slice (expected LABEL:FILTER): {spec!r}")
+            labels.append(label)
+            sliced = _docset_from_filters(index, expr.split(";"))
+            docsets.append(sliced if docset is None else sliced & docset)
     table = freq_mod.count_table(index, lemmas, docsets, labels)
-    lines = ["lemma\t" + "\t".join(table.labels) + "\tsum"]
-    for i, lemma in enumerate(table.lemmas):
-        row = "\t".join(str(int(v)) for v in table.counts[i])
-        lines.append(f"{lemma}\t{row}\t{int(table.row_sums[i])}")
-    cols = "\t".join(str(int(v)) for v in table.col_sums)
-    lines.append(f"sum\t{cols}\t{table.grand_total}")
-    _write_text("\n".join(lines) + "\n", args.out)
-    return 0
+    rows = [["lemma", *table.labels, "sum"]]
+    rows += [[lemma, *table.counts[i], table.row_sums[i]] for i, lemma in enumerate(table.lemmas)]
+    rows.append(["sum", *table.col_sums, table.grand_total])
+    return rows, None
 
 
-def _cmd_freq_ratio(args) -> int:
-    index = _load(args)
-    docset = _docset_from_filters(index, args.filter)
+def _freq_ratio(index, docset, args):
     count_a = freq_mod.lemma_count(index, docset, args.a)
     count_b = freq_mod.lemma_count(index, docset, args.b)
     result = freq_mod.ratio(count_a, count_b)
-    _write_text(f"{args.a}\t{result.a}\t{args.b}\t{result.b}\t{_num(result.value)}\n", args.out)
-    return 0
+    return [[args.a, result.a, args.b, result.b, result.value]], None
 
 
-def _cmd_freq_rank(args) -> int:
-    index = _load(args)
-    docset = _docset_from_filters(index, args.filter)
+def _freq_rank(index, docset, args):
     rank = freq_mod.lemma_rank(index, docset, args.lemma)
     if rank is None:
         raise CorpusError(f"lemma {args.lemma!r} not present in docset")
-    _write_text(f"{args.lemma}\t{rank}\n", args.out)
-    return 0
+    return [[args.lemma, rank]], None
 
 
-def _cmd_freq_share(args) -> int:
-    index = _load(args)
-    docset = _docset_from_filters(index, args.filter)
+def _freq_share(index, docset, args):
     forms = _comma_set(args.forms) or frozenset()
-    share = freq_mod.form_share(index, docset, args.lemma, forms)
-    _write_text(f"{args.lemma}\t{_num(share)}\n", args.out)
-    return 0
+    return [[args.lemma, freq_mod.form_share(index, docset, args.lemma, forms)]], None
 
 
-def _cmd_freq_series(args) -> int:
-    index = _load(args)
-    docset = _docset_from_filters(index, args.filter)
+def _freq_series(index, docset, args):
     series = freq_mod.time_series(index, args.lemma, args.bin, docset=docset)
-    header = "start_year\tcount\ttoken_mass\tper_million"
-    smoothed = None
+    rows = [["start_year", "count", "token_mass", "per_million"]]
+    rows += [[b.start_year, b.count, b.token_mass, b.per_million] for b in series.bins]
     if args.ma:
         smoothed = freq_mod.moving_average([b.per_million for b in series.bins], args.ma)
-        header += "\tma"
-    lines = [header]
-    for i, b in enumerate(series.bins):
-        pm = _num(b.per_million) if b.per_million is not None else "NA"
-        line = f"{b.start_year}\t{b.count}\t{b.token_mass}\t{pm}"
-        if smoothed is not None:
-            line += "\t" + (_num(smoothed[i]) if smoothed[i] is not None else "NA")
-        lines.append(line)
-    _write_text("\n".join(lines) + "\n", args.out)
-    if args.svg:
-        curves = [(args.lemma, [(float(b.start_year), float(b.count)) for b in series.bins])]
-        spec = PlotSpec(
-            kind="series",
-            title=f"{args.lemma} per {args.bin}-year bin",
-            x_label="year",
-            y_label="occurrences",
-            curves=curves,
-        )
-        _write_text(emit_svg(spec), args.svg)
-    return 0
+        for row, value in zip(rows, ["ma", *smoothed]):
+            row.append(value)
+    chart = PlotSpec(
+        kind="series",
+        title=f"{args.lemma} per {args.bin}-year bin",
+        x_label="year",
+        y_label="occurrences",
+        curves=[(args.lemma, [(float(b.start_year), float(b.count)) for b in series.bins])],
+    )
+    return rows, chart
 
 
-# --------------------------------------------------------------------------
-# cooc
-# --------------------------------------------------------------------------
-
-
-def _cmd_cooc_top(args) -> int:
-    index = _load(args)
-    docset = _docset_from_filters(index, args.filter)
+def _cooc_top(index, docset, args):
     ranked = cooc_mod.top_cooccurrents(
         index,
         docset,
@@ -240,75 +212,49 @@ def _cmd_cooc_top(args) -> int:
         pos_filter=_comma_set(args.pos),
         min_count=args.min,
     )
-    lines = ["lemma\tpair_count\tfreq\tdice"]
-    for entry_ in ranked:
-        lines.append(
-            f"{entry_.lemma}\t{entry_.pair_count}\t{entry_.freq}\t{_num(entry_.dice * args.scale)}"
-        )
-    _write_text("\n".join(lines) + "\n", args.out)
-    return 0
+    rows = [["lemma", "pair_count", "freq", "dice"]]
+    rows += [[e.lemma, e.pair_count, e.freq, e.dice * args.scale] for e in ranked]
+    return rows, None
 
 
-def _cmd_cooc_pair(args) -> int:
-    index = _load(args)
-    docset = _docset_from_filters(index, args.filter)
+def _cooc_pair(index, docset, args):
     bins = cooc_mod.pair_evolution(index, args.a, args.b, args.window, args.bin, docset=docset)
-    lines = ["start_year\tpair_count\tdice"]
-    for b in bins:
-        lines.append(f"{b.start_year}\t{b.pair_count}\t{_num(b.dice * args.scale)}")
-    _write_text("\n".join(lines) + "\n", args.out)
-    if args.svg:
-        spec = PlotSpec(
-            kind="series",
-            title=f"{args.a} + {args.b} (window {args.window})",
-            x_label="year",
-            y_label="pairs / scaled dice",
-            curves=[
-                ("pairs", [(float(b.start_year), float(b.pair_count)) for b in bins]),
-                ("dice", [(float(b.start_year), b.dice * args.scale) for b in bins]),
-            ],
-        )
-        _write_text(emit_svg(spec), args.svg)
-    return 0
+    rows = [["start_year", "pair_count", "dice"]]
+    rows += [[b.start_year, b.pair_count, b.dice * args.scale] for b in bins]
+    chart = PlotSpec(
+        kind="series",
+        title=f"{args.a} + {args.b} (window {args.window})",
+        x_label="year",
+        y_label="pairs / scaled dice",
+        curves=[
+            ("pairs", [(float(b.start_year), float(b.pair_count)) for b in bins]),
+            ("dice", [(float(b.start_year), b.dice * args.scale) for b in bins]),
+        ],
+    )
+    return rows, chart
 
 
-def _cmd_cooc_adj(args) -> int:
-    index = _load(args)
-    docset = _docset_from_filters(index, args.filter)
-    count = cooc_mod.adjacency_count(index, docset, args.a, args.b)
-    _write_text(f"{args.a}\t{args.b}\t{count}\n", args.out)
-    return 0
+def _cooc_adj(index, docset, args):
+    return [[args.a, args.b, cooc_mod.adjacency_count(index, docset, args.a, args.b)]], None
 
 
-# --------------------------------------------------------------------------
-# evolve / map
-# --------------------------------------------------------------------------
-
-
-def _cmd_evolve(args) -> int:
-    index = _load(args)
-    tranches = make_tranches(index, args.k)
+def _evolve(index, docset, args):
     report = evolving_cooccurrents(
         index,
-        tranches,
+        make_tranches(index, args.k),
         args.pivot,
         args.window,
         pos_filter=_comma_set(args.pos),
         min_count=args.min,
         top_n=args.top,
     )
-    header = "lemma\t" + "\t".join(f"d_{t + 1}" for t in range(args.k)) + "\ttotal\tscore\tdirection"
-    lines = [header]
+    rows = [["lemma", *(f"d_{t + 1}" for t in range(args.k)), "total", "score", "direction"]]
     for e in report.entries:
-        dice_cols = "\t".join(_num(v) for v in e.dice_by_tranche)
-        lines.append(f"{e.lemma}\t{dice_cols}\t{e.total_pairs}\t{_num(e.score)}\t{e.direction}")
-    _write_text("\n".join(lines) + "\n", args.out)
-    return 0
+        rows.append([e.lemma, *e.dice_by_tranche, e.total_pairs, e.score, e.direction])
+    return rows, None
 
 
-def _cmd_map(args) -> int:
-    index = _load(args)
-    docset = _docset_from_filters(index, args.filter)
+def _map(index, docset, args):
     result = semantic_map(
         index,
         docset,
@@ -320,26 +266,33 @@ def _cmd_map(args) -> int:
         include_pivot=not args.no_pivot,
         weight=args.weight,
     )
-    lines = [
-        f"# axis1_inertia\t{_num(result.inertia_fractions[0])}",
-        f"# axis2_inertia\t{_num(result.inertia_fractions[1])}",
-        f"# total_inertia\t{_num(result.total_inertia)}",
-        "lemma\tx\ty",
+    rows = [
+        ["# axis1_inertia", result.inertia_fractions[0]],
+        ["# axis2_inertia", result.inertia_fractions[1]],
+        ["# total_inertia", result.total_inertia],
+        ["lemma", "x", "y"],
     ]
-    for point in result.points:
-        lines.append(f"{point.lemma}\t{_num(point.x)}\t{_num(point.y)}")
-    text = "\n".join(lines) + "\n"
-    _write_text(text, args.tsv or args.out)
-    if args.svg:
-        spec = PlotSpec(
-            kind="scatter",
-            title=f"semantic field of {args.pivot}",
-            x_label=f"axis 1 ({100 * result.inertia_fractions[0]:.1f}% of inertia)",
-            y_label=f"axis 2 ({100 * result.inertia_fractions[1]:.1f}% of inertia)",
-            points=[(p.x, p.y) for p in result.points],
-            labels=[p.lemma for p in result.points],
-        )
-        _write_text(emit_svg(spec), args.svg)
+    rows += [[p.lemma, p.x, p.y] for p in result.points]
+    chart = PlotSpec(
+        kind="scatter",
+        title=f"semantic field of {args.pivot}",
+        x_label=f"axis 1 ({100 * result.inertia_fractions[0]:.1f}% of inertia)",
+        y_label=f"axis 2 ({100 * result.inertia_fractions[1]:.1f}% of inertia)",
+        points=[(p.x, p.y) for p in result.points],
+        labels=[p.lemma for p in result.points],
+    )
+    return rows, chart
+
+
+def _run_query(args) -> int:
+    """Load the index, resolve ``--filter``, run the query, write its TSV, then its SVG."""
+    index = load_index(args.index)
+    docset = _docset_from_filters(index, getattr(args, "filter", None))
+    rows, chart = args.query(index, docset, args)
+    text = "".join("\t".join(map(_cell, row)) + "\n" for row in rows)
+    _write_text(text, getattr(args, "tsv", None) or args.out)
+    if chart is not None and args.svg:
+        _write_text(emit_svg(chart), args.svg)
     return 0
 
 
@@ -348,16 +301,17 @@ def _cmd_map(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(sub, index_required: bool = True) -> None:
-    if index_required:
-        sub.add_argument("--index", required=True, help="path to a .csem index file")
-        sub.add_argument(
-            "--filter",
-            action="append",
-            metavar="EXPR",
-            help="restrict to documents matching EXPR (date=LO..HI, typology=TAG, dated); repeatable",
-        )
+def _add_common(sub, query) -> None:
+    """Add ``--index``, ``--filter`` and ``--out``, and route ``sub`` to ``query``."""
+    sub.add_argument("--index", required=True, help="path to a .csem index file")
+    sub.add_argument(
+        "--filter",
+        action="append",
+        metavar="EXPR",
+        help="restrict to documents matching EXPR (date=LO..HI, typology=TAG, dated); repeatable",
+    )
     sub.add_argument("--out", help="write TSV here instead of stdout")
+    sub.set_defaults(func=_run_query, query=query)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = freq_sub.add_parser("count", help="occurrences of one lemma")
     count.add_argument("--lemma", required=True)
-    _add_common(count)
-    count.set_defaults(func=_cmd_freq_count)
+    _add_common(count, _freq_count)
 
     table = freq_sub.add_parser("table", help="lemma x slice count table with sums")
     table.add_argument("--lemmas", required=True, help="comma-separated lemma list")
@@ -407,33 +360,28 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LABEL:FILTER",
         help="named docset column; FILTER may join filters with ';'",
     )
-    _add_common(table)
-    table.set_defaults(func=_cmd_freq_table)
+    _add_common(table, _freq_table)
 
     ratio_cmd = freq_sub.add_parser("ratio", help="count ratio of two lemmas")
     ratio_cmd.add_argument("--a", required=True)
     ratio_cmd.add_argument("--b", required=True)
-    _add_common(ratio_cmd)
-    ratio_cmd.set_defaults(func=_cmd_freq_ratio)
+    _add_common(ratio_cmd, _freq_ratio)
 
     rank = freq_sub.add_parser("rank", help="frequency rank of a lemma (1 = most frequent)")
     rank.add_argument("--lemma", required=True)
-    _add_common(rank)
-    rank.set_defaults(func=_cmd_freq_rank)
+    _add_common(rank, _freq_rank)
 
     share = freq_sub.add_parser("share", help="share of a lemma's tokens with given surface forms")
     share.add_argument("--lemma", required=True)
     share.add_argument("--forms", required=True, help="comma-separated surface forms")
-    _add_common(share)
-    share.set_defaults(func=_cmd_freq_share)
+    _add_common(share, _freq_share)
 
     series = freq_sub.add_parser("series", help="dated time series of a lemma")
     series.add_argument("--lemma", required=True)
     series.add_argument("--bin", type=int, default=50, help="bin width in years")
     series.add_argument("--ma", type=int, help="odd moving-average window (extra column)")
     series.add_argument("--svg", help="also render a series chart here")
-    _add_common(series)
-    series.set_defaults(func=_cmd_freq_series)
+    _add_common(series, _freq_series)
 
     cooc = commands.add_parser("cooc", help="windowed cooccurrence queries")
     cooc_sub = cooc.add_subparsers(dest="subcommand", required=True)
@@ -445,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--pos", help="comma-separated allowed POS tags (majority rule)")
     top.add_argument("--min", type=int, default=1, help="minimum pair count")
     top.add_argument("--scale", type=float, default=1.0, help="display multiplier for dice")
-    _add_common(top)
-    top.set_defaults(func=_cmd_cooc_top)
+    _add_common(top, _cooc_top)
 
     pair = cooc_sub.add_parser("pair", help="association of two lemmas over time")
     pair.add_argument("--a", required=True)
@@ -455,14 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--bin", type=int, default=50)
     pair.add_argument("--scale", type=float, default=1.0)
     pair.add_argument("--svg", help="also render the evolution chart here")
-    _add_common(pair)
-    pair.set_defaults(func=_cmd_cooc_pair)
+    _add_common(pair, _cooc_pair)
 
     adj = cooc_sub.add_parser("adj", help="directly adjacent pairs of two lemmas")
     adj.add_argument("--a", required=True)
     adj.add_argument("--b", required=True)
-    _add_common(adj)
-    adj.set_defaults(func=_cmd_cooc_adj)
+    _add_common(adj, _cooc_adj)
 
     evolve = commands.add_parser("evolve", help="strongest-evolving collocates across tranches")
     evolve.add_argument("--pivot", required=True)
@@ -473,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--pos", help="comma-separated allowed POS tags")
     evolve.add_argument("--index", required=True)
     evolve.add_argument("--out", help="write TSV here instead of stdout")
-    evolve.set_defaults(func=_cmd_evolve)
+    evolve.set_defaults(func=_run_query, query=_evolve)
 
     map_cmd = commands.add_parser("map", help="correspondence-analysis semantic field map")
     map_cmd.add_argument("--pivot", required=True)
@@ -485,8 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd.add_argument("--no-pivot", action="store_true", help="exclude the pivot itself")
     map_cmd.add_argument("--svg", help="render the map here")
     map_cmd.add_argument("--tsv", help="write coordinates here")
-    _add_common(map_cmd)
-    map_cmd.set_defaults(func=_cmd_map)
+    _add_common(map_cmd, _map)
 
     return parser
 

@@ -234,6 +234,8 @@ def top_cooccurrents(
         raise CorpusError("k must be >= 1")
     if window < 1:
         raise CorpusError("window must be >= 1")
+    if min_count < 1:
+        raise CorpusError("min_count must be >= 1")
     pivot_id = index.lemmas.id_of(pivot)
     if pivot_id is None:
         return []
@@ -242,7 +244,7 @@ def top_cooccurrents(
     if freqs[pivot_id] == 0:
         return []
     counts = _pivot_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
-    candidate = counts >= max(min_count, 1)
+    candidate = counts >= min_count
     pos_ok = _pos_majority_pass(index, dmask, pos_filter, freqs)
     if pos_ok is not None:
         candidate &= pos_ok

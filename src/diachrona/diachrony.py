@@ -113,7 +113,7 @@ def _tranche_scores(
     pairs = _pivot_pairs(index, doc_bucket, tranches.k, pivot_id, window)
     freqs = np.stack([_docset_counts(index, doc_bucket == t) for t in range(tranches.k)])
     dice_mat = _dice(pairs, freqs[:, pivot_id, None], freqs)
-    candidate = pairs.sum(axis=0) >= max(min_count, 1)
+    candidate = pairs.sum(axis=0) >= min_count
     pos_ok = _pos_majority_pass(index, doc_bucket >= 0, pos_filter, freqs.sum(axis=0))
     if pos_ok is not None:
         candidate &= pos_ok
@@ -139,6 +139,8 @@ def cooc_by_tranche(
     """
     if window < 1:
         raise CorpusError("window must be >= 1")
+    if min_count < 1:
+        raise CorpusError("min_count must be >= 1")
     pivot_id = index.lemmas.id_of(pivot)
     if pivot_id is None:
         return [CoocTable(pivot, window, {}, 0, {}) for _ in range(tranches.k)], {}

@@ -38,6 +38,8 @@ def synthetic_index(
         raise CorpusError("synthetic corpus needs n_tokens >= 0, vocab_size >= 1, n_docs >= 1")
     if n_tokens and n_docs > n_tokens:
         raise CorpusError("more documents than tokens")
+    if seed < 0:
+        raise CorpusError("seed must be >= 0")
     rng = np.random.default_rng(seed)
 
     weights = 1.0 / np.arange(1, vocab_size + 1, dtype=np.float64) ** zipf

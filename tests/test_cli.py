@@ -10,7 +10,9 @@ import pytest
 
 import diachrona
 from diachrona.cli import run_cli
+from diachrona.corpus import CorpusError
 from diachrona.indexio import load_index
+from diachrona.synth import synthetic_index
 
 SAMPLE = importlib.resources.files("diachrona") / "data" / "sample.vrt"
 
@@ -41,18 +43,15 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_help_exits_zero_everywhere(self, capsys):
-        for argv in (
-            ["--help"],
-            ["index", "--help"],
-            ["index", "build", "--help"],
-            ["freq", "--help"],
-            ["freq", "series", "--help"],
-            ["cooc", "top", "--help"],
-            ["evolve", "--help"],
-            ["map", "--help"],
-        ):
-            assert run_cli(argv) == 0
-            capsys.readouterr()
+        groups = [[], ["index"], ["freq"], ["cooc"]]
+        leaves = [["index", name] for name in ("build", "synth")]
+        leaves += [["freq", name] for name in ("count", "table", "ratio", "rank", "share", "series")]
+        leaves += [["cooc", name] for name in ("top", "pair", "adj")]
+        leaves += [["evolve"], ["map"]]
+        assert len(leaves) == 13
+        for argv in groups + leaves:
+            assert run_cli(argv + ["--help"]) == 0
+            assert capsys.readouterr().out.startswith("usage: diachrona")
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli(["frobnicate"]) == 2
@@ -92,6 +91,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: bin width must be <= 9223372036854775807\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cooc", "top", "--pivot", "pater", "--min", "0"],
+            ["map", "--pivot", "pater", "--min", "-3"],
+            ["evolve", "--pivot", "pater", "--min", "0"],
+        ],
+        ids=["top", "map", "evolve"],
+    )
+    def test_min_below_one_is_one_line_error(self, sample_index, capsys, argv):
+        assert run_cli(argv + ["--index", str(sample_index)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: min_count must be >= 1\n"
 
 
 class TestIndexBuild:
@@ -142,6 +156,15 @@ class TestIndexBuild:
             ) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_synth_negative_seed_is_one_line_error(self, tmp_path, capsys):
+        with pytest.raises(CorpusError, match="seed must be >= 0"):
+            synthetic_index(100, 10, 5, seed=-1)
+        out = tmp_path / "neg.csem"
+        code = run_cli(["index", "synth", "--tokens", "100", "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
+
 
 class TestQueries:
     def test_freq_table_slices(self, sample_index, capsys):
@@ -161,6 +184,32 @@ class TestQueries:
         assert pater[0] == "pater"
         assert int(pater[1]) + int(pater[2]) == int(pater[3])
         assert lines[-1].startswith("sum\t")
+
+    def test_freq_table_filter_is_the_all_column(self, sample_index, capsys):
+        code = run_cli(
+            ["freq", "table", "--lemmas", "pater,mater", "--filter", "typology=nonexistent",
+             "--index", str(sample_index)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "lemma\tall\tsum\npater\t0\t0\nmater\t0\t0\nsum\t0\t0\n"
+
+    def test_freq_table_filter_is_anded_into_slices(self, sample_index, capsys):
+        index = ["--index", str(sample_index)]
+        code = run_cli(
+            ["freq", "table", "--lemmas", "pater,mater", "--slice", "early:date=700..999",
+             "--slice", "late:date=1000..1400", "--filter", "typology=charter", *index]
+        )
+        assert code == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert rows[0] == ["lemma", "early", "late", "sum"]
+        for row, lemma in zip(rows[1:], ("pater", "mater")):
+            expected = []
+            for span in ("date=700..999", "date=1000..1400"):
+                run_cli(["freq", "count", "--lemma", lemma, "--filter", span,
+                         "--filter", "typology=charter", *index])
+                expected.append(capsys.readouterr().out.split("\t")[1].strip())
+            assert row[:3] == [lemma, *expected]
+            assert 0 < int(row[3]) < sample_lemma_count(lemma)
 
     def test_filter_restricts_counts(self, sample_index, capsys):
         run_cli(["freq", "count", "--lemma", "pater", "--index", str(sample_index)])

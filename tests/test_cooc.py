@@ -238,6 +238,13 @@ class TestTopCooccurrents:
         index = single_doc(["a"])
         assert top_cooccurrents(index, None, "zzz", 3, k=5) == []
 
+    @pytest.mark.parametrize("min_count", [0, -3])
+    def test_min_count_below_one_rejected(self, min_count):
+        index = single_doc("p a b".split())
+        for pivot in ("p", "zzz"):
+            with pytest.raises(CorpusError, match="min_count must be >= 1"):
+                top_cooccurrents(index, None, pivot, 2, k=5, min_count=min_count)
+
     def test_min_count_monotonicity(self):
         rng = np.random.default_rng(51)
         index = random_index(rng, min_tokens=200, max_tokens=500, max_vocab=10)

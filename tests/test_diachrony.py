@@ -120,6 +120,15 @@ class TestCoocByTranche:
         assert tables[0].pair_counts == whole.pair_counts
         assert tables[0].pivot_freq == whole.pivot_freq
 
+    @pytest.mark.parametrize("query", [cooc_by_tranche, evolving_cooccurrents])
+    @pytest.mark.parametrize("min_count", [0, -3])
+    def test_min_count_below_one_rejected(self, query, min_count):
+        index = staircase_corpus()
+        tranches = make_tranches(index, 10)
+        for pivot in ("p", "zzz"):
+            with pytest.raises(CorpusError, match="min_count must be >= 1"):
+                query(index, tranches, pivot, 1, min_count=min_count)
+
 
 class TestOlsSlope:
     def test_matches_polyfit_oracle(self):

@@ -145,6 +145,12 @@ class TestBuildSubmatrix:
         sub = build_submatrix(index, None, "v", 1, m=5)
         assert len(sub.terms) == 5
 
+    def test_min_count_below_one_rejected(self):
+        index = star_corpus()
+        for min_count in (0, -3):
+            with pytest.raises(CorpusError, match="min_count must be >= 1"):
+                build_submatrix(index, None, "v", 1, m=4, min_count=min_count)
+
     def test_insufficient_cooccurrents_names_shortfall(self):
         index = star_corpus(n_terms=2)
         with pytest.raises(CorpusError, match="only 2"):

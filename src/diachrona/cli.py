@@ -188,7 +188,7 @@ def _freq_series(index, docset, args):
     series = freq_mod.time_series(index, args.lemma, args.bin, docset=docset)
     rows = [["start_year", "count", "token_mass", "per_million"]]
     rows += [[b.start_year, b.count, b.token_mass, b.per_million] for b in series.bins]
-    if args.ma:
+    if args.ma is not None:
         smoothed = freq_mod.moving_average([b.per_million for b in series.bins], args.ma)
         for row, value in zip(rows, ["ma", *smoothed]):
             row.append(value)

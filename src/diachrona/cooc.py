@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CorpusError, CorpusIndex
-from .frequency import _binned_lemma_counts, _docset_counts, _within, _year_bins
+from .frequency import _binned_lemma_counts, _docset_counts, _lemma_pos_counts, _year_bins
 
 __all__ = [
     "CoocTable",
@@ -200,18 +200,17 @@ def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTabl
 
 
 def _pos_majority_pass(
-    index: CorpusIndex, dmask: np.ndarray, pos_filter: Iterable[str] | None, freqs: np.ndarray
+    index: CorpusIndex, lemma_pos: np.ndarray, pos_filter: Iterable[str] | None
 ) -> np.ndarray | None:
-    """Boolean per-lemma vector: at least half of a lemma's tokens in the
-    document mask (``freqs``, its counts there) carry an allowed POS tag.
-    None when no filter applies."""
+    """Boolean per-lemma vector: at least half of a lemma's tokens carry an
+    allowed POS tag, by the (V, P) lemma x POS counts ``lemma_pos`` of the
+    documents in question.  None when no filter applies."""
     if pos_filter is None:
         return None
     allowed = np.zeros(len(index.pos_tags), dtype=bool)
     allowed[[i for i in map(index.pos_tags.id_of, pos_filter) if i is not None]] = True
-    pos_ok = _within(index, dmask, allowed[index.pos_ids])
-    good = np.bincount(index.lemma_ids[pos_ok], minlength=len(index.lemmas))
-    return 2 * good >= np.maximum(freqs, 1)
+    good = lemma_pos[:, allowed].sum(axis=1)
+    return 2 * good >= np.maximum(lemma_pos.sum(axis=1), 1)
 
 
 def top_cooccurrents(
@@ -240,12 +239,13 @@ def top_cooccurrents(
     if pivot_id is None:
         return []
     dmask = index.doc_mask(docset)
-    freqs = _docset_counts(index, dmask)
+    lemma_pos = _lemma_pos_counts(index, dmask)
+    freqs = lemma_pos.sum(axis=1)
     if freqs[pivot_id] == 0:
         return []
     counts = _pivot_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
     candidate = counts >= min_count
-    pos_ok = _pos_majority_pass(index, dmask, pos_filter, freqs)
+    pos_ok = _pos_majority_pass(index, lemma_pos, pos_filter)
     if pos_ok is not None:
         candidate &= pos_ok
     ids = np.flatnonzero(candidate)
@@ -257,14 +257,23 @@ def top_cooccurrents(
     ]
 
 
+def _rarer_first(index: CorpusIndex, a_id: int, b_id: int) -> tuple[int, int]:
+    """The two lemma ids, the rarer in the corpus first.  Pair counts are
+    symmetric and the kernel's work follows its row lemma's occurrences, so
+    the rarer lemma makes the cheaper row."""
+    freqs = _docset_counts(index, index.doc_mask(None))
+    return (b_id, a_id) if freqs[b_id] < freqs[a_id] else (a_id, b_id)
+
+
 def adjacency_count(index: CorpusIndex, docset, lemma_a: str, lemma_b: str) -> int:
     """Pairs of the two lemmas at distance exactly 1 (either order)."""
     a_id = index.lemmas.id_of(lemma_a)
     b_id = index.lemmas.id_of(lemma_b)
     if a_id is None or b_id is None:
         return 0
+    row, col = _rarer_first(index, a_id, b_id)
     doc_bucket = _docset_bucket(index.doc_mask(docset))
-    return int(_window_pairs(index, doc_bucket, 1, [a_id], 1, [b_id]).sum())
+    return int(_window_pairs(index, doc_bucket, 1, [row], 1, [col]).sum())
 
 
 class PairBin(NamedTuple):
@@ -298,7 +307,8 @@ def pair_evolution(
     b_id = index.lemmas.id_of(lemma_b)
     if a_id is None or b_id is None:
         return [PairBin(start, 0, 0.0) for start in starts]
-    pairs = _window_pairs(index, doc_bin, n_bins, [a_id], window, [b_id])[:, 0, 0]
+    row, col = _rarer_first(index, a_id, b_id)
+    pairs = _window_pairs(index, doc_bin, n_bins, [row], window, [col])[:, 0, 0]
     freq_a = _binned_lemma_counts(index, a_id, doc_bin, n_bins)
     freq_b = _binned_lemma_counts(index, b_id, doc_bin, n_bins)
     return list(map(PairBin, starts, pairs.tolist(), _dice(pairs, freq_a, freq_b).tolist()))

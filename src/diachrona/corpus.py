@@ -221,6 +221,8 @@ class CorpusIndex:
         for arr in (self.lemma_ids, self.form_ids, self.pos_ids, *columns):
             arr.flags.writeable = False
         self._doc_of: np.ndarray | None = None
+        # full-corpus (lemma, POS) token counts, filled by frequency._lemma_pos_counts
+        self._lemma_pos: np.ndarray | None = None
         self._dated_order: tuple[int, ...] | None = None
 
     @property

@@ -4,6 +4,15 @@ shares, and dated time series.
 All queries are pure reads over the columnar arrays; counts are exact
 integers, never estimates.  Time series bin dated documents by interval
 midpoint; undated documents never contribute.
+
+Docset counts by lemma and POS tag come from one primitive,
+``_lemma_pos_counts``.  The full-docset table is counted once per index and
+cached on it; a partial docset reads only its own token positions, taken
+from the document offsets (``_docset_tokens``), or those of the other
+documents when they are fewer.  So the cost of a count follows the
+docset's tokens, and no corpus-length token mask is built.  ``lemma_count``
+and ``form_share`` read the lemma's occurrences and keep those inside the
+docset.
 """
 
 from __future__ import annotations
@@ -30,19 +39,67 @@ __all__ = [
     "moving_average",
 ]
 
+
+def _docset_tokens(index: CorpusIndex, dmask: np.ndarray) -> np.ndarray | None:
+    """Ascending token positions of the documents in a document mask; None
+    when it holds every document.  Built from the document offsets, so the
+    cost follows the docset's tokens, not the corpus size."""
+    if dmask.all():
+        return None
+    docs = np.flatnonzero(dmask)
+    starts = index.doc_starts[docs]
+    lens = index.doc_starts[docs + 1] - starts
+    # the i-th docset token sits at i plus its document's shift
+    tokens = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    tokens += np.arange(len(tokens))
+    return tokens
+
+
+def _lemma_pos_counts(index: CorpusIndex, dmask: np.ndarray) -> np.ndarray:
+    """Token counts by lemma and POS tag, shape (V, P), over the documents
+    of a document mask.
+
+    The full-docset table is counted once per index and cached on it, read
+    only: V x P int64 cells, 30,000 x 3 (720 KB) on a 10M-token corpus of
+    30,000 lemmas.  A partial docset counts only its own tokens or, when it
+    holds more than half of the corpus, is the full table less the other
+    documents' counts, so a partial count reads at most half of the tokens.
+    """
+    full = bool(dmask.all())
+    if full and index._lemma_pos is not None:
+        return index._lemma_pos
+    if not full and 2 * int(np.diff(index.doc_starts)[dmask].sum()) > index.total_tokens:
+        return _lemma_pos_counts(index, np.ones_like(dmask)) - _lemma_pos_counts(index, ~dmask)
+    lemma_ids, pos_ids = index.lemma_ids, index.pos_ids
+    if not full:
+        tokens = _docset_tokens(index, dmask)
+        lemma_ids, pos_ids = lemma_ids[tokens], pos_ids[tokens]
+        del tokens  # freed before the keys are built, to bound the peak
+    n_pos = len(index.pos_tags)
+    keys = lemma_ids.astype(np.int64)
+    keys *= n_pos
+    keys += pos_ids
+    table = np.bincount(keys, minlength=len(index.lemmas) * n_pos)
+    table = table.reshape(len(index.lemmas), n_pos)
+    if full:
+        table.flags.writeable = False
+        index._lemma_pos = table
+    return table
+
+
 def _docset_counts(index: CorpusIndex, dmask: np.ndarray) -> np.ndarray:
     """Per-lemma frequency vector over the documents of a document mask."""
-    mask = index.token_mask(dmask)
-    ids = index.lemma_ids if mask is None else index.lemma_ids[mask]
-    return np.bincount(ids, minlength=len(index.lemmas))
+    return _lemma_pos_counts(index, dmask).sum(axis=1)
 
 
-def _within(index: CorpusIndex, dmask: np.ndarray, hits: np.ndarray) -> np.ndarray:
-    """The token mask ``hits`` cleared, in place, outside the document mask."""
-    mask = index.token_mask(dmask)
-    if mask is not None:
-        hits &= mask
-    return hits
+def _lemma_hits(index: CorpusIndex, dmask: np.ndarray, lid: int) -> np.ndarray:
+    """Token positions of lemma ``lid`` inside the document mask: the
+    lemma's occurrences, kept where their document is in the mask.  One pass
+    over the lemma ids, whatever the docset's size."""
+    hits = np.flatnonzero(index.lemma_ids == lid)
+    if dmask.all():
+        return hits
+    return hits[dmask[np.searchsorted(index.doc_starts, hits, side="right") - 1]]
 
 
 def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
@@ -50,7 +107,7 @@ def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
     lid = index.lemmas.id_of(lemma)
     if lid is None:
         return 0
-    return int(np.count_nonzero(_within(index, index.doc_mask(docset), index.lemma_ids == lid)))
+    return len(_lemma_hits(index, index.doc_mask(docset), lid))
 
 
 @dataclass(frozen=True)
@@ -143,8 +200,8 @@ def lemma_rank(index: CorpusIndex, docset, lemma: str) -> int | None:
 def form_share(index: CorpusIndex, docset, lemma: str, forms: Iterable[str]) -> float:
     """Share of the lemma's tokens whose surface form (case-folded) is in ``forms``."""
     lid = index.lemmas.id_of(lemma)
-    hits = None if lid is None else _within(index, index.doc_mask(docset), index.lemma_ids == lid)
-    total = 0 if hits is None else int(np.count_nonzero(hits))
+    hits = None if lid is None else _lemma_hits(index, index.doc_mask(docset), lid)
+    total = 0 if hits is None else len(hits)
     if total == 0:
         raise CorpusError(f"form share undefined: lemma {lemma!r} has zero count in docset")
     folded = {f.casefold() for f in forms}

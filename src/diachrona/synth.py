@@ -40,6 +40,8 @@ def synthetic_index(
         raise CorpusError("more documents than tokens")
     if seed < 0:
         raise CorpusError("seed must be >= 0")
+    if not 0.0 <= dated_fraction <= 1.0:  # also rejects nan
+        raise CorpusError(f"dated_fraction must be in [0, 1], got {dated_fraction}")
     rng = np.random.default_rng(seed)
 
     weights = 1.0 / np.arange(1, vocab_size + 1, dtype=np.float64) ** zipf

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from diachrona.corpus import CorpusIndex, DateSpec
 from diachrona.ingest import index_from_documents
@@ -74,6 +75,26 @@ def doc_lemma_lists(index: CorpusIndex) -> list[list[str]]:
         span = index.lemma_ids[doc.token_start : doc.token_start + doc.token_len]
         out.append([index.lemmas[int(i)] for i in span])
     return out
+
+
+@st.composite
+def corpora(draw, vocab_sizes=st.integers(1, 5), tagged=False):
+    """Small corpus with a tiny vocabulary (so same-lemma pairs are common)
+    and empty, undated, exact and ranged documents.  Tokens are tagged NOM,
+    or with random tags from ``POS_TAGS`` when ``tagged``."""
+    vocab = draw(vocab_sizes)
+    docs = []
+    for i in range(draw(st.integers(1, 7))):
+        lemmas = draw(st.lists(st.integers(0, vocab - 1), min_size=int(i == 0), max_size=20))
+        tags = [draw(st.sampled_from(POS_TAGS)) if tagged else "NOM" for _ in lemmas]
+        lo = draw(st.none() | st.integers(800, 1100))
+        if lo is None:
+            date = DateSpec.undated()
+        else:
+            date = DateSpec.year_range(lo, lo + draw(st.integers(0, 60)))
+        tokens = [(f"l{v}", tag, f"l{v}") for v, tag in zip(lemmas, tags)]
+        docs.append((f"d{i}", date, None, tokens))
+    return build_index(docs)
 
 
 # ---------------------------------------------------------------------------

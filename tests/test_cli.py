@@ -107,6 +107,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: min_count must be >= 1\n"
 
+    @pytest.mark.parametrize("ma", ["0", "-1", "2"])
+    def test_series_ma_not_positive_odd_is_one_line_error(self, sample_index, capsys, ma):
+        argv = ["freq", "series", "--lemma", "pater", "--bin", "100", "--ma", ma]
+        assert run_cli(argv + ["--index", str(sample_index)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: moving average window must be a positive odd number\n"
+
 
 class TestIndexBuild:
     def test_known_count_from_file_scan_oracle(self, sample_index, capsys):
@@ -164,6 +172,25 @@ class TestIndexBuild:
         assert code == 1
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("fraction", ["7", "-1", "nan", "1.0001"])
+    def test_synth_dated_fraction_outside_unit_interval_is_one_line_error(
+        self, tmp_path, capsys, fraction
+    ):
+        with pytest.raises(CorpusError, match=r"dated_fraction must be in \[0, 1\]"):
+            synthetic_index(100, 10, 5, seed=1, dated_fraction=float(fraction))
+        out = tmp_path / "bad.csem"
+        argv = ["index", "synth", "--tokens", "100", "--dated-fraction", fraction, "--out", str(out)]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dated_fraction must be in [0, 1]") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_synth_dated_fraction_bounds_are_accepted(self, fraction):
+        index = synthetic_index(100, 10, 5, seed=1, dated_fraction=fraction)
+        assert index.doc_dated.all() == (fraction == 1.0)
+        assert index.doc_dated.any() == (fraction == 1.0)
 
 
 class TestQueries:

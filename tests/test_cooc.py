@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diachrona.cooc import (
+    _rarer_first,
     adjacency_count,
     cooc_counts,
     dice,
@@ -26,7 +27,7 @@ from diachrona.frequency import lemma_count
 from diachrona.semfield import build_submatrix
 from diachrona.synth import synthetic_index
 
-from conftest import POS_TAGS, build_index, doc_lemma_lists, lemma_doc, random_index
+from conftest import build_index, corpora, doc_lemma_lists, lemma_doc, random_index
 
 
 def brute_pairs(index, window, docs=None):
@@ -296,6 +297,13 @@ class TestTopCooccurrents:
 
 
 class TestAdjacency:
+    def test_rarer_lemma_is_the_kernel_row(self):
+        index = single_doc(["x", "y", "y", "z", "y"])
+        x, y, z = (index.lemmas.id_of(lemma) for lemma in "xyz")
+        assert _rarer_first(index, y, x) == (x, y)
+        assert _rarer_first(index, x, y) == (x, y)
+        assert _rarer_first(index, z, x) == (z, x)  # a tie keeps the order
+
     def test_single_bigram(self):
         assert adjacency_count(single_doc("sanctus pater".split()), None, "pater", "sanctus") == 1
 
@@ -371,26 +379,6 @@ class TestPairEvolution:
 # ---------------------------------------------------------------------------
 
 PROPERTY = settings(max_examples=60, deadline=None)
-
-
-@st.composite
-def corpora(draw, vocab_sizes=st.integers(1, 5), tagged=False):
-    """Small corpus with a tiny vocabulary (so same-lemma pairs are common)
-    and empty, undated, exact and ranged documents.  Tokens are tagged NOM,
-    or with random tags from ``POS_TAGS`` when ``tagged``."""
-    vocab = draw(vocab_sizes)
-    docs = []
-    for i in range(draw(st.integers(1, 7))):
-        lemmas = draw(st.lists(st.integers(0, vocab - 1), min_size=int(i == 0), max_size=20))
-        tags = [draw(st.sampled_from(POS_TAGS)) if tagged else "NOM" for _ in lemmas]
-        lo = draw(st.none() | st.integers(800, 1100))
-        if lo is None:
-            date = DateSpec.undated()
-        else:
-            date = DateSpec.year_range(lo, lo + draw(st.integers(0, 60)))
-        tokens = [(f"l{v}", tag, f"l{v}") for v, tag in zip(lemmas, tags)]
-        docs.append((f"d{i}", date, None, tokens))
-    return build_index(docs)
 
 
 @st.composite
@@ -503,6 +491,16 @@ class TestKernelProperties:
         assert summed == Counter(whole)
         assert sum(adjacency_count(index, part, a, b) for part in parts) == adjacency_count(
             index, None, a, b
+        )
+
+    @PROPERTY
+    @given(cases(), st.integers(1, 80))
+    def test_pair_counts_do_not_depend_on_argument_order(self, case, bin_width):
+        # the kernel row is the rarer lemma, whichever argument it came in
+        index, window, docs, a, b = case
+        assert adjacency_count(index, docs, a, b) == adjacency_count(index, docs, b, a)
+        assert pair_evolution(index, a, b, window, bin_width, docs) == pair_evolution(
+            index, b, a, window, bin_width, docs
         )
 
 

@@ -212,6 +212,23 @@ class TestCorpusIndex:
         assert form_share(index, {"a", "b"}, "pater", ["pater"]) == 1.0
         assert calls == {"a": 1, "b": 1}
 
+    def test_partial_docset_queries_build_no_token_mask(self, monkeypatch):
+        # a partial docset is counted through its own token positions
+        index = three_doc_index()
+
+        def refuse(self, docset):
+            raise AssertionError("corpus-length token mask built")
+
+        monkeypatch.setattr(CorpusIndex, "token_mask", refuse)
+        docset = {"a", "b"}
+        assert lemma_count(index, docset, "pater") == 2
+        assert form_share(index, docset, "pater", ["pater"]) == 1.0
+        assert lemma_rank(index, docset, "pater") == 1
+        assert count_table(index, ["pater"], [docset]).counts.tolist() == [[2]]
+        assert top_cooccurrents(index, docset, "pater", 2, 5, pos_filter=["NOM"])
+        _, vectors = cooc_by_tranche(index, make_tranches(index, 2), "pater", 2, ["NOM"])
+        assert vectors
+
 
 @st.composite
 def docset_cases(draw):

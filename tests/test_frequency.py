@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diachrona.corpus import CorpusError, DateSpec
 from diachrona.frequency import (
     CountTable,
+    _docset_counts,
+    _docset_tokens,
+    _lemma_pos_counts,
     count_table,
     form_share,
     lemma_count,
@@ -13,7 +18,7 @@ from diachrona.frequency import (
     time_series,
 )
 
-from conftest import build_index, doc_lemma_lists, lemma_doc, random_index
+from conftest import build_index, corpora, doc_lemma_lists, lemma_doc, random_index
 
 
 class TestLemmaCount:
@@ -259,3 +264,47 @@ class TestMovingAverage:
     def test_even_window_rejected(self):
         with pytest.raises(CorpusError):
             moving_average([1.0], 2)
+
+
+@st.composite
+def masked_corpora(draw):
+    """(index, document mask): a tagged corpus and a random mask over its documents."""
+    index = draw(corpora(tagged=True))
+    flags = draw(st.lists(st.booleans(), min_size=len(index), max_size=len(index)))
+    return index, np.array(flags, dtype=bool)
+
+
+class TestDocsetCountProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(masked_corpora())
+    def test_docset_tokens_are_the_token_mask_positions(self, case):
+        index, dmask = case
+        tokens = _docset_tokens(index, dmask)
+        if dmask.all():
+            assert tokens is None
+        else:
+            assert tokens.dtype == np.int64
+            assert tokens.tolist() == np.flatnonzero(index.token_mask(dmask)).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_corpora())
+    def test_lemma_pos_counts_match_per_token_counting(self, case):
+        index, dmask = case
+        expected = np.zeros((len(index.lemmas), len(index.pos_tags)), dtype=np.int64)
+        for doc, inside in zip(index.documents, dmask):
+            span = range(doc.token_start, doc.token_start + doc.token_len)
+            for t in span if inside else ():
+                expected[index.lemma_ids[t], index.pos_ids[t]] += 1
+        table = _lemma_pos_counts(index, dmask)
+        assert table.dtype == np.int64
+        assert table.tolist() == expected.tolist()
+        assert _docset_counts(index, dmask).tolist() == expected.sum(axis=1).tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(corpora(tagged=True))
+    def test_full_table_is_cached_read_only(self, index):
+        table = _lemma_pos_counts(index, index.doc_mask(None))
+        assert _lemma_pos_counts(index, np.ones(len(index), dtype=bool)) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] += 1

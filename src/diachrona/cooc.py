@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CorpusError, CorpusIndex
-from .frequency import _binned_lemma_counts, _docset_counts, _lemma_pos_counts, _year_bins
+from .frequency import _binned_lemma_counts, _docset_counts, _year_bins
 
 __all__ = [
     "CoocTable",
@@ -200,17 +200,17 @@ def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTabl
 
 
 def _pos_majority_pass(
-    index: CorpusIndex, lemma_pos: np.ndarray, pos_filter: Iterable[str] | None
+    index: CorpusIndex, dmask: np.ndarray, pos_filter: Iterable[str] | None, freqs: np.ndarray
 ) -> np.ndarray | None:
-    """Boolean per-lemma vector: at least half of a lemma's tokens carry an
-    allowed POS tag, by the (V, P) lemma x POS counts ``lemma_pos`` of the
-    documents in question.  None when no filter applies."""
+    """Boolean per-lemma vector: at least half of a lemma's tokens in the
+    document mask (``freqs``, its counts there) carry an allowed POS tag.
+    None when no filter applies."""
     if pos_filter is None:
         return None
     allowed = np.zeros(len(index.pos_tags), dtype=bool)
     allowed[[i for i in map(index.pos_tags.id_of, pos_filter) if i is not None]] = True
-    good = lemma_pos[:, allowed].sum(axis=1)
-    return 2 * good >= np.maximum(lemma_pos.sum(axis=1), 1)
+    good = _docset_counts(index, dmask, allowed)
+    return 2 * good >= np.maximum(freqs, 1)
 
 
 def top_cooccurrents(
@@ -239,13 +239,12 @@ def top_cooccurrents(
     if pivot_id is None:
         return []
     dmask = index.doc_mask(docset)
-    lemma_pos = _lemma_pos_counts(index, dmask)
-    freqs = lemma_pos.sum(axis=1)
+    freqs = _docset_counts(index, dmask)
     if freqs[pivot_id] == 0:
         return []
     counts = _pivot_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
     candidate = counts >= min_count
-    pos_ok = _pos_majority_pass(index, lemma_pos, pos_filter)
+    pos_ok = _pos_majority_pass(index, dmask, pos_filter, freqs)
     if pos_ok is not None:
         candidate &= pos_ok
     ids = np.flatnonzero(candidate)
@@ -257,21 +256,16 @@ def top_cooccurrents(
     ]
 
 
-def _rarer_first(index: CorpusIndex, a_id: int, b_id: int) -> tuple[int, int]:
-    """The two lemma ids, the rarer in the corpus first.  Pair counts are
-    symmetric and the kernel's work follows its row lemma's occurrences, so
-    the rarer lemma makes the cheaper row."""
-    freqs = _docset_counts(index, index.doc_mask(None))
-    return (b_id, a_id) if freqs[b_id] < freqs[a_id] else (a_id, b_id)
-
-
 def adjacency_count(index: CorpusIndex, docset, lemma_a: str, lemma_b: str) -> int:
     """Pairs of the two lemmas at distance exactly 1 (either order)."""
     a_id = index.lemmas.id_of(lemma_a)
     b_id = index.lemmas.id_of(lemma_b)
     if a_id is None or b_id is None:
         return 0
-    row, col = _rarer_first(index, a_id, b_id)
+    # pair counts are symmetric and the kernel's work follows its row
+    # lemma's occurrences, so the rarer lemma in the corpus is the row
+    freqs = _docset_counts(index, index.doc_mask(None))
+    row, col = (b_id, a_id) if freqs[b_id] < freqs[a_id] else (a_id, b_id)
     doc_bucket = _docset_bucket(index.doc_mask(docset))
     return int(_window_pairs(index, doc_bucket, 1, [row], 1, [col]).sum())
 
@@ -307,8 +301,9 @@ def pair_evolution(
     b_id = index.lemmas.id_of(lemma_b)
     if a_id is None or b_id is None:
         return [PairBin(start, 0, 0.0) for start in starts]
-    row, col = _rarer_first(index, a_id, b_id)
-    pairs = _window_pairs(index, doc_bin, n_bins, [row], window, [col])[:, 0, 0]
     freq_a = _binned_lemma_counts(index, a_id, doc_bin, n_bins)
     freq_b = _binned_lemma_counts(index, b_id, doc_bin, n_bins)
+    # the rarer lemma in the bins is the kernel row, as in adjacency_count
+    row, col = (b_id, a_id) if freq_b.sum() < freq_a.sum() else (a_id, b_id)
+    pairs = _window_pairs(index, doc_bin, n_bins, [row], window, [col])[:, 0, 0]
     return list(map(PairBin, starts, pairs.tolist(), _dice(pairs, freq_a, freq_b).tolist()))

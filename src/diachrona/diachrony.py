@@ -21,7 +21,7 @@ import numpy as np
 
 from .cooc import CoocTable, _cooc_table, _dice, _pivot_pairs, _pos_majority_pass, _top_k
 from .corpus import CorpusError, CorpusIndex
-from .frequency import _lemma_pos_counts
+from .frequency import _docset_counts
 
 __all__ = [
     "TrancheSet",
@@ -111,11 +111,10 @@ def _tranche_scores(
     sizes = np.diff(tranches.boundaries)
     doc_bucket[list(tranches.doc_order)] = np.repeat(np.arange(tranches.k), sizes)
     pairs = _pivot_pairs(index, doc_bucket, tranches.k, pivot_id, window)
-    lemma_pos = np.stack([_lemma_pos_counts(index, doc_bucket == t) for t in range(tranches.k)])
-    freqs = lemma_pos.sum(axis=2)
+    freqs = np.stack([_docset_counts(index, doc_bucket == t) for t in range(tranches.k)])
     dice_mat = _dice(pairs, freqs[:, pivot_id, None], freqs)
     candidate = pairs.sum(axis=0) >= min_count
-    pos_ok = _pos_majority_pass(index, lemma_pos.sum(axis=0), pos_filter)
+    pos_ok = _pos_majority_pass(index, doc_bucket >= 0, pos_filter, freqs.sum(axis=0))
     if pos_ok is not None:
         candidate &= pos_ok
     return pairs, freqs, dice_mat, np.nonzero(candidate)[0]

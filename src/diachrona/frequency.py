@@ -5,14 +5,13 @@ All queries are pure reads over the columnar arrays; counts are exact
 integers, never estimates.  Time series bin dated documents by interval
 midpoint; undated documents never contribute.
 
-Docset counts by lemma and POS tag come from one primitive,
-``_lemma_pos_counts``.  The full-docset table is counted once per index and
-cached on it; a partial docset reads only its own token positions, taken
-from the document offsets (``_docset_tokens``), or those of the other
-documents when they are fewer.  So the cost of a count follows the
-docset's tokens, and no corpus-length token mask is built.  ``lemma_count``
-and ``form_share`` read the lemma's occurrences and keep those inside the
-docset.
+Per-lemma docset counts come from one function, ``_docset_counts``.  The
+full docset reads one lemma x POS table, counted once per index and cached
+on it (``_lemma_pos_counts``); a partial docset counts only its own tokens,
+copied run by run of adjacent documents (``_docset_values``).  So the cost
+of a count follows the docset's tokens, and no corpus-length token mask is
+built.  ``lemma_count`` and ``form_share`` read the lemma's occurrences and
+keep those inside the docset.
 """
 
 from __future__ import annotations
@@ -40,56 +39,56 @@ __all__ = [
 ]
 
 
-def _docset_tokens(index: CorpusIndex, dmask: np.ndarray) -> np.ndarray | None:
-    """Ascending token positions of the documents in a document mask; None
-    when it holds every document.  Built from the document offsets, so the
-    cost follows the docset's tokens, not the corpus size."""
-    if dmask.all():
-        return None
-    docs = np.flatnonzero(dmask)
-    starts = index.doc_starts[docs]
-    lens = index.doc_starts[docs + 1] - starts
-    # the i-th docset token sits at i plus its document's shift
-    tokens = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    tokens += np.arange(len(tokens))
-    return tokens
+def _docset_values(index: CorpusIndex, dmask: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """A token column's entries at the tokens of the documents in a document
+    mask, in corpus order.
 
-
-def _lemma_pos_counts(index: CorpusIndex, dmask: np.ndarray) -> np.ndarray:
-    """Token counts by lemma and POS tag, shape (V, P), over the documents
-    of a document mask.
-
-    The full-docset table is counted once per index and cached on it, read
-    only: V x P int64 cells, 30,000 x 3 (720 KB) on a 10M-token corpus of
-    30,000 lemmas.  A partial docset counts only its own tokens or, when it
-    holds more than half of the corpus, is the full table less the other
-    documents' counts, so a partial count reads at most half of the tokens.
+    Adjacent documents of the mask are one run of tokens, so this copies one
+    slice per run: the cost follows the docset's tokens and runs, not the
+    corpus size, and no token positions or token mask are built.
     """
-    full = bool(dmask.all())
-    if full and index._lemma_pos is not None:
-        return index._lemma_pos
-    if not full and 2 * int(np.diff(index.doc_starts)[dmask].sum()) > index.total_tokens:
-        return _lemma_pos_counts(index, np.ones_like(dmask)) - _lemma_pos_counts(index, ~dmask)
-    lemma_ids, pos_ids = index.lemma_ids, index.pos_ids
-    if not full:
-        tokens = _docset_tokens(index, dmask)
-        lemma_ids, pos_ids = lemma_ids[tokens], pos_ids[tokens]
-        del tokens  # freed before the keys are built, to bound the peak
-    n_pos = len(index.pos_tags)
-    keys = lemma_ids.astype(np.int64)
-    keys *= n_pos
-    keys += pos_ids
-    table = np.bincount(keys, minlength=len(index.lemmas) * n_pos)
-    table = table.reshape(len(index.lemmas), n_pos)
-    if full:
+    # edges[i] is 1 where a run starts at document i, -1 where one ends before it
+    edges = np.diff(dmask.astype(np.int8), prepend=0, append=0)
+    runs = zip(index.doc_starts[edges == 1].tolist(), index.doc_starts[edges == -1].tolist())
+    return np.concatenate([column[:0], *(column[lo:hi] for lo, hi in runs)])
+
+
+def _lemma_pos_counts(index: CorpusIndex) -> np.ndarray:
+    """Full-corpus token counts by lemma and POS tag, shape (V, P).
+
+    Counted once per index and cached on it, read only: V x P int64 cells,
+    30,000 x 3 (720 KB) on a 10M-token corpus of 30,000 lemmas and three
+    tags.  Only full-docset counts read it.
+    """
+    if index._lemma_pos is None:
+        n_pos = len(index.pos_tags)
+        keys = index.lemma_ids.astype(np.int64)
+        keys *= n_pos
+        keys += index.pos_ids
+        table = np.bincount(keys, minlength=len(index.lemmas) * n_pos)
+        table = table.reshape(len(index.lemmas), n_pos)
         table.flags.writeable = False
         index._lemma_pos = table
-    return table
+    return index._lemma_pos
 
 
-def _docset_counts(index: CorpusIndex, dmask: np.ndarray) -> np.ndarray:
-    """Per-lemma frequency vector over the documents of a document mask."""
-    return _lemma_pos_counts(index, dmask).sum(axis=1)
+def _docset_counts(
+    index: CorpusIndex, dmask: np.ndarray, pos_allowed: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-lemma token counts over the documents of a document mask; with
+    ``pos_allowed`` (a flag per POS tag), only the tokens of allowed tags.
+
+    The full docset reads the cached lemma x POS table.  A partial docset
+    counts its own tokens into a V-length vector, so its cost follows its
+    tokens, not the corpus size or the tagset.
+    """
+    if dmask.all():
+        table = _lemma_pos_counts(index)
+        return table.sum(axis=1) if pos_allowed is None else table[:, pos_allowed].sum(axis=1)
+    # the POS flags come first, so their tag copy is freed before the lemma ids are copied
+    keep = None if pos_allowed is None else pos_allowed[_docset_values(index, dmask, index.pos_ids)]
+    lemma_ids = _docset_values(index, dmask, index.lemma_ids)
+    return np.bincount(lemma_ids if keep is None else lemma_ids[keep], minlength=len(index.lemmas))
 
 
 def _lemma_hits(index: CorpusIndex, dmask: np.ndarray, lid: int) -> np.ndarray:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diachrona import cooc
 from diachrona.cooc import (
-    _rarer_first,
     adjacency_count,
     cooc_counts,
     dice,
@@ -297,12 +297,20 @@ class TestTopCooccurrents:
 
 
 class TestAdjacency:
-    def test_rarer_lemma_is_the_kernel_row(self):
-        index = single_doc(["x", "y", "y", "z", "y"])
-        x, y, z = (index.lemmas.id_of(lemma) for lemma in "xyz")
-        assert _rarer_first(index, y, x) == (x, y)
-        assert _rarer_first(index, x, y) == (x, y)
-        assert _rarer_first(index, z, x) == (z, x)  # a tie keeps the order
+    def test_rarer_lemma_is_the_kernel_row(self, monkeypatch):
+        index = build_index([lemma_doc("d0", DateSpec.exact(900), ["x", "y", "y", "z", "y"])])
+        rows = []
+        kernel = cooc._window_pairs
+
+        def spy(index, doc_bucket, n_buckets, row_ids, window, cols=None):
+            rows.append(index.lemmas[row_ids[0]])
+            return kernel(index, doc_bucket, n_buckets, row_ids, window, cols)
+
+        monkeypatch.setattr(cooc, "_window_pairs", spy)
+        for a, b in (("y", "x"), ("x", "y"), ("z", "x")):
+            adjacency_count(index, None, a, b)
+            pair_evolution(index, a, b, 2, 100)
+        assert rows == ["x", "x", "x", "x", "z", "z"]  # a tie keeps the order
 
     def test_single_bigram(self):
         assert adjacency_count(single_doc("sanctus pater".split()), None, "pater", "sanctus") == 1

@@ -7,7 +7,7 @@ from diachrona.corpus import CorpusError, DateSpec
 from diachrona.frequency import (
     CountTable,
     _docset_counts,
-    _docset_tokens,
+    _docset_values,
     _lemma_pos_counts,
     count_table,
     form_share,
@@ -277,34 +277,38 @@ def masked_corpora(draw):
 class TestDocsetCountProperties:
     @settings(max_examples=60, deadline=None)
     @given(masked_corpora())
-    def test_docset_tokens_are_the_token_mask_positions(self, case):
+    def test_docset_values_are_the_token_mask_selection(self, case):
         index, dmask = case
-        tokens = _docset_tokens(index, dmask)
-        if dmask.all():
-            assert tokens is None
-        else:
-            assert tokens.dtype == np.int64
-            assert tokens.tolist() == np.flatnonzero(index.token_mask(dmask)).tolist()
+        tokens = np.repeat(dmask, np.diff(index.doc_starts))
+        for column in (index.lemma_ids, index.pos_ids):
+            values = _docset_values(index, dmask, column)
+            assert values.dtype == column.dtype
+            assert values.tolist() == column[tokens].tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(masked_corpora())
-    def test_lemma_pos_counts_match_per_token_counting(self, case):
+    def test_docset_counts_match_per_token_counting(self, case):
         index, dmask = case
         expected = np.zeros((len(index.lemmas), len(index.pos_tags)), dtype=np.int64)
         for doc, inside in zip(index.documents, dmask):
             span = range(doc.token_start, doc.token_start + doc.token_len)
             for t in span if inside else ():
                 expected[index.lemma_ids[t], index.pos_ids[t]] += 1
-        table = _lemma_pos_counts(index, dmask)
-        assert table.dtype == np.int64
-        assert table.tolist() == expected.tolist()
-        assert _docset_counts(index, dmask).tolist() == expected.sum(axis=1).tolist()
+        counts = _docset_counts(index, dmask)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expected.sum(axis=1).tolist()
+        allowed = np.arange(len(index.pos_tags)) % 2 == 0
+        want = expected[:, allowed].sum(axis=1)
+        assert _docset_counts(index, dmask, allowed).tolist() == want.tolist()
 
     @settings(max_examples=30, deadline=None)
     @given(corpora(tagged=True))
     def test_full_table_is_cached_read_only(self, index):
-        table = _lemma_pos_counts(index, index.doc_mask(None))
-        assert _lemma_pos_counts(index, np.ones(len(index), dtype=bool)) is table
+        expected = np.zeros((len(index.lemmas), len(index.pos_tags)), dtype=np.int64)
+        np.add.at(expected, (index.lemma_ids, index.pos_ids), 1)
+        table = _lemma_pos_counts(index)
+        assert table.tolist() == expected.tolist()
+        assert _lemma_pos_counts(index) is table
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] += 1

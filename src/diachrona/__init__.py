@@ -73,7 +73,6 @@ from .ingest import (
 from .jacobi import jacobi_svd
 from .semfield import (
     CAResult,
-    CorrespondenceAnalysis,
     DSMSubmatrix,
     MapPoint,
     SemanticMap,
@@ -141,7 +140,6 @@ __all__ = [
     "ols_slope",
     "jacobi_svd",
     "CAResult",
-    "CorrespondenceAnalysis",
     "DSMSubmatrix",
     "MapPoint",
     "SemanticMap",

@@ -78,10 +78,6 @@ class CoocTable:
     pivot_freq: int
     neighbor_freqs: dict[str, int]
 
-    def dice_of(self, lemma: str) -> float:
-        count = self.pair_counts.get(lemma, 0)
-        return dice(count, self.pivot_freq, self.neighbor_freqs.get(lemma, 0))
-
 
 class Cooccurrent(NamedTuple):
     lemma: str

@@ -204,14 +204,10 @@ def form_share(index: CorpusIndex, docset, lemma: str, forms: Iterable[str]) -> 
     if total == 0:
         raise CorpusError(f"form share undefined: lemma {lemma!r} has zero count in docset")
     folded = {f.casefold() for f in forms}
-    wanted_ids = np.fromiter(
-        (i for i, entry in enumerate(index.forms) if entry.casefold() in folded),
-        dtype=np.int64,
-    )
-    if len(wanted_ids) == 0:
-        return 0.0
-    in_set = np.isin(index.form_ids[hits], wanted_ids.astype(np.uint32))
-    return int(np.count_nonzero(in_set)) / total
+    per_form = np.bincount(index.form_ids[hits])
+    # casefold only the distinct forms the lemma's hits carry
+    wanted = [f for f in np.flatnonzero(per_form).tolist() if index.forms[f].casefold() in folded]
+    return int(per_form[wanted].sum()) / total
 
 
 class TimeBin(NamedTuple):
@@ -233,6 +229,12 @@ class TimeSeries:
         return sum(b.count for b in self.bins)
 
 
+# Most year bins one query may span, so a wide date range at a narrow bin
+# width is an error rather than a huge allocation.  The vertical parser reads
+# years 0..999999, so every parsed corpus fits at bin width 1.
+_MAX_YEAR_BINS = 1_000_000
+
+
 def _year_bins(
     index: CorpusIndex, dmask: np.ndarray, bin_width: int
 ) -> tuple[int, int, np.ndarray] | None:
@@ -250,6 +252,11 @@ def _year_bins(
     starts = (index.doc_mids // bin_width) * bin_width
     lo = int(starts[dated].min())
     n_bins = (int(starts[dated].max()) - lo) // bin_width + 1
+    if n_bins > _MAX_YEAR_BINS:
+        raise CorpusError(
+            f"{n_bins} year bins of width {bin_width} exceed the limit of {_MAX_YEAR_BINS}; "
+            "use a wider bin"
+        )
     return lo, n_bins, np.where(dated, (starts - lo) // bin_width, -1)
 
 
@@ -268,7 +275,6 @@ def time_series(
     index: CorpusIndex,
     lemma: str,
     bin_width: int,
-    date_policy: str = "midpoint",
     docset=None,
 ) -> TimeSeries:
     """Per-bin counts of ``lemma`` over dated documents.
@@ -278,8 +284,6 @@ def time_series(
     the token mass of contributing documents, and the per-million rate
     (None for bins with zero mass).
     """
-    if date_policy != "midpoint":
-        raise CorpusError(f"unsupported date policy: {date_policy!r}")
     binning = _year_bins(index, index.doc_mask(docset), bin_width)
     if binning is None:
         return TimeSeries(lemma, bin_width, ())

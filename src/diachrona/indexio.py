@@ -46,6 +46,7 @@ __all__ = [
 
 MAGIC = b"CSEM"
 FORMAT_VERSION = 1
+_I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
 
 
 class IndexFormatError(CorpusError):
@@ -69,7 +70,11 @@ class IdRangeError(IndexFormatError):
 
 
 def save_index(index: CorpusIndex, path: str | os.PathLike) -> None:
-    """Write ``index`` to ``path`` in format version 1."""
+    """Write ``index`` to ``path`` in format version 1.
+
+    A date year outside the stored int32 range raises :class:`CorpusError`
+    before the file is opened.
+    """
     parts: list[bytes] = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     for vocab in (index.lemmas, index.forms, index.pos_tags):
         parts.append(_pack_vocab(vocab))
@@ -83,6 +88,8 @@ def save_index(index: CorpusIndex, path: str | os.PathLike) -> None:
         parts.append(_pack_str(doc.doc_id))
         lo = doc.date.lo if doc.date.lo is not None else 0
         hi = doc.date.hi if doc.date.hi is not None else 0
+        if not (_I32_MIN <= lo <= _I32_MAX and _I32_MIN <= hi <= _I32_MAX):
+            raise CorpusError(f"document {doc.doc_id!r}: date {lo}..{hi} is outside int32")
         parts.append(struct.pack("<Bii", int(doc.date.kind), lo, hi))
         parts.append(_pack_str(doc.typology or ""))
         parts.append(struct.pack("<QI", doc.token_start, doc.token_len))

@@ -8,10 +8,6 @@ axes carry decreasing shares of the table's total inertia (chi-square /
 grand total).  Raw counts feed the decomposition by default because CA's
 geometry expects a contingency-like table; a Dice-weighted variant is
 available for exploration.
-
-``CorrespondenceAnalysis`` wraps the decomposition in a fit/transform
-estimator so the projection composes with the wider numerical ecosystem;
-``correspondence_analysis`` is the plain functional entry point.
 """
 
 from __future__ import annotations
@@ -33,13 +29,14 @@ __all__ = [
     "CAResult",
     "SemanticMap",
     "MapPoint",
-    "CorrespondenceAnalysis",
     "build_submatrix",
     "correspondence_analysis",
     "semantic_map",
 ]
 
 _RANK_EPS = 1.0e-12
+# a field map is planar: correspondence analysis keeps two factor axes
+_AXES = 2
 
 
 @dataclass(frozen=True)
@@ -120,103 +117,17 @@ class CAResult(NamedTuple):
     singular_values: np.ndarray  # all min(m, n) values, descending
 
 
-class CorrespondenceAnalysis:
-    """Chi-square-metric factor decomposition of a non-negative table.
+def correspondence_analysis(matrix) -> CAResult:
+    """Row/column coordinates on the first two factor axes, plus inertias.
 
-    Estimator-style interface: ``fit`` decomposes a table and exposes the
-    learned quantities as trailing-underscore attributes; ``transform``
-    projects supplementary row profiles onto the fitted axes via the CA
-    transition formula; ``fit_transform`` returns the fitted row
-    coordinates directly.
-
-    Parameters
-    ----------
-    n_axes:
-        Number of leading factor axes to keep (default 2).
+    Total inertia equals chi-square / grand-total; per-axis inertia is the
+    squared singular value.  A rank-1 (independence-like) table yields zero
+    inertia and all-zero coordinates; a rank-deficient second axis comes
+    back as zeros with zero inertia.
     """
-
-    def __init__(self, n_axes: int = 2) -> None:
-        self.n_axes = n_axes
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"n_axes": self.n_axes}
-
-    def set_params(self, **params) -> "CorrespondenceAnalysis":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, X, y=None) -> "CorrespondenceAnalysis":
-        table = _validate_table(X, self.n_axes)
-        grand = table.sum()
-        p = table / grand
-        r = p.sum(axis=1)
-        c = p.sum(axis=0)
-        s = (p - np.outer(r, c)) / np.sqrt(np.outer(r, c))
-        u, sigma, vt = jacobi_svd(s)
-        if len(sigma) and sigma[0] > 0:
-            # axes below working precision are rank artifacts: report as zero
-            sigma = np.where(sigma <= sigma[0] * _RANK_EPS, 0.0, sigma)
-
-        axes = self.n_axes
-        rank = min(axes, len(sigma))
-        sig = np.zeros(axes)
-        sig[:rank] = sigma[:rank]
-        u_pad = np.zeros((table.shape[0], axes))
-        u_pad[:, :rank] = u[:, :rank]
-        v_pad = np.zeros((table.shape[1], axes))
-        v_pad[:, :rank] = vt.T[:, :rank]
-        row = (u_pad * sig) / np.sqrt(r)[:, None]
-        col = (v_pad * sig) / np.sqrt(c)[:, None]
-
-        total = float(np.sum(sigma**2))
-        if total > _RANK_EPS:
-            fractions = (sig**2) / total
-        else:
-            fractions = np.zeros(axes)
-
-        self.row_coordinates_ = row
-        self.column_coordinates_ = col
-        self.inertia_fractions_ = fractions
-        self.total_inertia_ = total
-        self.singular_values_ = sigma
-        self.row_masses_ = r
-        self.column_masses_ = c
-        return self
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X).row_coordinates_
-
-    def transform(self, X) -> np.ndarray:
-        """Project supplementary rows (same column space) onto fitted axes."""
-        if not hasattr(self, "singular_values_"):
-            raise CorpusError("CorrespondenceAnalysis is not fitted")
-        table = np.asarray(X, dtype=np.float64)
-        if table.ndim == 1:
-            table = table[None, :]
-        if table.shape[1] != len(self.column_masses_):
-            raise CorpusError("supplementary rows must match the fitted column count")
-        sums = table.sum(axis=1, keepdims=True)
-        if np.any(sums <= 0):
-            raise CorpusError("supplementary rows must have positive totals")
-        profiles = table / sums
-        axes = self.row_coordinates_.shape[1]
-        sig = np.zeros(axes)
-        have = min(axes, len(self.singular_values_))
-        sig[:have] = self.singular_values_[:have]
-        safe = np.where(sig > _RANK_EPS, sig, 1.0)
-        std_cols = np.where(sig > _RANK_EPS, self.column_coordinates_ / safe, 0.0)
-        return profiles @ std_cols
-
-
-def _validate_table(X, n_axes: int) -> np.ndarray:
-    table = np.asarray(X, dtype=np.float64)
+    table = np.asarray(matrix, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
         raise CorpusError("correspondence analysis needs a 2-D table")
-    if n_axes < 1:
-        raise CorpusError("n_axes must be >= 1")
     if np.any(table < 0):
         raise CorpusError("correspondence analysis needs non-negative values")
     if table.sum() <= 0:
@@ -228,25 +139,33 @@ def _validate_table(X, n_axes: int) -> np.ndarray:
             "table has all-zero rows/columns "
             f"(rows {row_zero.tolist()}, columns {col_zero.tolist()}); prune them first"
         )
-    return table
 
+    grand = table.sum()
+    p = table / grand
+    r = p.sum(axis=1)
+    c = p.sum(axis=0)
+    s = (p - np.outer(r, c)) / np.sqrt(np.outer(r, c))
+    u, sigma, vt = jacobi_svd(s)
+    if len(sigma) and sigma[0] > 0:
+        # axes below working precision are rank artifacts: report as zero
+        sigma = np.where(sigma <= sigma[0] * _RANK_EPS, 0.0, sigma)
 
-def correspondence_analysis(matrix) -> CAResult:
-    """Row/column coordinates on the first two factor axes, plus inertias.
+    rank = min(_AXES, len(sigma))
+    sig = np.zeros(_AXES)
+    sig[:rank] = sigma[:rank]
+    u_pad = np.zeros((table.shape[0], _AXES))
+    u_pad[:, :rank] = u[:, :rank]
+    v_pad = np.zeros((table.shape[1], _AXES))
+    v_pad[:, :rank] = vt.T[:, :rank]
+    row = (u_pad * sig) / np.sqrt(r)[:, None]
+    col = (v_pad * sig) / np.sqrt(c)[:, None]
 
-    Total inertia equals chi-square / grand-total; per-axis inertia is the
-    squared singular value.  A rank-1 (independence-like) table yields zero
-    inertia and all-zero coordinates; a rank-deficient second axis comes
-    back as zeros with zero inertia.
-    """
-    ca = CorrespondenceAnalysis(n_axes=2).fit(matrix)
-    return CAResult(
-        ca.row_coordinates_,
-        ca.column_coordinates_,
-        ca.inertia_fractions_,
-        ca.total_inertia_,
-        ca.singular_values_,
-    )
+    total = float(np.sum(sigma**2))
+    if total > _RANK_EPS:
+        fractions = (sig**2) / total
+    else:
+        fractions = np.zeros(_AXES)
+    return CAResult(row, col, fractions, total, sigma)
 
 
 class MapPoint(NamedTuple):

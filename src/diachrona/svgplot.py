@@ -16,6 +16,11 @@ __all__ = ["PlotSpec", "emit_svg"]
 
 _PALETTE = ("#1f6f8b", "#c84b31", "#4d7c0f", "#7c3aed", "#b45309", "#0f766e")
 _MARGIN = 56.0
+_WIDTH = 880
+_HEIGHT = 560
+# plot area corners: (_X0, _Y0) bottom left, (_X1, _Y1) top right
+_X0, _Y0 = _MARGIN, _HEIGHT - _MARGIN
+_X1, _Y1 = _WIDTH - _MARGIN, _MARGIN
 
 
 @dataclass
@@ -28,8 +33,6 @@ class PlotSpec:
 
     kind: str
     title: str = ""
-    width: int = 880
-    height: int = 560
     x_label: str = ""
     y_label: str = ""
     curves: list[tuple[str, list[tuple[float, float]]]] = field(default_factory=list)
@@ -80,8 +83,6 @@ def _bounds(xs: list[float], ys: list[float]) -> tuple[float, float, float, floa
 
 def emit_svg(spec: PlotSpec) -> str:
     """Render a spec as a standalone SVG document string."""
-    if spec.width <= 0 or spec.height <= 0:
-        raise CorpusError("plot dimensions must be positive")
     if spec.kind == "series":
         return _emit_series(spec)
     if spec.kind == "scatter":
@@ -94,76 +95,72 @@ def emit_svg(spec: PlotSpec) -> str:
     raise CorpusError(f"unknown plot kind: {spec.kind!r}")
 
 
-def _open_svg(spec: PlotSpec, parts: list[str]) -> None:
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">'
-    )
-    parts.append(f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff"/>')
+def _open_svg(spec: PlotSpec) -> list[str]:
+    """Opening markup: canvas, title, the plot area's axes and their labels."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+    ]
     if spec.title:
         parts.append(
-            f'<text x="{_fmt(spec.width / 2)}" y="24" text-anchor="middle" '
+            f'<text x="{_fmt(_WIDTH / 2)}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16">{_esc(spec.title)}</text>'
         )
-
-
-def _axes_frame(spec: PlotSpec, parts: list[str]) -> tuple[float, float, float, float]:
-    x0, y0 = _MARGIN, spec.height - _MARGIN
-    x1, y1 = spec.width - _MARGIN, _MARGIN
     parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y0)}" '
+        f'<line x1="{_fmt(_X0)}" y1="{_fmt(_Y0)}" x2="{_fmt(_X1)}" y2="{_fmt(_Y0)}" '
         'stroke="#333333" stroke-width="1"/>'
     )
     parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" y2="{_fmt(y1)}" '
+        f'<line x1="{_fmt(_X0)}" y1="{_fmt(_Y0)}" x2="{_fmt(_X0)}" y2="{_fmt(_Y1)}" '
         'stroke="#333333" stroke-width="1"/>'
     )
     if spec.x_label:
         parts.append(
-            f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(spec.height - 12)}" '
+            f'<text x="{_fmt((_X0 + _X1) / 2)}" y="{_fmt(_HEIGHT - 12)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
             f"{_esc(spec.x_label)}</text>"
         )
     if spec.y_label:
         parts.append(
-            f'<text x="14" y="{_fmt((y0 + y1) / 2)}" text-anchor="middle" '
+            f'<text x="14" y="{_fmt((_Y0 + _Y1) / 2)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {_fmt((y0 + y1) / 2)})">{_esc(spec.y_label)}</text>'
+            f'transform="rotate(-90 14 {_fmt((_Y0 + _Y1) / 2)})">{_esc(spec.y_label)}</text>'
         )
-    return x0, y0, x1, y1
+    return parts
+
+
+def _scales(xlo: float, xhi: float, ylo: float, yhi: float):
+    """Maps from data x and y to pixel positions in the plot area."""
+    return (
+        lambda x: _X0 + (x - xlo) / (xhi - xlo) * (_X1 - _X0),
+        lambda y: _Y0 - (y - ylo) / (yhi - ylo) * (_Y0 - _Y1),
+    )
 
 
 def _emit_series(spec: PlotSpec) -> str:
-    parts: list[str] = []
-    _open_svg(spec, parts)
-    x0, y0, x1, y1 = _axes_frame(spec, parts)
+    parts = _open_svg(spec)
     all_pts = [p for _, pts in spec.curves for p in pts]
     if all_pts:
         xlo, xhi, ylo, yhi = _bounds([p[0] for p in all_pts], [p[1] for p in all_pts])
         ylo = min(ylo, 0.0)
-
-        def sx(x: float) -> float:
-            return x0 + (x - xlo) / (xhi - xlo) * (x1 - x0)
-
-        def sy(y: float) -> float:
-            return y0 - (y - ylo) / (yhi - ylo) * (y0 - y1)
-
+        sx, sy = _scales(xlo, xhi, ylo, yhi)
         for tick in _nice_ticks(xlo, xhi):
             parts.append(
-                f'<line x1="{_fmt(sx(tick))}" y1="{_fmt(y0)}" x2="{_fmt(sx(tick))}" '
-                f'y2="{_fmt(y0 + 4)}" stroke="#333333" stroke-width="1"/>'
+                f'<line x1="{_fmt(sx(tick))}" y1="{_fmt(_Y0)}" x2="{_fmt(sx(tick))}" '
+                f'y2="{_fmt(_Y0 + 4)}" stroke="#333333" stroke-width="1"/>'
             )
             parts.append(
-                f'<text x="{_fmt(sx(tick))}" y="{_fmt(y0 + 18)}" text-anchor="middle" '
+                f'<text x="{_fmt(sx(tick))}" y="{_fmt(_Y0 + 18)}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
             )
         for tick in _nice_ticks(ylo, yhi):
             parts.append(
-                f'<line x1="{_fmt(x0 - 4)}" y1="{_fmt(sy(tick))}" x2="{_fmt(x0)}" '
+                f'<line x1="{_fmt(_X0 - 4)}" y1="{_fmt(sy(tick))}" x2="{_fmt(_X0)}" '
                 f'y2="{_fmt(sy(tick))}" stroke="#333333" stroke-width="1"/>'
             )
             parts.append(
-                f'<text x="{_fmt(x0 - 8)}" y="{_fmt(sy(tick) + 4)}" text-anchor="end" '
+                f'<text x="{_fmt(_X0 - 8)}" y="{_fmt(sy(tick) + 4)}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
             )
         for i, (label, pts) in enumerate(spec.curves):
@@ -175,7 +172,7 @@ def _emit_series(spec: PlotSpec) -> str:
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
             parts.append(
-                f'<text x="{_fmt(x1 - 6)}" y="{_fmt(y1 + 14 + 16 * i)}" text-anchor="end" '
+                f'<text x="{_fmt(_X1 - 6)}" y="{_fmt(_Y1 + 14 + 16 * i)}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="12" fill="{color}">{_esc(label)}</text>'
             )
     parts.append("</svg>")
@@ -183,30 +180,22 @@ def _emit_series(spec: PlotSpec) -> str:
 
 
 def _emit_scatter(spec: PlotSpec) -> str:
-    parts: list[str] = []
-    _open_svg(spec, parts)
-    x0, y0, x1, y1 = _axes_frame(spec, parts)
+    parts = _open_svg(spec)
     if spec.points:
         xlo, xhi, ylo, yhi = _bounds([p[0] for p in spec.points], [p[1] for p in spec.points])
         xpad = 0.08 * (xhi - xlo)
         ypad = 0.08 * (yhi - ylo)
         xlo, xhi = xlo - xpad, xhi + xpad
         ylo, yhi = ylo - ypad, yhi + ypad
-
-        def sx(x: float) -> float:
-            return x0 + (x - xlo) / (xhi - xlo) * (x1 - x0)
-
-        def sy(y: float) -> float:
-            return y0 - (y - ylo) / (yhi - ylo) * (y0 - y1)
-
+        sx, sy = _scales(xlo, xhi, ylo, yhi)
         if xlo < 0 < xhi:
             parts.append(
-                f'<line x1="{_fmt(sx(0))}" y1="{_fmt(y1)}" x2="{_fmt(sx(0))}" y2="{_fmt(y0)}" '
+                f'<line x1="{_fmt(sx(0))}" y1="{_fmt(_Y1)}" x2="{_fmt(sx(0))}" y2="{_fmt(_Y0)}" '
                 'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 3"/>'
             )
         if ylo < 0 < yhi:
             parts.append(
-                f'<line x1="{_fmt(x0)}" y1="{_fmt(sy(0))}" x2="{_fmt(x1)}" y2="{_fmt(sy(0))}" '
+                f'<line x1="{_fmt(_X0)}" y1="{_fmt(sy(0))}" x2="{_fmt(_X1)}" y2="{_fmt(sy(0))}" '
                 'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 3"/>'
             )
         for (x, y), label in zip(spec.points, spec.labels):

@@ -15,6 +15,11 @@ __all__ = ["synthetic_index"]
 
 _POS_CYCLE = ("NOM", "ADJ", "VER")
 _FORM_SUFFIXES = ("", "is", "em")
+# dated documents get years in [_YEAR_LO, _YEAR_HI]; lemma i is drawn with
+# weight proportional to 1 / (i + 1) ** _ZIPF
+_YEAR_LO = 700
+_YEAR_HI = 1300
+_ZIPF = 1.05
 
 
 def synthetic_index(
@@ -23,16 +28,15 @@ def synthetic_index(
     n_docs: int,
     seed: int,
     dated_fraction: float = 1.0,
-    year_lo: int = 700,
-    year_hi: int = 1300,
-    zipf: float = 1.05,
 ) -> CorpusIndex:
-    """Random corpus: Zipf-weighted lemma draws over ``vocab_size`` lemmas.
+    """Random corpus: Zipf-weighted lemma draws (exponent 1.05) over
+    ``vocab_size`` lemmas.
 
     Each lemma carries a base POS tag (with a 5% noise rate, so POS-majority
     filtering stays meaningful) and up to three surface variants.  Documents
     receive random sizes summing to ``n_tokens``; a ``dated_fraction`` of
-    them get a year or a short year range drawn from [year_lo, year_hi].
+    them get a year drawn from 700..1300, or a short year range starting at
+    such a year.
     """
     if n_tokens < 0 or vocab_size < 1 or n_docs < 1:
         raise CorpusError("synthetic corpus needs n_tokens >= 0, vocab_size >= 1, n_docs >= 1")
@@ -44,7 +48,7 @@ def synthetic_index(
         raise CorpusError(f"dated_fraction must be in [0, 1], got {dated_fraction}")
     rng = np.random.default_rng(seed)
 
-    weights = 1.0 / np.arange(1, vocab_size + 1, dtype=np.float64) ** zipf
+    weights = 1.0 / np.arange(1, vocab_size + 1, dtype=np.float64) ** _ZIPF
     weights /= weights.sum()
     lemma_ids = rng.choice(vocab_size, size=n_tokens, p=weights).astype(np.uint32)
 
@@ -68,7 +72,7 @@ def synthetic_index(
         doc_lens = np.array([n_tokens] * n_docs if n_tokens else [0] * n_docs)
 
     dated = rng.random(n_docs) < dated_fraction
-    years = rng.integers(year_lo, year_hi + 1, size=n_docs)
+    years = rng.integers(_YEAR_LO, _YEAR_HI + 1, size=n_docs)
     spans = rng.integers(0, 40, size=n_docs)
     ranged = rng.random(n_docs) < 0.2
     typologies = rng.integers(0, 3, size=n_docs)
@@ -78,7 +82,7 @@ def synthetic_index(
     for i in range(n_docs):
         if dated[i]:
             if ranged[i] and spans[i] > 0:
-                date = DateSpec.year_range(int(years[i]), min(int(years[i]) + int(spans[i]), year_hi + 40))
+                date = DateSpec.year_range(int(years[i]), min(int(years[i]) + int(spans[i]), _YEAR_HI + 40))
             else:
                 date = DateSpec.exact(int(years[i]))
         else:

@@ -10,8 +10,9 @@ import pytest
 
 import diachrona
 from diachrona.cli import run_cli
-from diachrona.corpus import CorpusError
-from diachrona.indexio import load_index
+from diachrona.corpus import CorpusError, DateSpec
+from diachrona.indexio import load_index, save_index
+from diachrona.ingest import index_from_documents
 from diachrona.synth import synthetic_index
 
 SAMPLE = importlib.resources.files("diachrona") / "data" / "sample.vrt"
@@ -91,6 +92,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: bin width must be <= 9223372036854775807\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["freq", "series", "--lemma", "x"], ["cooc", "pair", "--a", "x", "--b", "y"]],
+        ids=["series", "pair"],
+    )
+    def test_too_many_year_bins_is_one_line_error(self, tmp_path, capsys, argv):
+        # int32 extremes are valid stored dates; at --bin 1 they span 2**32 bins
+        path = tmp_path / "extremes.csem"
+        docs = [("a", DateSpec.exact(-(2**31)), None, [("x", "NOM", "x"), ("y", "NOM", "y")])]
+        docs.append(("b", DateSpec.exact(2**31 - 1), None, [("x", "NOM", "x")]))
+        save_index(index_from_documents(docs), path)
+        assert run_cli(argv + ["--bin", "1", "--index", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 4294967296 year bins of width 1 exceed the limit of 1000000; use a wider bin\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

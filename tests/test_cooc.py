@@ -377,6 +377,16 @@ class TestPairEvolution:
         with pytest.raises(CorpusError, match="bin width must be"):
             pair_evolution(index, "x", "y", 3, bin_width)
 
+    def test_too_many_year_bins_rejected(self):
+        index = build_index(
+            [
+                lemma_doc("a", DateSpec.exact(-(2**31)), ["x", "y"]),
+                lemma_doc("b", DateSpec.exact(2**31 - 1), ["x", "y"]),
+            ]
+        )
+        with pytest.raises(CorpusError, match="year bins of width 1 exceed the limit of 1000000"):
+            pair_evolution(index, "x", "y", 3, 1)
+
     def test_largest_bin_width_is_one_bin(self):
         index = build_index([lemma_doc("a", DateSpec.exact(850), ["x", "y"])])
         assert pair_evolution(index, "x", "y", 3, 2**63 - 1) == [(0, 1, 1.0)]

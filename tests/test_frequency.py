@@ -8,7 +8,9 @@ from diachrona.frequency import (
     CountTable,
     _docset_counts,
     _docset_values,
+    _MAX_YEAR_BINS,
     _lemma_pos_counts,
+    _year_bins,
     count_table,
     form_share,
     lemma_count,
@@ -156,6 +158,26 @@ class TestLemmaRank:
             assert freqs[r1] >= freqs[r2]
 
 
+_FORM_POOL = ("a", "A", "b", "B", "ab", "aB")
+
+
+@st.composite
+def form_share_cases(draw):
+    """(index, document mask, lemma, wanted forms): forms are drawn from a
+    small case-varied pool independently of the lemma, so other lemmas
+    often carry forms that casefold to a wanted one."""
+    docs = []
+    for i in range(draw(st.integers(1, 6))):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(_FORM_POOL), st.integers(0, 2)), max_size=15))
+        docs.append((f"d{i}", DateSpec.undated(), None, [(f, "NOM", f"l{v}") for f, v in pairs]))
+    docs[0][3].append(("a", "NOM", "l0"))
+    index = build_index(docs)
+    flags = draw(st.lists(st.booleans(), min_size=len(index), max_size=len(index)))
+    lemma = draw(st.sampled_from(["l0", "l1", "l2"]))
+    wanted = draw(st.sets(st.sampled_from(_FORM_POOL + ("AB", "c"))))
+    return index, np.array(flags, dtype=bool), lemma, wanted
+
+
 class TestFormShare:
     def test_hand_counted_share(self):
         index = build_index(
@@ -190,6 +212,29 @@ class TestFormShare:
         index = build_index([lemma_doc("d", DateSpec.undated(), ["alius"])])
         with pytest.raises(CorpusError):
             form_share(index, None, "pater", {"patres"})
+
+    def test_other_lemmas_forms_never_count(self):
+        tokens = [("Pater", "NOM", "pater"), ("patres", "NOM", "pater")]
+        tokens += [("PATER", "NOM", "alius"), ("pater", "NOM", "alius")]
+        index = build_index([("d", DateSpec.undated(), None, tokens)])
+        assert form_share(index, None, "pater", {"pater"}) == 0.5
+
+    @settings(max_examples=80, deadline=None)
+    @given(form_share_cases())
+    def test_matches_per_token_brute_force(self, case):
+        index, dmask, lemma, wanted = case
+        folded = {w.casefold() for w in wanted}
+        total = hits = 0
+        for doc, inside in zip(index.documents, dmask):
+            for t in range(doc.token_start, doc.token_start + doc.token_len) if inside else ():
+                if index.lemmas[int(index.lemma_ids[t])] == lemma:
+                    total += 1
+                    hits += index.forms[int(index.form_ids[t])].casefold() in folded
+        if total == 0:
+            with pytest.raises(CorpusError):
+                form_share(index, dmask, lemma, wanted)
+        else:
+            assert form_share(index, dmask, lemma, wanted) == hits / total
 
 
 class TestTimeSeries:
@@ -247,10 +292,27 @@ class TestTimeSeries:
         with pytest.raises(CorpusError, match="bin width must be <="):
             time_series(index, "x", bin_width)
 
-    def test_unknown_policy_rejected(self):
-        index = build_index([lemma_doc("a", DateSpec.exact(800), ["x"])])
-        with pytest.raises(CorpusError):
-            time_series(index, "x", 50, date_policy="extremes")
+    def test_too_many_year_bins_rejected(self):
+        # int32 extremes are valid stored dates; at width 1 they span 2**32 bins
+        index = build_index(
+            [
+                lemma_doc("a", DateSpec.exact(-(2**31)), ["x"]),
+                lemma_doc("b", DateSpec.exact(2**31 - 1), ["x"]),
+            ]
+        )
+        with pytest.raises(CorpusError, match="4294967296 year bins of width 1 exceed"):
+            time_series(index, "x", 1)
+        assert len(time_series(index, "x", 2**31).bins) == 2
+
+    def test_parsable_year_range_fits_at_width_one(self):
+        index = build_index(
+            [
+                lemma_doc("a", DateSpec.exact(0), ["x"]),
+                lemma_doc("b", DateSpec.exact(999_999), ["x"]),
+            ]
+        )
+        lo, n_bins, _ = _year_bins(index, index.doc_mask(None), 1)
+        assert (lo, n_bins) == (0, _MAX_YEAR_BINS)
 
 
 class TestMovingAverage:

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from diachrona.corpus import DateSpec
+from diachrona.corpus import CorpusError, DateSpec
 from diachrona.indexio import (
     MAGIC,
     BadMagicError,
@@ -58,6 +58,21 @@ def test_round_trip_preserves_all_date_kinds(tmp_path):
     loaded = load_index(path)
     assert [d.date for d in loaded.documents] == [d.date for d in index.documents]
     assert [d.typology for d in loaded.documents] == [None, None, "charter"]
+
+
+@pytest.mark.parametrize(
+    "date",
+    [DateSpec.exact(2**31), DateSpec.exact(-(2**31) - 1), DateSpec.year_range(0, 2**31)],
+    ids=["exact-high", "exact-low", "range-end"],
+)
+def test_year_outside_int32_rejected_before_writing(tmp_path, date):
+    index = index_from_documents(
+        [lemma_doc("ok", DateSpec.exact(2**31 - 1), ["x"]), lemma_doc("far", date, ["x"])]
+    )
+    path = tmp_path / "far.csem"
+    with pytest.raises(CorpusError, match="document 'far'"):
+        save_index(index, path)
+    assert not path.exists()
 
 
 def test_corrupted_magic(tmp_path):

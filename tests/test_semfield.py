@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from diachrona.corpus import CorpusError, DateSpec
-from diachrona.semfield import (
-    CorrespondenceAnalysis,
-    build_submatrix,
-    correspondence_analysis,
-    semantic_map,
-)
+from diachrona.semfield import build_submatrix, correspondence_analysis, semantic_map
 
 from conftest import build_index, doc_lemma_lists, lemma_doc, random_index
 
@@ -93,26 +88,6 @@ class TestCorrespondenceAnalysis:
         assert np.array_equal(a.row_coords, b.row_coords)
         assert np.array_equal(a.col_coords, b.col_coords)
 
-    def test_estimator_interface(self):
-        ca = CorrespondenceAnalysis(n_axes=2)
-        assert ca.get_params() == {"n_axes": 2}
-        ca.set_params(n_axes=3)
-        assert ca.n_axes == 3
-        with pytest.raises(ValueError):
-            ca.set_params(bogus=1)
-
-        table = np.array([[10.0, 2.0, 1.0], [2.0, 8.0, 2.0], [1.0, 3.0, 9.0]])
-        coords = CorrespondenceAnalysis(n_axes=2).fit_transform(table)
-        assert coords.shape == (3, 2)
-        ca2 = CorrespondenceAnalysis(n_axes=2).fit(table)
-        # projecting the fitted rows through the transition formula
-        # reproduces their principal coordinates
-        reproj = ca2.transform(table)
-        np.testing.assert_allclose(reproj, ca2.row_coordinates_, atol=1e-9)
-
-    def test_transform_requires_fit(self):
-        with pytest.raises(CorpusError):
-            CorrespondenceAnalysis().transform([[1.0, 2.0]])
 
 
 def star_corpus(n_terms=5, reps=4):

@@ -72,11 +72,6 @@ def test_label_count_mismatch_rejected():
         emit_svg(PlotSpec(kind="scatter", points=[(0, 0)], labels=[]))
 
 
-def test_bad_dimensions_rejected():
-    with pytest.raises(CorpusError):
-        emit_svg(PlotSpec(kind="series", width=0))
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(CorpusError):
         emit_svg(PlotSpec(kind="pie"))

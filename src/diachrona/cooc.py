@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CorpusError, CorpusIndex
-from .frequency import _binned_lemma_counts, _docset_counts, _year_bins
+from .frequency import _bin_sums, _docset_counts, _occurrences, _year_bins
 
 __all__ = [
     "CoocTable",
@@ -103,22 +103,18 @@ def _window_pairs(
     maps each document position to its bucket, or to -1 to leave it out;
     None puts every document in bucket 0.  ``rows`` must be distinct.
 
-    This is the only window counter: for each offset d it looks d tokens
-    to either side of every row occurrence whose document reaches that
-    far, so the work follows the row occurrences, and a window wider than
-    the longest document costs no more than the longest document.
+    This is the only window counter.  It takes the row occurrences and their
+    per-document counts from the one occurrence lookup, ``_occurrences``,
+    and for each offset d looks d tokens to either side of every occurrence
+    whose document reaches that far: the work follows the row occurrences,
+    and a window wider than the longest document costs no more than it.
     """
     lem = index.lemma_ids
     rows = np.asarray(rows, dtype=np.int64)
     n_rows = len(rows)
     n_cols = len(index.lemmas) if cols is None else len(cols)
-    if n_rows == 1:
-        occ = np.flatnonzero(lem == int(rows[0]))
-    else:
-        is_row = np.zeros(len(index.lemmas), dtype=bool)
-        is_row[rows] = True
-        occ = np.flatnonzero(is_row[lem])
-    docs = index.doc_of()[occ]
+    occ, per_doc = _occurrences(index, rows)
+    docs = np.repeat(np.arange(len(index)), per_doc)
     # base: flat offset of each occurrence's (bucket, row) block of cells
     base = 0
     if doc_bucket is not None:
@@ -297,8 +293,8 @@ def pair_evolution(
     b_id = index.lemmas.id_of(lemma_b)
     if a_id is None or b_id is None:
         return [PairBin(start, 0, 0.0) for start in starts]
-    freq_a = _binned_lemma_counts(index, a_id, doc_bin, n_bins)
-    freq_b = _binned_lemma_counts(index, b_id, doc_bin, n_bins)
+    freq_a = _bin_sums(doc_bin, n_bins, _occurrences(index, [a_id])[1])
+    freq_b = _bin_sums(doc_bin, n_bins, _occurrences(index, [b_id])[1])
     # the rarer lemma in the bins is the kernel row, as in adjacency_count
     row, col = (b_id, a_id) if freq_b.sum() < freq_a.sum() else (a_id, b_id)
     pairs = _window_pairs(index, doc_bin, n_bins, [row], window, [col])[:, 0, 0]

@@ -216,11 +216,13 @@ class CorpusIndex:
         # there are documents), dated flags, date midpoints (0 when undated)
         self.doc_starts = np.asarray(starts, dtype=np.int64)
         self.doc_dated = np.asarray([mid is not None for mid in mids], dtype=bool)
-        self.doc_mids = np.asarray([mid or 0 for mid in mids], dtype=np.int64)
+        try:
+            self.doc_mids = np.asarray([mid or 0 for mid in mids], dtype=np.int64)
+        except OverflowError:
+            raise CorpusError("a document's date midpoint is outside int64") from None
         columns = (self.doc_starts, self.doc_dated, self.doc_mids)
         for arr in (self.lemma_ids, self.form_ids, self.pos_ids, *columns):
             arr.flags.writeable = False
-        self._doc_of: np.ndarray | None = None
         # full-corpus (lemma, POS) token counts, filled by frequency._lemma_pos_counts
         self._lemma_pos: np.ndarray | None = None
         self._dated_order: tuple[int, ...] | None = None
@@ -250,14 +252,6 @@ class CorpusIndex:
             return self._position_of[doc_id]
         except KeyError:
             raise CorpusError(f"unknown document id: {doc_id!r}") from None
-
-    def doc_of(self) -> np.ndarray:
-        """Token-aligned array: document position of every token (cached)."""
-        if self._doc_of is None:
-            arr = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.doc_starts))
-            arr.flags.writeable = False
-            self._doc_of = arr
-        return self._doc_of
 
     def dated_order(self) -> tuple[int, ...]:
         """Positions of dated documents sorted by (midpoint, doc_id), stable."""

@@ -10,8 +10,9 @@ full docset reads one lemma x POS table, counted once per index and cached
 on it (``_lemma_pos_counts``); a partial docset counts only its own tokens,
 copied run by run of adjacent documents (``_docset_values``).  So the cost
 of a count follows the docset's tokens, and no corpus-length token mask is
-built.  ``lemma_count`` and ``form_share`` read the lemma's occurrences and
-keep those inside the docset.
+built.  Where a lemma occurs comes from one lookup, ``_occurrences``: its
+token positions and per-document counts, which ``lemma_count``,
+``form_share``, time series and the window kernel all read.
 """
 
 from __future__ import annotations
@@ -91,14 +92,18 @@ def _docset_counts(
     return np.bincount(lemma_ids if keep is None else lemma_ids[keep], minlength=len(index.lemmas))
 
 
-def _lemma_hits(index: CorpusIndex, dmask: np.ndarray, lid: int) -> np.ndarray:
-    """Token positions of lemma ``lid`` inside the document mask: the
-    lemma's occurrences, kept where their document is in the mask.  One pass
-    over the lemma ids, whatever the docset's size."""
-    hits = np.flatnonzero(index.lemma_ids == lid)
-    if dmask.all():
-        return hits
-    return hits[dmask[np.searchsorted(index.doc_starts, hits, side="right") - 1]]
+def _occurrences(index: CorpusIndex, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The one occurrence lookup: token positions of the lemmas ``rows`` in
+    corpus order, and how many of them each document holds, found by one
+    ``searchsorted`` of ``doc_starts`` over the positions."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == 1:
+        positions = np.flatnonzero(index.lemma_ids == int(rows[0]))
+    else:
+        is_row = np.zeros(len(index.lemmas), dtype=bool)
+        is_row[rows] = True
+        positions = np.flatnonzero(is_row[index.lemma_ids])
+    return positions, np.diff(np.searchsorted(positions, index.doc_starts))
 
 
 def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
@@ -106,7 +111,8 @@ def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
     lid = index.lemmas.id_of(lemma)
     if lid is None:
         return 0
-    return len(_lemma_hits(index, index.doc_mask(docset), lid))
+    _, per_doc = _occurrences(index, [lid])
+    return int(per_doc[index.doc_mask(docset)].sum())
 
 
 @dataclass(frozen=True)
@@ -199,8 +205,11 @@ def lemma_rank(index: CorpusIndex, docset, lemma: str) -> int | None:
 def form_share(index: CorpusIndex, docset, lemma: str, forms: Iterable[str]) -> float:
     """Share of the lemma's tokens whose surface form (case-folded) is in ``forms``."""
     lid = index.lemmas.id_of(lemma)
-    hits = None if lid is None else _lemma_hits(index, index.doc_mask(docset), lid)
-    total = 0 if hits is None else len(hits)
+    hits = np.zeros(0, dtype=np.intp)
+    if lid is not None:
+        positions, per_doc = _occurrences(index, [lid])
+        hits = positions[np.repeat(index.doc_mask(docset), per_doc)]
+    total = len(hits)
     if total == 0:
         raise CorpusError(f"form share undefined: lemma {lemma!r} has zero count in docset")
     folded = {f.casefold() for f in forms}
@@ -260,13 +269,9 @@ def _year_bins(
     return lo, n_bins, np.where(dated, (starts - lo) // bin_width, -1)
 
 
-def _binned_lemma_counts(
-    index: CorpusIndex, lid: int, doc_bin: np.ndarray, n_bins: int
-) -> np.ndarray:
-    """Tokens of lemma ``lid`` per bin, where document i falls in bin
+def _bin_sums(doc_bin: np.ndarray, n_bins: int, per_doc: np.ndarray) -> np.ndarray:
+    """Per-bin sums of a per-document count, where document i falls in bin
     ``doc_bin[i]`` (-1 leaves it out)."""
-    hit_docs = index.doc_of()[index.lemma_ids == lid]
-    per_doc = np.bincount(hit_docs, minlength=len(doc_bin))
     binned = doc_bin >= 0
     return np.bincount(doc_bin[binned], weights=per_doc[binned], minlength=n_bins).astype(np.int64)
 
@@ -288,14 +293,11 @@ def time_series(
     if binning is None:
         return TimeSeries(lemma, bin_width, ())
     lo, n_bins, doc_bin = binning
-    binned = doc_bin >= 0
-    lens = np.diff(index.doc_starts)[binned]
-    masses = np.bincount(doc_bin[binned], weights=lens, minlength=n_bins).astype(np.int64)
-
+    masses = _bin_sums(doc_bin, n_bins, np.diff(index.doc_starts))
     counts = np.zeros(n_bins, dtype=np.int64)
     lid = index.lemmas.id_of(lemma)
     if lid is not None:
-        counts = _binned_lemma_counts(index, lid, doc_bin, n_bins)
+        counts = _bin_sums(doc_bin, n_bins, _occurrences(index, [lid])[1])
 
     bins = []
     for b in range(n_bins):

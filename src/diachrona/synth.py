@@ -38,6 +38,8 @@ def synthetic_index(
     them get a year drawn from 700..1300, or a short year range starting at
     such a year.
     """
+    if max(n_tokens, vocab_size, n_docs) > np.iinfo(np.int64).max:
+        raise CorpusError(f"synthetic corpus sizes must be <= {np.iinfo(np.int64).max}")
     if n_tokens < 0 or vocab_size < 1 or n_docs < 1:
         raise CorpusError("synthetic corpus needs n_tokens >= 0, vocab_size >= 1, n_docs >= 1")
     if n_tokens and n_docs > n_tokens:

@@ -205,6 +205,26 @@ class TestIndexBuild:
         assert err.startswith("error: dated_fraction must be in [0, 1]") and err.count("\n") == 1
         assert not out.exists()
 
+    # only sizes at or above 2**63: they are rejected before any allocation
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"tokens": 2**63, "vocab": 1, "docs": 1},
+            {"tokens": 10**29, "vocab": 1, "docs": 1},
+            {"tokens": 10, "vocab": 10**20, "docs": 1},
+            {"tokens": 10, "vocab": 3, "docs": 2**63},
+        ],
+    )
+    def test_synth_size_beyond_int64_is_one_line_error(self, tmp_path, capsys, sizes):
+        message = "synthetic corpus sizes must be <= 9223372036854775807"
+        with pytest.raises(CorpusError, match=message):
+            synthetic_index(sizes["tokens"], sizes["vocab"], sizes["docs"], seed=1)
+        out = tmp_path / "big.csem"
+        argv = ["index", "synth", *(f"--{name}={n}" for name, n in sizes.items()), "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0])
     def test_synth_dated_fraction_bounds_are_accepted(self, fraction):
         index = synthetic_index(100, 10, 5, seed=1, dated_fraction=fraction)

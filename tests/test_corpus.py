@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diachrona.cooc import adjacency_count, pair_evolution, top_cooccurrents
+from diachrona.cooc import adjacency_count, cooc_counts, pair_evolution, top_cooccurrents
 from diachrona.corpus import (
     CorpusError,
     CorpusIndex,
@@ -18,8 +18,10 @@ from diachrona.corpus import (
     is_dated,
     subcorpus,
 )
-from diachrona.diachrony import cooc_by_tranche, make_tranches
+from diachrona.diachrony import cooc_by_tranche, evolving_cooccurrents, make_tranches
 from diachrona.frequency import count_table, form_share, lemma_count, lemma_rank, time_series
+from diachrona.ingest import index_from_documents
+from diachrona.semfield import semantic_map
 
 from conftest import POS_TAGS, build_index, lemma_doc, random_index
 
@@ -228,6 +230,35 @@ class TestCorpusIndex:
         assert top_cooccurrents(index, docset, "pater", 2, 5, pos_filter=["NOM"])
         _, vectors = cooc_by_tranche(index, make_tranches(index, 2), "pater", 2, ["NOM"])
         assert vectors
+
+    @pytest.mark.parametrize("date", [DateSpec.exact(2**70), DateSpec.year_range(-(2**70), 5)])
+    def test_date_midpoint_beyond_int64_rejected(self, date):
+        with pytest.raises(CorpusError, match="date midpoint is outside int64"):
+            index_from_documents([("a", date, None, [("x", "NOM", "x")])])
+
+    def test_queries_cache_no_token_length_array(self):
+        # beyond its three token columns, an index holds nothing as long as
+        # the corpus, whatever queries have run on it
+        index = random_index(np.random.default_rng(4), min_tokens=300, max_vocab=12)
+        a, b = index.lemmas[0], index.lemmas[1]
+        half = np.arange(len(index)) % 2 == 0
+        for docset in (None, half):
+            top_cooccurrents(index, docset, a, 3, 5, pos_filter=["NOM"])
+            cooc_counts(index, docset, a, 2)
+            adjacency_count(index, docset, a, b)
+            pair_evolution(index, a, b, 2, 100, docset=docset)
+            time_series(index, a, 50, docset=docset)
+            lemma_count(index, docset, a)
+            form_share(index, docset, a, [a])
+            semantic_map(index, docset, a, 2, 4)
+        evolving_cooccurrents(index, make_tranches(index, 3), a, 2, pos_filter=["NOM"])
+        token_columns = {"lemma_ids", "form_ids", "pos_ids"}
+        token_length = [
+            name
+            for name, value in vars(index).items()
+            if isinstance(value, np.ndarray) and value.size == index.total_tokens
+        ]
+        assert set(token_length) == token_columns
 
 
 @st.composite

@@ -23,6 +23,23 @@ from diachrona.frequency import (
 from conftest import build_index, corpora, doc_lemma_lists, lemma_doc, random_index
 
 
+@st.composite
+def masked_corpora(draw):
+    """(index, document mask): a tagged corpus and a random mask over its documents."""
+    index = draw(corpora(tagged=True))
+    flags = draw(st.lists(st.booleans(), min_size=len(index), max_size=len(index)))
+    return index, np.array(flags, dtype=bool)
+
+
+def _per_token_lemmas(index, dmask):
+    """(document, lemma string) of every token inside the document mask."""
+    return [
+        (doc, index.lemmas[int(index.lemma_ids[t])])
+        for doc, inside in zip(index.documents, dmask)
+        for t in (range(doc.token_start, doc.token_start + doc.token_len) if inside else ())
+    ]
+
+
 class TestLemmaCount:
     def test_hand_count(self):
         index = build_index([lemma_doc("d", DateSpec.undated(), ["pater", "pater", "filius"])])
@@ -53,6 +70,15 @@ class TestLemmaCount:
         assert lemma_count(index, a, lemma) + lemma_count(index, b, lemma) == lemma_count(
             index, a | b, lemma
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_corpora())
+    def test_matches_per_token_counting_on_random_docsets(self, case):
+        index, dmask = case
+        tokens = _per_token_lemmas(index, dmask)
+        for lemma in [*index.lemmas, "nemo"]:
+            expected = sum(lem == lemma for _, lem in tokens)
+            assert lemma_count(index, dmask, lemma) == expected
 
 
 class TestCountTable:
@@ -314,6 +340,27 @@ class TestTimeSeries:
         lo, n_bins, _ = _year_bins(index, index.doc_mask(None), 1)
         assert (lo, n_bins) == (0, _MAX_YEAR_BINS)
 
+    @settings(max_examples=60, deadline=None)
+    @given(masked_corpora(), st.integers(1, 150))
+    def test_bins_match_per_token_counting_on_random_docsets(self, case, bin_width):
+        index, dmask = case
+        masses = {}
+        for doc, inside in zip(index.documents, dmask):
+            if inside and doc.date.is_dated:
+                start = doc.date.midpoint() // bin_width * bin_width
+                masses[start] = masses.get(start, 0) + doc.token_len
+        starts = range(min(masses), max(masses) + 1, bin_width) if masses else range(0)
+        tokens = _per_token_lemmas(index, dmask)
+        for lemma in [*index.lemmas, "nemo"]:
+            counts = dict.fromkeys(starts, 0)
+            for doc, lem in tokens:
+                if lem == lemma and doc.date.is_dated:
+                    counts[doc.date.midpoint() // bin_width * bin_width] += 1
+            series = time_series(index, lemma, bin_width, docset=dmask)
+            assert [b.start_year for b in series.bins] == list(starts)
+            assert [b.count for b in series.bins] == [counts[s] for s in starts]
+            assert [b.token_mass for b in series.bins] == [masses.get(s, 0) for s in starts]
+
 
 class TestMovingAverage:
     def test_centered_window(self):
@@ -326,14 +373,6 @@ class TestMovingAverage:
     def test_even_window_rejected(self):
         with pytest.raises(CorpusError):
             moving_average([1.0], 2)
-
-
-@st.composite
-def masked_corpora(draw):
-    """(index, document mask): a tagged corpus and a random mask over its documents."""
-    index = draw(corpora(tagged=True))
-    flags = draw(st.lists(st.booleans(), min_size=len(index), max_size=len(index)))
-    return index, np.array(flags, dtype=bool)
 
 
 class TestDocsetCountProperties:

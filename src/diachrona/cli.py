@@ -12,7 +12,9 @@ its chart to ``--svg`` when given.  A query is a function of
 
 ``--filter`` restricts queries to a document subset and may be repeated
 (conjunction).  Accepted forms: ``date=LO..HI`` (midpoint within the
-interval), ``typology=TAG``, ``dated``.  ``evolve`` has no ``--filter``; it
+interval), ``typology=TAG``, ``dated``.  Filters resolve to one boolean
+document mask read from the index's document columns (``doc_dated``,
+``doc_mids``) and typology tags.  ``evolve`` has no ``--filter``; it
 tranches the dated documents.  ``freq table`` AND-s ``--filter`` into each
 ``--slice`` column, or uses it as its single ``all`` column.  ``--min``
 (minimum pair count) must be at least 1.
@@ -24,9 +26,11 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import cooc as cooc_mod
 from . import frequency as freq_mod
-from .corpus import CorpusError, CorpusIndex, dated_within, has_typology, is_dated, subcorpus
+from .corpus import CorpusError, CorpusIndex
 from .diachrony import evolving_cooccurrents, make_tranches
 from .indexio import load_index, save_index
 from .ingest import Lexicon, lemmatize, parse_vertical, tokenize_plain, index_from_documents
@@ -57,28 +61,29 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _parse_filter(expr: str):
+def _filter_mask(index: CorpusIndex, expr: str) -> np.ndarray:
+    """The documents matching one ``--filter`` expression, read from the document columns."""
     if expr == "dated":
-        return is_dated
+        return index.doc_dated
     key, sep, value = expr.partition("=")
     if key == "date" and sep:
         lo, dots, hi = value.partition("..")
         if not dots or not lo or not hi:
             raise CorpusError(f"bad date filter (expected date=LO..HI): {expr!r}")
         try:
-            return dated_within(int(lo), int(hi))
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise CorpusError(f"bad date filter (years must be integers): {expr!r}") from None
+        return index.doc_dated & (index.doc_mids >= lo) & (index.doc_mids <= hi)
     if key == "typology" and sep:
-        return has_typology(value)
+        return np.fromiter((doc.typology == value for doc in index.documents), bool, len(index))
     raise CorpusError(f"unknown filter: {expr!r}")
 
 
-def _docset_from_filters(index: CorpusIndex, filters: list[str] | None):
+def _docset_from_filters(index: CorpusIndex, filters: list[str] | None) -> np.ndarray | None:
     if not filters:
         return None
-    predicates = [_parse_filter(f) for f in filters]
-    return subcorpus(index, lambda doc: all(p(doc) for p in predicates))
+    return np.logical_and.reduce([_filter_mask(index, f) for f in filters])
 
 
 def _comma_set(raw: str | None) -> frozenset[str] | None:
@@ -445,11 +450,11 @@ def run_cli(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except CorpusError as exc:
+    except (CorpusError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except MemoryError as exc:
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 1
 
 

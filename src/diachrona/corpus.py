@@ -41,12 +41,7 @@ class CorpusError(Exception):
 
 
 class Vocabulary:
-    """Dense string interner: ids are consecutive integers starting at 0.
-
-    ``intern`` is the builder-side entry point and returns the existing id
-    for a known string.  Constructing from an explicit entry sequence (the
-    deserialization path) rejects duplicates instead of merging them.
-    """
+    """Dense string table: entry ``i`` has id ``i``.  Duplicate entries are rejected."""
 
     __slots__ = ("entries", "_lookup")
 
@@ -59,16 +54,8 @@ class Vocabulary:
             self._lookup[entry] = len(self.entries)
             self.entries.append(entry)
 
-    def intern(self, entry: str) -> int:
-        ident = self._lookup.get(entry)
-        if ident is None:
-            ident = len(self.entries)
-            self._lookup[entry] = ident
-            self.entries.append(entry)
-        return ident
-
     def id_of(self, entry: str) -> int | None:
-        """Return the id of ``entry``, or None when it was never interned."""
+        """Return the id of ``entry``, or None when it is not in the table."""
         return self._lookup.get(entry)
 
     def __getitem__(self, ident: int) -> str:

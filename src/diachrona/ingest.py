@@ -6,9 +6,15 @@ document and carry space-separated key=value pairs (``id`` required,
 ``date`` and ``typology`` optional).  The fallback path tokenizes raw text
 and lemmatizes through a lookup lexicon.
 
-Ingestion fails loud: wrong column counts, missing or reused ids,
-repeated header keys and malformed dates raise :class:`VerticalParseError`
-with the offending line number.
+Both paths make one interning pass: each turns its input into a stream of
+(form, POS, lemma) records and notes where every document starts, and
+``_index`` interns the stream into three dense vocabularies (ids in
+first-seen order) and three token id columns, then cuts the columns into
+documents.
+
+Ingestion fails loud: wrong column counts, empty forms, missing or reused
+ids (the implicit ``doc0`` included), repeated header keys and malformed
+dates raise :class:`VerticalParseError` with the offending line number.
 Token lines whose POS tag is in the drop set (punctuation by default) are
 not emitted as positions, so window distances downstream are measured on
 the retained word stream.
@@ -96,65 +102,39 @@ class Lexicon:
         return lex
 
 
-class _Builder:
-    """Accumulates interned token columns and the document table."""
+_Head = tuple[str, DateSpec, str | None, int]
 
-    def __init__(self) -> None:
-        self.lemmas = Vocabulary()
-        self.forms = Vocabulary()
-        self.pos_tags = Vocabulary()
-        self.lemma_col = array("I")
-        self.form_col = array("I")
-        self.pos_col = array("I")
-        self.documents: list[Document] = []
-        self.doc_ids: set[str] = set()
-        self._open_id: str | None = None
-        self._open_date = DateSpec.undated()
-        self._open_typology: str | None = None
-        self._open_start = 0
 
-    def open_document(self, doc_id: str, date: DateSpec, typology: str | None) -> None:
-        self.close_document()
-        self.doc_ids.add(doc_id)
-        self._open_id = doc_id
-        self._open_date = date
-        self._open_typology = typology
-        self._open_start = len(self.lemma_col)
+def _index(heads: list[_Head], records: Iterable[Sequence[str]]) -> CorpusIndex:
+    """Intern a stream of (form, POS, lemma) records into an index.
 
-    def ensure_document(self) -> None:
-        if self._open_id is None:
-            self.open_document("doc0", DateSpec.undated(), None)
-
-    def close_document(self) -> None:
-        if self._open_id is None:
-            return
-        self.documents.append(
-            Document(
-                self._open_id,
-                self._open_date,
-                self._open_typology,
-                self._open_start,
-                len(self.lemma_col) - self._open_start,
-            )
-        )
-        self._open_id = None
-
-    def add_token(self, form: str, pos: str, lemma: str) -> None:
-        self.lemma_col.append(self.lemmas.intern(lemma))
-        self.form_col.append(self.forms.intern(form))
-        self.pos_col.append(self.pos_tags.intern(pos))
-
-    def finish(self) -> CorpusIndex:
-        self.close_document()
-        return CorpusIndex(
-            self.lemmas,
-            self.forms,
-            self.pos_tags,
-            np.asarray(self.lemma_col, dtype=np.uint32),
-            np.asarray(self.form_col, dtype=np.uint32),
-            np.asarray(self.pos_col, dtype=np.uint16),
-            self.documents,
-        )
+    Each vocabulary is a plain dict whose ids are dense and in first-seen
+    order.  ``records`` is consumed first; then the token columns are cut
+    into documents at ``heads``, (doc_id, date, typology, first_token)
+    tuples that the record stream may append to while it runs.
+    """
+    lemmas: dict[str, int] = {}
+    forms: dict[str, int] = {}
+    tags: dict[str, int] = {}
+    lemma_col, form_col, pos_col = array("I"), array("I"), array("I")
+    for form, pos, lemma in records:
+        form_col.append(forms.setdefault(form, len(forms)))
+        pos_col.append(tags.setdefault(pos, len(tags)))
+        lemma_col.append(lemmas.setdefault(lemma, len(lemmas)))
+    ends = [head[3] for head in heads[1:]] + [len(lemma_col)]
+    documents = [
+        Document(doc_id, date, typology, start, end - start)
+        for (doc_id, date, typology, start), end in zip(heads, ends)
+    ]
+    return CorpusIndex(
+        Vocabulary(lemmas),
+        Vocabulary(forms),
+        Vocabulary(tags),
+        np.asarray(lemma_col, dtype=np.uint32),
+        np.asarray(form_col, dtype=np.uint32),
+        np.asarray(pos_col, dtype=np.uint16),
+        documents,
+    )
 
 
 def _parse_header(line: str, line_no: int) -> tuple[str, DateSpec, str | None]:
@@ -194,28 +174,36 @@ def parse_vertical(
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
-    builder = _Builder()
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        if line.startswith("#doc"):
-            doc_id, date, typology = _parse_header(line, line_no)
-            if doc_id in builder.doc_ids:
-                raise VerticalParseError(line_no, f"duplicate document id: {doc_id!r}")
-            builder.open_document(doc_id, date, typology)
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise VerticalParseError(line_no, f"token line has {len(cols)} columns, expected 3")
-        form, pos, lemma = cols
-        if not form:
-            raise VerticalParseError(line_no, "empty form column")
-        if pos in drop_pos:
-            continue
-        builder.ensure_document()
-        builder.add_token(form, pos, lemma)
-    return builder.finish()
+    heads: list[_Head] = []
+
+    def records():
+        seen: set[str] = set()
+        n_tokens = 0
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            if line.startswith("#doc"):
+                doc_id, date, typology = _parse_header(line, line_no)
+                if doc_id in seen:
+                    raise VerticalParseError(line_no, f"duplicate document id: {doc_id!r}")
+                seen.add(doc_id)
+                heads.append((doc_id, date, typology, n_tokens))
+                continue
+            cols = line.split("\t")
+            if len(cols) != 3:
+                raise VerticalParseError(line_no, f"token line has {len(cols)} columns, expected 3")
+            if not cols[0]:
+                raise VerticalParseError(line_no, "empty form column")
+            if cols[1] in drop_pos:
+                continue
+            if not heads:
+                seen.add("doc0")
+                heads.append(("doc0", DateSpec.undated(), None, 0))
+            n_tokens += 1
+            yield cols
+
+    return _index(heads, records())
 
 
 def tokenize_plain(text: str) -> list[str]:
@@ -236,9 +224,14 @@ def index_from_documents(
     docs: Iterable[tuple[str, DateSpec, str | None, Sequence[VerticalRecord | tuple[str, str, str]]]],
 ) -> CorpusIndex:
     """Assemble an index from (doc_id, date, typology, records) tuples."""
-    builder = _Builder()
-    for doc_id, date, typology, records in docs:
-        builder.open_document(doc_id, date, typology)
-        for form, pos, lemma in records:
-            builder.add_token(form, pos, lemma)
-    return builder.finish()
+    heads: list[_Head] = []
+
+    def records():
+        n_tokens = 0
+        for doc_id, date, typology, doc_records in docs:
+            heads.append((doc_id, date, typology, n_tokens))
+            for record in doc_records:
+                n_tokens += 1
+                yield record
+
+    return _index(heads, records())

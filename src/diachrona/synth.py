@@ -20,6 +20,8 @@ _FORM_SUFFIXES = ("", "is", "em")
 _YEAR_LO = 700
 _YEAR_HI = 1300
 _ZIPF = 1.05
+# each size becomes a float64 array, and numpy refuses arrays over intp.max bytes
+_MAX_SIZE = np.iinfo(np.intp).max // 8
 
 
 def synthetic_index(
@@ -40,6 +42,8 @@ def synthetic_index(
     """
     if max(n_tokens, vocab_size, n_docs) > np.iinfo(np.int64).max:
         raise CorpusError(f"synthetic corpus sizes must be <= {np.iinfo(np.int64).max}")
+    if max(n_tokens, vocab_size, n_docs) > _MAX_SIZE:
+        raise CorpusError(f"synthetic corpus sizes above {_MAX_SIZE} exceed numpy's array size limit")
     if n_tokens < 0 or vocab_size < 1 or n_docs < 1:
         raise CorpusError("synthetic corpus needs n_tokens >= 0, vocab_size >= 1, n_docs >= 1")
     if n_tokens and n_docs > n_tokens:

@@ -7,10 +7,13 @@ from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diachrona
-from diachrona.cli import run_cli
-from diachrona.corpus import CorpusError, DateSpec
+from diachrona import frequency
+from diachrona.cli import _docset_from_filters, run_cli
+from diachrona.corpus import CorpusError, DateSpec, dated_within, has_typology, is_dated, subcorpus
 from diachrona.indexio import load_index, save_index
 from diachrona.ingest import index_from_documents
 from diachrona.synth import synthetic_index
@@ -69,6 +72,20 @@ class TestExitCodes:
     def test_domain_error_exits_one(self, sample_index, capsys):
         assert run_cli(["freq", "rank", "--lemma", "zzznope", "--index", str(sample_index)]) == 1
         assert "not present" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 8 EiB")])
+    def test_memory_error_is_one_line_error(self, sample_index, tmp_path, capsys, monkeypatch, exc):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(frequency, "lemma_count", exhausted)
+        out = tmp_path / "count.tsv"
+        argv = ["freq", "count", "--lemma", "pater", "--out", str(out), "--index", str(sample_index)]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {str(exc) or 'out of memory'}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "old, new", [(b"pater", b"pa\xffer"), (b"s002", b"s001")], ids=["invalid-utf8", "repeated-doc-id"]
@@ -225,11 +242,106 @@ class TestIndexBuild:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # 2**62 elements: numpy refuses such an array before it allocates anything
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"tokens": 10, "vocab": 2**62, "docs": 1},
+            {"tokens": 2**62, "vocab": 3, "docs": 1},
+            {"tokens": 10, "vocab": 3, "docs": 2**62},
+        ],
+    )
+    def test_synth_size_numpy_refuses_is_one_line_error(self, tmp_path, capsys, sizes):
+        message = "synthetic corpus sizes above 1152921504606846975 exceed numpy's array size limit"
+        with pytest.raises(CorpusError, match=message):
+            synthetic_index(sizes["tokens"], sizes["vocab"], sizes["docs"], seed=1)
+        out = tmp_path / "big.csem"
+        argv = ["index", "synth", *(f"--{name}={n}" for name, n in sizes.items()), "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0])
     def test_synth_dated_fraction_bounds_are_accepted(self, fraction):
         index = synthetic_index(100, 10, 5, seed=1, dated_fraction=fraction)
         assert index.doc_dated.all() == (fraction == 1.0)
         assert index.doc_dated.any() == (fraction == 1.0)
+
+
+_TAGS = ["charter", "letter", "", "absent"]
+_YEARS = st.integers(-10**30, 10**30) | st.integers(-50, 1500)
+
+
+@st.composite
+def filter_cases(draw):
+    """(index, filter expressions): undated, exact and ranged documents with
+    negative years and optional typologies, and a list of 1-3 filters whose
+    date bounds may lie beyond int64."""
+    docs = []
+    for i in range(draw(st.integers(0, 8))):
+        lo = draw(st.none() | st.integers(-50, 1400))
+        date = DateSpec.undated() if lo is None else DateSpec.year_range(lo, lo + draw(st.integers(0, 60)))
+        typology = draw(st.sampled_from([None, *_TAGS[:3]]))
+        docs.append((f"d{i}", date, typology, [("x", "NOM", "x")] * draw(st.integers(0, 2))))
+    date_filter = st.builds(lambda lo, hi: f"date={lo}..{hi}", _YEARS, _YEARS)
+    typology_filter = st.sampled_from(_TAGS).map(lambda tag: f"typology={tag}")
+    expr = st.just("dated") | date_filter | typology_filter
+    return index_from_documents(docs), draw(st.lists(expr, min_size=1, max_size=3))
+
+
+def _predicate_mask(index, filters):
+    """The document mask of ``filters`` through the ``subcorpus`` predicates."""
+    predicates = []
+    for expr in filters:
+        if expr == "dated":
+            predicates.append(is_dated)
+        elif expr.startswith("date="):
+            lo, hi = expr[len("date="):].split("..")
+            predicates.append(dated_within(int(lo), int(hi)))
+        else:
+            predicates.append(has_typology(expr[len("typology="):]))
+    return index.doc_mask(subcorpus(index, lambda doc: all(p(doc) for p in predicates)))
+
+
+class TestFilterMasks:
+    @settings(max_examples=150, deadline=None)
+    @given(filter_cases())
+    def test_mask_matches_subcorpus_predicates(self, case):
+        index, filters = case
+        mask = _docset_from_filters(index, filters)
+        assert mask.dtype == bool
+        assert mask.tolist() == _predicate_mask(index, filters).tolist()
+
+    @pytest.mark.parametrize(
+        "filters",
+        [
+            ["date=0..1000000000000000000000000000000"],
+            ["date=-1000000000000000000000000000000..-1"],
+            ["date=-20..-5"],
+            ["typology=absent"],
+            ["typology="],
+            ["dated", "typology=charter", "date=-10..700"],
+        ],
+    )
+    def test_fixed_filters_match_subcorpus_predicates(self, filters):
+        docs = [
+            ("neg", DateSpec.year_range(-30, -10), "", [("x", "NOM", "x")]),
+            ("zero", DateSpec.exact(0), "charter", []),
+            ("mid", DateSpec.exact(650), "charter", [("y", "NOM", "y")]),
+            ("late", DateSpec.year_range(900, 960), "letter", [("x", "NOM", "x")]),
+            ("undated", DateSpec.undated(), None, [("y", "NOM", "y")]),
+        ]
+        index = index_from_documents(docs)
+        assert _docset_from_filters(index, filters).tolist() == _predicate_mask(index, filters).tolist()
+
+    def test_filter_beyond_int64_on_the_command_line(self, sample_index, capsys):
+        argv = ["freq", "count", "--lemma", "pater", "--index", str(sample_index)]
+        assert run_cli(argv + ["--filter", "dated"]) == 0
+        dated = capsys.readouterr().out
+        assert run_cli(argv + ["--filter", f"date=-{10**30}..{10**30}"]) == 0
+        assert capsys.readouterr().out == dated
+        assert run_cli(argv + ["--filter", f"date={10**30}..{10**31}"]) == 0
+        assert capsys.readouterr().out == "pater\t0\n"
 
 
 class TestQueries:

@@ -28,11 +28,11 @@ from conftest import POS_TAGS, build_index, lemma_doc, random_index
 
 class TestVocabulary:
     def test_dense_ids_round_trip(self):
-        vocab = Vocabulary()
-        words = ["pater", "mater", "filius", "pater"]
-        ids = [vocab.intern(w) for w in words]
-        assert ids == [0, 1, 2, 0]
+        words = ["pater", "mater", "filius"]
+        vocab = Vocabulary(words)
+        assert [vocab.id_of(w) for w in words] == [0, 1, 2]
         assert len(vocab) == 3
+        assert vocab.id_of("soror") is None
         for i in range(len(vocab)):
             assert vocab.id_of(vocab[i]) == i
 

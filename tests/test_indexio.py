@@ -1,9 +1,14 @@
+import importlib.resources
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diachrona.corpus import CorpusError, DateSpec
+from diachrona.corpus import CorpusError, CorpusIndex, DateSpec
 from diachrona.indexio import (
     MAGIC,
     BadMagicError,
@@ -190,3 +195,37 @@ def test_random_round_trips(tmp_path):
         path = tmp_path / f"r{i}.csem"
         save_index(index, path)
         assert load_index(path) == index
+
+
+SAMPLE = importlib.resources.files("diachrona") / "data" / "sample.vrt"
+
+
+@pytest.fixture(scope="module")
+def sample_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "sample.csem"
+    save_index(parse_vertical(SAMPLE.read_text(encoding="utf-8")), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_corrupt_sample_index_loads_or_raises_index_format_error(sample_bytes, data):
+    """A truncated copy of the sample index, or one with a single bit flipped,
+    raises an IndexFormatError subclass or loads; never a struct, numpy,
+    Unicode or memory error."""
+    raw = bytearray(sample_bytes)
+    truncate = data.draw(st.booleans(), label="truncate")
+    if truncate:
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        raw[bit // 8] ^= 1 << (bit % 8)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.csem"
+        path.write_bytes(bytes(raw))
+        try:
+            loaded = load_index(path)
+        except IndexFormatError:
+            return
+    assert not truncate, "a truncated index loaded"
+    assert isinstance(loaded, CorpusIndex)

@@ -1,10 +1,18 @@
-import pytest
+import tempfile
+from pathlib import Path
 
-from diachrona.corpus import DateKind
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diachrona.corpus import DateKind, DateSpec
+from diachrona.indexio import save_index
 from diachrona.ingest import (
+    DEFAULT_DROP_POS,
     Lexicon,
     VerticalParseError,
     VerticalRecord,
+    index_from_documents,
     lemmatize,
     parse_vertical,
     tokenize_plain,
@@ -110,6 +118,79 @@ class TestParseVertical:
     def test_empty_document_is_legal(self):
         index = parse_vertical("#doc id=a\n#doc id=b\nx\tNOM\tx\n")
         assert [d.token_len for d in index.documents] == [0, 1]
+
+
+# a token line: a record, or a blank line (None); PUN and SENT lines are dropped by default
+_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from(["a", "b", "Ab", "æ"]),
+        st.sampled_from(["NOM", "ADJ", "VER"]),
+        st.sampled_from(["a", "b", "c"]),
+    ),
+    st.sampled_from([(".", "PUN", "."), (",", "SENT", ","), None]),
+)
+_DATE = st.one_of(
+    st.none(),
+    st.integers(0, 2000),
+    st.tuples(st.integers(0, 2000), st.integers(0, 60)),
+)
+
+
+@st.composite
+def vertical_cases(draw):
+    """(vertical text, drop set, expected (doc_id, date, typology, records) tuples)."""
+    drop = draw(st.sampled_from([DEFAULT_DROP_POS, frozenset(), frozenset({"ADJ"})]))
+    lines, docs = [], []
+
+    def body(doc_lines):
+        records = []
+        for item in doc_lines:
+            if item is None:
+                lines.append(draw(st.sampled_from(["", "   "])))
+                continue
+            lines.append("\t".join(item))
+            if item[1] not in drop:
+                records.append(item)
+        return records
+
+    leading = body(draw(st.lists(_LINE, max_size=4)))
+    if leading:
+        docs.append(("doc0", DateSpec.undated(), None, leading))
+    for i in range(draw(st.integers(0, 5))):
+        fields = [f"id=d{i}"]
+        raw_date = draw(_DATE)
+        date = DateSpec.undated()
+        if isinstance(raw_date, int):
+            fields.append(f"date={raw_date}")
+            date = DateSpec.exact(raw_date)
+        elif raw_date is not None:
+            lo, span = raw_date
+            fields.append(f"date={lo}-{lo + span}")
+            date = DateSpec.year_range(lo, lo + span)
+        typology = draw(st.sampled_from([None, "charter", "letter"]))
+        if typology is not None:
+            fields.append(f"typology={typology}")
+        lines.append("#doc " + " ".join(draw(st.permutations(fields))))
+        docs.append((f"d{i}", date, typology, body(draw(st.lists(_LINE, max_size=8)))))
+    return "\n".join(lines) + "\n", drop, docs
+
+
+class TestOneInterningPass:
+    @settings(max_examples=150, deadline=None)
+    @given(vertical_cases())
+    def test_vertical_text_indexes_like_its_records(self, case):
+        text, drop, docs = case
+        parsed = parse_vertical(text, drop_pos=drop)
+        built = index_from_documents(docs)
+        assert parsed == built
+        records = [r for doc in docs for r in doc[3]]
+        assert parsed.forms.entries == list(dict.fromkeys(r[0] for r in records))
+        assert parsed.pos_tags.entries == list(dict.fromkeys(r[1] for r in records))
+        assert parsed.lemmas.entries == list(dict.fromkeys(r[2] for r in records))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(parsed, Path(tmp) / "parsed.csem")
+            save_index(built, Path(tmp) / "built.csem")
+            assert (Path(tmp) / "parsed.csem").read_bytes() == (Path(tmp) / "built.csem").read_bytes()
 
 
 class TestTokenizePlain:

@@ -13,7 +13,10 @@ occurrence of the requested row lemmas and bincounts them under one key,
 (bucket, row, neighbor column), where a document's bucket (a docset
 member, a tranche, a year bin, or -1 for left out) is fixed per call.  So
 a per-tranche or per-bin series costs one pass, not one per bucket, and
-the work follows the row occurrences, not the corpus size.
+the work follows the row occurrences, not the corpus size.  The kernel walks
+the occurrences in slabs of at most ``_SLAB`` of them, so its temporary
+arrays are bounded by the slab, not by the occurrence count of frequent
+rows (a field map's 30 terms can hold 4.3M occurrences at 10M tokens).
 
 Every Dice value comes from one array function, ``_dice`` (0 where both
 frequencies are 0), and every ranking from one helper, ``_top_k``, so
@@ -79,6 +82,11 @@ class CoocTable:
     neighbor_freqs: dict[str, int]
 
 
+# Most row occurrences one kernel step works on at once: each step holds a
+# few int64 arrays of this length (~8 MB each), whatever the row count.
+_SLAB = 1 << 20
+
+
 class Cooccurrent(NamedTuple):
     lemma: str
     pair_count: int
@@ -108,24 +116,19 @@ def _window_pairs(
     and for each offset d looks d tokens to either side of every occurrence
     whose document reaches that far: the work follows the row occurrences,
     and a window wider than the longest document costs no more than it.
+    The occurrences are taken ``_SLAB`` at a time, so the temporaries of one
+    call stay within a few slab-length arrays.
     """
     lem = index.lemma_ids
     rows = np.asarray(rows, dtype=np.int64)
     n_rows = len(rows)
     n_cols = len(index.lemmas) if cols is None else len(cols)
     occ, per_doc = _occurrences(index, rows)
-    docs = np.repeat(np.arange(len(index)), per_doc)
-    # base: flat offset of each occurrence's (bucket, row) block of cells
-    base = 0
-    if doc_bucket is not None:
-        bucket = doc_bucket[docs]
-        keep = bucket >= 0
-        occ, docs = occ[keep], docs[keep]
-        base = bucket[keep] * (n_rows * n_cols)
+    occ_doc = np.repeat(np.arange(len(index), dtype=np.int32), per_doc)
+    row_of = None
     if n_rows > 1:
         row_of = np.zeros(len(index.lemmas), dtype=np.int64)
         row_of[rows] = np.arange(n_rows)
-        base = base + row_of[lem[occ]] * n_cols
     col_of = None
     if cols is not None:
         col_of = np.full(len(index.lemmas), -1, dtype=np.int64)
@@ -134,16 +137,27 @@ def _window_pairs(
     # of those seen from the right sides, so one side is enough
     mirror = cols is not None and np.array_equal(rows, cols)
     counts = np.zeros(n_buckets * n_rows * n_cols, dtype=np.int64)
-    for step in (1,) if mirror else (1, -1):
-        # tokens between each occurrence and its document's edge on this side
-        room = index.doc_starts[docs + 1] - 1 - occ if step == 1 else occ - index.doc_starts[docs]
-        for d in range(1, min(window, int(room.max(initial=0))) + 1):
-            col = np.take(lem, occ + step * d, mode="clip")
-            ok = room >= d
-            if col_of is not None:
-                col = col_of[col]
-                ok &= col >= 0
-            counts += np.bincount((base + col)[ok], minlength=len(counts))
+    for lo in range(0, len(occ), _SLAB):
+        pos, docs = occ[lo : lo + _SLAB], occ_doc[lo : lo + _SLAB]
+        # base: flat offset of each occurrence's (bucket, row) block of cells
+        base = 0
+        if doc_bucket is not None:
+            bucket = doc_bucket[docs]
+            keep = bucket >= 0
+            pos, docs = pos[keep], docs[keep]
+            base = bucket[keep] * (n_rows * n_cols)
+        if row_of is not None:
+            base = base + row_of[lem[pos]] * n_cols
+        for step in (1,) if mirror else (1, -1):
+            # tokens between each occurrence and its document's edge on this side
+            room = index.doc_starts[docs + 1] - 1 - pos if step == 1 else pos - index.doc_starts[docs]
+            for d in range(1, min(window, int(room.max(initial=0))) + 1):
+                col = np.take(lem, pos + step * d, mode="clip")
+                ok = room >= d
+                if col_of is not None:
+                    col = col_of[col]
+                    ok &= col >= 0
+                counts += np.bincount((base + col)[ok], minlength=len(counts))
     counts = counts.reshape(n_buckets, n_rows, n_cols)
     if mirror:
         counts = counts + counts.transpose(0, 2, 1)
@@ -192,17 +206,27 @@ def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTabl
 
 
 def _pos_majority_pass(
-    index: CorpusIndex, dmask: np.ndarray, pos_filter: Iterable[str] | None, freqs: np.ndarray
-) -> np.ndarray | None:
-    """Boolean per-lemma vector: at least half of a lemma's tokens in the
-    document mask (``freqs``, its counts there) carry an allowed POS tag.
-    None when no filter applies."""
+    index: CorpusIndex,
+    dmask: np.ndarray,
+    pos_filter: Iterable[str] | None,
+    freqs: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-lemma token counts in the document mask, and a boolean per-lemma
+    vector: at least half of a lemma's tokens there carry an allowed POS tag
+    (None when no filter applies).
+
+    Given ``freqs`` (the counts), only the allowed-tag counts are counted;
+    otherwise both come from one copy of the docset's tokens.
+    """
     if pos_filter is None:
-        return None
+        return (_docset_counts(index, dmask) if freqs is None else freqs), None
     allowed = np.zeros(len(index.pos_tags), dtype=bool)
     allowed[[i for i in map(index.pos_tags.id_of, pos_filter) if i is not None]] = True
-    good = _docset_counts(index, dmask, allowed)
-    return 2 * good >= np.maximum(freqs, 1)
+    if freqs is None:
+        freqs, good = _docset_counts(index, dmask, allowed, with_totals=True)
+    else:
+        good = _docset_counts(index, dmask, allowed)
+    return freqs, 2 * good >= np.maximum(freqs, 1)
 
 
 def top_cooccurrents(
@@ -231,12 +255,11 @@ def top_cooccurrents(
     if pivot_id is None:
         return []
     dmask = index.doc_mask(docset)
-    freqs = _docset_counts(index, dmask)
+    freqs, pos_ok = _pos_majority_pass(index, dmask, pos_filter)
     if freqs[pivot_id] == 0:
         return []
     counts = _pivot_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
     candidate = counts >= min_count
-    pos_ok = _pos_majority_pass(index, dmask, pos_filter, freqs)
     if pos_ok is not None:
         candidate &= pos_ok
     ids = np.flatnonzero(candidate)

@@ -6,9 +6,11 @@ form ids, POS ids) covering every retained token of the corpus, plus an
 ordered document table mapping each document onto a contiguous slice of
 those arrays.  Queries read the table as three columns, ``doc_starts``,
 ``doc_dated`` and ``doc_mids``, and resolve any docset once into a boolean
-mask over documents (``doc_mask``).  Everything is frozen after
-construction, so an index can be shared freely between threads; all query
-modules are pure readers.
+mask over documents (``doc_mask``).  The arrays are read-only after
+construction, and all query modules are pure readers.  The lazy caches (the
+lemma x POS counts, the postings, the dated order) are each built into a
+local and assigned once, so readers on several threads can at worst build
+one twice; a lost increment of the lookup counter only delays the postings.
 """
 
 from __future__ import annotations
@@ -147,9 +149,9 @@ class CorpusIndex:
     """Read-only corpus: vocabularies + columnar token ids + document table.
 
     Construction validates every invariant once (array lengths, id ranges,
-    contiguous disjoint document slices, unique document ids) and freezes
-    the arrays; afterwards the index is safe for unlimited concurrent
-    readers.
+    contiguous disjoint document slices, unique document ids) and makes the
+    arrays read-only; afterwards the index is safe for concurrent readers
+    (see the module docstring on its lazy caches).
     """
 
     def __init__(
@@ -212,6 +214,11 @@ class CorpusIndex:
             arr.flags.writeable = False
         # full-corpus (lemma, POS) token counts, filled by frequency._lemma_pos_counts
         self._lemma_pos: np.ndarray | None = None
+        # single-lemma lookups made by a full scan, and the (offsets,
+        # positions) postings that replace those scans, both kept by
+        # frequency._occurrences
+        self._lemma_scans = 0
+        self._postings: tuple[np.ndarray, np.ndarray] | None = None
         self._dated_order: tuple[int, ...] | None = None
 
     @property

@@ -114,7 +114,7 @@ def _tranche_scores(
     freqs = np.stack([_docset_counts(index, doc_bucket == t) for t in range(tranches.k)])
     dice_mat = _dice(pairs, freqs[:, pivot_id, None], freqs)
     candidate = pairs.sum(axis=0) >= min_count
-    pos_ok = _pos_majority_pass(index, doc_bucket >= 0, pos_filter, freqs.sum(axis=0))
+    _, pos_ok = _pos_majority_pass(index, doc_bucket >= 0, pos_filter, freqs.sum(axis=0))
     if pos_ok is not None:
         candidate &= pos_ok
     return pairs, freqs, dice_mat, np.nonzero(candidate)[0]

@@ -12,7 +12,12 @@ copied run by run of adjacent documents (``_docset_values``).  So the cost
 of a count follows the docset's tokens, and no corpus-length token mask is
 built.  Where a lemma occurs comes from one lookup, ``_occurrences``: its
 token positions and per-document counts, which ``lemma_count``,
-``form_share``, time series and the window kernel all read.
+``form_share``, time series and the window kernel all read.  An index's
+first single-lemma lookups scan the lemma column; after
+``_SCANS_BEFORE_POSTINGS`` of them the index builds its postings (token
+positions grouped by lemma, ``_postings``) once, and every later lookup of
+one lemma reads a slice of them, so its cost follows the lemma's
+occurrences, not the corpus size.
 """
 
 from __future__ import annotations
@@ -74,31 +79,92 @@ def _lemma_pos_counts(index: CorpusIndex) -> np.ndarray:
 
 
 def _docset_counts(
-    index: CorpusIndex, dmask: np.ndarray, pos_allowed: np.ndarray | None = None
-) -> np.ndarray:
+    index: CorpusIndex,
+    dmask: np.ndarray,
+    pos_allowed: np.ndarray | None = None,
+    with_totals: bool = False,
+):
     """Per-lemma token counts over the documents of a document mask; with
-    ``pos_allowed`` (a flag per POS tag), only the tokens of allowed tags.
+    ``pos_allowed`` (a flag per POS tag), only the tokens of allowed tags,
+    or with ``with_totals`` as well, the pair (all tokens, allowed tokens).
 
     The full docset reads the cached lemma x POS table.  A partial docset
-    counts its own tokens into a V-length vector, so its cost follows its
-    tokens, not the corpus size or the tagset.
+    counts its own tokens, so its cost follows its tokens, not the corpus
+    size or the tagset: its lemma ids are copied once and bincounted into a
+    V-length vector, or with POS flags, turned in place into the keys
+    2 * lemma + flag, whose one bincount holds both counts.
     """
+    n_lemmas = len(index.lemmas)
     if dmask.all():
         table = _lemma_pos_counts(index)
-        return table.sum(axis=1) if pos_allowed is None else table[:, pos_allowed].sum(axis=1)
-    # the POS flags come first, so their tag copy is freed before the lemma ids are copied
-    keep = None if pos_allowed is None else pos_allowed[_docset_values(index, dmask, index.pos_ids)]
-    lemma_ids = _docset_values(index, dmask, index.lemma_ids)
-    return np.bincount(lemma_ids if keep is None else lemma_ids[keep], minlength=len(index.lemmas))
+        totals = table.sum(axis=1)
+        allowed = None if pos_allowed is None else table[:, pos_allowed].sum(axis=1)
+    elif pos_allowed is None:
+        return np.bincount(_docset_values(index, dmask, index.lemma_ids), minlength=n_lemmas)
+    else:
+        # the POS flags come first, so their tag copy is freed before the lemma ids are copied
+        keep = pos_allowed[_docset_values(index, dmask, index.pos_ids)]
+        keys = _docset_values(index, dmask, index.lemma_ids)
+        keys = keys.astype(np.int64) if n_lemmas > 1 << 31 else keys
+        keys <<= 1
+        keys += keep
+        split = np.bincount(keys, minlength=2 * n_lemmas).reshape(n_lemmas, 2)
+        totals, allowed = split.sum(axis=1), split[:, 1]
+    if pos_allowed is None:
+        return totals
+    return (totals, allowed) if with_totals else allowed
+
+
+# Single-lemma lookups an index answers by scanning its lemma column before
+# it builds postings.  One build costs 17-27 scans (10M and 1M tokens), so
+# building on the next lookup keeps the total lookup cost within about twice
+# that of the best choice made in hindsight, and a cold CLI query, which
+# makes 1-3 lookups per loaded index, never builds.
+_SCANS_BEFORE_POSTINGS = 15
+
+
+def _postings(index: CorpusIndex) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, positions): the token positions of lemma i, in corpus order,
+    are ``positions[offsets[i]:offsets[i + 1]]``.
+
+    Built once per index and cached on it, read only.  Positions are uint32
+    when they fit, 4 bytes per token (40 MB at 10M tokens); the int64 sort
+    result is not kept.  Lemma ids sort as 16-bit keys when the vocabulary
+    allows, which numpy radix-sorts.
+    """
+    if index._postings is None:
+        lemma_ids = index.lemma_ids
+        keys = lemma_ids.astype(np.uint16) if len(index.lemmas) <= 1 << 16 else lemma_ids
+        order = np.argsort(keys, kind="stable")
+        del keys
+        positions = order.astype(np.uint32 if len(lemma_ids) < 1 << 32 else np.int64)
+        del order
+        offsets = np.zeros(len(index.lemmas) + 1, dtype=np.int64)
+        np.cumsum(_lemma_pos_counts(index).sum(axis=1), out=offsets[1:])
+        offsets.flags.writeable = False
+        positions.flags.writeable = False
+        index._postings = (offsets, positions)
+    return index._postings
 
 
 def _occurrences(index: CorpusIndex, rows) -> tuple[np.ndarray, np.ndarray]:
     """The one occurrence lookup: token positions of the lemmas ``rows`` in
     corpus order, and how many of them each document holds, found by one
-    ``searchsorted`` of ``doc_starts`` over the positions."""
+    ``searchsorted`` of ``doc_starts`` over the positions.
+
+    One lemma is a slice of the postings once the index has them, and a scan
+    of the lemma column before; several lemmas are one gather pass, which
+    costs less than merging their postings."""
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 1:
-        positions = np.flatnonzero(index.lemma_ids == int(rows[0]))
+        lid = int(rows[0])
+        if index._postings is None and index._lemma_scans < _SCANS_BEFORE_POSTINGS:
+            index._lemma_scans += 1
+            positions = np.flatnonzero(index.lemma_ids == lid)
+        else:
+            offsets, postings = _postings(index)
+            # as intp, so that position arithmetic is signed under every numpy
+            positions = postings[offsets[lid] : offsets[lid + 1]].astype(np.intp)
     else:
         is_row = np.zeros(len(index.lemmas), dtype=bool)
         is_row[rows] = True

@@ -40,8 +40,6 @@ def synthetic_index(
     them get a year drawn from 700..1300, or a short year range starting at
     such a year.
     """
-    if max(n_tokens, vocab_size, n_docs) > np.iinfo(np.int64).max:
-        raise CorpusError(f"synthetic corpus sizes must be <= {np.iinfo(np.int64).max}")
     if max(n_tokens, vocab_size, n_docs) > _MAX_SIZE:
         raise CorpusError(f"synthetic corpus sizes above {_MAX_SIZE} exceed numpy's array size limit")
     if n_tokens < 0 or vocab_size < 1 or n_docs < 1:

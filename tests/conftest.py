@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from diachrona import cooc, frequency
 from diachrona.corpus import CorpusIndex, DateSpec
 from diachrona.ingest import index_from_documents
 
@@ -95,6 +96,29 @@ def corpora(draw, vocab_sizes=st.integers(1, 5), tagged=False):
         tokens = [(f"l{v}", tag, f"l{v}") for v, tag in zip(lemmas, tags)]
         docs.append((f"d{i}", date, None, tokens))
     return build_index(docs)
+
+
+# (single-lemma scans before an index builds its postings, kernel slab size);
+# None keeps the module's own value
+LOOKUP_PATHS = {
+    "postings-slab1": (0, 1),
+    "scan-slab2": (None, 2),
+    "postings-slab7": (0, 7),
+}
+
+
+@pytest.fixture(scope="class", params=list(LOOKUP_PATHS.values()), ids=list(LOOKUP_PATHS))
+def lookup_path(request):
+    """Runs a test class with single-lemma lookups read from postings built
+    on an index's first lookup, and/or with the window kernel walking slabs
+    of a few occurrences.  Class-scoped, so hypothesis tests may use it."""
+    scans, slab = request.param
+    with pytest.MonkeyPatch.context() as patch:
+        if scans is not None:
+            patch.setattr(frequency, "_SCANS_BEFORE_POSTINGS", scans)
+        if slab is not None:
+            patch.setattr(cooc, "_SLAB", slab)
+        yield request.param
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ class TestIndexBuild:
         ],
     )
     def test_synth_size_beyond_int64_is_one_line_error(self, tmp_path, capsys, sizes):
-        message = "synthetic corpus sizes must be <= 9223372036854775807"
+        message = "synthetic corpus sizes above 1152921504606846975 exceed numpy's array size limit"
         with pytest.raises(CorpusError, match=message):
             synthetic_index(sizes["tokens"], sizes["vocab"], sizes["docs"], seed=1)
         out = tmp_path / "big.csem"

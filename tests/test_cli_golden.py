@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from diachrona import frequency
 from diachrona.cli import run_cli
 
 SAMPLE = importlib.resources.files("diachrona") / "data" / "sample.vrt"
@@ -97,11 +98,10 @@ def golden_index(tmp_path_factory):
     return build_sample(tmp_path_factory.mktemp("golden") / "sample.csem")
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_matches_golden(golden_index, tmp_path, case):
+def check_case(case: str, index: Path, workdir: Path) -> None:
     argv = CASES[case]
-    code, out, err, files = run_case(argv, golden_index, tmp_path)
-    assert (code, err) == (0, "")
+    code, out, err, files = run_case(argv, index, workdir)
+    assert (code, err) == (0, ""), case
     assert out.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
     for name in (a[1:] for a in argv if a.startswith("@")):
         golden = GOLDEN / f"{case}.{name}"
@@ -109,6 +109,30 @@ def test_cli_output_matches_golden(golden_index, tmp_path, case):
             assert files.get(name) == golden.read_bytes(), name
         else:
             assert name not in files, name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(golden_index, tmp_path, case):
+    check_case(case, golden_index, tmp_path)
+
+
+def test_cli_output_on_postings_matches_golden(golden_index, tmp_path, monkeypatch):
+    # every single-lemma lookup reads postings, built on the index's first one
+    monkeypatch.setattr(frequency, "_SCANS_BEFORE_POSTINGS", 0)
+    for case in sorted(CASES):
+        (tmp_path / case).mkdir()
+        check_case(case, golden_index, tmp_path / case)
+
+
+def test_cold_queries_build_no_postings(golden_index, tmp_path, monkeypatch):
+    # each query loads its own index and makes too few lookups to pay for a build
+    def refuse(index):
+        raise AssertionError("a cold query built postings")
+
+    monkeypatch.setattr(frequency, "_postings", refuse)
+    for case in sorted(CASES):
+        (tmp_path / case).mkdir()
+        check_case(case, golden_index, tmp_path / case)
 
 
 def regenerate() -> None:

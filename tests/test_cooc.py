@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diachrona import cooc
+from diachrona import cooc, frequency
 from diachrona.cooc import (
     adjacency_count,
     cooc_counts,
@@ -279,6 +280,23 @@ class TestTopCooccurrents:
         ranked = top_cooccurrents(index, None, "p", 1, k=10, pos_filter={"NOM"})
         assert {c.lemma for c in ranked} == {"q"}
 
+    def test_pos_filter_copies_a_partial_docset_once(self, monkeypatch):
+        # the totals and the allowed-tag counts share one copy of each column
+        index = random_index(np.random.default_rng(12), min_tokens=200, max_tokens=400)
+        docs = {d.doc_id for d in index.documents[::2]}
+        pivot = index.lemmas[0]
+        expected = top_cooccurrents(index, docs, pivot, 3, 5, pos_filter={"NOM"})
+        copied = Counter()
+        real = frequency._docset_values
+
+        def spy(index, dmask, column):
+            copied["lemma" if column is index.lemma_ids else "pos"] += 1
+            return real(index, dmask, column)
+
+        monkeypatch.setattr(frequency, "_docset_values", spy)
+        assert top_cooccurrents(index, docs, pivot, 3, 5, pos_filter={"NOM"}) == expected
+        assert copied == {"lemma": 1, "pos": 1}
+
     def test_matches_brute_force_ranking(self):
         rng = np.random.default_rng(52)
         for _ in range(20):
@@ -522,6 +540,12 @@ class TestKernelProperties:
         )
 
 
+@pytest.mark.usefixtures("lookup_path")
+class TestKernelPropertiesOnEveryLookupPath(TestKernelProperties):
+    """The oracle properties again, with single-lemma lookups read from
+    postings and with the kernel walking slabs of 1, 2 and 7 occurrences."""
+
+
 class TestRankingProperties:
     """Few lemmas give many tied scores, so the k-th value is often shared."""
 
@@ -585,3 +609,30 @@ def test_huge_window_counts_like_the_longest_document():
     assert (huge.pair_counts, huge.neighbor_freqs) == (exact.pair_counts, exact.neighbor_freqs)
     assert huge.pivot_freq == exact.pivot_freq
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("cols", ["rows", "all"])
+def test_kernel_temporaries_are_bounded_by_the_slab(monkeypatch, cols):
+    # eight lemmas, all of them rows: every token is a row occurrence
+    index = synthetic_index(200_000, 8, 50, seed=3)
+    rows = list(range(8))
+    n_occ = index.total_tokens
+
+    def peak(slab):
+        monkeypatch.setattr(cooc, "_SLAB", slab)
+        tracemalloc.start()
+        try:
+            counts = cooc._window_pairs(index, None, 1, rows, 5, rows if cols == "rows" else None)
+            return tracemalloc.get_traced_memory()[1], counts
+        finally:
+            tracemalloc.stop()
+
+    slab = 1024
+    # kept whole: the int64 occurrence positions and their int32 documents;
+    # everything else is a few int64 arrays per slab, plus small V-length tables
+    bound = 12 * n_occ + 128 * slab + (256 << 10)
+    small, counts = peak(slab)
+    assert small < bound
+    whole, same = peak(n_occ)
+    assert np.array_equal(counts, same)
+    assert whole > bound  # one slab of every occurrence would break the bound

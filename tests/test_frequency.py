@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diachrona.corpus import CorpusError, DateSpec
+from diachrona import frequency
+from diachrona.corpus import CorpusError, CorpusIndex, DateSpec, Document, Vocabulary
 from diachrona.frequency import (
     CountTable,
     _docset_counts,
     _docset_values,
     _MAX_YEAR_BINS,
+    _SCANS_BEFORE_POSTINGS,
     _lemma_pos_counts,
+    _occurrences,
+    _postings,
     _year_bins,
     count_table,
     form_share,
@@ -19,6 +23,8 @@ from diachrona.frequency import (
     ratio,
     time_series,
 )
+
+from diachrona.indexio import load_index, save_index
 
 from conftest import build_index, corpora, doc_lemma_lists, lemma_doc, random_index
 
@@ -79,6 +85,11 @@ class TestLemmaCount:
         for lemma in [*index.lemmas, "nemo"]:
             expected = sum(lem == lemma for _, lem in tokens)
             assert lemma_count(index, dmask, lemma) == expected
+
+
+@pytest.mark.usefixtures("lookup_path")
+class TestLemmaCountOnEveryLookupPath(TestLemmaCount):
+    """The lemma count tests again, with every lookup read from postings."""
 
 
 class TestCountTable:
@@ -362,6 +373,11 @@ class TestTimeSeries:
             assert [b.token_mass for b in series.bins] == [masses.get(s, 0) for s in starts]
 
 
+@pytest.mark.usefixtures("lookup_path")
+class TestTimeSeriesOnEveryLookupPath(TestTimeSeries):
+    """The time series tests again, with every lookup read from postings."""
+
+
 class TestMovingAverage:
     def test_centered_window(self):
         assert moving_average([1.0, 2.0, 3.0], 3) == [1.5, 2.0, 2.5]
@@ -413,3 +429,84 @@ class TestDocsetCountProperties:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] += 1
+
+
+def _check_postings(index, offsets, positions):
+    """Lemma i's slice holds exactly its positions, ascending."""
+    assert offsets.tolist() == [0, *np.cumsum(np.bincount(index.lemma_ids, minlength=len(index.lemmas)))]
+    slice_lemma = np.repeat(np.arange(len(index.lemmas)), np.diff(offsets))
+    assert index.lemma_ids[positions].tolist() == slice_lemma.tolist()
+    ascending = np.diff(positions.astype(np.int64)) > 0
+    assert ascending[slice_lemma[1:] == slice_lemma[:-1]].all()
+
+
+class TestPostings:
+    @settings(max_examples=60, deadline=None)
+    @given(corpora())
+    def test_each_lemma_slice_is_its_scan_read_only_and_narrow(self, index):
+        offsets, positions = _postings(index)
+        assert positions.dtype == np.uint32
+        for lid in range(len(index.lemmas)):
+            scan = np.flatnonzero(index.lemma_ids == lid)
+            assert positions[offsets[lid] : offsets[lid + 1]].tolist() == scan.tolist()
+        assert _postings(index)[1] is positions
+        for arr in (offsets, positions):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[-1] = 0
+
+    def test_vocabulary_beyond_16_bits_sorts_on_full_keys(self):
+        n_lemmas, n_tokens = 70_000, 5_000
+        rng = np.random.default_rng(8)
+        lemma_ids = rng.integers(0, n_lemmas, size=n_tokens)
+        # ids that 16-bit keys would fold onto 0 and 7
+        lemma_ids[:6] = [65_536, 0, 65_543, 7, 65_536, 0]
+        index = CorpusIndex(
+            Vocabulary(f"l{i}" for i in range(n_lemmas)),
+            Vocabulary(["f"]),
+            Vocabulary(["NOM"]),
+            lemma_ids,
+            np.zeros(n_tokens, dtype=np.uint32),
+            np.zeros(n_tokens, dtype=np.uint16),
+            [
+                Document("a", DateSpec.undated(), None, 0, 3),
+                Document("b", DateSpec.exact(900), None, 3, n_tokens - 3),
+            ],
+        )
+        offsets, positions = _postings(index)
+        assert positions.dtype == np.uint32
+        _check_postings(index, offsets, positions)
+        for lid in (0, 7, 65_536, 65_543):
+            want = np.flatnonzero(lemma_ids == lid)
+            found, per_doc = _occurrences(index, [lid])
+            assert found.tolist() == want.tolist()
+            assert per_doc.tolist() == [np.count_nonzero(want < 3), np.count_nonzero(want >= 3)]
+
+    def test_built_on_the_lookup_after_the_scan_threshold(self):
+        index = random_index(np.random.default_rng(5))
+        lemma = index.lemmas[0]
+        expected = lemma_count(index, None, lemma)
+        for _ in range(_SCANS_BEFORE_POSTINGS - 1):
+            _occurrences(index, [0, 1])  # several lemmas are a gather pass and do not count
+            assert lemma_count(index, None, lemma) == expected
+        assert index._postings is None
+        assert lemma_count(index, None, lemma) == expected
+        assert index._postings is not None
+        _check_postings(index, *index._postings)
+
+    def test_postings_lookup_gives_signed_positions(self, monkeypatch):
+        monkeypatch.setattr(frequency, "_SCANS_BEFORE_POSTINGS", 0)
+        index = random_index(np.random.default_rng(6))
+        positions, _ = _occurrences(index, [0])
+        assert positions.dtype == np.intp
+        assert (positions - index.total_tokens < 0).all()
+
+    def test_building_changes_neither_equality_nor_saved_bytes(self, tmp_path):
+        index = random_index(np.random.default_rng(7))
+        twin = random_index(np.random.default_rng(7))
+        save_index(index, tmp_path / "before.csem")
+        _postings(index)
+        save_index(index, tmp_path / "after.csem")
+        assert (tmp_path / "before.csem").read_bytes() == (tmp_path / "after.csem").read_bytes()
+        assert index == twin and twin == index
+        assert load_index(tmp_path / "after.csem") == index

@@ -116,10 +116,11 @@ def _docset_counts(
 
 
 # Single-lemma lookups an index answers by scanning its lemma column before
-# it builds postings.  One build costs 17-27 scans (10M and 1M tokens), so
-# building on the next lookup keeps the total lookup cost within about twice
-# that of the best choice made in hindsight, and a cold CLI query, which
-# makes 1-3 lookups per loaded index, never builds.
+# it builds postings.  One build costs as much as 17-27 scans (measured at
+# 1M and 10M tokens on a 2-core host), so building on the next lookup keeps
+# the total lookup cost within about twice that of the best choice made in
+# hindsight (the ski-rental rule), and a cold CLI query, which makes 1-3
+# lookups per loaded index, never builds.
 _SCANS_BEFORE_POSTINGS = 15
 
 

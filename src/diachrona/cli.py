@@ -14,7 +14,7 @@ its chart to ``--svg`` when given.  A query is a function of
 (conjunction).  Accepted forms: ``date=LO..HI`` (midpoint within the
 interval), ``typology=TAG``, ``dated``.  Filters resolve to one boolean
 document mask read from the index's document columns (``doc_dated``,
-``doc_mids``) and typology tags.  ``evolve`` has no ``--filter``; it
+``doc_mids``, ``doc_typology``).  ``evolve`` has no ``--filter``; it
 tranches the dated documents.  ``freq table`` AND-s ``--filter`` into each
 ``--slice`` column, or uses it as its single ``all`` column.  ``--min``
 (minimum pair count) must be at least 1.
@@ -76,7 +76,7 @@ def _filter_mask(index: CorpusIndex, expr: str) -> np.ndarray:
             raise CorpusError(f"bad date filter (years must be integers): {expr!r}") from None
         return index.doc_dated & (index.doc_mids >= lo) & (index.doc_mids <= hi)
     if key == "typology" and sep:
-        return np.fromiter((doc.typology == value for doc in index.documents), bool, len(index))
+        return np.fromiter((tag == value for tag in index.doc_typology), bool, len(index))
     raise CorpusError(f"unknown filter: {expr!r}")
 
 
@@ -123,7 +123,7 @@ def _cmd_index_build(args) -> int:
         index = parse_vertical(lines, drop_pos=drop)
     save_index(index, args.out)
     sys.stderr.write(
-        f"indexed {index.total_tokens} tokens in {len(index.documents)} documents "
+        f"indexed {index.total_tokens} tokens in {len(index)} documents "
         f"({len(index.lemmas)} lemmas) -> {args.out}\n"
     )
     return 0

@@ -1,23 +1,30 @@
 """Immutable corpus model: interned vocabularies, columnar token arrays,
-and a document table with dating metadata.
+and a columnar document table with dating metadata.
 
 A :class:`CorpusIndex` stores three parallel integer arrays (lemma ids,
-form ids, POS ids) covering every retained token of the corpus, plus an
-ordered document table mapping each document onto a contiguous slice of
-those arrays.  Queries read the table as three columns, ``doc_starts``,
-``doc_dated`` and ``doc_mids``, and resolve any docset once into a boolean
-mask over documents (``doc_mask``).  The arrays are read-only after
-construction, and all query modules are pure readers.  The lazy caches (the
-lemma x POS counts, the postings, the dated order) are each built into a
-local and assigned once, so readers on several threads can at worst build
-one twice; a lost increment of the lookup counter only delays the postings.
+form ids, POS ids) covering every retained token of the corpus, plus a
+document table of columns with one entry per document: ``doc_ids`` (a
+:class:`Vocabulary`, so a document's position is its id's id),
+``doc_starts`` (token offsets, one more entry than there are documents:
+document i covers tokens ``doc_starts[i]:doc_starts[i+1]``), ``doc_kind``
+(a :class:`DateKind`), ``doc_lo`` and ``doc_hi`` (0 when undated),
+``doc_typology`` (a tag or None), and the derived ``doc_dated`` and
+``doc_mids`` (floor midpoints, 0 when undated).  ``documents`` reads the
+table as :class:`Document` records, built on first access.  Queries
+resolve any docset once into a boolean mask over documents (``doc_mask``).
+The arrays are read-only after construction, and all query modules are pure
+readers.  The lazy caches (the lemma x POS counts, the postings, the dated
+order, the records) are each built into a local and assigned once, so
+readers on several threads can at worst build one twice; a lost increment
+of the lookup counter only delays the postings.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +43,8 @@ __all__ = [
 
 # POS ids are stored as u16 on disk; the vocabulary must fit.
 MAX_POS_ENTRIES = 1 << 16
+# an index's arrays besides the derived doc_dated and doc_mids
+_COLUMNS = ("lemma_ids", "form_ids", "pos_ids", "doc_starts", "doc_kind", "doc_lo", "doc_hi")
 
 
 class CorpusError(Exception):
@@ -47,12 +56,12 @@ class Vocabulary:
 
     __slots__ = ("entries", "_lookup")
 
-    def __init__(self, entries: Iterable[str] = ()) -> None:
+    def __init__(self, entries: Iterable[str] = (), what: str = "vocabulary entry") -> None:
         self.entries: list[str] = []
         self._lookup: dict[str, int] = {}
         for entry in entries:
             if entry in self._lookup:
-                raise CorpusError(f"duplicate vocabulary entry: {entry!r}")
+                raise CorpusError(f"duplicate {what}: {entry!r}")
             self._lookup[entry] = len(self.entries)
             self.entries.append(entry)
 
@@ -148,10 +157,10 @@ class Document:
 class CorpusIndex:
     """Read-only corpus: vocabularies + columnar token ids + document table.
 
-    Construction validates every invariant once (array lengths, id ranges,
-    contiguous disjoint document slices, unique document ids) and makes the
-    arrays read-only; afterwards the index is safe for concurrent readers
-    (see the module docstring on its lazy caches).
+    Construction validates every invariant once (column lengths, id ranges,
+    contiguous document slices that cover the tokens, valid dates, unique
+    document ids) and makes the arrays read-only; afterwards the index is
+    safe for concurrent readers (see the module docstring on its lazy caches).
     """
 
     def __init__(
@@ -162,7 +171,12 @@ class CorpusIndex:
         lemma_ids: np.ndarray,
         form_ids: np.ndarray,
         pos_ids: np.ndarray,
-        documents: list[Document],
+        doc_ids: Iterable[str],
+        doc_starts: Sequence[int] | np.ndarray,
+        doc_kind: Sequence[int] | np.ndarray,
+        doc_lo: Sequence[int] | np.ndarray,
+        doc_hi: Sequence[int] | np.ndarray,
+        doc_typology: Iterable[str | None],
     ) -> None:
         lemma_ids = np.ascontiguousarray(lemma_ids)
         form_ids = np.ascontiguousarray(form_ids)
@@ -176,23 +190,32 @@ class CorpusIndex:
         if len(pos_tags) > MAX_POS_ENTRIES:
             raise CorpusError("POS vocabulary exceeds u16 capacity")
 
-        starts = [0]
-        mids = []
-        self._position_of: dict[str, int] = {}
-        for pos, doc in enumerate(documents):
-            if doc.token_len < 0:
-                raise CorpusError(f"negative token_len in document {doc.doc_id!r}")
-            if doc.token_start != starts[-1]:
-                raise CorpusError(
-                    f"document {doc.doc_id!r} starts at {doc.token_start}, expected {starts[-1]}"
-                )
-            if doc.doc_id in self._position_of:
-                raise CorpusError(f"duplicate document id: {doc.doc_id!r}")
-            self._position_of[doc.doc_id] = pos
-            starts.append(starts[-1] + doc.token_len)
-            mids.append(doc.date.midpoint())
+        self.doc_ids = Vocabulary(doc_ids, what="document id")
+        self.doc_typology = tuple(tag or None for tag in doc_typology)
+        starts = np.asarray(doc_starts, dtype=np.int64)
+        try:
+            kind, lo, hi = (np.asarray(col, dtype=np.int64) for col in (doc_kind, doc_lo, doc_hi))
+        except OverflowError:
+            raise CorpusError("a document's date midpoint is outside int64") from None
+        n_docs = len(self.doc_ids)
+        if {len(starts) - 1, len(kind), len(lo), len(hi), len(self.doc_typology)} != {n_docs}:
+            raise CorpusError(f"document columns differ in length for {n_docs} documents")
+        if starts[0] != 0:
+            raise CorpusError(f"documents start at token {starts[0]}, expected 0")
         if starts[-1] != n:
             raise CorpusError(f"documents cover {starts[-1]} tokens, arrays hold {n}")
+        lengths = np.diff(starts)
+        for bad, problem in (
+            (lengths < 0, "token length {len} is negative"),
+            ((kind < 0) | (kind > 2), "invalid date kind {kind}"),
+            ((kind == DateKind.UNDATED) & ((lo | hi) != 0), "undated, yet carries years {lo}..{hi}"),
+            ((kind == DateKind.EXACT) & (lo != hi), "exact date spans {lo}..{hi}"),
+            (lo > hi, "date interval reversed: {lo} > {hi}"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                detail = problem.format(len=lengths[i], kind=kind[i], lo=lo[i], hi=hi[i])
+                raise CorpusError(f"document {self.doc_ids[i]!r}: {detail}")
 
         self.lemmas = lemmas
         self.forms = forms
@@ -200,18 +223,12 @@ class CorpusIndex:
         self.lemma_ids = lemma_ids.astype(np.uint32, copy=False)
         self.form_ids = form_ids.astype(np.uint32, copy=False)
         self.pos_ids = pos_ids.astype(np.uint16, copy=False)
-        self.documents = tuple(documents)
-        # the document table as columns: token offsets (one more entry than
-        # there are documents), dated flags, date midpoints (0 when undated)
-        self.doc_starts = np.asarray(starts, dtype=np.int64)
-        self.doc_dated = np.asarray([mid is not None for mid in mids], dtype=bool)
-        try:
-            self.doc_mids = np.asarray([mid or 0 for mid in mids], dtype=np.int64)
-        except OverflowError:
-            raise CorpusError("a document's date midpoint is outside int64") from None
-        columns = (self.doc_starts, self.doc_dated, self.doc_mids)
-        for arr in (self.lemma_ids, self.form_ids, self.pos_ids, *columns):
-            arr.flags.writeable = False
+        self.doc_starts, self.doc_kind, self.doc_lo, self.doc_hi = starts, kind, lo, hi
+        self.doc_dated = kind != DateKind.UNDATED
+        # the floor of (lo + hi) / 2 without forming lo + hi, which int64 can overflow
+        self.doc_mids = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        for name in (*_COLUMNS, "doc_dated", "doc_mids"):
+            getattr(self, name).flags.writeable = False
         # full-corpus (lemma, POS) token counts, filled by frequency._lemma_pos_counts
         self._lemma_pos: np.ndarray | None = None
         # single-lemma lookups made by a full scan, and the (offsets,
@@ -221,36 +238,40 @@ class CorpusIndex:
         self._postings: tuple[np.ndarray, np.ndarray] | None = None
         self._dated_order: tuple[int, ...] | None = None
 
+    @cached_property
+    def documents(self) -> tuple[Document, ...]:
+        """The document table as :class:`Document` records, built on first access."""
+        dates = [
+            DateSpec(DateKind(kind), lo, hi) if kind else DateSpec.undated()
+            for kind, lo, hi in zip(self.doc_kind.tolist(), self.doc_lo.tolist(), self.doc_hi.tolist())
+        ]
+        starts, lengths = self.doc_starts.tolist(), np.diff(self.doc_starts).tolist()
+        return tuple(map(Document, self.doc_ids, dates, self.doc_typology, starts, lengths))
+
     @property
     def total_tokens(self) -> int:
         return len(self.lemma_ids)
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.doc_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CorpusIndex):
             return NotImplemented
-        return (
-            self.lemmas == other.lemmas
-            and self.forms == other.forms
-            and self.pos_tags == other.pos_tags
-            and np.array_equal(self.lemma_ids, other.lemma_ids)
-            and np.array_equal(self.form_ids, other.form_ids)
-            and np.array_equal(self.pos_ids, other.pos_ids)
-            and self.documents == other.documents
-        )
+        return (self.lemmas, self.forms, self.pos_tags, self.doc_ids, self.doc_typology) == (
+            other.lemmas, other.forms, other.pos_tags, other.doc_ids, other.doc_typology
+        ) and all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
     def position_of(self, doc_id: str) -> int:
-        try:
-            return self._position_of[doc_id]
-        except KeyError:
-            raise CorpusError(f"unknown document id: {doc_id!r}") from None
+        position = self.doc_ids.id_of(doc_id)
+        if position is None:
+            raise CorpusError(f"unknown document id: {doc_id!r}")
+        return position
 
     def dated_order(self) -> tuple[int, ...]:
         """Positions of dated documents sorted by (midpoint, doc_id), stable."""
         if self._dated_order is None:
-            ids = list(self._position_of)  # in position order
+            ids = self.doc_ids.entries
             mids = self.doc_mids.tolist()
             order = np.flatnonzero(self.doc_dated).tolist()
             order.sort(key=lambda pos: (mids[pos], ids[pos]))

@@ -18,19 +18,19 @@ Format version 1, all integers little-endian, strings length-prefixed UTF-8:
                        token_start u64, token_len u32
 
 Saving is deterministic: the same index always produces byte-identical
-files.  Loading validates magic, version, completeness, and id ranges,
-raising a distinct error for each failure mode.
+files.  Loading reads the file once and parses it at offsets; it validates
+magic, version, completeness and id ranges, raising a distinct error for
+each failure mode, and the index checks the document table it is given.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from typing import BinaryIO
 
 import numpy as np
 
-from .corpus import CorpusError, CorpusIndex, DateKind, DateSpec, Document, Vocabulary
+from .corpus import CorpusError, CorpusIndex, Vocabulary
 
 __all__ = [
     "MAGIC",
@@ -83,16 +83,18 @@ def save_index(index: CorpusIndex, path: str | os.PathLike) -> None:
     parts.append(index.lemma_ids.astype("<u4", copy=False).tobytes())
     parts.append(index.form_ids.astype("<u4", copy=False).tobytes())
     parts.append(index.pos_ids.astype("<u2", copy=False).tobytes())
-    parts.append(struct.pack("<I", len(index.documents)))
-    for doc in index.documents:
-        parts.append(_pack_str(doc.doc_id))
-        lo = doc.date.lo if doc.date.lo is not None else 0
-        hi = doc.date.hi if doc.date.hi is not None else 0
-        if not (_I32_MIN <= lo <= _I32_MAX and _I32_MIN <= hi <= _I32_MAX):
-            raise CorpusError(f"document {doc.doc_id!r}: date {lo}..{hi} is outside int32")
-        parts.append(struct.pack("<Bii", int(doc.date.kind), lo, hi))
-        parts.append(_pack_str(doc.typology or ""))
-        parts.append(struct.pack("<QI", doc.token_start, doc.token_len))
+    parts.append(struct.pack("<I", len(index)))
+    starts = index.doc_starts.tolist()
+    dates = zip(index.doc_kind.tolist(), index.doc_lo.tolist(), index.doc_hi.tolist())
+    for doc_id, (kind, lo, hi), typology, start, end in zip(
+        index.doc_ids, dates, index.doc_typology, starts, starts[1:]
+    ):
+        if not (_I32_MIN <= lo and hi <= _I32_MAX):
+            raise CorpusError(f"document {doc_id!r}: date {lo}..{hi} is outside int32")
+        parts.append(_pack_str(doc_id))
+        parts.append(struct.pack("<Bii", kind, lo, hi))
+        parts.append(_pack_str(typology or ""))
+        parts.append(struct.pack("<QI", start, end - start))
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -102,81 +104,85 @@ def load_index(path: str | os.PathLike) -> CorpusIndex:
 
     Every malformed file raises an :class:`IndexFormatError`.  Tables the
     index itself rejects (a repeated vocabulary entry or document id,
-    documents that do not cover the tokens, a reversed date range) raise
-    the base class with the index's message.
+    documents that do not cover the tokens, an invalid date) raise the base
+    class with the index's message.
     """
-    with open(path, "rb") as raw:
-        try:
-            return _read_index(raw)
-        except IndexFormatError:
-            raise
-        except CorpusError as exc:
-            raise IndexFormatError(f"corrupt index: {exc}") from None
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    try:
+        return _read_index(_Cursor(buf))
+    except IndexFormatError:
+        raise
+    except CorpusError as exc:
+        raise IndexFormatError(f"corrupt index: {exc}") from None
 
 
-def _read_index(raw: BinaryIO) -> CorpusIndex:
-    fh = _Reader(raw)
-    magic = raw.read(4)
-    if len(magic) < 4:
-        raise TruncatedFileError("file shorter than magic")
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic: {magic!r}")
-    version = _unpack(fh, "<I")[0]
+def _read_index(cur: "_Cursor") -> CorpusIndex:
+    cur.skip(4)
+    if cur.data[:4] != MAGIC:
+        raise BadMagicError(f"bad magic: {cur.data[:4]!r}")
+    version = cur.unpack("<I")[0]
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"unsupported format version: {version}")
-    lemmas = _read_vocab(fh)
-    forms = _read_vocab(fh)
-    pos_tags = _read_vocab(fh)
-    n = _unpack(fh, "<Q")[0]
-    lemma_ids = _read_array(fh, "<u4", n)
-    form_ids = _read_array(fh, "<u4", n)
-    pos_ids = _read_array(fh, "<u2", n)
+    lemmas, forms, pos_tags = (
+        Vocabulary(cur.string() for _ in range(cur.unpack("<I")[0])) for _ in range(3)
+    )
+    n = cur.unpack("<Q")[0]
+    lemma_ids = cur.array("<u4", n)
+    form_ids = cur.array("<u4", n)
+    pos_ids = cur.array("<u2", n)
     _check_range(lemma_ids, len(lemmas), "lemma")
     _check_range(form_ids, len(forms), "form")
     _check_range(pos_ids, len(pos_tags), "POS")
-    doc_count = _unpack(fh, "<I")[0]
-    documents = []
-    for _ in range(doc_count):
-        doc_id = _read_str(fh)
-        kind_byte, lo, hi = _unpack(fh, "<Bii")
-        try:
-            kind = DateKind(kind_byte)
-        except ValueError:
-            raise IndexFormatError(f"invalid date kind byte: {kind_byte}") from None
-        if kind is DateKind.UNDATED:
-            date = DateSpec.undated()
-        elif kind is DateKind.EXACT:
-            date = DateSpec.exact(lo)
-        else:
-            date = DateSpec(DateKind.RANGE, lo, hi)
-        typology = _read_str(fh) or None
-        token_start, token_len = _unpack(fh, "<QI")
-        documents.append(Document(doc_id, date, typology, token_start, token_len))
-    if fh.remaining():
+    # per document: id, date kind, lo, hi, typology, token start, token length
+    docs = [
+        (cur.string(), *cur.unpack("<Bii"), cur.string(), *cur.unpack("<QI"))
+        for _ in range(cur.unpack("<I")[0])
+    ]
+    if cur.at != len(cur.data):
         raise IndexFormatError("trailing bytes after document table")
-    return CorpusIndex(lemmas, forms, pos_tags, lemma_ids, form_ids, pos_ids, documents)
+    ids, kinds, los, his, typologies, starts, lengths = zip(*docs) if docs else [()] * 7
+    doc_starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    if not np.array_equal(starts, doc_starts[:-1]):
+        raise IndexFormatError("stored document starts disagree with the document lengths")
+    return CorpusIndex(
+        lemmas, forms, pos_tags, lemma_ids, form_ids, pos_ids, ids, doc_starts, kinds, los, his, typologies
+    )
 
 
-class _Reader:
-    """Exact-size reads with an up-front length check, so a corrupt count
-    field raises TruncatedFileError instead of attempting a huge allocation."""
+class _Cursor:
+    """Parses a file image at a moving offset.  Every read checks its length
+    against the image first, so a corrupt count field raises
+    TruncatedFileError instead of attempting a huge allocation."""
 
-    def __init__(self, fh: BinaryIO) -> None:
-        self._fh = fh
-        self._size = os.fstat(fh.fileno()).st_size
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.at = 0
 
-    def read_exact(self, size: int) -> bytes:
-        if self._fh.tell() + size > self._size:
+    def skip(self, size: int) -> int:
+        """Advance past ``size`` bytes; return the offset they start at."""
+        start = self.at
+        if start + size > len(self.data):
             raise TruncatedFileError(
-                f"expected {size} bytes at offset {self._fh.tell()}, file has {self._size}"
+                f"expected {size} bytes at offset {start}, file has {len(self.data)}"
             )
-        buf = self._fh.read(size)
-        if len(buf) != size:
-            raise TruncatedFileError(f"expected {size} bytes, got {len(buf)}")
-        return buf
+        self.at = start + size
+        return start
 
-    def remaining(self) -> int:
-        return self._size - self._fh.tell()
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self.skip(struct.calcsize(fmt)))
+
+    def string(self) -> str:
+        size = self.unpack("<I")[0]
+        start = self.skip(size)
+        try:
+            return self.data[start : start + size].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"stored string is not valid UTF-8 ({exc.reason})") from None
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        start = self.skip(count * np.dtype(dtype).itemsize)
+        return np.frombuffer(self.data, dtype, count, start).copy()
 
 
 def _pack_str(s: str) -> bytes:
@@ -189,28 +195,6 @@ def _pack_vocab(vocab: Vocabulary) -> bytes:
     for entry in vocab:
         parts.append(_pack_str(entry))
     return b"".join(parts)
-
-
-def _unpack(fh: "_Reader", fmt: str) -> tuple:
-    return struct.unpack(fmt, fh.read_exact(struct.calcsize(fmt)))
-
-
-def _read_str(fh: "_Reader") -> str:
-    length = _unpack(fh, "<I")[0]
-    try:
-        return fh.read_exact(length).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IndexFormatError(f"stored string is not valid UTF-8 ({exc.reason})") from None
-
-
-def _read_vocab(fh: "_Reader") -> Vocabulary:
-    count = _unpack(fh, "<I")[0]
-    return Vocabulary(_read_str(fh) for _ in range(count))
-
-
-def _read_array(fh: "_Reader", dtype: str, count: int) -> np.ndarray:
-    raw = fh.read_exact(count * np.dtype(dtype).itemsize)
-    return np.frombuffer(raw, dtype=dtype).copy()
 
 
 def _check_range(ids: np.ndarray, size: int, what: str) -> None:

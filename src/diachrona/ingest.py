@@ -9,8 +9,8 @@ and lemmatizes through a lookup lexicon.
 Both paths make one interning pass: each turns its input into a stream of
 (form, POS, lemma) records and notes where every document starts, and
 ``_index`` interns the stream into three dense vocabularies (ids in
-first-seen order) and three token id columns, then cuts the columns into
-documents.
+first-seen order) and three token id columns, and hands the document heads
+to the index as its document columns.
 
 Ingestion fails loud: wrong column counts, empty forms, missing or reused
 ids (the implicit ``doc0`` included), repeated header keys and malformed
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CorpusError, CorpusIndex, DateSpec, Document, Vocabulary
+from .corpus import CorpusError, CorpusIndex, DateSpec, Vocabulary
 
 __all__ = [
     "UNKNOWN_LEMMA",
@@ -109,9 +109,9 @@ def _index(heads: list[_Head], records: Iterable[Sequence[str]]) -> CorpusIndex:
     """Intern a stream of (form, POS, lemma) records into an index.
 
     Each vocabulary is a plain dict whose ids are dense and in first-seen
-    order.  ``records`` is consumed first; then the token columns are cut
-    into documents at ``heads``, (doc_id, date, typology, first_token)
-    tuples that the record stream may append to while it runs.
+    order.  ``records`` is consumed first; then ``heads``, (doc_id, date,
+    typology, first_token) tuples that the record stream may append to while
+    it runs, become the document columns.
     """
     lemmas: dict[str, int] = {}
     forms: dict[str, int] = {}
@@ -121,11 +121,7 @@ def _index(heads: list[_Head], records: Iterable[Sequence[str]]) -> CorpusIndex:
         form_col.append(forms.setdefault(form, len(forms)))
         pos_col.append(tags.setdefault(pos, len(tags)))
         lemma_col.append(lemmas.setdefault(lemma, len(lemmas)))
-    ends = [head[3] for head in heads[1:]] + [len(lemma_col)]
-    documents = [
-        Document(doc_id, date, typology, start, end - start)
-        for (doc_id, date, typology, start), end in zip(heads, ends)
-    ]
+    ids, dates, typologies, starts = zip(*heads) if heads else [()] * 4
     return CorpusIndex(
         Vocabulary(lemmas),
         Vocabulary(forms),
@@ -133,7 +129,12 @@ def _index(heads: list[_Head], records: Iterable[Sequence[str]]) -> CorpusIndex:
         np.asarray(lemma_col, dtype=np.uint32),
         np.asarray(form_col, dtype=np.uint32),
         np.asarray(pos_col, dtype=np.uint16),
-        documents,
+        ids,
+        [*starts, len(lemma_col)],
+        [date.kind for date in dates],
+        [date.lo or 0 for date in dates],
+        [date.hi or 0 for date in dates],
+        typologies,
     )
 
 

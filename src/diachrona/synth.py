@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import CorpusError, CorpusIndex, DateSpec, Document, Vocabulary
+from .corpus import CorpusError, CorpusIndex, DateKind, Vocabulary
 
 __all__ = ["synthetic_index"]
 
@@ -81,18 +81,12 @@ def synthetic_index(
     ranged = rng.random(n_docs) < 0.2
     typologies = rng.integers(0, 3, size=n_docs)
 
-    documents = []
-    start = 0
-    for i in range(n_docs):
-        if dated[i]:
-            if ranged[i] and spans[i] > 0:
-                date = DateSpec.year_range(int(years[i]), min(int(years[i]) + int(spans[i]), _YEAR_HI + 40))
-            else:
-                date = DateSpec.exact(int(years[i]))
-        else:
-            date = DateSpec.undated()
-        typ = ("charter", "letter", None)[int(typologies[i])]
-        documents.append(Document(f"d{i:06d}", date, typ, start, int(doc_lens[i])))
-        start += int(doc_lens[i])
-
-    return CorpusIndex(lemmas, forms, pos_tags, lemma_ids, form_ids, base_pos, documents)
+    kinds = np.select([~dated, ranged & (spans > 0)], [DateKind.UNDATED, DateKind.RANGE], DateKind.EXACT)
+    lo = np.where(dated, years, 0)
+    hi = np.where(kinds == DateKind.RANGE, np.minimum(years + spans, _YEAR_HI + 40), lo)
+    ids = (f"d{i:06d}" for i in range(n_docs))
+    starts = np.concatenate(([0], np.cumsum(doc_lens)))
+    typology = np.array(["charter", "letter", None], dtype=object)[typologies]
+    return CorpusIndex(
+        lemmas, forms, pos_tags, lemma_ids, form_ids, base_pos, ids, starts, kinds, lo, hi, typology
+    )

@@ -79,10 +79,12 @@ def doc_lemma_lists(index: CorpusIndex) -> list[list[str]]:
 
 
 @st.composite
-def corpora(draw, vocab_sizes=st.integers(1, 5), tagged=False):
-    """Small corpus with a tiny vocabulary (so same-lemma pairs are common)
-    and empty, undated, exact and ranged documents.  Tokens are tagged NOM,
-    or with random tags from ``POS_TAGS`` when ``tagged``."""
+def corpus_records(draw, vocab_sizes=st.integers(1, 5), tagged=False, typologies=st.none()):
+    """(doc_id, date, typology, records) tuples of a small corpus with a tiny
+    vocabulary (so same-lemma pairs are common) and empty, undated, exact and
+    ranged documents.  Tokens are tagged NOM, or with random tags from
+    ``POS_TAGS`` when ``tagged``; each document's typology is drawn from
+    ``typologies``."""
     vocab = draw(vocab_sizes)
     docs = []
     for i in range(draw(st.integers(1, 7))):
@@ -94,8 +96,13 @@ def corpora(draw, vocab_sizes=st.integers(1, 5), tagged=False):
         else:
             date = DateSpec.year_range(lo, lo + draw(st.integers(0, 60)))
         tokens = [(f"l{v}", tag, f"l{v}") for v, tag in zip(lemmas, tags)]
-        docs.append((f"d{i}", date, None, tokens))
-    return build_index(docs)
+        docs.append((f"d{i}", date, draw(typologies), tokens))
+    return docs
+
+
+def corpora(vocab_sizes=st.integers(1, 5), tagged=False):
+    """Indexes of :func:`corpus_records` corpora."""
+    return corpus_records(vocab_sizes, tagged).map(build_index)
 
 
 # (single-lemma scans before an index builds its postings, kernel slab size);

@@ -25,6 +25,9 @@ import pytest
 
 from diachrona import frequency
 from diachrona.cli import run_cli
+from diachrona.corpus import CorpusIndex
+from diachrona.indexio import load_index, save_index
+from diachrona.synth import synthetic_index
 
 SAMPLE = importlib.resources.files("diachrona") / "data" / "sample.vrt"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -133,6 +136,22 @@ def test_cold_queries_build_no_postings(golden_index, tmp_path, monkeypatch):
     for case in sorted(CASES):
         (tmp_path / case).mkdir()
         check_case(case, golden_index, tmp_path / case)
+
+
+def test_no_document_records_on_the_load_synth_build_and_query_paths(tmp_path, monkeypatch):
+    # producers, the index file and every query read the document columns;
+    # the Document records are built only for callers that ask for them
+    def refuse(index):
+        raise AssertionError("Document records built")
+
+    monkeypatch.setattr(CorpusIndex, "documents", property(refuse))
+    index = synthetic_index(5_000, 50, 40, seed=3, dated_fraction=0.7)
+    save_index(index, tmp_path / "synth.csem")
+    assert load_index(tmp_path / "synth.csem") == index
+    sample = build_sample(tmp_path / "sample.csem")
+    for case in sorted(CASES):
+        (tmp_path / case).mkdir()
+        check_case(case, sample, tmp_path / case)
 
 
 def regenerate() -> None:

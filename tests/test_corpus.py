@@ -1,4 +1,6 @@
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +22,11 @@ from diachrona.corpus import (
 )
 from diachrona.diachrony import cooc_by_tranche, evolving_cooccurrents, make_tranches
 from diachrona.frequency import count_table, form_share, lemma_count, lemma_rank, time_series
+from diachrona.indexio import load_index, save_index
 from diachrona.ingest import index_from_documents
 from diachrona.semfield import semantic_map
 
-from conftest import POS_TAGS, build_index, lemma_doc, random_index
+from conftest import POS_TAGS, build_index, corpus_records, lemma_doc, random_index
 
 
 class TestVocabulary:
@@ -128,19 +131,23 @@ class TestCorpusIndex:
             index.lemma_ids[0] = 1
 
     def test_gap_in_token_ranges_rejected(self):
+        # two one-token documents over three tokens leave one uncovered
         vocab = Vocabulary(["a"])
-        docs = [Document("d1", DateSpec.undated(), None, 0, 1), Document("d2", DateSpec.undated(), None, 2, 1)]
         ids = np.zeros(3, dtype=np.uint32)
         with pytest.raises(CorpusError):
-            CorpusIndex(vocab, vocab, vocab, ids, ids, ids.astype(np.uint16), docs)
+            CorpusIndex(
+                vocab, vocab, vocab, ids, ids, ids.astype(np.uint16),
+                ["d1", "d2"], [0, 1, 2], [0, 0], [0, 0], [0, 0], [None, None],
+            )
 
     def test_id_out_of_range_rejected(self):
         vocab = Vocabulary(["a"])
-        docs = [Document("d1", DateSpec.undated(), None, 0, 1)]
         bad = np.array([5], dtype=np.uint32)
         ok = np.zeros(1, dtype=np.uint32)
         with pytest.raises(CorpusError):
-            CorpusIndex(vocab, vocab, vocab, bad, ok, ok.astype(np.uint16), docs)
+            CorpusIndex(
+                vocab, vocab, vocab, bad, ok, ok.astype(np.uint16), ["d1"], [0, 1], [0], [0], [0], [None]
+            )
 
     def test_duplicate_doc_ids_rejected(self):
         with pytest.raises(CorpusError):
@@ -333,3 +340,94 @@ class TestDocsetForms:
         dated = subcorpus(index, is_dated)
         ranked = top_cooccurrents(index, dated, names[0], window, len(index.lemmas) + 1, pos)
         assert set(vectors) == {c.lemma for c in ranked}
+
+
+def _columns(**changes):
+    """Document columns of a valid two-document, three-token index, with
+    ``changes`` applied."""
+    columns = dict(
+        doc_ids=["a", "b"],
+        doc_starts=[0, 1, 3],
+        doc_kind=[DateKind.EXACT, DateKind.RANGE],
+        doc_lo=[900, 950],
+        doc_hi=[900, 990],
+        doc_typology=[None, "charter"],
+    )
+    columns.update(changes)
+    vocab = Vocabulary(["a"])
+    ids = np.zeros(3, dtype=np.uint32)
+    return CorpusIndex(vocab, vocab, vocab, ids, ids, ids.astype(np.uint16), **columns)
+
+
+class TestDocumentColumns:
+    def test_valid_columns(self):
+        index = _columns()
+        assert len(index) == 2 and index.position_of("b") == 1
+        assert index.doc_mids.tolist() == [900, 970]
+        assert index.doc_dated.tolist() == [True, True]
+        for column in (index.doc_kind, index.doc_lo, index.doc_hi):
+            assert column.dtype == np.int64
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"doc_kind": [DateKind.EXACT]}, "document columns differ in length"),
+            ({"doc_starts": [0, 1]}, "document columns differ in length"),
+            ({"doc_starts": [1, 1, 3]}, "documents start at token 1, expected 0"),
+            ({"doc_starts": [0, 4, 3]}, "document 'b': token length -1 is negative"),
+            ({"doc_starts": [0, 1, 2]}, "documents cover 2 tokens, arrays hold 3"),
+            ({"doc_kind": [3, DateKind.RANGE]}, "document 'a': invalid date kind 3"),
+            ({"doc_kind": [DateKind.UNDATED, DateKind.RANGE]}, "document 'a': undated, yet carries years"),
+            ({"doc_hi": [901, 990]}, "document 'a': exact date spans 900..901"),
+            ({"doc_lo": [900, 991]}, "document 'b': date interval reversed: 991 > 990"),
+            ({"doc_ids": ["a", "a"]}, "duplicate document id: 'a'"),
+        ],
+        ids=[
+            "length-mismatch", "starts-length", "first-start", "decreasing-starts", "cover",
+            "kind-3", "undated-with-years", "exact-spans", "reversed-range", "duplicate-id",
+        ],
+    )
+    def test_malformed_columns_raise_one_line_errors(self, changes, message):
+        with pytest.raises(CorpusError, match=message) as caught:
+            _columns(**changes)
+        assert "\n" not in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (2**62 + 1, 2**62 + 3),
+            (2**62 - 1, 2**63 - 1),
+            (2**63 - 1, 2**63 - 1),
+            (-(2**63), -(2**62) - 1),
+            (-(2**63), 2**63 - 1),
+            (-(2**62) - 3, 2**62 + 1),
+        ],
+    )
+    def test_midpoints_near_the_int64_limits_are_exact(self, lo, hi):
+        date = DateSpec.year_range(lo, hi)
+        index = index_from_documents([lemma_doc("a", date, ["x"]), lemma_doc("b", DateSpec.exact(0), ["x"])])
+        assert index.doc_mids.tolist() == [(lo + hi) // 2, 0]
+        assert index.documents[0].date == date
+        assert index.dated_order() == ((0, 1) if (lo + hi) // 2 < 0 else (1, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus_records(typologies=st.sampled_from(["charter", "", None])))
+    def test_columns_hold_the_records_and_round_trip(self, docs):
+        index = build_index(docs)
+        starts = np.cumsum([0] + [len(tokens) for *_, tokens in docs]).tolist()
+        assert index.documents == tuple(
+            Document(doc_id, date, typology or None, start, len(tokens))
+            for (doc_id, date, typology, tokens), start in zip(docs, starts)
+        )
+        dated = [p for p, (_, date, _, _) in enumerate(docs) if date.is_dated]
+        assert index.dated_order() == tuple(
+            sorted(dated, key=lambda p: (docs[p][1].midpoint(), docs[p][0]))
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csem"
+            save_index(index, path)
+            loaded = load_index(path)
+        assert loaded == index
+        assert loaded.documents == index.documents

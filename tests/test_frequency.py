@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diachrona import frequency
-from diachrona.corpus import CorpusError, CorpusIndex, DateSpec, Document, Vocabulary
+from diachrona.corpus import CorpusError, CorpusIndex, DateKind, DateSpec, Vocabulary
 from diachrona.frequency import (
     CountTable,
     _docset_counts,
@@ -468,10 +468,12 @@ class TestPostings:
             lemma_ids,
             np.zeros(n_tokens, dtype=np.uint32),
             np.zeros(n_tokens, dtype=np.uint16),
-            [
-                Document("a", DateSpec.undated(), None, 0, 3),
-                Document("b", DateSpec.exact(900), None, 3, n_tokens - 3),
-            ],
+            ["a", "b"],
+            [0, 3, n_tokens],
+            [DateKind.UNDATED, DateKind.EXACT],
+            [0, 900],
+            [0, 900],
+            [None, None],
         )
         offsets, positions = _postings(index)
         assert positions.dtype == np.uint32

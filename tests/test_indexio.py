@@ -163,6 +163,67 @@ def test_corrupt_tables_raise_index_format_error(tmp_path, patch, message):
     assert "\n" not in str(caught.value)
 
 
+def test_empty_typology_survives_a_round_trip(tmp_path):
+    index = parse_vertical("#doc id=a typology= date=900\nx\tNOM\tx\n")
+    path = tmp_path / "x.csem"
+    save_index(index, path)
+    assert load_index(path) == index
+    assert index.documents[0].typology is None
+
+
+def _record(doc_id, kind, lo, hi, typology, start, length):
+    """One document's bytes in the index file."""
+    raw_id, raw_typology = doc_id.encode(), typology.encode()
+    return (
+        struct.pack("<I", len(raw_id)) + raw_id + struct.pack("<Bii", kind, lo, hi)
+        + struct.pack("<I", len(raw_typology)) + raw_typology + struct.pack("<QI", start, length)
+    )
+
+
+_A = ("a", 1, 900, 900, "", 0, 1)
+_B = ("b", 2, 950, 990, "charter", 1, 2)
+
+
+@pytest.mark.parametrize(
+    "old, new, error, message",
+    [
+        (
+            struct.pack("<I", 2) + _record(*_A),
+            struct.pack("<I", 3) + _record(*_A),
+            TruncatedFileError,
+            "expected",
+        ),
+        (_record(*_A), _record("a", 1, 900, 900, "", 1, 1), IndexFormatError, "starts disagree"),
+        (_record(*_B), _record("b", 2, 950, 990, "charter", 0, 2), IndexFormatError, "starts disagree"),
+        (_record(*_B), _record("b", 2, 950, 990, "charter", 1, 3), IndexFormatError, "cover 4 tokens"),
+        (_record(*_A), _record("a", 3, 900, 900, "", 0, 1), IndexFormatError, "invalid date kind 3"),
+        (_record(*_A), _record("a", 0, 900, 900, "", 0, 1), IndexFormatError, "undated, yet carries years"),
+        (_record(*_A), _record("a", 1, 900, 901, "", 0, 1), IndexFormatError, "exact date spans 900..901"),
+        (_record(*_B), _record("b", 2, 991, 990, "charter", 1, 2), IndexFormatError, "reversed: 991 > 990"),
+        (_record(*_B), _record("a", 2, 950, 990, "charter", 1, 2), IndexFormatError, "duplicate document id"),
+    ],
+    ids=[
+        "doc-count", "first-start", "start-before-previous-end", "cover", "kind-3",
+        "undated-with-years", "exact-spans", "reversed-range", "duplicate-id",
+    ],
+)
+def test_malformed_document_table_raises_one_line_index_format_error(tmp_path, old, new, error, message):
+    index = build_index(
+        [
+            lemma_doc("a", DateSpec.exact(900), ["x"]),
+            lemma_doc("b", DateSpec.year_range(950, 990), ["x", "y"], typology="charter"),
+        ]
+    )
+    path = tmp_path / "x.csem"
+    save_index(index, path)
+    raw = path.read_bytes()
+    assert raw.count(old) == 1
+    path.write_bytes(raw.replace(old, new))
+    with pytest.raises(error, match=message) as caught:
+        load_index(path)
+    assert "\n" not in str(caught.value)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     index = build_index([lemma_doc("d", DateSpec.undated(), ["a"])])
     path = tmp_path / "x.csem"

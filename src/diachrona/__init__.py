@@ -33,7 +33,6 @@ from .diachrony import (
     TrancheSet,
     TrendEntry,
     TrendReport,
-    cooc_by_tranche,
     evolving_cooccurrents,
     make_tranches,
     ols_slope,
@@ -135,7 +134,6 @@ __all__ = [
     "TrendEntry",
     "TrendReport",
     "make_tranches",
-    "cooc_by_tranche",
     "evolving_cooccurrents",
     "ols_slope",
     "jacobi_svd",

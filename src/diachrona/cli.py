@@ -12,9 +12,10 @@ its chart to ``--svg`` when given.  A query is a function of
 
 ``--filter`` restricts queries to a document subset and may be repeated
 (conjunction).  Accepted forms: ``date=LO..HI`` (midpoint within the
-interval), ``typology=TAG``, ``dated``.  Filters resolve to one boolean
-document mask read from the index's document columns (``doc_dated``,
-``doc_mids``, ``doc_typology``).  ``evolve`` has no ``--filter``; it
+interval), ``typology=TAG``, ``dated``.  Each expression parses into one of
+the document filters defined in :mod:`diachrona.corpus` (``dated_within``,
+``has_typology``, ``is_dated``), and :func:`~diachrona.corpus.subcorpus`
+ANDs them into one document mask.  ``evolve`` has no ``--filter``; it
 tranches the dated documents.  ``freq table`` AND-s ``--filter`` into each
 ``--slice`` column, or uses it as its single ``all`` column.  ``--min``
 (minimum pair count) must be at least 1.
@@ -26,15 +27,12 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import cooc as cooc_mod
 from . import frequency as freq_mod
-from .corpus import CorpusError, CorpusIndex
+from .corpus import CorpusError, CorpusIndex, DateSpec, dated_within, has_typology, is_dated, subcorpus
 from .diachrony import evolving_cooccurrents, make_tranches
 from .indexio import load_index, save_index
 from .ingest import Lexicon, lemmatize, parse_vertical, tokenize_plain, index_from_documents
-from .corpus import DateSpec
 from .semfield import semantic_map
 from .svgplot import PlotSpec, emit_svg
 from .synth import synthetic_index
@@ -61,29 +59,27 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _filter_mask(index: CorpusIndex, expr: str) -> np.ndarray:
-    """The documents matching one ``--filter`` expression, read from the document columns."""
+def _parse_filter(expr: str):
+    """The document filter that one ``--filter`` expression names."""
     if expr == "dated":
-        return index.doc_dated
+        return is_dated
     key, sep, value = expr.partition("=")
     if key == "date" and sep:
         lo, dots, hi = value.partition("..")
         if not dots or not lo or not hi:
             raise CorpusError(f"bad date filter (expected date=LO..HI): {expr!r}")
         try:
-            lo, hi = int(lo), int(hi)
+            return dated_within(int(lo), int(hi))
         except ValueError:
             raise CorpusError(f"bad date filter (years must be integers): {expr!r}") from None
-        return index.doc_dated & (index.doc_mids >= lo) & (index.doc_mids <= hi)
     if key == "typology" and sep:
-        return np.fromiter((tag == value for tag in index.doc_typology), bool, len(index))
+        return has_typology(value)
     raise CorpusError(f"unknown filter: {expr!r}")
 
 
-def _docset_from_filters(index: CorpusIndex, filters: list[str] | None) -> np.ndarray | None:
-    if not filters:
-        return None
-    return np.logical_and.reduce([_filter_mask(index, f) for f in filters])
+def _docset_from_filters(index: CorpusIndex, filters: list[str] | None):
+    """The document mask of the ``--filter`` expressions; every document when none."""
+    return subcorpus(index, *map(_parse_filter, filters or ()))
 
 
 def _comma_set(raw: str | None) -> frozenset[str] | None:
@@ -161,8 +157,7 @@ def _freq_table(index, docset, args):
             if not sep:
                 raise CorpusError(f"bad slice (expected LABEL:FILTER): {spec!r}")
             labels.append(label)
-            sliced = _docset_from_filters(index, expr.split(";"))
-            docsets.append(sliced if docset is None else sliced & docset)
+            docsets.append(_docset_from_filters(index, expr.split(";")) & docset)
     table = freq_mod.count_table(index, lemmas, docsets, labels)
     rows = [["lemma", *table.labels, "sum"]]
     rows += [[lemma, *table.counts[i], table.row_sums[i]] for i, lemma in enumerate(table.lemmas)]

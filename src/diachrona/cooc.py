@@ -183,15 +183,6 @@ def _pivot_pairs(
     return pairs
 
 
-def _cooc_table(
-    index: CorpusIndex, pivot: str, window: int, pairs: np.ndarray, freqs: np.ndarray, pivot_id: int
-) -> CoocTable:
-    nonzero = np.nonzero(pairs)[0]
-    pair_counts = {index.lemmas[int(i)]: int(pairs[i]) for i in nonzero}
-    neighbor_freqs = {index.lemmas[int(i)]: int(freqs[i]) for i in nonzero}
-    return CoocTable(pivot, window, pair_counts, int(freqs[pivot_id]), neighbor_freqs)
-
-
 def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTable:
     """Window-w pair counts of every lemma with ``pivot`` over the docset."""
     if window < 1:
@@ -202,7 +193,10 @@ def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTabl
     if pivot_id is None:
         return CoocTable(pivot, window, {}, 0, {})
     pairs = _pivot_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
-    return _cooc_table(index, pivot, window, pairs, freqs, pivot_id)
+    nonzero = np.nonzero(pairs)[0]
+    pair_counts = {index.lemmas[int(i)]: int(pairs[i]) for i in nonzero}
+    neighbor_freqs = {index.lemmas[int(i)]: int(freqs[i]) for i in nonzero}
+    return CoocTable(pivot, window, pair_counts, int(freqs[pivot_id]), neighbor_freqs)
 
 
 def _pos_majority_pass(

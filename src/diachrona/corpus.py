@@ -12,6 +12,10 @@ document i covers tokens ``doc_starts[i]:doc_starts[i+1]``), ``doc_kind``
 ``doc_mids`` (floor midpoints, 0 when undated).  ``documents`` reads the
 table as :class:`Document` records, built on first access.  Queries
 resolve any docset once into a boolean mask over documents (``doc_mask``).
+The document filters (``is_dated``, ``dated_within``, ``has_typology``) are
+defined here once: each is a function of the index that reads the document
+columns and returns such a mask, :func:`subcorpus` ANDs them, and the CLI's
+``--filter`` expressions parse into them.
 The arrays are read-only after construction, and all query modules are pure
 readers.  The lazy caches (the lemma x POS counts, the postings, the dated
 order, the records) are each built into a local and assigned once, so
@@ -325,27 +329,36 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
         raise CorpusError(f"{what} id out of vocabulary range: {hi if hi >= size else lo}")
 
 
-def subcorpus(index: CorpusIndex, predicate: Callable[[Document], bool]) -> set[str]:
-    """Document ids of exactly the documents satisfying ``predicate``."""
-    return {doc.doc_id for doc in index.documents if predicate(doc)}
+# a document filter: a function of the index returning a boolean mask over its documents
+DocFilter = Callable[[CorpusIndex], np.ndarray]
 
 
-def dated_within(lo: int, hi: int) -> Callable[[Document], bool]:
-    """Predicate: document midpoint lies in [lo, hi] (undated never matches)."""
+def subcorpus(index: CorpusIndex, *filters: DocFilter) -> np.ndarray:
+    """The documents every filter keeps, as a new writable boolean mask over
+    document positions; every document when given no filter.
 
-    def check(doc: Document) -> bool:
-        mid = doc.date.midpoint()
-        return mid is not None and lo <= mid <= hi
-
-    return check
-
-
-def has_typology(tag: str) -> Callable[[Document], bool]:
-    def check(doc: Document) -> bool:
-        return doc.typology == tag
-
-    return check
+    A filter is a function of the index that returns a boolean mask over its
+    documents; any other result raises :class:`CorpusError`.
+    """
+    mask = np.ones(len(index), dtype=bool)
+    for keep in filters:
+        got = keep(index)
+        if not (isinstance(got, np.ndarray) and got.dtype == bool):
+            raise CorpusError(f"a document filter returned {type(got).__name__}, not a boolean mask")
+        mask &= index.doc_mask(got)
+    return mask
 
 
-def is_dated(doc: Document) -> bool:
-    return doc.date.is_dated
+def dated_within(lo: int, hi: int) -> DocFilter:
+    """Filter: the document's date midpoint lies in [lo, hi] (undated never matches)."""
+    return lambda index: index.doc_dated & (index.doc_mids >= lo) & (index.doc_mids <= hi)
+
+
+def has_typology(tag: str) -> DocFilter:
+    """Filter: the document carries typology ``tag``."""
+    return lambda index: np.fromiter((t == tag for t in index.doc_typology), bool, len(index))
+
+
+def is_dated(index: CorpusIndex) -> np.ndarray:
+    """Filter: the document is dated."""
+    return index.doc_dated

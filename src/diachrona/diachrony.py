@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooc import CoocTable, _cooc_table, _dice, _pivot_pairs, _pos_majority_pass, _top_k
+from .cooc import _dice, _pivot_pairs, _pos_majority_pass, _top_k
 from .corpus import CorpusError, CorpusIndex
 from .frequency import _docset_counts
 
@@ -28,7 +28,6 @@ __all__ = [
     "TrendEntry",
     "TrendReport",
     "make_tranches",
-    "cooc_by_tranche",
     "evolving_cooccurrents",
     "ols_slope",
 ]
@@ -118,40 +117,6 @@ def _tranche_scores(
     if pos_ok is not None:
         candidate &= pos_ok
     return pairs, freqs, dice_mat, np.nonzero(candidate)[0]
-
-
-def cooc_by_tranche(
-    index: CorpusIndex,
-    tranches: TrancheSet,
-    pivot: str,
-    window: int,
-    pos_filter: Iterable[str] | None = None,
-    min_count: int = 1,
-):
-    """Per-tranche cooccurrence tables plus per-lemma Dice vectors.
-
-    Returns (tables, vectors): one :class:`CoocTable` per tranche, computed
-    on exactly that tranche's documents with tranche-local frequencies, and
-    a dict lemma -> length-k Dice array for every candidate whose total
-    pair count reaches ``min_count`` and whose POS majority (over all dated
-    documents) passes the filter.  Tranches where a lemma is absent
-    contribute 0.0.
-    """
-    if window < 1:
-        raise CorpusError("window must be >= 1")
-    if min_count < 1:
-        raise CorpusError("min_count must be >= 1")
-    pivot_id = index.lemmas.id_of(pivot)
-    if pivot_id is None:
-        return [CoocTable(pivot, window, {}, 0, {}) for _ in range(tranches.k)], {}
-    pairs, freqs, dice_mat, ids = _tranche_scores(
-        index, tranches, pivot_id, window, pos_filter, min_count
-    )
-    tables = [
-        _cooc_table(index, pivot, window, pairs[t], freqs[t], pivot_id) for t in range(tranches.k)
-    ]
-    vectors = {index.lemmas[int(i)]: dice_mat[:, i].copy() for i in ids}
-    return tables, vectors
 
 
 def ols_slope(values) -> float:

@@ -73,30 +73,33 @@ def save_index(index: CorpusIndex, path: str | os.PathLike) -> None:
     """Write ``index`` to ``path`` in format version 1.
 
     A date year outside the stored int32 range raises :class:`CorpusError`
-    before the file is opened.
+    before the file is opened.  The token columns are written straight from
+    the index's arrays, so saving holds no copy of them.
     """
-    parts: list[bytes] = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    for vocab in (index.lemmas, index.forms, index.pos_tags):
-        parts.append(_pack_vocab(vocab))
-    n = index.total_tokens
-    parts.append(struct.pack("<Q", n))
-    parts.append(index.lemma_ids.astype("<u4", copy=False).tobytes())
-    parts.append(index.form_ids.astype("<u4", copy=False).tobytes())
-    parts.append(index.pos_ids.astype("<u2", copy=False).tobytes())
-    parts.append(struct.pack("<I", len(index)))
+    outside = (index.doc_lo < _I32_MIN) | (index.doc_hi > _I32_MAX)
+    if outside.any():
+        i = int(np.argmax(outside))
+        lo, hi = int(index.doc_lo[i]), int(index.doc_hi[i])
+        raise CorpusError(f"document {index.doc_ids[i]!r}: date {lo}..{hi} is outside int32")
+    header = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
+    header += [_pack_vocab(vocab) for vocab in (index.lemmas, index.forms, index.pos_tags)]
+    header.append(struct.pack("<Q", index.total_tokens))
+    docs = [struct.pack("<I", len(index))]
     starts = index.doc_starts.tolist()
     dates = zip(index.doc_kind.tolist(), index.doc_lo.tolist(), index.doc_hi.tolist())
     for doc_id, (kind, lo, hi), typology, start, end in zip(
         index.doc_ids, dates, index.doc_typology, starts, starts[1:]
     ):
-        if not (_I32_MIN <= lo and hi <= _I32_MAX):
-            raise CorpusError(f"document {doc_id!r}: date {lo}..{hi} is outside int32")
-        parts.append(_pack_str(doc_id))
-        parts.append(struct.pack("<Bii", kind, lo, hi))
-        parts.append(_pack_str(typology or ""))
-        parts.append(struct.pack("<QI", start, end - start))
+        docs.append(_pack_str(doc_id))
+        docs.append(struct.pack("<Bii", kind, lo, hi))
+        docs.append(_pack_str(typology or ""))
+        docs.append(struct.pack("<QI", start, end - start))
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(b"".join(header))
+        fh.write(index.lemma_ids.astype("<u4", copy=False))
+        fh.write(index.form_ids.astype("<u4", copy=False))
+        fh.write(index.pos_ids.astype("<u2", copy=False))
+        fh.write(b"".join(docs))
 
 
 def load_index(path: str | os.PathLike) -> CorpusIndex:

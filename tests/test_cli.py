@@ -1,4 +1,6 @@
+import contextlib
 import importlib.resources
+import io
 import os
 import shutil
 import subprocess
@@ -289,28 +291,49 @@ def filter_cases(draw):
     return index_from_documents(docs), draw(st.lists(expr, min_size=1, max_size=3))
 
 
-def _predicate_mask(index, filters):
-    """The document mask of ``filters`` through the ``subcorpus`` predicates."""
-    predicates = []
-    for expr in filters:
+def _oracle_mask(index, filters):
+    """The documents matching every filter expression, decided from each
+    document's :class:`Document` record alone."""
+
+    def keeps(doc, expr):
+        mid = doc.date.midpoint()
         if expr == "dated":
-            predicates.append(is_dated)
-        elif expr.startswith("date="):
-            lo, hi = expr[len("date="):].split("..")
-            predicates.append(dated_within(int(lo), int(hi)))
+            return mid is not None
+        key, value = expr.split("=", 1)
+        if key == "date":
+            lo, hi = map(int, value.split(".."))
+            return mid is not None and lo <= mid <= hi
+        return doc.typology == value
+
+    return [all(keeps(doc, expr) for expr in filters) for doc in index.documents]
+
+
+def _library_filters(filters):
+    """The ``corpus`` document filters the expressions name."""
+    out = []
+    for expr in filters:
+        key, _, value = expr.partition("=")
+        if expr == "dated":
+            out.append(is_dated)
+        elif key == "date":
+            out.append(dated_within(*map(int, value.split(".."))))
         else:
-            predicates.append(has_typology(expr[len("typology="):]))
-    return index.doc_mask(subcorpus(index, lambda doc: all(p(doc) for p in predicates)))
+            out.append(has_typology(value))
+    return out
+
+
+def _check_filters(index, filters):
+    expected = _oracle_mask(index, filters)
+    for mask in (_docset_from_filters(index, filters), subcorpus(index, *_library_filters(filters))):
+        assert mask.dtype == bool
+        assert mask.tolist() == expected
 
 
 class TestFilterMasks:
     @settings(max_examples=150, deadline=None)
     @given(filter_cases())
-    def test_mask_matches_subcorpus_predicates(self, case):
-        index, filters = case
-        mask = _docset_from_filters(index, filters)
-        assert mask.dtype == bool
-        assert mask.tolist() == _predicate_mask(index, filters).tolist()
+    def test_filters_match_the_record_oracle(self, case):
+        _check_filters(*case)
 
     @pytest.mark.parametrize(
         "filters",
@@ -323,7 +346,7 @@ class TestFilterMasks:
             ["dated", "typology=charter", "date=-10..700"],
         ],
     )
-    def test_fixed_filters_match_subcorpus_predicates(self, filters):
+    def test_fixed_filters_match_the_record_oracle(self, filters):
         docs = [
             ("neg", DateSpec.year_range(-30, -10), "", [("x", "NOM", "x")]),
             ("zero", DateSpec.exact(0), "charter", []),
@@ -331,8 +354,7 @@ class TestFilterMasks:
             ("late", DateSpec.year_range(900, 960), "letter", [("x", "NOM", "x")]),
             ("undated", DateSpec.undated(), None, [("y", "NOM", "y")]),
         ]
-        index = index_from_documents(docs)
-        assert _docset_from_filters(index, filters).tolist() == _predicate_mask(index, filters).tolist()
+        _check_filters(index_from_documents(docs), filters)
 
     def test_filter_beyond_int64_on_the_command_line(self, sample_index, capsys):
         argv = ["freq", "count", "--lemma", "pater", "--index", str(sample_index)]
@@ -532,3 +554,122 @@ class TestQueries:
         )
         assert proc.returncode == 0, proc.stderr
         assert expected and proc.stdout == expected
+
+
+# --------------------------------------------------------------------------
+# fuzz: random argv over every subcommand
+# --------------------------------------------------------------------------
+
+def _mostly(good, bad):
+    """Values from ``good``, and from ``bad`` about one time in six."""
+    return st.integers(0, 5).flatmap(lambda roll: bad if roll == 0 else good)
+
+
+_WORDS = _mostly(
+    st.sampled_from(["pater", "mater", "filius", "zzz"]), st.sampled_from(["", "pa ter", "-x", "é"])
+)
+_INTS = _mostly(
+    st.integers(1, 12).map(str),
+    st.sampled_from(["0", "-3", "2147483648", str(2**63), str(-(2**63) - 1), str(10**30), "x", ""]),
+)
+_FLOATS = _mostly(st.sampled_from(["1", "0.5", "100"]), st.sampled_from(["-2.5", "nan", "inf", "1e308", "x"]))
+_LISTS = st.lists(_WORDS, max_size=3).map(",".join)
+_FILTERS = _mostly(
+    st.sampled_from(["dated", "date=700..999", f"date=-{10**30}..{10**30}", "typology=charter"]),
+    st.sampled_from(["date=900..800", "date=x..y", "date=5", "date=..", "typology=", "era=x", ""]),
+)
+_SLICES = _mostly(
+    st.sampled_from(["early:date=700..999", "a:dated;typology=charter"]),
+    st.sampled_from(["bad", "x:", ":dated", "b:era=1"]),
+)
+_REQUIRED = {
+    "--input", "--out", "--tokens", "--index", "--lemma", "--lemmas", "--a", "--b", "--pivot", "--forms"
+}
+
+
+@st.composite
+def cli_argv(draw, index, workdir):
+    """A random argv for one of the 13 subcommands: each option present or
+    not, with values mostly valid, sometimes out of range or malformed."""
+    # a missing directory and a directory are unwritable output paths
+    paths = _mostly(
+        st.just(str(workdir / "out")), st.sampled_from([str(workdir / "missing" / "out"), str(workdir)])
+    )
+    indexes = _mostly(st.just(str(index)), st.sampled_from([str(workdir / "absent.csem"), str(SAMPLE)]))
+    common = {"--index": indexes, "--filter": _FILTERS, "--out": paths}
+    options = {
+        ("index", "build"): {
+            "--input": _mostly(
+                st.just(str(SAMPLE)),
+                st.sampled_from([str(workdir / "absent.vrt"), str(workdir / "latin1.txt")]),
+            ),
+            "--out": paths, "--drop-pos": _LISTS, "--plain": None,
+            "--lexicon": st.sampled_from(
+                [str(workdir / "lexicon.tsv"), str(SAMPLE), str(workdir / "absent.tsv")]
+            ),
+        },
+        # sizes stay small or beyond the limit, so no draw allocates much
+        ("index", "synth"): {
+            "--tokens": st.integers(-2, 2000).map(str) | st.just(str(2**70)),
+            "--vocab": st.integers(-1, 60).map(str) | st.just(str(2**70)),
+            "--docs": st.integers(-1, 50).map(str) | st.just(str(2**70)),
+            "--seed": st.integers(-2, 5).map(str), "--dated-fraction": _FLOATS, "--out": paths,
+        },
+        ("freq", "count"): {"--lemma": _WORDS, **common},
+        ("freq", "table"): {"--lemmas": _LISTS, "--slice": _SLICES, **common},
+        ("freq", "ratio"): {"--a": _WORDS, "--b": _WORDS, **common},
+        ("freq", "rank"): {"--lemma": _WORDS, **common},
+        ("freq", "share"): {"--lemma": _WORDS, "--forms": _LISTS, **common},
+        ("freq", "series"): {"--lemma": _WORDS, "--bin": _INTS, "--ma": _INTS, "--svg": paths, **common},
+        ("cooc", "top"): {
+            "--pivot": _WORDS, "--window": _INTS, "--k": _INTS, "--pos": _LISTS, "--min": _INTS,
+            "--scale": _FLOATS, **common,
+        },
+        ("cooc", "pair"): {
+            "--a": _WORDS, "--b": _WORDS, "--window": _INTS, "--bin": _INTS, "--scale": _FLOATS,
+            "--svg": paths, **common,
+        },
+        ("cooc", "adj"): {"--a": _WORDS, "--b": _WORDS, **common},
+        ("evolve",): {
+            "--pivot": _WORDS, "--k": _INTS, "--window": _INTS, "--min": _INTS, "--top": _INTS,
+            "--pos": _LISTS, "--index": indexes, "--out": paths,
+        },
+        ("map",): {
+            "--pivot": _WORDS, "--terms": _INTS, "--window": _INTS, "--pos": _LISTS, "--min": _INTS,
+            "--weight": st.sampled_from(["raw", "dice", "log"]), "--no-pivot": None, "--svg": paths,
+            "--tsv": paths, **common,
+        },
+    }
+    command = draw(st.sampled_from(sorted(options)))
+    argv = list(command)
+    for flag, values in options[command].items():
+        most = 2 if flag in ("--filter", "--slice", "--input") else 1
+        times = draw(_mostly(st.just(1), st.just(0)) if flag in _REQUIRED else st.integers(0, most))
+        for _ in range(times):
+            argv += [flag] if values is None else [flag, draw(values)]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x", "--", "-h"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    (workdir / "latin1.txt").write_bytes("pater\tNOM\tpater\nm\xe6ter\n".encode("latin-1"))
+    (workdir / "lexicon.tsv").write_text("pater\tpater\tNOM\nmatris\tmater\tNOM\n", encoding="utf-8")
+    return workdir
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_random_argv_exits_cleanly(sample_index, fuzz_dir, data):
+    # any argv ends in exit 0, 1 or 2, never in an exception; a domain error
+    # is one line on stderr
+    argv = data.draw(cli_argv(sample_index, fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

@@ -2,6 +2,7 @@ import time
 import tracemalloc
 import warnings
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from diachrona.cooc import (
 from diachrona.corpus import CorpusError, DateSpec
 from diachrona.diachrony import (
     SCORE_EPSILON,
-    cooc_by_tranche,
+    _tranche_scores,
     evolving_cooccurrents,
     make_tranches,
     ols_slope,
@@ -76,6 +77,30 @@ def brute_pos_majority(index, pos_filter, docs=None):
             freqs[lemma] += 1
             good[lemma] += index.pos_tags[int(pid)] in pos_filter
     return {lemma for lemma in freqs if 2 * good[lemma] >= freqs[lemma]}
+
+
+class BruteTranches(NamedTuple):
+    pairs: list  # per tranche: lemma -> pair count with the pivot
+    freqs: list  # per tranche: lemma -> frequency
+    dice: dict  # lemma -> per-tranche Dice with the pivot
+    totals: Counter  # lemma -> pair count over all tranches, for paired lemmas
+
+
+def brute_tranche_scores(index, tranches, pivot, window):
+    """Per-tranche pair counts, frequencies and Dice values with ``pivot``,
+    each tranche enumerated on its own by the all-pairs oracle."""
+    out = BruteTranches([], [], {}, Counter())
+    for t in range(tranches.k):
+        members = {index.documents[int(p)].doc_id for p in tranches.tranche_positions(t)}
+        pairs = brute_pair_counts(index, pivot, window, members)
+        freqs = brute_freqs(index, members)
+        out.pairs.append(pairs)
+        out.freqs.append(freqs)
+        out.totals.update(pairs)
+        for lemma in index.lemmas:
+            denom = freqs[lemma] + freqs[pivot]
+            out.dice.setdefault(lemma, []).append(2.0 * pairs.get(lemma, 0) / denom if denom else 0.0)
+    return out
 
 
 def single_doc(tokens, pivot=None):
@@ -467,28 +492,19 @@ class TestKernelProperties:
 
     @PROPERTY
     @given(cases(), st.data())
-    def test_cooc_by_tranche_matches_brute_force(self, case, data):
+    def test_tranche_scores_match_brute_force(self, case, data):
         index, window, _, a, _ = case
         n_dated = len(index.dated_order())
         assume(n_dated >= 2)
         tranches = make_tranches(index, data.draw(st.integers(2, n_dated)))
-        tables, vectors = cooc_by_tranche(index, tranches, a, window)
-        totals = Counter()
-        expected_dice = {}
-        for t, table in enumerate(tables):
-            members = {index.documents[int(p)].doc_id for p in tranches.tranche_positions(t)}
-            pairs = brute_pair_counts(index, a, window, members)
-            freqs = brute_freqs(index, members)
-            assert table.pair_counts == pairs
-            assert table.pivot_freq == freqs[a]
-            totals.update(pairs)
-            for lemma in index.lemmas:
-                denom = freqs[lemma] + freqs[a]
-                value = 2.0 * pairs.get(lemma, 0) / denom if denom else 0.0
-                expected_dice.setdefault(lemma, []).append(value)
-        assert set(vectors) == set(totals)
-        for lemma, vector in vectors.items():
-            assert vector.tolist() == expected_dice[lemma]
+        pairs, freqs, dice_mat, ids = _tranche_scores(index, tranches, index.lemmas.id_of(a), window, None, 1)
+        brute = brute_tranche_scores(index, tranches, a, window)
+        lemmas = index.lemmas.entries
+        for t, (want_pairs, want_freqs) in enumerate(zip(brute.pairs, brute.freqs)):
+            assert dict(zip(lemmas, pairs[t].tolist())) == {x: want_pairs.get(x, 0) for x in lemmas}
+            assert freqs[t].tolist() == [want_freqs[x] for x in lemmas]
+        assert dice_mat.T.tolist() == [brute.dice[x] for x in lemmas]
+        assert {lemmas[i] for i in ids} == set(brute.totals)
 
     @PROPERTY
     @given(cases(st.integers(4, 8)), st.integers(3, 5), st.booleans())
@@ -582,16 +598,17 @@ class TestRankingProperties:
 
         full = entries(10**9)
         assert list(full) == sorted(full, key=lambda e: (-abs(e.score), -e.total_pairs, e.lemma))
-        tables, vectors = cooc_by_tranche(index, tranches, a, window, pos_filter, min_count)
-        assert {e.lemma: list(e.dice_by_tranche) for e in full} == {
-            lemma: v.tolist() for lemma, v in vectors.items()
-        }
+        brute = brute_tranche_scores(index, tranches, a, window)
+        dated = {d.doc_id for d in index.documents if d.date.is_dated}
+        passing = brute_pos_majority(index, pos_filter, dated) if pos_filter else set(index.lemmas)
+        candidates = {x for x, n in brute.totals.items() if n >= min_count and x in passing}
+        assert {e.lemma: list(e.dice_by_tranche) for e in full} == {x: brute.dice[x] for x in candidates}
         for e in full:
             d = np.array(e.dice_by_tranche)
             slope = ols_slope(d)
             assert e.score == slope / max(d.mean(), SCORE_EPSILON)
             assert e.direction == ("rising" if slope > 0 else "falling" if slope < 0 else "flat")
-            assert e.total_pairs == sum(t.pair_counts.get(e.lemma, 0) for t in tables)
+            assert e.total_pairs == brute.totals[e.lemma]
         for n in range(1, 6):
             assert entries(n) == full[:n]
 

@@ -20,7 +20,7 @@ from diachrona.corpus import (
     is_dated,
     subcorpus,
 )
-from diachrona.diachrony import cooc_by_tranche, evolving_cooccurrents, make_tranches
+from diachrona.diachrony import evolving_cooccurrents, make_tranches
 from diachrona.frequency import count_table, form_share, lemma_count, lemma_rank, time_series
 from diachrona.indexio import load_index, save_index
 from diachrona.ingest import index_from_documents
@@ -85,25 +85,35 @@ def three_doc_index():
 
 
 class TestSubcorpus:
-    def test_identity_filter(self):
+    def test_no_filter_keeps_every_document(self):
         index = three_doc_index()
-        assert subcorpus(index, lambda d: True) == {"a", "b", "c"}
+        assert subcorpus(index).tolist() == [True, True, True]
 
     def test_interval_membership(self):
         index = three_doc_index()
-        assert subcorpus(index, dated_within(800, 899)) == {"b"}
+        assert subcorpus(index, dated_within(800, 899)).tolist() == [False, True, False]
 
     def test_typology_matches_linear_scan(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             index = random_index(rng, min_tokens=30, max_tokens=200)
             got = subcorpus(index, has_typology("charter"))
-            expected = {d.doc_id for d in index.documents if d.typology == "charter"}
-            assert got == expected
+            assert got.tolist() == [d.typology == "charter" for d in index.documents]
+
+    def test_three_filters_are_anded(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            index = random_index(rng, min_tokens=30, max_tokens=400, dated_fraction=0.6)
+            got = subcorpus(index, is_dated, dated_within(700, 1100), has_typology("letter"))
+            expected = [
+                d.date.is_dated and 700 <= d.date.midpoint() <= 1100 and d.typology == "letter"
+                for d in index.documents
+            ]
+            assert got.tolist() == expected
 
     def test_empty_result_is_legal(self):
         index = three_doc_index()
-        assert subcorpus(index, lambda d: False) == set()
+        assert not subcorpus(index, dated_within(2000, 1000)).any()
 
     def test_is_dated(self):
         index = build_index(
@@ -112,7 +122,38 @@ class TestSubcorpus:
                 lemma_doc("y", DateSpec.exact(900), ["pater"]),
             ]
         )
-        assert subcorpus(index, is_dated) == {"y"}
+        assert subcorpus(index, is_dated).tolist() == [False, True]
+
+    def test_result_is_a_new_writable_mask(self):
+        index = three_doc_index()
+        for filters in ((), (is_dated,)):
+            mask = subcorpus(index, *filters)
+            mask[0] = False
+            assert index.doc_dated.all()
+            assert subcorpus(index, *filters)[0]
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            np.ones(2, dtype=bool),
+            np.ones((3, 1), dtype=bool),
+            np.array([0, 1], dtype=np.int64),
+            np.ones(3, dtype=np.uint8),
+            [True, True, True],
+            True,
+            {"a"},
+        ],
+    )
+    def test_filter_result_that_is_not_a_document_mask_rejected(self, result):
+        index = three_doc_index()
+        with pytest.raises(CorpusError):
+            subcorpus(index, is_dated, lambda index: result)
+
+    def test_filters_build_no_document_records(self):
+        index = three_doc_index()
+        mask = subcorpus(index, is_dated, dated_within(700, 900), has_typology("charter"))
+        assert top_cooccurrents(index, mask, "pater", 2, 5)
+        assert "documents" not in vars(index)
 
 
 class TestCorpusIndex:
@@ -235,8 +276,7 @@ class TestCorpusIndex:
         assert lemma_rank(index, docset, "pater") == 1
         assert count_table(index, ["pater"], [docset]).counts.tolist() == [[2]]
         assert top_cooccurrents(index, docset, "pater", 2, 5, pos_filter=["NOM"])
-        _, vectors = cooc_by_tranche(index, make_tranches(index, 2), "pater", 2, ["NOM"])
-        assert vectors
+        assert evolving_cooccurrents(index, make_tranches(index, 2), "pater", 2, ["NOM"]).entries
 
     @pytest.mark.parametrize("date", [DateSpec.exact(2**70), DateSpec.year_range(-(2**70), 5)])
     def test_date_midpoint_beyond_int64_rejected(self, date):
@@ -336,10 +376,11 @@ class TestDocsetForms:
         docs, names, _ = case
         index = build_index(docs)
         assume(len(index.dated_order()) >= 2)
-        _, vectors = cooc_by_tranche(index, make_tranches(index, 2), names[0], window, pos)
-        dated = subcorpus(index, is_dated)
-        ranked = top_cooccurrents(index, dated, names[0], window, len(index.lemmas) + 1, pos)
-        assert set(vectors) == {c.lemma for c in ranked}
+        everything = len(index.lemmas) + 1
+        tranches = make_tranches(index, 2)
+        report = evolving_cooccurrents(index, tranches, names[0], window, pos, top_n=everything)
+        ranked = top_cooccurrents(index, subcorpus(index, is_dated), names[0], window, everything, pos)
+        assert {e.lemma for e in report.entries} == {c.lemma for c in ranked}
 
 
 def _columns(**changes):

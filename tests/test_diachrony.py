@@ -5,7 +5,7 @@ from diachrona.cooc import cooc_counts
 from diachrona.corpus import CorpusError, DateSpec
 from diachrona.diachrony import (
     TrancheSet,
-    cooc_by_tranche,
+    _tranche_scores,
     evolving_cooccurrents,
     make_tranches,
     ols_slope,
@@ -75,7 +75,17 @@ class TestMakeTranches:
         assert sum(tranches.token_masses) == 1003
 
 
-class TestCoocByTranche:
+def tranche_pairs(index, tranches, pivot, window):
+    """Per-tranche pair counts and frequencies (k x V) of ``pivot``."""
+    pairs, freqs, _, _ = _tranche_scores(index, tranches, index.lemmas.id_of(pivot), window, None, 1)
+    return pairs, freqs
+
+
+def nonzero_counts(index, row):
+    return {index.lemmas[int(i)]: int(row[i]) for i in np.flatnonzero(row)}
+
+
+class TestTrancheScores:
     def test_dice_localized_to_one_tranche(self):
         docs = []
         for t in range(5):
@@ -85,8 +95,8 @@ class TestCoocByTranche:
             docs.append(lemma_doc(f"d{t}", DateSpec.exact(800 + t * 50), words))
         index = build_index(docs)
         tranches = make_tranches(index, 5)
-        _, vectors = cooc_by_tranche(index, tranches, "p", 2)
-        vec = vectors["loc"]
+        report = evolving_cooccurrents(index, tranches, "p", 2)
+        vec = next(e.dice_by_tranche for e in report.entries if e.lemma == "loc")
         assert vec[2] > 0
         assert all(vec[t] == 0 for t in (0, 1, 3, 4))
 
@@ -97,14 +107,10 @@ class TestCoocByTranche:
             pytest.skip("too few dated docs drawn")
         tranches = make_tranches(index, 4)
         pivot = index.lemmas[0]
-        tables, _ = cooc_by_tranche(index, tranches, pivot, 3)
-        merged = {}
-        for table in tables:
-            for lemma, count in table.pair_counts.items():
-                merged[lemma] = merged.get(lemma, 0) + count
+        pairs, _ = tranche_pairs(index, tranches, pivot, 3)
         dated = np.asarray(index.dated_order(), dtype=np.int64)
         whole = cooc_counts(index, dated, pivot, 3)
-        assert merged == whole.pair_counts
+        assert nonzero_counts(index, pairs.sum(axis=0)) == whole.pair_counts
 
     def test_k1_degenerates_to_plain_counts(self):
         rng = np.random.default_rng(63)
@@ -115,19 +121,18 @@ class TestCoocByTranche:
         lens = [index.documents[p].token_len for p in order]
         tranches = TrancheSet(1, (0, len(order)), (sum(lens),), order)
         pivot = index.lemmas[0]
-        tables, _ = cooc_by_tranche(index, tranches, pivot, 4)
+        pairs, freqs = tranche_pairs(index, tranches, pivot, 4)
         whole = cooc_counts(index, np.asarray(order, dtype=np.int64), pivot, 4)
-        assert tables[0].pair_counts == whole.pair_counts
-        assert tables[0].pivot_freq == whole.pivot_freq
+        assert nonzero_counts(index, pairs[0]) == whole.pair_counts
+        assert freqs[0, index.lemmas.id_of(pivot)] == whole.pivot_freq
 
-    @pytest.mark.parametrize("query", [cooc_by_tranche, evolving_cooccurrents])
     @pytest.mark.parametrize("min_count", [0, -3])
-    def test_min_count_below_one_rejected(self, query, min_count):
+    def test_min_count_below_one_rejected(self, min_count):
         index = staircase_corpus()
         tranches = make_tranches(index, 10)
         for pivot in ("p", "zzz"):
             with pytest.raises(CorpusError, match="min_count must be >= 1"):
-                query(index, tranches, pivot, 1, min_count=min_count)
+                evolving_cooccurrents(index, tranches, pivot, 1, min_count=min_count)
 
 
 class TestOlsSlope:

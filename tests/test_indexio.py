@@ -1,6 +1,7 @@
 import importlib.resources
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from diachrona.indexio import (
     save_index,
 )
 from diachrona.ingest import index_from_documents, parse_vertical
+from diachrona.synth import synthetic_index
 
 from conftest import build_index, lemma_doc, random_index
 
@@ -78,6 +80,22 @@ def test_year_outside_int32_rejected_before_writing(tmp_path, date):
     with pytest.raises(CorpusError, match="document 'far'"):
         save_index(index, path)
     assert not path.exists()
+
+
+def test_save_holds_no_copy_of_the_token_columns(tmp_path):
+    # the token columns go to the file straight from the index's arrays, so
+    # saving never holds the file's bytes in memory
+    index = synthetic_index(1_000_000, 2_000, 500, seed=3)
+    path = tmp_path / "big.csem"
+    tracemalloc.start()
+    try:
+        save_index(index, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 2, (peak, size)
+    assert load_index(path) == index
 
 
 def test_corrupted_magic(tmp_path):

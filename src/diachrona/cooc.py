@@ -203,23 +203,17 @@ def _pos_majority_pass(
     index: CorpusIndex,
     dmask: np.ndarray,
     pos_filter: Iterable[str] | None,
-    freqs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-lemma token counts in the document mask, and a boolean per-lemma
     vector: at least half of a lemma's tokens there carry an allowed POS tag
-    (None when no filter applies).
-
-    Given ``freqs`` (the counts), only the allowed-tag counts are counted;
-    otherwise both come from one copy of the docset's tokens.
+    (None when no filter applies).  Both come from one copy of the docset's
+    tokens.
     """
     if pos_filter is None:
-        return (_docset_counts(index, dmask) if freqs is None else freqs), None
+        return _docset_counts(index, dmask), None
     allowed = np.zeros(len(index.pos_tags), dtype=bool)
     allowed[[i for i in map(index.pos_tags.id_of, pos_filter) if i is not None]] = True
-    if freqs is None:
-        freqs, good = _docset_counts(index, dmask, allowed, with_totals=True)
-    else:
-        good = _docset_counts(index, dmask, allowed)
+    freqs, good = _docset_counts(index, dmask, allowed)
     return freqs, 2 * good >= np.maximum(freqs, 1)
 
 

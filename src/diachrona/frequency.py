@@ -82,11 +82,10 @@ def _docset_counts(
     index: CorpusIndex,
     dmask: np.ndarray,
     pos_allowed: np.ndarray | None = None,
-    with_totals: bool = False,
 ):
     """Per-lemma token counts over the documents of a document mask; with
-    ``pos_allowed`` (a flag per POS tag), only the tokens of allowed tags,
-    or with ``with_totals`` as well, the pair (all tokens, allowed tokens).
+    ``pos_allowed`` (a flag per POS tag), the pair (all tokens, tokens of
+    allowed tags).
 
     The full docset reads the cached lemma x POS table.  A partial docset
     counts its own tokens, so its cost follows its tokens, not the corpus
@@ -110,9 +109,7 @@ def _docset_counts(
         keys += keep
         split = np.bincount(keys, minlength=2 * n_lemmas).reshape(n_lemmas, 2)
         totals, allowed = split.sum(axis=1), split[:, 1]
-    if pos_allowed is None:
-        return totals
-    return (totals, allowed) if with_totals else allowed
+    return totals if pos_allowed is None else (totals, allowed)
 
 
 # Single-lemma lookups an index answers by scanning its lemma column before

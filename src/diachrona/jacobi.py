@@ -1,14 +1,15 @@
-"""One-sided Jacobi SVD for small dense matrices.
+"""Thin SVD of a real matrix with canonical signs, for correspondence analysis.
 
-Plane rotations are applied to column pairs until all columns are mutually
-orthogonal; singular values are then the column norms.  The matrices
-decomposed here are tiny (tens of rows), where Jacobi's robustness and
-simplicity beat asymptotically faster factorizations.
+The decomposition is numpy's LAPACK SVD (``np.linalg.svd``); this module adds
+only the sign convention that makes field-map axes deterministic.  Singular
+values come back in descending order, and each left singular vector has its
+largest-magnitude entry positive, with the matching right singular vector
+flipped alongside it.
 
-Conventions: singular values are returned in descending order; each left
-singular vector has its largest-magnitude entry positive (resolving the
-per-axis sign ambiguity deterministically); zero singular values get left
-vectors completed by Gram-Schmidt so U is always orthonormal.
+The module and function keep the names of the one-sided Jacobi SVD they once
+held: ``jacobi_svd`` is part of the package's public API, and perfbench's
+tracer (``perfbench/tracing.py``) imports this module by name to time the SVD
+layer.
 """
 
 from __future__ import annotations
@@ -17,81 +18,21 @@ import numpy as np
 
 __all__ = ["jacobi_svd"]
 
-_SWEEP_LIMIT = 100
-_ORTHO_EPS = 1.0e-15
-
 
 def jacobi_svd(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD of a real matrix: returns (U, s, Vt) with A = U @ diag(s) @ Vt.
+    """Thin SVD of a real matrix: returns (U, s, Vt) with A = U @ diag(s) @ Vt.
 
     U is m x r and V is n x r with r = min(m, n); both are orthonormal even
-    when A is rank-deficient.
+    when A is rank-deficient.  Raises ``numpy.linalg.LinAlgError`` when the
+    SVD does not converge.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("jacobi_svd expects a 2-D matrix")
-    m, n = a.shape
-    if m < n:
-        u, s, vt = jacobi_svd(a.T)
-        return vt.T, s, u.T
-
-    w = a.copy()
-    v = np.eye(n)
-    for _ in range(_SWEEP_LIMIT):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                wp = w[:, p]
-                wq = w[:, q]
-                alpha = float(wp @ wp)
-                beta = float(wq @ wq)
-                gamma = float(wp @ wq)
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                if abs(gamma) <= _ORTHO_EPS * np.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                w[:, p], w[:, q] = c * wp - s * wq, s * wp + c * wq
-                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
-        if not rotated:
-            break
-
-    norms = np.linalg.norm(w, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    u = np.zeros((m, n))
-    positive = norms > 0
-    u[:, positive] = w[:, positive] / norms[positive]
-    for j in np.nonzero(~positive)[0]:
-        u[:, j] = _complete_column(u, int(j), m)
-
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
     # canonical signs: largest |entry| of each U column is positive
-    for j in range(n):
-        col = u[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
-
-    return u, norms, v.T
-
-
-def _complete_column(u: np.ndarray, j: int, m: int) -> np.ndarray:
-    """Unit vector orthogonal to the first j columns of u (Gram-Schmidt)."""
-    for seed in range(m):
-        cand = np.zeros(m)
-        cand[seed] = 1.0
-        cand -= u[:, :j] @ (u[:, :j].T @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1.0e-8:
-            return cand / norm
-    raise ValueError("could not complete orthonormal basis")
+    for j in range(u.shape[1]):
+        if u[np.argmax(np.abs(u[:, j])), j] < 0:
+            u[:, j] = -u[:, j]
+            vt[j] = -vt[j]
+    return u, s, vt

@@ -128,9 +128,14 @@ def correspondence_analysis(matrix) -> CAResult:
     table = np.asarray(matrix, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
         raise CorpusError("correspondence analysis needs a 2-D table")
+    # a non-finite cell, or finite cells whose total overflows, is reported here
+    with np.errstate(over="ignore", invalid="ignore"):
+        grand = table.sum()
+    if not np.isfinite(grand):
+        raise CorpusError("correspondence analysis needs finite values with a finite total")
     if np.any(table < 0):
         raise CorpusError("correspondence analysis needs non-negative values")
-    if table.sum() <= 0:
+    if grand <= 0:
         raise CorpusError("correspondence analysis needs a positive grand total")
     row_zero = np.nonzero(table.sum(axis=1) == 0)[0]
     col_zero = np.nonzero(table.sum(axis=0) == 0)[0]
@@ -140,12 +145,18 @@ def correspondence_analysis(matrix) -> CAResult:
             f"(rows {row_zero.tolist()}, columns {col_zero.tolist()}); prune them first"
         )
 
-    grand = table.sum()
     p = table / grand
     r = p.sum(axis=1)
     c = p.sum(axis=0)
-    s = (p - np.outer(r, c)) / np.sqrt(np.outer(r, c))
-    u, sigma, vt = jacobi_svd(s)
+    # cells far below the total can underflow the expected counts to zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (p - np.outer(r, c)) / np.sqrt(np.outer(r, c))
+    if not np.all(np.isfinite(s)):
+        raise CorpusError("correspondence analysis: table values span too wide a range")
+    try:
+        u, sigma, vt = jacobi_svd(s)
+    except np.linalg.LinAlgError as exc:
+        raise CorpusError(f"correspondence analysis failed: {exc}") from exc
     if len(sigma) and sigma[0] > 0:
         # axes below working precision are rank artifacts: report as zero
         sigma = np.where(sigma <= sigma[0] * _RANK_EPS, 0.0, sigma)

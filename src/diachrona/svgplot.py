@@ -70,6 +70,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 def _bounds(xs: list[float], ys: list[float]) -> tuple[float, float, float, float]:
+    if not all(map(math.isfinite, xs + ys)):
+        raise CorpusError("cannot plot a NaN or infinite value")
     xlo, xhi = min(xs), max(xs)
     ylo, yhi = min(ys), max(ys)
     if xhi == xlo:

@@ -448,6 +448,17 @@ class TestQueries:
         scaled = float(capsys.readouterr().out.strip().splitlines()[1].split("\t")[3])
         assert scaled == pytest.approx(1000 * base, rel=1e-4)
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "1e308"])
+    def test_non_finite_scaled_dice_is_not_charted(self, sample_index, tmp_path, capsys, scale):
+        # pater's dice with itself exceeds 1, so 1e308 times it overflows to inf
+        svg = tmp_path / "pair.svg"
+        code = run_cli(
+            ["cooc", "pair", "--a", "pater", "--b", "pater", "--window", "50", "--scale", scale,
+             "--svg", str(svg), "--index", str(sample_index)]
+        )
+        assert code == 1 and not svg.exists()
+        assert capsys.readouterr().err == "error: cannot plot a NaN or infinite value\n"
+
     def test_evolve_tsv_shape(self, sample_index, capsys):
         code = run_cli(
             ["evolve", "--pivot", "pater", "--k", "10", "--window", "5",

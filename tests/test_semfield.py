@@ -63,6 +63,28 @@ class TestCorrespondenceAnalysis:
         with pytest.raises(CorpusError):
             correspondence_analysis([[1, -1], [1, 1]])
 
+    @pytest.mark.parametrize(
+        "table",
+        [[[1, np.nan], [2, 3]], [[1, np.inf], [2, 3]], [[1e308, 1e308], [1e308, 1]]],
+        ids=["nan", "inf", "overflowing-total"],
+    )
+    def test_non_finite_table_rejected(self, table):
+        with pytest.raises(CorpusError, match="finite"):
+            correspondence_analysis(table)
+
+    def test_underflowing_expected_counts_rejected(self):
+        # finite cells and total, but 1e-300 * 1e-300 expected mass rounds to 0
+        with pytest.raises(CorpusError, match="range"):
+            correspondence_analysis([[1e300, 1e-300], [1e-300, 1]])
+
+    def test_svd_failure_is_a_corpus_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(CorpusError, match="did not converge"):
+            correspondence_analysis([[5, 1], [2, 7]])
+
     def test_row_and_column_coordinates_coincide_for_symmetric_input(self):
         rng = np.random.default_rng(83)
         for _ in range(10):

@@ -72,6 +72,14 @@ def test_label_count_mismatch_rejected():
         emit_svg(PlotSpec(kind="scatter", points=[(0, 0)], labels=[]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_value_rejected(bad):
+    with pytest.raises(CorpusError, match="NaN or infinite"):
+        emit_svg(PlotSpec(kind="series", curves=[("c", [(0.0, 1.0), (1.0, bad)])]))
+    with pytest.raises(CorpusError, match="NaN or infinite"):
+        emit_svg(PlotSpec(kind="scatter", points=[(bad, 0.0)], labels=["a"]))
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(CorpusError):
         emit_svg(PlotSpec(kind="pie"))

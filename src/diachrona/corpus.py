@@ -8,10 +8,12 @@ document table of columns with one entry per document: ``doc_ids`` (a
 ``doc_starts`` (token offsets, one more entry than there are documents:
 document i covers tokens ``doc_starts[i]:doc_starts[i+1]``), ``doc_kind``
 (a :class:`DateKind`), ``doc_lo`` and ``doc_hi`` (0 when undated),
-``doc_typology`` (a tag or None), and the derived ``doc_dated`` and
-``doc_mids`` (floor midpoints, 0 when undated).  ``documents`` reads the
-table as :class:`Document` records, built on first access.  Queries
-resolve any docset once into a boolean mask over documents (``doc_mask``).
+``doc_typology`` (an id into the ``typologies`` :class:`Vocabulary`, -1 for
+no tag), and the derived ``doc_dated`` and ``doc_mids`` (floor midpoints, 0
+when undated).  Years lie in int32, the range the index file stores, and
+construction rejects any other.  ``documents`` reads the table as
+:class:`Document` records, built on first access.  Queries resolve any
+docset once into a boolean mask over documents (``doc_mask``).
 The document filters (``is_dated``, ``dated_within``, ``has_typology``) are
 defined here once: each is a function of the index that reads the document
 columns and returns such a mask, :func:`subcorpus` ANDs them, and the CLI's
@@ -47,8 +49,12 @@ __all__ = [
 
 # POS ids are stored as u16 on disk; the vocabulary must fit.
 MAX_POS_ENTRIES = 1 << 16
+# years are stored as i32 on disk; every date must fit.
+_I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
 # an index's arrays besides the derived doc_dated and doc_mids
-_COLUMNS = ("lemma_ids", "form_ids", "pos_ids", "doc_starts", "doc_kind", "doc_lo", "doc_hi")
+_COLUMNS = (
+    "lemma_ids", "form_ids", "pos_ids", "doc_starts", "doc_kind", "doc_lo", "doc_hi", "doc_typology"
+)
 
 
 class CorpusError(Exception):
@@ -162,9 +168,10 @@ class CorpusIndex:
     """Read-only corpus: vocabularies + columnar token ids + document table.
 
     Construction validates every invariant once (column lengths, id ranges,
-    contiguous document slices that cover the tokens, valid dates, unique
-    document ids) and makes the arrays read-only; afterwards the index is
-    safe for concurrent readers (see the module docstring on its lazy caches).
+    contiguous document slices that cover the tokens, valid int32 dates,
+    unique document ids) and makes the arrays read-only; afterwards the index
+    is safe for concurrent readers (see the module docstring on its lazy
+    caches).
     """
 
     def __init__(
@@ -195,14 +202,16 @@ class CorpusIndex:
             raise CorpusError("POS vocabulary exceeds u16 capacity")
 
         self.doc_ids = Vocabulary(doc_ids, what="document id")
-        self.doc_typology = tuple(tag or None for tag in doc_typology)
+        # tags get ids in first-seen order; an empty tag is no tag
+        tags: dict[str, int] = {}
+        typology = np.array([tags.setdefault(t, len(tags)) if t else -1 for t in doc_typology], np.int64)
         starts = np.asarray(doc_starts, dtype=np.int64)
         try:
             kind, lo, hi = (np.asarray(col, dtype=np.int64) for col in (doc_kind, doc_lo, doc_hi))
         except OverflowError:
-            raise CorpusError("a document's date midpoint is outside int64") from None
+            raise CorpusError("a document's date is outside int32") from None
         n_docs = len(self.doc_ids)
-        if {len(starts) - 1, len(kind), len(lo), len(hi), len(self.doc_typology)} != {n_docs}:
+        if {len(starts) - 1, len(kind), len(lo), len(hi), len(typology)} != {n_docs}:
             raise CorpusError(f"document columns differ in length for {n_docs} documents")
         if starts[0] != 0:
             raise CorpusError(f"documents start at token {starts[0]}, expected 0")
@@ -215,6 +224,7 @@ class CorpusIndex:
             ((kind == DateKind.UNDATED) & ((lo | hi) != 0), "undated, yet carries years {lo}..{hi}"),
             ((kind == DateKind.EXACT) & (lo != hi), "exact date spans {lo}..{hi}"),
             (lo > hi, "date interval reversed: {lo} > {hi}"),
+            ((lo < _I32_MIN) | (hi > _I32_MAX), "date {lo}..{hi} is outside int32"),
         ):
             if bad.any():
                 i = int(np.argmax(bad))
@@ -228,9 +238,10 @@ class CorpusIndex:
         self.form_ids = form_ids.astype(np.uint32, copy=False)
         self.pos_ids = pos_ids.astype(np.uint16, copy=False)
         self.doc_starts, self.doc_kind, self.doc_lo, self.doc_hi = starts, kind, lo, hi
+        self.doc_typology = typology
+        self.typologies = Vocabulary(tags)
         self.doc_dated = kind != DateKind.UNDATED
-        # the floor of (lo + hi) / 2 without forming lo + hi, which int64 can overflow
-        self.doc_mids = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        self.doc_mids = (lo + hi) >> 1
         for name in (*_COLUMNS, "doc_dated", "doc_mids"):
             getattr(self, name).flags.writeable = False
         # full-corpus (lemma, POS) token counts, filled by frequency._lemma_pos_counts
@@ -240,7 +251,6 @@ class CorpusIndex:
         # frequency._occurrences
         self._lemma_scans = 0
         self._postings: tuple[np.ndarray, np.ndarray] | None = None
-        self._dated_order: tuple[int, ...] | None = None
 
     @cached_property
     def documents(self) -> tuple[Document, ...]:
@@ -249,8 +259,9 @@ class CorpusIndex:
             DateSpec(DateKind(kind), lo, hi) if kind else DateSpec.undated()
             for kind, lo, hi in zip(self.doc_kind.tolist(), self.doc_lo.tolist(), self.doc_hi.tolist())
         ]
+        tags = map([*self.typologies, None].__getitem__, self.doc_typology.tolist())
         starts, lengths = self.doc_starts.tolist(), np.diff(self.doc_starts).tolist()
-        return tuple(map(Document, self.doc_ids, dates, self.doc_typology, starts, lengths))
+        return tuple(map(Document, self.doc_ids, dates, tags, starts, lengths))
 
     @property
     def total_tokens(self) -> int:
@@ -262,8 +273,8 @@ class CorpusIndex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CorpusIndex):
             return NotImplemented
-        return (self.lemmas, self.forms, self.pos_tags, self.doc_ids, self.doc_typology) == (
-            other.lemmas, other.forms, other.pos_tags, other.doc_ids, other.doc_typology
+        return (self.lemmas, self.forms, self.pos_tags, self.doc_ids, self.typologies) == (
+            other.lemmas, other.forms, other.pos_tags, other.doc_ids, other.typologies
         ) and all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
     def position_of(self, doc_id: str) -> int:
@@ -273,14 +284,15 @@ class CorpusIndex:
         return position
 
     def dated_order(self) -> tuple[int, ...]:
-        """Positions of dated documents sorted by (midpoint, doc_id), stable."""
-        if self._dated_order is None:
-            ids = self.doc_ids.entries
-            mids = self.doc_mids.tolist()
-            order = np.flatnonzero(self.doc_dated).tolist()
-            order.sort(key=lambda pos: (mids[pos], ids[pos]))
-            self._dated_order = tuple(order)
-        return self._dated_order
+        """Positions of dated documents sorted by (midpoint, doc_id)."""
+        return self._dated_positions
+
+    @cached_property
+    def _dated_positions(self) -> tuple[int, ...]:
+        # by id in Python string order, then a stable sort by midpoint
+        dated = sorted(np.flatnonzero(self.doc_dated).tolist(), key=self.doc_ids.entries.__getitem__)
+        by_id = np.array(dated, dtype=np.int64)
+        return tuple(by_id[np.argsort(self.doc_mids[by_id], kind="stable")].tolist())
 
     def doc_mask(self, docset: Iterable[str] | np.ndarray | None) -> np.ndarray:
         """Resolve a docset, once per query, to a boolean table over document positions.
@@ -355,8 +367,13 @@ def dated_within(lo: int, hi: int) -> DocFilter:
 
 
 def has_typology(tag: str) -> DocFilter:
-    """Filter: the document carries typology ``tag``."""
-    return lambda index: np.fromiter((t == tag for t in index.doc_typology), bool, len(index))
+    """Filter: the document carries typology ``tag`` (none does when the index lacks it)."""
+
+    def keep(index: CorpusIndex) -> np.ndarray:
+        ident = index.typologies.id_of(tag)
+        return np.zeros(len(index), dtype=bool) if ident is None else index.doc_typology == ident
+
+    return keep
 
 
 def is_dated(index: CorpusIndex) -> np.ndarray:

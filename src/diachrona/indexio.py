@@ -18,7 +18,8 @@ Format version 1, all integers little-endian, strings length-prefixed UTF-8:
                        token_start u64, token_len u32
 
 Saving is deterministic: the same index always produces byte-identical
-files.  Loading reads the file once and parses it at offsets; it validates
+files, and it checks no year: an index holds only years that fit ``i32``.
+Loading reads the file once and parses it at offsets; it validates
 magic, version, completeness and id ranges, raising a distinct error for
 each failure mode, and the index checks the document table it is given.
 """
@@ -46,7 +47,6 @@ __all__ = [
 
 MAGIC = b"CSEM"
 FORMAT_VERSION = 1
-_I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
 
 
 class IndexFormatError(CorpusError):
@@ -72,27 +72,20 @@ class IdRangeError(IndexFormatError):
 def save_index(index: CorpusIndex, path: str | os.PathLike) -> None:
     """Write ``index`` to ``path`` in format version 1.
 
-    A date year outside the stored int32 range raises :class:`CorpusError`
-    before the file is opened.  The token columns are written straight from
-    the index's arrays, so saving holds no copy of them.
+    The token columns are written straight from the index's arrays, so
+    saving holds no copy of them.
     """
-    outside = (index.doc_lo < _I32_MIN) | (index.doc_hi > _I32_MAX)
-    if outside.any():
-        i = int(np.argmax(outside))
-        lo, hi = int(index.doc_lo[i]), int(index.doc_hi[i])
-        raise CorpusError(f"document {index.doc_ids[i]!r}: date {lo}..{hi} is outside int32")
     header = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     header += [_pack_vocab(vocab) for vocab in (index.lemmas, index.forms, index.pos_tags)]
     header.append(struct.pack("<Q", index.total_tokens))
     docs = [struct.pack("<I", len(index))]
     starts = index.doc_starts.tolist()
     dates = zip(index.doc_kind.tolist(), index.doc_lo.tolist(), index.doc_hi.tolist())
-    for doc_id, (kind, lo, hi), typology, start, end in zip(
-        index.doc_ids, dates, index.doc_typology, starts, starts[1:]
-    ):
+    tags = map([*index.typologies, ""].__getitem__, index.doc_typology.tolist())
+    for doc_id, (kind, lo, hi), typology, start, end in zip(index.doc_ids, dates, tags, starts, starts[1:]):
         docs.append(_pack_str(doc_id))
         docs.append(struct.pack("<Bii", kind, lo, hi))
-        docs.append(_pack_str(typology or ""))
+        docs.append(_pack_str(typology))
         docs.append(struct.pack("<QI", start, end - start))
     with open(path, "wb") as fh:
         fh.write(b"".join(header))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from diachrona import cooc, frequency
@@ -11,6 +12,12 @@ from diachrona.corpus import CorpusIndex, DateSpec
 from diachrona.ingest import index_from_documents
 
 POS_TAGS = ("NOM", "ADJ", "VER")
+
+# tier-1 draws the same examples on every run, so a failure it finds is
+# steady; `--hypothesis-profile=fuzz` draws fresh examples instead
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("fuzz", derandomize=False)
+settings.load_profile("tier1")
 
 
 def build_index(docs) -> CorpusIndex:

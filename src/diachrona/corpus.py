@@ -205,9 +205,12 @@ class CorpusIndex:
         # tags get ids in first-seen order; an empty tag is no tag
         tags: dict[str, int] = {}
         typology = np.array([tags.setdefault(t, len(tags)) if t else -1 for t in doc_typology], np.int64)
-        starts = np.asarray(doc_starts, dtype=np.int64)
+        starts = _int64_column(doc_starts, "doc_starts")
         try:
-            kind, lo, hi = (np.asarray(col, dtype=np.int64) for col in (doc_kind, doc_lo, doc_hi))
+            kind, lo, hi = (
+                _int64_column(col, name)
+                for col, name in ((doc_kind, "doc_kind"), (doc_lo, "doc_lo"), (doc_hi, "doc_hi"))
+            )
         except OverflowError:
             raise CorpusError("a document's date is outside int32") from None
         n_docs = len(self.doc_ids)
@@ -328,6 +331,27 @@ class CorpusIndex:
         if dmask.all():
             return None
         return np.repeat(dmask, np.diff(self.doc_starts))
+
+
+def _int64_column(values: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
+    """``values`` as an int64 array, or a :class:`CorpusError` naming the
+    column when the cast would change a value.  An array must have an integer
+    dtype whose values int64 holds; each item of a sequence must equal its
+    int64 value, and a Python int beyond int64 raises OverflowError."""
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        exact = not values.size or np.can_cast(values.dtype, np.int64) or (
+            values.dtype == np.uint64 and int(values.max()) < 2**63
+        )
+        col = values.astype(np.int64, copy=False) if exact else values
+    else:
+        try:
+            col = np.asarray(values, dtype=np.int64)
+            exact = col.tolist() == list(values)
+        except ValueError:  # a NaN, or a string that is not an int
+            exact = False
+    if not exact:
+        raise CorpusError(f"{name} holds values that do not convert to int64 exactly")
+    return col
 
 
 def _check_ids(ids: np.ndarray, size: int, what: str) -> None:

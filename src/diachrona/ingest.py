@@ -6,11 +6,10 @@ document and carry space-separated key=value pairs (``id`` required,
 ``date`` and ``typology`` optional).  The fallback path tokenizes raw text
 and lemmatizes through a lookup lexicon.
 
-Both paths make one interning pass: each turns its input into a stream of
-(form, POS, lemma) records and notes where every document starts, and
-``_index`` interns the stream into three dense vocabularies (ids in
-first-seen order) and three token id columns, and hands the document heads
-to the index as its document columns.
+Both paths give each distinct token line (or record) a type id at its first
+token, and hand ``_index`` the types in id order, one type id per token and
+one head per document.  ``_index`` interns each type's three strings once,
+so a vertical line seen before costs one dict lookup and one append.
 
 Ingestion fails loud: wrong column counts, empty forms, missing or reused
 ids (the implicit ``doc0`` included), repeated header keys and malformed
@@ -105,32 +104,34 @@ class Lexicon:
 _Head = tuple[str, DateSpec, str | None, int]
 
 
-def _index(heads: list[_Head], records: Iterable[Sequence[str]]) -> CorpusIndex:
-    """Intern a stream of (form, POS, lemma) records into an index.
+def _index(heads: list[_Head], types: Iterable[Sequence[str]], token_types: array) -> CorpusIndex:
+    """Intern ``types``, (form, POS, lemma) records in type id order, into an
+    index whose tokens have the type ids ``token_types``.
 
-    Each vocabulary is a plain dict whose ids are dense and in first-seen
-    order.  ``records`` is consumed first; then ``heads``, (doc_id, date,
-    typology, first_token) tuples that the record stream may append to while
-    it runs, become the document columns.
+    Each vocabulary is a plain dict with dense ids.  A string's first token is
+    its type's first token, so interning in type order keeps first-seen order.
+    Each token column is a gather of a per-type id table, and ``heads``,
+    (doc_id, date, typology, first_token) tuples, become the document columns.
     """
     lemmas: dict[str, int] = {}
     forms: dict[str, int] = {}
     tags: dict[str, int] = {}
-    lemma_col, form_col, pos_col = array("I"), array("I"), array("I")
-    for form, pos, lemma in records:
-        form_col.append(forms.setdefault(form, len(forms)))
-        pos_col.append(tags.setdefault(pos, len(tags)))
-        lemma_col.append(lemmas.setdefault(lemma, len(lemmas)))
+    lemma_of, form_of, pos_of = array("I"), array("I"), array("I")
+    for form, pos, lemma in types:
+        form_of.append(forms.setdefault(form, len(forms)))
+        pos_of.append(tags.setdefault(pos, len(tags)))
+        lemma_of.append(lemmas.setdefault(lemma, len(lemmas)))
+    token_ids = np.asarray(token_types)  # a uint32 view
     ids, dates, typologies, starts = zip(*heads) if heads else [()] * 4
     return CorpusIndex(
         Vocabulary(lemmas),
         Vocabulary(forms),
         Vocabulary(tags),
-        np.asarray(lemma_col, dtype=np.uint32),
-        np.asarray(form_col, dtype=np.uint32),
-        np.asarray(pos_col, dtype=np.uint16),
+        np.asarray(lemma_of, dtype=np.uint32)[token_ids],
+        np.asarray(form_of, dtype=np.uint32)[token_ids],
+        np.asarray(pos_of, dtype=np.uint16)[token_ids],
         ids,
-        [*starts, len(lemma_col)],
+        [*starts, len(token_ids)],
         [date.kind for date in dates],
         [date.lo or 0 for date in dates],
         [date.hi or 0 for date in dates],
@@ -176,35 +177,37 @@ def parse_vertical(
     if isinstance(lines, str):
         lines = lines.splitlines()
     heads: list[_Head] = []
-
-    def records():
-        seen: set[str] = set()
-        n_tokens = 0
-        for line_no, raw in enumerate(lines, start=1):
+    seen: set[str] = set()
+    types: dict[str, int] = {}  # raw token line -> type id; -1 for a blank or dropped line
+    n_types, token_types = 0, array("I")
+    for line_no, raw in enumerate(lines, start=1):
+        type_id = types.get(raw)
+        if type_id is None:
             line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
             if line.startswith("#doc"):
                 doc_id, date, typology = _parse_header(line, line_no)
                 if doc_id in seen:
                     raise VerticalParseError(line_no, f"duplicate document id: {doc_id!r}")
                 seen.add(doc_id)
-                heads.append((doc_id, date, typology, n_tokens))
+                heads.append((doc_id, date, typology, len(token_types)))
                 continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise VerticalParseError(line_no, f"token line has {len(cols)} columns, expected 3")
-            if not cols[0]:
-                raise VerticalParseError(line_no, "empty form column")
-            if cols[1] in drop_pos:
-                continue
-            if not heads:
-                seen.add("doc0")
-                heads.append(("doc0", DateSpec.undated(), None, 0))
-            n_tokens += 1
-            yield cols
-
-    return _index(heads, records())
+            type_id = -1
+            if line.strip():
+                cols = line.split("\t")
+                if len(cols) != 3:
+                    raise VerticalParseError(line_no, f"token line has {len(cols)} columns, expected 3")
+                if not cols[0]:
+                    raise VerticalParseError(line_no, "empty form column")
+                if cols[1] not in drop_pos:
+                    type_id, n_types = n_types, n_types + 1
+                    if not heads:  # the first token is always on a line not seen before
+                        seen.add("doc0")
+                        heads.append(("doc0", DateSpec.undated(), None, 0))
+            types[raw] = type_id
+        if type_id >= 0:
+            token_types.append(type_id)
+    kept = (raw.rstrip("\n").rstrip("\r").split("\t") for raw, t in types.items() if t >= 0)
+    return _index(heads, kept, token_types)
 
 
 def tokenize_plain(text: str) -> list[str]:
@@ -224,15 +227,12 @@ def lemmatize(forms: Sequence[str], lex: Lexicon) -> list[VerticalRecord]:
 def index_from_documents(
     docs: Iterable[tuple[str, DateSpec, str | None, Sequence[VerticalRecord | tuple[str, str, str]]]],
 ) -> CorpusIndex:
-    """Assemble an index from (doc_id, date, typology, records) tuples."""
+    """Assemble an index from (doc_id, date, typology, records) tuples; a record
+    is any sequence of three strings (form, POS, lemma)."""
     heads: list[_Head] = []
-
-    def records():
-        n_tokens = 0
-        for doc_id, date, typology, doc_records in docs:
-            heads.append((doc_id, date, typology, n_tokens))
-            for record in doc_records:
-                n_tokens += 1
-                yield record
-
-    return _index(heads, records())
+    types: dict[tuple[str, ...], int] = {}
+    token_types = array("I")
+    for doc_id, date, typology, records in docs:
+        heads.append((doc_id, date, typology, len(token_types)))
+        token_types.extend(types.setdefault(tuple(record), len(types)) for record in records)
+    return _index(heads, types, token_types)

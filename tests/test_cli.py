@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.resources
 import io
 import os
@@ -161,6 +162,14 @@ class TestIndexBuild:
         lemma, count = out.strip().split("\t")
         assert lemma == "pater"
         assert int(count) == sample_lemma_count("pater")
+
+    def test_sample_index_bytes_are_pinned(self, sample_index):
+        # any change to interning order or to the file format changes these bytes
+        data = sample_index.read_bytes()
+        assert len(data) == 22_510
+        assert hashlib.sha256(data).hexdigest() == (
+            "2bd8d942c2d9de36cbaf5b9c7abf211ad0d550975d3952a44cb99251cbb9d93b"
+        )
 
     def test_drop_pos_excluded_from_index(self, sample_index):
         index = load_index(sample_index)

@@ -436,6 +436,38 @@ class TestDocumentColumns:
         assert "\n" not in str(caught.value)
 
     @pytest.mark.parametrize(
+        "changes, column",
+        [
+            ({"doc_lo": np.array([2**64 - 5, 950], np.uint64), "doc_hi": [2**64 - 5, 990]}, "doc_lo"),
+            ({"doc_lo": np.array([900.7, 950.0])}, "doc_lo"),
+            ({"doc_hi": [900.7, 990]}, "doc_hi"),
+            ({"doc_hi": [float("nan"), 990]}, "doc_hi"),
+            ({"doc_starts": [0, 2.5, 3]}, "doc_starts"),
+            ({"doc_kind": np.array([1.0, 2.0])}, "doc_kind"),
+        ],
+        ids=["uint64-year", "float-year-array", "float-year-list", "nan-year", "float-start", "float-kind"],
+    )
+    def test_column_that_does_not_convert_exactly_is_rejected(self, changes, column):
+        # a cast to int64 would wrap 2**64 - 5 to -5 and truncate 900.7 and 2.5
+        message = f"^{column} holds values that do not convert to int64 exactly$"
+        with pytest.raises(CorpusError, match=message):
+            _columns(**changes)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32, np.uint64])
+    def test_integer_array_columns_build(self, dtype):
+        columns = {"doc_starts": [0, 1, 3], "doc_kind": [1, 2], "doc_lo": [900, 950], "doc_hi": [900, 990]}
+        index = _columns(**{name: np.array(values, dtype) for name, values in columns.items()})
+        assert index == _columns()
+        assert index.doc_lo.dtype == np.int64 and index.doc_lo.tolist() == [900, 950]
+
+    def test_empty_list_columns_build(self):
+        vocab = Vocabulary(["a"])
+        ids = np.zeros(0, dtype=np.uint32)
+        index = CorpusIndex(vocab, vocab, vocab, ids, ids, ids.astype(np.uint16), [], [0], [], [], [], [])
+        assert len(index) == 0 and index.total_tokens == 0
+        assert index.doc_kind.dtype == np.int64 and index.doc_starts.tolist() == [0]
+
+    @pytest.mark.parametrize(
         "lo, hi", [(-(2**31), -(2**31)), (2**31 - 1, 2**31 - 1), (-(2**31), 2**31 - 1), (-3, 0)]
     )
     def test_midpoints_at_the_int32_limits_are_exact(self, lo, hi):

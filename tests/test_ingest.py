@@ -1,8 +1,10 @@
+import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diachrona.corpus import DateKind, DateSpec
@@ -138,7 +140,12 @@ _DATE = st.one_of(
 
 @st.composite
 def vertical_cases(draw):
-    """(vertical text, drop set, expected (doc_id, date, typology, records) tuples)."""
+    """(vertical text, drop set, expected (doc_id, date, typology, records) tuples).
+
+    Lines end in LF or CRLF, the last one maybe in neither; blank lines hold
+    nothing, spaces or tabs; headers separate their fields with spaces or
+    tabs.  The small alphabet repeats token lines, dropped ones included,
+    within and across documents."""
     drop = draw(st.sampled_from([DEFAULT_DROP_POS, frozenset(), frozenset({"ADJ"})]))
     lines, docs = [], []
 
@@ -146,7 +153,7 @@ def vertical_cases(draw):
         records = []
         for item in doc_lines:
             if item is None:
-                lines.append(draw(st.sampled_from(["", "   "])))
+                lines.append(draw(st.sampled_from(["", "   ", "\t", " \t "])))
                 continue
             lines.append("\t".join(item))
             if item[1] not in drop:
@@ -170,20 +177,44 @@ def vertical_cases(draw):
         typology = draw(st.sampled_from([None, "charter", "letter"]))
         if typology is not None:
             fields.append(f"typology={typology}")
-        lines.append("#doc " + " ".join(draw(st.permutations(fields))))
+        sep = draw(st.sampled_from([" ", "\t"]))
+        lines.append("#doc" + sep + sep.join(draw(st.permutations(fields))))
         docs.append((f"d{i}", date, typology, body(draw(st.lists(_LINE, max_size=8)))))
-    return "\n".join(lines) + "\n", drop, docs
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""])), drop, docs
+
+
+# a tab-separated header, a repeated dropped line, a blank line of spaces and
+# tabs, a line repeated across documents, CRLF endings and no final newline
+_EVERY_LINE_CASE = (
+    "#doc\tid=d1\r\nx\tNOM\tx\r\n.\tPUN\t.\r\n \t \r\n.\tPUN\t.\r\n#doc id=d2\r\nx\tNOM\tx\r\ny\tVER\tx",
+    DEFAULT_DROP_POS,
+    [
+        ("d1", DateSpec.undated(), None, [("x", "NOM", "x")]),
+        ("d2", DateSpec.undated(), None, [("x", "NOM", "x"), ("y", "VER", "x")]),
+    ],
+)
 
 
 class TestOneInterningPass:
     @settings(max_examples=150, deadline=None)
     @given(vertical_cases())
+    @example(_EVERY_LINE_CASE)
     def test_vertical_text_indexes_like_its_records(self, case):
         text, drop, docs = case
-        parsed = parse_vertical(text, drop_pos=drop)
+        records = [tuple(r) for doc in docs for r in doc[3]]
+        heads = [doc[:3] for doc in docs]
+        starts = np.cumsum([0] + [len(doc[3]) for doc in docs]).tolist()
         built = index_from_documents(docs)
-        assert parsed == built
-        records = [r for doc in docs for r in doc[3]]
+        for lines in (text, io.StringIO(text), text.splitlines(keepends=True)):
+            parsed = parse_vertical(lines, drop_pos=drop)
+            # each token's strings and each document's head and start, read
+            # back through the vocabularies
+            tokens = zip(parsed.form_ids.tolist(), parsed.pos_ids.tolist(), parsed.lemma_ids.tolist())
+            assert [(parsed.forms[f], parsed.pos_tags[p], parsed.lemmas[l]) for f, p, l in tokens] == records
+            assert [(d.doc_id, d.date, d.typology) for d in parsed.documents] == heads
+            assert parsed.doc_starts.tolist() == starts
+            assert parsed == built
         assert parsed.forms.entries == list(dict.fromkeys(r[0] for r in records))
         assert parsed.pos_tags.entries == list(dict.fromkeys(r[1] for r in records))
         assert parsed.lemmas.entries == list(dict.fromkeys(r[2] for r in records))
@@ -191,6 +222,17 @@ class TestOneInterningPass:
             save_index(parsed, Path(tmp) / "parsed.csem")
             save_index(built, Path(tmp) / "built.csem")
             assert (Path(tmp) / "parsed.csem").read_bytes() == (Path(tmp) / "built.csem").read_bytes()
+
+    def test_records_are_any_three_item_sequences(self):
+        tuples = [("a", DateSpec.undated(), None, [("x", "NOM", "y"), VerticalRecord("z", "VER", "y")])]
+        lists = [("a", DateSpec.undated(), None, [["x", "NOM", "y"], ["z", "VER", "y"]])]
+        assert index_from_documents(lists) == index_from_documents(tuples)
+
+    @pytest.mark.parametrize("record", [("x", "NOM"), ("x", "NOM", "y", "extra"), ["x", "NOM", "y", "extra"]])
+    def test_record_of_another_length_raises(self, record):
+        # a long record must not be cut to its first three items
+        with pytest.raises(ValueError):
+            index_from_documents([("a", DateSpec.undated(), None, [("x", "NOM", "y"), record])])
 
 
 class TestTokenizePlain:

@@ -346,9 +346,9 @@ def _int64_column(values: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
     else:
         try:
             col = np.asarray(values, dtype=np.int64)
-            exact = col.tolist() == list(values)
         except ValueError:  # a NaN, or a string that is not an int
-            exact = False
+            col = None
+        exact = col is not None and col.tolist() == list(values)
     if not exact:
         raise CorpusError(f"{name} holds values that do not convert to int64 exactly")
     return col

@@ -24,6 +24,7 @@ tranches the dated documents.  ``freq table`` AND-s ``--filter`` into each
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -115,8 +116,20 @@ def _cmd_index_build(args) -> int:
         index = index_from_documents(docs)
     else:
         drop = _comma_set(args.drop_pos) or frozenset()
-        lines = (line for path in args.input for line in _text_lines(path))
-        index = parse_vertical(lines, drop_pos=drop)
+        opened: list[str] = []
+
+        def files():
+            for path in args.input:
+                opened.append(path)
+                with open(path, encoding="utf-8") as fh:
+                    yield fh
+
+        # parse_vertical reads the open files' lines directly; a decoding
+        # failure is raised while it reads the last file opened
+        try:
+            index = parse_vertical(itertools.chain.from_iterable(files()), drop_pos=drop)
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{opened[-1]}: not valid UTF-8 text ({exc.reason})") from None
     save_index(index, args.out)
     sys.stderr.write(
         f"indexed {index.total_tokens} tokens in {len(index)} documents "

@@ -67,13 +67,14 @@ class Vocabulary:
     __slots__ = ("entries", "_lookup")
 
     def __init__(self, entries: Iterable[str] = (), what: str = "vocabulary entry") -> None:
-        self.entries: list[str] = []
-        self._lookup: dict[str, int] = {}
-        for entry in entries:
-            if entry in self._lookup:
-                raise CorpusError(f"duplicate {what}: {entry!r}")
-            self._lookup[entry] = len(self.entries)
-            self.entries.append(entry)
+        self.entries: list[str] = list(entries)
+        self._lookup: dict[str, int] = dict(zip(self.entries, range(len(self.entries))))
+        if len(self._lookup) != len(self.entries):
+            seen: set[str] = set()
+            for entry in self.entries:
+                if entry in seen:
+                    raise CorpusError(f"duplicate {what}: {entry!r}")
+                seen.add(entry)
 
     def id_of(self, entry: str) -> int | None:
         """Return the id of ``entry``, or None when it is not in the table."""

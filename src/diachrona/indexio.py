@@ -1,33 +1,58 @@
 """Binary persistence for :class:`~diachrona.corpus.CorpusIndex`.
 
-Format version 1, all integers little-endian, strings length-prefixed UTF-8:
+Format version 2, written by :func:`save_index`; all integers little-endian:
 
     magic "CSEM"
     version            u32
-    lemma vocabulary   count u32, then per entry: byte length u32 + bytes
-    form vocabulary    same layout
-    POS vocabulary     same layout
-    token count N      u64
-    lemma ids          u32 x N
-    form ids           u32 x N
-    POS ids            u16 x N
-    document count     u32
-    per document:      doc_id (u32 length + bytes), date kind u8
-                       (0 undated, 1 exact, 2 range), lo i32, hi i32,
-                       typology (u32 length + bytes, empty = none),
-                       token_start u64, token_len u32
+    section table      18 entries of (offset u64, byte length u64, CRC32 u32)
+    sections           in table order, each starting at the first 8-byte
+                       boundary at or after the end of the one before, the
+                       bytes between them zero; the file ends with the last
 
-Saving is deterministic: the same index always produces byte-identical
-files, and it checks no year: an index holds only years that fit ``i32``.
-Loading reads the file once and parses it at offsets; it validates
-magic, version, completeness and id ranges, raising a distinct error for
-each failure mode, and the index checks the document table it is given.
+The sections, in order:
+
+    for each string table (lemmas, forms, POS tags, document ids, typology tags):
+      text             the entries concatenated, as UTF-8
+      offsets          u64 x (count + 1): character offsets into the decoded
+                       text, from 0 to its length; entry i is text[o[i]:o[i+1]]
+    lemma_ids          u32 x N
+    form_ids           u32 x N
+    pos_ids            u16 x N
+    doc_starts         i64 x (documents + 1): token offsets from 0 to N
+    doc_kind           u8 per document (0 undated, 1 exact, 2 range)
+    doc_lo, doc_hi     i32 per document (0 when undated)
+    doc_typology       i32 per document: an id into the typology tags, -1 none
+
+A section's CRC32 is zlib's, over its bytes.  Saving is deterministic: the
+same index always produces byte-identical files, and it checks no year: an
+index holds only years that fit ``i32``.  Saving writes a temporary file
+beside the target and renames it over the target, so a failed or
+interrupted save leaves any earlier file there intact (a killed process
+can leave the temporary file behind).
+
+Loading reads the file once into a read-only buffer and takes each column
+as a view of it.  It checks each section before use: that it lies inside the
+file, starts where the layout puts it and holds whole items, and that its
+CRC32 matches; then that each string table's offsets rise from 0 to its
+text's length and that every stored id is in range, raising a distinct
+error for each failure mode.  The index checks the document table it is
+given.
+
+Format version 1 is read, never written.  Its strings are length-prefixed
+UTF-8 (byte length u32, then the bytes) and it holds no checksum:
+
+    magic "CSEM", version u32
+    lemma, form and POS vocabularies: count u32, then the strings
+    token count N u64, then lemma ids u32 x N, form ids u32 x N, POS ids u16 x N
+    document count u32, then per document: id (string), date kind u8, lo i32,
+    hi i32, typology (string, empty = none), token start u64, token length u32
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -41,12 +66,37 @@ __all__ = [
     "UnsupportedVersionError",
     "TruncatedFileError",
     "IdRangeError",
+    "ChecksumError",
+    "SectionLayoutError",
+    "StringTableError",
     "save_index",
     "load_index",
 ]
 
 MAGIC = b"CSEM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+_ALIGN = 8
+_STRING_TABLES = ("lemmas", "forms", "pos_tags", "doc_ids", "typologies")
+# (index attribute, stored dtype) of each column
+_COLUMNS = (
+    ("lemma_ids", "<u4"),
+    ("form_ids", "<u4"),
+    ("pos_ids", "<u2"),
+    ("doc_starts", "<i8"),
+    ("doc_kind", "<u1"),
+    ("doc_lo", "<i4"),
+    ("doc_hi", "<i4"),
+    ("doc_typology", "<i4"),
+)
+# (name, dtype) of each section of a version 2 file, in file order
+_SECTIONS = (
+    *((f"{table} {part}", dtype)
+      for table in _STRING_TABLES for part, dtype in (("text", "u1"), ("offsets", "<u8"))),
+    *_COLUMNS,
+)
+_ENTRY = "QQI"  # offset, byte length, CRC32
+_HEADER_SIZE = len(MAGIC) + 4 + struct.calcsize("<" + _ENTRY * len(_SECTIONS))
 
 
 class IndexFormatError(CorpusError):
@@ -66,60 +116,152 @@ class TruncatedFileError(IndexFormatError):
 
 
 class IdRangeError(IndexFormatError):
-    """A stored token id exceeds its vocabulary size."""
+    """A stored token or typology id lies outside its table."""
+
+
+class ChecksumError(IndexFormatError):
+    """A section's bytes do not match its stored CRC32."""
+
+
+class SectionLayoutError(IndexFormatError):
+    """A section is misaligned, overlaps the bytes before it, leaves a gap or
+    nonzero padding, or does not hold a whole number of items."""
+
+
+class StringTableError(IndexFormatError):
+    """A string table's offsets do not rise from 0 to the length of its text."""
 
 
 def save_index(index: CorpusIndex, path: str | os.PathLike) -> None:
-    """Write ``index`` to ``path`` in format version 1.
+    """Write ``index`` to ``path`` in format version 2.
 
-    The token columns are written straight from the index's arrays, so
-    saving holds no copy of them.
+    The token columns are written, and their checksums taken, straight from
+    the index's arrays, so saving holds no copy of them.  The file is
+    written under a temporary name in the same directory and renamed over
+    ``path`` once complete; a save that fails removes it.
     """
-    header = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    header += [_pack_vocab(vocab) for vocab in (index.lemmas, index.forms, index.pos_tags)]
-    header.append(struct.pack("<Q", index.total_tokens))
-    docs = [struct.pack("<I", len(index))]
-    starts = index.doc_starts.tolist()
-    dates = zip(index.doc_kind.tolist(), index.doc_lo.tolist(), index.doc_hi.tolist())
-    tags = map([*index.typologies, ""].__getitem__, index.doc_typology.tolist())
-    for doc_id, (kind, lo, hi), typology, start, end in zip(index.doc_ids, dates, tags, starts, starts[1:]):
-        docs.append(_pack_str(doc_id))
-        docs.append(struct.pack("<Bii", kind, lo, hi))
-        docs.append(_pack_str(typology))
-        docs.append(struct.pack("<QI", start, end - start))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(header))
-        fh.write(index.lemma_ids.astype("<u4", copy=False))
-        fh.write(index.form_ids.astype("<u4", copy=False))
-        fh.write(index.pos_ids.astype("<u2", copy=False))
-        fh.write(b"".join(docs))
+    sections = []
+    for table in _STRING_TABLES:
+        sections += _string_table(getattr(index, table).entries)
+    sections += [getattr(index, name).astype(dtype, copy=False) for name, dtype in _COLUMNS]
+    entries, layout = [], []
+    end = _HEADER_SIZE
+    for data in sections:
+        size = memoryview(data).nbytes
+        offset = end + -end % _ALIGN
+        entries += [offset, size, zlib.crc32(data)]
+        layout.append((offset - end, data))
+        end = offset + size
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC + struct.pack("<I" + _ENTRY * len(sections), FORMAT_VERSION, *entries))
+            for padding, data in layout:
+                fh.write(bytes(padding))
+                fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_index(path: str | os.PathLike) -> CorpusIndex:
-    """Read an index written by :func:`save_index`.
+    """Read an index written by :func:`save_index`, in format version 2 or 1.
 
     Every malformed file raises an :class:`IndexFormatError`.  Tables the
     index itself rejects (a repeated vocabulary entry or document id,
     documents that do not cover the tokens, an invalid date) raise the base
     class with the index's message.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    # read into a numpy buffer, not bytes: numpy asks the kernel for huge
+    # pages for a large buffer, so the read takes about half as long and the
+    # columns that view it sit on huge pages
+    image = np.fromfile(path, np.uint8)
+    image.flags.writeable = False
+    cur = _Cursor(memoryview(image))
     try:
-        return _read_index(_Cursor(buf))
+        cur.skip(4)
+        if cur.data[:4] != MAGIC:
+            raise BadMagicError(f"bad magic: {bytes(cur.data[:4])!r}")
+        version = cur.unpack("<I")[0]
+        if version == FORMAT_VERSION:
+            return _read_v2(cur)
+        if version == 1:
+            return _read_v1(cur)
+        raise UnsupportedVersionError(f"unsupported format version: {version}")
     except IndexFormatError:
         raise
     except CorpusError as exc:
         raise IndexFormatError(f"corrupt index: {exc}") from None
 
 
-def _read_index(cur: "_Cursor") -> CorpusIndex:
-    cur.skip(4)
-    if cur.data[:4] != MAGIC:
-        raise BadMagicError(f"bad magic: {cur.data[:4]!r}")
-    version = cur.unpack("<I")[0]
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"unsupported format version: {version}")
+def _string_table(entries: list[str]) -> list:
+    """The text and offsets sections of one string table."""
+    offsets = np.zeros(len(entries) + 1, "<u8")
+    np.cumsum(np.fromiter(map(len, entries), "<u8", len(entries)), out=offsets[1:])
+    return ["".join(entries).encode("utf-8"), offsets]
+
+
+def _read_v2(cur: "_Cursor") -> CorpusIndex:
+    buf = cur.data
+    entries = cur.unpack("<" + _ENTRY * len(_SECTIONS))
+    end = cur.at
+    sections = {}
+    for i, (name, dtype) in enumerate(_SECTIONS):
+        offset, size, crc = entries[3 * i : 3 * i + 3]
+        if offset + size > len(buf):
+            raise TruncatedFileError(f"section {name} ends at byte {offset + size}, file has {len(buf)}")
+        if offset % _ALIGN:
+            raise SectionLayoutError(f"section {name} starts at byte {offset}, not on an 8-byte boundary")
+        if offset < end:
+            raise SectionLayoutError(f"section {name} starts at byte {offset}, inside the bytes before it")
+        if offset - end >= _ALIGN or any(buf[end:offset]):
+            raise SectionLayoutError(f"section {name} starts at byte {offset}, after more than zero padding")
+        itemsize = np.dtype(dtype).itemsize
+        if size % itemsize:
+            raise SectionLayoutError(f"section {name} holds {size} bytes, not whole {itemsize}-byte items")
+        if zlib.crc32(buf[offset : offset + size]) != crc:
+            raise ChecksumError(f"section {name} fails its CRC32 check")
+        sections[name] = np.frombuffer(buf, dtype, size // itemsize, offset)
+        end = offset + size
+    if end != len(buf):
+        raise IndexFormatError("trailing bytes after the last section")
+    lemmas, forms, pos_tags, doc_ids, typologies = (_strings(sections, table) for table in _STRING_TABLES)
+    lemmas, forms, pos_tags = Vocabulary(lemmas), Vocabulary(forms), Vocabulary(pos_tags)
+    lemma_ids, form_ids, pos_ids, doc_starts, doc_kind, doc_lo, doc_hi, doc_typology = (
+        sections[name] for name, _ in _COLUMNS
+    )
+    _check_range(lemma_ids, len(lemmas), "lemma")
+    _check_range(form_ids, len(forms), "form")
+    _check_range(pos_ids, len(pos_tags), "POS")
+    if len(doc_typology) and int(doc_typology.min()) < -1:
+        raise IdRangeError(f"typology id {int(doc_typology.min())} out of range")
+    _check_range(doc_typology, len(typologies), "typology")
+    tags = map([*typologies, None].__getitem__, doc_typology.tolist())
+    index = CorpusIndex(
+        lemmas, forms, pos_tags, lemma_ids, form_ids, pos_ids, doc_ids, doc_starts, doc_kind, doc_lo, doc_hi, tags
+    )
+    if index.typologies.entries != typologies:
+        raise IndexFormatError("stored typology tags disagree with the tags of the documents")
+    return index
+
+
+def _strings(sections: dict, table: str) -> list[str]:
+    """The entries of one string table, from its text and offsets sections."""
+    offsets = sections[f"{table} offsets"]
+    try:
+        text = str(sections[f"{table} text"], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise StringTableError(f"{table} text is not valid UTF-8 ({exc.reason})") from None
+    if not len(offsets) or offsets[0] or offsets[-1] != len(text) or (offsets[1:] < offsets[:-1]).any():
+        raise StringTableError(f"{table} offsets do not rise from 0 to the text length {len(text)}")
+    bounds = offsets.tolist()
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _read_v1(cur: "_Cursor") -> CorpusIndex:
     lemmas, forms, pos_tags = (
         Vocabulary(cur.string() for _ in range(cur.unpack("<I")[0])) for _ in range(3)
     )
@@ -151,7 +293,7 @@ class _Cursor:
     against the image first, so a corrupt count field raises
     TruncatedFileError instead of attempting a huge allocation."""
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: memoryview) -> None:
         self.data = data
         self.at = 0
 
@@ -172,25 +314,13 @@ class _Cursor:
         size = self.unpack("<I")[0]
         start = self.skip(size)
         try:
-            return self.data[start : start + size].decode("utf-8")
+            return str(self.data[start : start + size], "utf-8")
         except UnicodeDecodeError as exc:
             raise IndexFormatError(f"stored string is not valid UTF-8 ({exc.reason})") from None
 
     def array(self, dtype: str, count: int) -> np.ndarray:
         start = self.skip(count * np.dtype(dtype).itemsize)
         return np.frombuffer(self.data, dtype, count, start).copy()
-
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def _pack_vocab(vocab: Vocabulary) -> bytes:
-    parts = [struct.pack("<I", len(vocab))]
-    for entry in vocab:
-        parts.append(_pack_str(entry))
-    return b"".join(parts)
 
 
 def _check_range(ids: np.ndarray, size: int, what: str) -> None:

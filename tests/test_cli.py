@@ -164,11 +164,12 @@ class TestIndexBuild:
         assert int(count) == sample_lemma_count("pater")
 
     def test_sample_index_bytes_are_pinned(self, sample_index):
-        # any change to interning order or to the file format changes these bytes
+        # any change to interning order or to the file format changes these
+        # bytes (format version 2; tests/test_indexio.py pins version 1's)
         data = sample_index.read_bytes()
-        assert len(data) == 22_510
+        assert len(data) == 23_016
         assert hashlib.sha256(data).hexdigest() == (
-            "2bd8d942c2d9de36cbaf5b9c7abf211ad0d550975d3952a44cb99251cbb9d93b"
+            "8abe2374019b539b1adc3c0adf537aeeb6c55c2d98dfd5fae1b4eb0697379318"
         )
 
     def test_drop_pos_excluded_from_index(self, sample_index):
@@ -200,6 +201,28 @@ class TestIndexBuild:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: ") and str(bad) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_non_utf8_second_input_is_named(self, tmp_path, capsys, plain):
+        good = tmp_path / "good.vrt"
+        good.write_text("#doc id=d1 date=900\npater\tNOM\tpater\n", encoding="utf-8")
+        bad = tmp_path / "latin1.vrt"
+        bad.write_bytes("#doc id=d2 date=950\ncafé\tNOM\tcafe\n".encode("latin-1"))
+        out = tmp_path / "x.csem"
+        argv = ["index", "build", "--input", str(good), str(bad), "--out", str(out)]
+        assert run_cli(argv + (["--plain"] if plain else [])) == 1
+        err = capsys.readouterr().err
+        assert err == "error: " + str(bad) + ": not valid UTF-8 text (invalid continuation byte)\n"
+        assert not out.exists()
+
+    def test_line_numbers_run_on_across_inputs(self, tmp_path, capsys):
+        first = tmp_path / "a.vrt"
+        first.write_text("#doc id=d1 date=900\npater\tNOM\tpater\n", encoding="utf-8")
+        second = tmp_path / "b.vrt"
+        second.write_text("#doc id=d2 date=950\npater\tNOM\n", encoding="utf-8")
+        argv = ["index", "build", "--input", str(first), str(second), "--out", str(tmp_path / "x")]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == "error: line 4: token line has 2 columns, expected 3\n"
 
     def test_synth_is_seed_deterministic(self, tmp_path):
         a = tmp_path / "a.csem"

@@ -39,9 +39,15 @@ class TestVocabulary:
         for i in range(len(vocab)):
             assert vocab.id_of(vocab[i]) == i
 
-    def test_duplicate_entries_rejected(self):
-        with pytest.raises(CorpusError):
-            Vocabulary(["a", "b", "a"])
+    @pytest.mark.parametrize(
+        "entries, repeat",
+        [(["a", "a", "b", "c", "b"], "a"), (["a", "b", "c", "b", "a"], "b"), (["a", "b", "c", "d", "c"], "c")],
+        ids=["start", "middle", "end"],
+    )
+    def test_duplicate_entries_rejected(self, entries, repeat):
+        # the message names the entry whose second occurrence comes first
+        with pytest.raises(CorpusError, match=f"^duplicate lemma: '{repeat}'$"):
+            Vocabulary(iter(entries), what="lemma")
 
     def test_unicode_survives(self):
         vocab = Vocabulary(["sæculum", "æterna", "kyrié"])

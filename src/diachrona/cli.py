@@ -338,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     index_sub = index_cmd.add_subparsers(dest="subcommand", required=True)
 
     build = index_sub.add_parser("build", help="index vertical (or plain) text files")
-    build.add_argument("--input", nargs="+", required=True, help="input files")
+    build.add_argument(
+        "--input", nargs="+", action="extend", required=True, help="input files (repeatable)"
+    )
     build.add_argument("--out", required=True, help="output .csem path")
     build.add_argument(
         "--drop-pos",

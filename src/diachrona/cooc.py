@@ -13,10 +13,17 @@ occurrence of the requested row lemmas and bincounts them under one key,
 (bucket, row, neighbor column), where a document's bucket (a docset
 member, a tranche, a year bin, or -1 for left out) is fixed per call.  So
 a per-tranche or per-bin series costs one pass, not one per bucket, and
-the work follows the row occurrences, not the corpus size.  The kernel walks
-the occurrences in slabs of at most ``_SLAB`` of them, so its temporary
-arrays are bounded by the slab, not by the occurrence count of frequent
-rows (a field map's 30 terms can hold 4.3M occurrences at 10M tokens).
+the work follows the row occurrences, not the corpus size.  When the
+columns are the rows (a field-map submatrix, or a lemma paired with
+itself), every counted pair joins two row occurrences, so the kernel walks
+the sorted row occurrences themselves instead of gathering neighbours: for
+s = 1..w it pairs each occurrence with the s-th one after it, and stops at
+the first s that pairs none, so it makes at most w passes.  The kernel
+walks the occurrences in slabs of at most ``_SLAB`` of them, so its
+temporary arrays are bounded by the slab, not by the occurrence count of
+frequent rows (a field map's 30 terms can hold 4.3M occurrences at 10M
+tokens); in the mirror walk a slab also reads, as right sides only, the at
+most w occurrences after it that its last ones reach.
 
 Every Dice value comes from one array function, ``_dice`` (0 where both
 frequencies are 0), and every ranking from one helper, ``_top_k``, so
@@ -116,39 +123,74 @@ def _window_pairs(
     and for each offset d looks d tokens to either side of every occurrence
     whose document reaches that far: the work follows the row occurrences,
     and a window wider than the longest document costs no more than it.
-    The occurrences are taken ``_SLAB`` at a time, so the temporaries of one
-    call stay within a few slab-length arrays.
+    When ``cols`` equals ``rows`` (the mirror case) it reads no neighbour
+    token: for s = 1..window it pairs row occurrence i with occurrence i + s
+    when both lie in one document at most ``window`` tokens apart, counts
+    each pair once under (bucket, row of i, row of i + s), and stops at the
+    first s where no pair passes; the counts plus their transpose are then
+    the pairs seen from both sides.  The occurrences are taken ``_SLAB`` at
+    a time, a mirror slab with the at most ``window`` occurrences after it
+    that its last left side reaches, so the temporaries of one call stay
+    within a few slab-length arrays.
     """
     lem = index.lemma_ids
+    # no pair lies farther apart than the corpus is long, and position
+    # arithmetic on this window cannot overflow
+    window = min(window, len(lem))
     rows = np.asarray(rows, dtype=np.int64)
     n_rows = len(rows)
     n_cols = len(index.lemmas) if cols is None else len(cols)
     occ, per_doc = _occurrences(index, rows)
     occ_doc = np.repeat(np.arange(len(index), dtype=np.int32), per_doc)
+    # with cols == rows the row occurrences themselves are walked
+    mirror = cols is not None and np.array_equal(rows, cols)
     row_of = None
-    if n_rows > 1:
+    if n_rows > 1 or mirror:
         row_of = np.zeros(len(index.lemmas), dtype=np.int64)
         row_of[rows] = np.arange(n_rows)
     col_of = None
     if cols is not None:
         col_of = np.full(len(index.lemmas), -1, dtype=np.int64)
         col_of[np.asarray(cols, dtype=np.int64)] = np.arange(n_cols)
-    # with cols == rows the pairs seen from the left sides are the transpose
-    # of those seen from the right sides, so one side is enough
-    mirror = cols is not None and np.array_equal(rows, cols)
     counts = np.zeros(n_buckets * n_rows * n_cols, dtype=np.int64)
     for lo in range(0, len(occ), _SLAB):
-        pos, docs = occ[lo : lo + _SLAB], occ_doc[lo : lo + _SLAB]
+        hi = lo + _SLAB
+        if mirror and hi < len(occ):
+            # the right sides run on to the last occurrence that the slab's
+            # last left side reaches: at most window occurrences more
+            reach = min(occ[hi - 1] + window, index.doc_starts[occ_doc[hi - 1] + 1] - 1)
+            hi = int(np.searchsorted(occ, reach, "right"))
+        pos, docs = occ[lo:hi], occ_doc[lo:hi]
+        n_left = min(_SLAB, len(pos))
         # base: flat offset of each occurrence's (bucket, row) block of cells
         base = 0
         if doc_bucket is not None:
             bucket = doc_bucket[docs]
             keep = bucket >= 0
+            n_left = int(np.count_nonzero(keep[:n_left]))
             pos, docs = pos[keep], docs[keep]
             base = bucket[keep] * (n_rows * n_cols)
         if row_of is not None:
-            base = base + row_of[lem[pos]] * n_cols
-        for step in (1,) if mirror else (1, -1):
+            row = row_of[lem[pos]]
+            base = base + row * n_cols
+        if mirror:
+            # occurrence i pairs with occurrence i + s when both lie in one
+            # document at most window tokens apart; left-out documents were
+            # filtered out above, so a pair across them fails the document
+            # test.  Distances grow with s, so once no i passes, no larger s
+            # does either.
+            for s in range(1, min(window, len(pos) - 1) + 1):
+                m = min(n_left, len(pos) - s)
+                ok = pos[s : s + m] - pos[:m] <= window
+                ok &= docs[s : s + m] == docs[:m]
+                if not ok.any():
+                    break
+                # weighting by the test counts the passing pairs without
+                # compressing them; float sums of at most _SLAB ones are exact
+                pairs = np.bincount(base[:m] + row[s : s + m], weights=ok, minlength=len(counts))
+                counts += pairs.astype(np.int64)
+            continue
+        for step in (1, -1):
             # tokens between each occurrence and its document's edge on this side
             room = index.doc_starts[docs + 1] - 1 - pos if step == 1 else pos - index.doc_starts[docs]
             for d in range(1, min(window, int(room.max(initial=0))) + 1):

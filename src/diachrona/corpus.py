@@ -61,6 +61,11 @@ class CorpusError(Exception):
     """Domain error raised by corpus construction and corpus queries."""
 
 
+class _IdOutOfRange(CorpusError):
+    """A token id outside its vocabulary; ``load_index`` reports it as a
+    corrupt file's ``IdRangeError``."""
+
+
 class Vocabulary:
     """Dense string table: entry ``i`` has id ``i``.  Duplicate entries are rejected."""
 
@@ -360,10 +365,10 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
         raise CorpusError(f"{what} ids must be integers")
     if len(ids) == 0:
         return
-    lo = int(ids.min())
     hi = int(ids.max())
+    lo = int(ids.min()) if ids.dtype.kind == "i" else 0
     if lo < 0 or hi >= size:
-        raise CorpusError(f"{what} id out of vocabulary range: {hi if hi >= size else lo}")
+        raise _IdOutOfRange(f"{what} id {hi if hi >= size else lo} out of range (vocabulary size {size})")
 
 
 # a document filter: a function of the index returning a boolean mask over its documents

@@ -56,7 +56,7 @@ import zlib
 
 import numpy as np
 
-from .corpus import CorpusError, CorpusIndex, Vocabulary
+from .corpus import CorpusError, CorpusIndex, Vocabulary, _IdOutOfRange
 
 __all__ = [
     "MAGIC",
@@ -173,7 +173,8 @@ def load_index(path: str | os.PathLike) -> CorpusIndex:
     Every malformed file raises an :class:`IndexFormatError`.  Tables the
     index itself rejects (a repeated vocabulary entry or document id,
     documents that do not cover the tokens, an invalid date) raise the base
-    class with the index's message.
+    class with the index's message, except token ids outside their
+    vocabulary, which raise :class:`IdRangeError`.
     """
     # read into a numpy buffer, not bytes: numpy asks the kernel for huge
     # pages for a large buffer, so the read takes about half as long and the
@@ -193,6 +194,8 @@ def load_index(path: str | os.PathLike) -> CorpusIndex:
         raise UnsupportedVersionError(f"unsupported format version: {version}")
     except IndexFormatError:
         raise
+    except _IdOutOfRange as exc:
+        raise IdRangeError(str(exc)) from None
     except CorpusError as exc:
         raise IndexFormatError(f"corrupt index: {exc}") from None
 
@@ -233,12 +236,12 @@ def _read_v2(cur: "_Cursor") -> CorpusIndex:
     lemma_ids, form_ids, pos_ids, doc_starts, doc_kind, doc_lo, doc_hi, doc_typology = (
         sections[name] for name, _ in _COLUMNS
     )
-    _check_range(lemma_ids, len(lemmas), "lemma")
-    _check_range(form_ids, len(forms), "form")
-    _check_range(pos_ids, len(pos_tags), "POS")
-    if len(doc_typology) and int(doc_typology.min()) < -1:
-        raise IdRangeError(f"typology id {int(doc_typology.min())} out of range")
-    _check_range(doc_typology, len(typologies), "typology")
+    # the index checks the token ids against the vocabularies itself, once
+    if len(doc_typology):
+        lo, hi = int(doc_typology.min()), int(doc_typology.max())
+        if lo < -1 or hi >= len(typologies):
+            bad = lo if lo < -1 else hi
+            raise IdRangeError(f"typology id {bad} out of range (vocabulary size {len(typologies)})")
     tags = map([*typologies, None].__getitem__, doc_typology.tolist())
     index = CorpusIndex(
         lemmas, forms, pos_tags, lemma_ids, form_ids, pos_ids, doc_ids, doc_starts, doc_kind, doc_lo, doc_hi, tags
@@ -269,9 +272,6 @@ def _read_v1(cur: "_Cursor") -> CorpusIndex:
     lemma_ids = cur.array("<u4", n)
     form_ids = cur.array("<u4", n)
     pos_ids = cur.array("<u2", n)
-    _check_range(lemma_ids, len(lemmas), "lemma")
-    _check_range(form_ids, len(forms), "form")
-    _check_range(pos_ids, len(pos_tags), "POS")
     # per document: id, date kind, lo, hi, typology, token start, token length
     docs = [
         (cur.string(), *cur.unpack("<Bii"), cur.string(), *cur.unpack("<QI"))
@@ -321,8 +321,3 @@ class _Cursor:
     def array(self, dtype: str, count: int) -> np.ndarray:
         start = self.skip(count * np.dtype(dtype).itemsize)
         return np.frombuffer(self.data, dtype, count, start).copy()
-
-
-def _check_range(ids: np.ndarray, size: int, what: str) -> None:
-    if len(ids) and int(ids.max()) >= size:
-        raise IdRangeError(f"{what} id {int(ids.max())} out of range (vocabulary size {size})")

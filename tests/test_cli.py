@@ -215,14 +215,30 @@ class TestIndexBuild:
         assert err == "error: " + str(bad) + ": not valid UTF-8 text (invalid continuation byte)\n"
         assert not out.exists()
 
-    def test_line_numbers_run_on_across_inputs(self, tmp_path, capsys):
+    @pytest.mark.parametrize("repeated", [False, True], ids=["one-flag", "repeated-flag"])
+    def test_line_numbers_run_on_across_inputs(self, tmp_path, capsys, repeated):
         first = tmp_path / "a.vrt"
         first.write_text("#doc id=d1 date=900\npater\tNOM\tpater\n", encoding="utf-8")
         second = tmp_path / "b.vrt"
         second.write_text("#doc id=d2 date=950\npater\tNOM\n", encoding="utf-8")
-        argv = ["index", "build", "--input", str(first), str(second), "--out", str(tmp_path / "x")]
+        inputs = [str(first), "--input", str(second)] if repeated else [str(first), str(second)]
+        argv = ["index", "build", "--input", *inputs, "--out", str(tmp_path / "x")]
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == "error: line 4: token line has 2 columns, expected 3\n"
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["one-flag", "repeated-flag"])
+    def test_every_input_is_indexed(self, tmp_path, repeated):
+        paths = []
+        for name, year in (("a", 900), ("b", 950), ("c", 1000)):
+            paths.append(tmp_path / f"{name}.vrt")
+            paths[-1].write_text(f"#doc id={name} date={year}\npater\tNOM\tpater\n", encoding="utf-8")
+        first, *rest = map(str, paths)
+        inputs = [first] + [arg for path in rest for arg in ("--input", path)] if repeated else [first, *rest]
+        out = tmp_path / "x.csem"
+        assert run_cli(["index", "build", "--input", *inputs, "--out", str(out)]) == 0
+        index = load_index(out)
+        assert [doc.doc_id for doc in index.documents] == ["a", "b", "c"]
+        assert index.total_tokens == 3
 
     def test_synth_is_seed_deterministic(self, tmp_path):
         a = tmp_path / "a.csem"

@@ -526,6 +526,32 @@ class TestKernelProperties:
 
     @PROPERTY
     @given(cases(), st.data())
+    def test_mirror_walk_matches_brute_force(self, case, data):
+        # cols == rows: every cell, the diagonal included, in every bucket
+        index, window, _, _, _ = case
+        n_buckets = data.draw(st.integers(1, 3))
+        doc_bucket = data.draw(
+            st.none()
+            | st.lists(st.integers(-1, n_buckets - 1), min_size=len(index), max_size=len(index)).map(
+                np.array
+            )
+        )
+        order = data.draw(st.permutations(range(len(index.lemmas))))
+        rows = order[: data.draw(st.integers(1, len(order)))]
+        counts = cooc._window_pairs(index, doc_bucket, n_buckets, rows, window, rows)
+        assert counts.shape == (n_buckets, len(rows), len(rows))
+        lemmas = [index.lemmas[r] for r in rows]
+        for b in range(n_buckets):
+            members = {
+                doc.doc_id
+                for i, doc in enumerate(index.documents)
+                if (0 if doc_bucket is None else doc_bucket[i]) == b
+            }
+            pairs = brute_pairs(index, window, members)
+            assert counts[b].tolist() == [[pairs[tuple(sorted((x, y)))] for y in lemmas] for x in lemmas]
+
+    @PROPERTY
+    @given(cases(), st.data())
     def test_docset_partition_additivity(self, case, data):
         index, window, _, a, b = case
         n_groups = data.draw(st.integers(1, 4))
@@ -628,18 +654,55 @@ def test_huge_window_counts_like_the_longest_document():
     assert elapsed < 10.0
 
 
-@pytest.mark.parametrize("cols", ["rows", "all"])
-def test_kernel_temporaries_are_bounded_by_the_slab(monkeypatch, cols):
+def test_mirror_walk_across_a_slab_edge_and_a_left_out_document(monkeypatch):
+    # slabs of two occurrences, every token a row occurrence (positions 0-7):
+    # the slab {2, 3} ends inside the left-out d1 and reads its position 4
+    # as a right side, and the slab {4, 5} pairs position 5 with 6 and 7
+    # across its edge
+    index = build_index(
+        [
+            lemma_doc("d0", DateSpec.exact(900), ["a", "b"]),
+            lemma_doc("d1", DateSpec.exact(900), ["a", "a", "a"]),
+            lemma_doc("d2", DateSpec.exact(900), ["b", "a", "b"]),
+        ]
+    )
+    monkeypatch.setattr(cooc, "_SLAB", 2)
+    rows = [index.lemmas.id_of("a"), index.lemmas.id_of("b")]
+    counts = cooc._window_pairs(index, np.array([0, -1, 0]), 1, rows, 2, rows)
+    # d0: a-b; d2: b-a, a-b, b-b
+    assert counts[0].tolist() == [[0, 3], [3, 1]]
+    counts = cooc._window_pairs(index, np.array([0, 1, 0]), 2, rows, 2, rows)
+    assert counts[1].tolist() == [[3, 0], [0, 0]]
+
+
+def test_mirror_walk_takes_any_window(monkeypatch):
+    # a window past int64 counts like the corpus length, with no overflow
+    # where a slab's right sides are found
+    monkeypatch.setattr(cooc, "_SLAB", 2)
+    index = single_doc("a b a a b".split())
+    rows = [index.lemmas.id_of("a"), index.lemmas.id_of("b")]
+    huge = cooc._window_pairs(index, None, 1, rows, 2**63, rows)
+    assert huge.tolist() == cooc._window_pairs(index, None, 1, rows, 5, rows).tolist() == [[[3, 6], [6, 1]]]
+
+
+@pytest.mark.parametrize(
+    "cols, partial",
+    [("rows", False), ("rows", True), ("all", False)],
+    ids=["rows", "rows-partial-docset", "all"],
+)
+def test_kernel_temporaries_are_bounded_by_the_slab(monkeypatch, cols, partial):
     # eight lemmas, all of them rows: every token is a row occurrence
     index = synthetic_index(200_000, 8, 50, seed=3)
     rows = list(range(8))
     n_occ = index.total_tokens
+    # a partial docset: every third document left out
+    doc_bucket = np.where(np.arange(len(index)) % 3 == 1, -1, 0) if partial else None
 
     def peak(slab):
         monkeypatch.setattr(cooc, "_SLAB", slab)
         tracemalloc.start()
         try:
-            counts = cooc._window_pairs(index, None, 1, rows, 5, rows if cols == "rows" else None)
+            counts = cooc._window_pairs(index, doc_bucket, 1, rows, 5, rows if cols == "rows" else None)
             return tracemalloc.get_traced_memory()[1], counts
         finally:
             tracemalloc.stop()

@@ -187,11 +187,13 @@ class TestCorpusIndex:
                 ["d1", "d2"], [0, 1, 2], [0, 0], [0, 0], [0, 0], [None, None],
             )
 
-    def test_id_out_of_range_rejected(self):
+    @pytest.mark.parametrize("bad_id, dtype", [(5, np.uint32), (-1, np.int64), (1, np.int8)])
+    def test_id_out_of_range_rejected(self, bad_id, dtype):
+        # unsigned ids skip the minimum, signed ones must not
         vocab = Vocabulary(["a"])
-        bad = np.array([5], dtype=np.uint32)
+        bad = np.array([bad_id], dtype=dtype)
         ok = np.zeros(1, dtype=np.uint32)
-        with pytest.raises(CorpusError):
+        with pytest.raises(CorpusError, match=f"lemma id {bad_id} out of range"):
             CorpusIndex(
                 vocab, vocab, vocab, bad, ok, ok.astype(np.uint16), ["d1"], [0, 1], [0], [0], [0], [None]
             )

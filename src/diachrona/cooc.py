@@ -281,10 +281,10 @@ def top_cooccurrents(
         raise CorpusError("window must be >= 1")
     if min_count < 1:
         raise CorpusError("min_count must be >= 1")
+    dmask = index.doc_mask(docset)
     pivot_id = index.lemmas.id_of(pivot)
     if pivot_id is None:
         return []
-    dmask = index.doc_mask(docset)
     freqs, pos_ok = _pos_majority_pass(index, dmask, pos_filter)
     if freqs[pivot_id] == 0:
         return []
@@ -303,6 +303,7 @@ def top_cooccurrents(
 
 def adjacency_count(index: CorpusIndex, docset, lemma_a: str, lemma_b: str) -> int:
     """Pairs of the two lemmas at distance exactly 1 (either order)."""
+    doc_bucket = _docset_bucket(index.doc_mask(docset))
     a_id = index.lemmas.id_of(lemma_a)
     b_id = index.lemmas.id_of(lemma_b)
     if a_id is None or b_id is None:
@@ -311,7 +312,6 @@ def adjacency_count(index: CorpusIndex, docset, lemma_a: str, lemma_b: str) -> i
     # lemma's occurrences, so the rarer lemma in the corpus is the row
     freqs = _docset_counts(index, index.doc_mask(None))
     row, col = (b_id, a_id) if freqs[b_id] < freqs[a_id] else (a_id, b_id)
-    doc_bucket = _docset_bucket(index.doc_mask(docset))
     return int(_window_pairs(index, doc_bucket, 1, [row], 1, [col]).sum())
 
 

@@ -12,12 +12,12 @@ document i covers tokens ``doc_starts[i]:doc_starts[i+1]``), ``doc_kind``
 no tag), and the derived ``doc_dated`` and ``doc_mids`` (floor midpoints, 0
 when undated).  Years lie in int32, the range the index file stores, and
 construction rejects any other.  ``documents`` reads the table as
-:class:`Document` records, built on first access.  Queries resolve any
-docset once into a boolean mask over documents (``doc_mask``).
-The document filters (``is_dated``, ``dated_within``, ``has_typology``) are
-defined here once: each is a function of the index that reads the document
-columns and returns such a mask, :func:`subcorpus` ANDs them, and the CLI's
-``--filter`` expressions parse into them.
+:class:`Document` records, built on first access.  A docset is None (every
+document) or a boolean mask over documents; ``doc_mask`` rejects any other.
+The document filters (``is_dated``, ``dated_within``, ``has_typology``,
+``with_ids``) are defined here once: each is a function of the index that
+returns such a mask, :func:`subcorpus` ANDs them, and the CLI's ``--filter``
+expressions parse into them.
 The arrays are read-only after construction, and all query modules are pure
 readers.  The lazy caches (the lemma x POS counts, the postings, the dated
 order, the records) are each built into a local and assigned once, so
@@ -45,6 +45,7 @@ __all__ = [
     "dated_within",
     "has_typology",
     "is_dated",
+    "with_ids",
 ]
 
 # POS ids are stored as u16 on disk; the vocabulary must fit.
@@ -303,35 +304,24 @@ class CorpusIndex:
         by_id = np.array(dated, dtype=np.int64)
         return tuple(by_id[np.argsort(self.doc_mids[by_id], kind="stable")].tolist())
 
-    def doc_mask(self, docset: Iterable[str] | np.ndarray | None) -> np.ndarray:
-        """Resolve a docset, once per query, to a boolean table over document positions.
-
-        ``docset`` may be None (all documents), an iterable of document id
-        strings, an integer array of document positions, or such a boolean
-        table, which is returned unchanged.
-        """
+    def doc_mask(self, docset: np.ndarray | None) -> np.ndarray:
+        """A docset as a boolean mask over document positions: every document
+        for None, else ``docset`` itself, which must be such a mask."""
         n_docs = len(self)
         if docset is None:
             return np.ones(n_docs, dtype=bool)
-        if isinstance(docset, np.ndarray) and docset.dtype == bool:
-            if docset.shape != (n_docs,):
-                raise CorpusError(f"document mask of shape {docset.shape} for {n_docs} documents")
-            return docset
-        if isinstance(docset, np.ndarray) and docset.dtype.kind in "iu":
-            positions = docset.astype(np.int64)
-            if positions.size and (positions.min() < 0 or positions.max() >= n_docs):
-                raise CorpusError("document position out of range")
-        else:
-            positions = [self.position_of(d) for d in docset]
-        mask = np.zeros(n_docs, dtype=bool)
-        mask[positions] = True
-        return mask
+        if not (isinstance(docset, np.ndarray) and docset.dtype == bool):
+            what = f"{docset.dtype} array" if isinstance(docset, np.ndarray) else type(docset).__name__
+            raise CorpusError(f"a docset is None or a boolean mask over the documents, not {what}")
+        if docset.shape != (n_docs,):
+            raise CorpusError(f"document mask of shape {docset.shape} for {n_docs} documents")
+        return docset
 
-    def doc_positions(self, docset: Iterable[str] | np.ndarray | None) -> np.ndarray:
-        """Sorted document positions of a docset (any form ``doc_mask`` takes)."""
+    def doc_positions(self, docset: np.ndarray | None) -> np.ndarray:
+        """Sorted document positions of a docset."""
         return np.flatnonzero(self.doc_mask(docset))
 
-    def token_mask(self, docset: Iterable[str] | np.ndarray | None) -> np.ndarray | None:
+    def token_mask(self, docset: np.ndarray | None) -> np.ndarray | None:
         """Boolean mask over the tokens of a docset; None when it holds every document."""
         dmask = self.doc_mask(docset)
         if dmask.all():
@@ -409,3 +399,8 @@ def has_typology(tag: str) -> DocFilter:
 def is_dated(index: CorpusIndex) -> np.ndarray:
     """Filter: the document is dated."""
     return index.doc_dated
+
+
+def with_ids(*doc_ids: str) -> DocFilter:
+    """Filter: the document's id is one of ``doc_ids`` (an unknown id is a :class:`CorpusError`)."""
+    return lambda index: np.isin(np.arange(len(index)), [index.position_of(d) for d in doc_ids])

@@ -172,11 +172,12 @@ def _occurrences(index: CorpusIndex, rows) -> tuple[np.ndarray, np.ndarray]:
 
 def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
     """Exact number of tokens with ``lemma`` inside the docset (0 if unknown)."""
+    dmask = index.doc_mask(docset)
     lid = index.lemmas.id_of(lemma)
     if lid is None:
         return 0
     _, per_doc = _occurrences(index, [lid])
-    return int(per_doc[index.doc_mask(docset)].sum())
+    return int(per_doc[dmask].sum())
 
 
 @dataclass(frozen=True)
@@ -253,10 +254,11 @@ def lemma_rank(index: CorpusIndex, docset, lemma: str) -> int | None:
     Lemmas are ordered by descending count, ties broken by ascending lemma
     string.  Returns None when the lemma does not occur in the docset.
     """
+    dmask = index.doc_mask(docset)
     lid = index.lemmas.id_of(lemma)
     if lid is None:
         return None
-    freqs = _docset_counts(index, index.doc_mask(docset))
+    freqs = _docset_counts(index, dmask)
     target = freqs[lid]
     if target == 0:
         return None
@@ -268,11 +270,12 @@ def lemma_rank(index: CorpusIndex, docset, lemma: str) -> int | None:
 
 def form_share(index: CorpusIndex, docset, lemma: str, forms: Iterable[str]) -> float:
     """Share of the lemma's tokens whose surface form (case-folded) is in ``forms``."""
+    dmask = index.doc_mask(docset)
     lid = index.lemmas.id_of(lemma)
     hits = np.zeros(0, dtype=np.intp)
     if lid is not None:
         positions, per_doc = _occurrences(index, [lid])
-        hits = positions[np.repeat(index.doc_mask(docset), per_doc)]
+        hits = positions[np.repeat(dmask, per_doc)]
     total = len(hits)
     if total == 0:
         raise CorpusError(f"form share undefined: lemma {lemma!r} has zero count in docset")

@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from diachrona import cooc, frequency
-from diachrona.corpus import CorpusIndex, DateSpec
+from diachrona.corpus import CorpusIndex, DateSpec, subcorpus, with_ids
 from diachrona.ingest import index_from_documents
 
 POS_TAGS = ("NOM", "ADJ", "VER")
@@ -74,6 +74,12 @@ def random_index(
         produced += length
         doc_no += 1
     return build_index(docs)
+
+
+def id_docset(index: CorpusIndex, ids) -> np.ndarray | None:
+    """The docset of the documents an oracle names by id; None (every
+    document) stays None."""
+    return None if ids is None else subcorpus(index, with_ids(*ids))
 
 
 def doc_lemma_lists(index: CorpusIndex) -> list[list[str]]:

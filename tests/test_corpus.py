@@ -19,6 +19,7 @@ from diachrona.corpus import (
     has_typology,
     is_dated,
     subcorpus,
+    with_ids,
 )
 from diachrona.diachrony import evolving_cooccurrents, make_tranches
 from diachrona.frequency import count_table, form_share, lemma_count, lemma_rank, time_series
@@ -162,6 +163,73 @@ class TestSubcorpus:
         assert "documents" not in vars(index)
 
 
+class TestWithIds:
+    def test_keeps_the_named_documents_whatever_their_order_and_repeats(self):
+        index = three_doc_index()
+        for ids in (("a", "c"), ("c", "a"), ("c", "a", "c", "a")):
+            assert subcorpus(index, with_ids(*ids)).tolist() == [True, False, True]
+        assert not subcorpus(index, with_ids()).any()
+
+    def test_unknown_id_keeps_its_message(self):
+        index = three_doc_index()
+        with pytest.raises(CorpusError, match="^unknown document id: 'x'$"):
+            subcorpus(index, with_ids("a", "x"))
+
+    def test_anded_with_dated_within(self):
+        index = three_doc_index()
+        ids, early = with_ids("a", "c"), dated_within(700, 999)
+        assert subcorpus(index, ids, early).tolist() == [True, False, False]
+        assert subcorpus(index, early, ids).tolist() == [True, False, False]
+
+    def test_each_id_resolved_once_and_queries_resolve_none(self, monkeypatch):
+        index = three_doc_index()
+        calls = Counter()
+        original = CorpusIndex.position_of
+
+        def counting(self, doc_id):
+            calls[doc_id] += 1
+            return original(self, doc_id)
+
+        monkeypatch.setattr(CorpusIndex, "position_of", counting)
+        docset = subcorpus(index, with_ids("a", "b"))
+        assert calls == {"a": 1, "b": 1}
+        assert top_cooccurrents(index, docset, "pater", 2, 5, pos_filter=["NOM"])
+        assert form_share(index, docset, "pater", ["pater"]) == 1.0
+        assert calls == {"a": 1, "b": 1}
+
+
+NOT_A_MASK = "a docset is None or a boolean mask over the documents, not "
+REJECTED_DOCSETS = {
+    "id-string": ("d000001", NOT_A_MASK + "str"),
+    "id-set": ({"a", "b"}, NOT_A_MASK + "set"),
+    "bool-list": ([True, False, True], NOT_A_MASK + "list"),
+    "int-array": (np.array([0, 2], dtype=np.int64), NOT_A_MASK + "int64 array"),
+    "wrong-length-mask": (np.ones(2, dtype=bool), "document mask of shape (2,) for 3 documents"),
+}
+
+DOCSET_QUERIES = {
+    "lemma_count": lambda index, docset, lemma: lemma_count(index, docset, lemma),
+    "count_table": lambda index, docset, lemma: count_table(index, [lemma], [None, docset]),
+    "lemma_rank": lambda index, docset, lemma: lemma_rank(index, docset, lemma),
+    "form_share": lambda index, docset, lemma: form_share(index, docset, lemma, [lemma]),
+    "time_series": lambda index, docset, lemma: time_series(index, lemma, 50, docset=docset),
+    "top_cooccurrents": lambda index, docset, lemma: top_cooccurrents(index, docset, lemma, 2, 5),
+    "adjacency_count": lambda index, docset, lemma: adjacency_count(index, docset, lemma, "mater"),
+    "pair_evolution": lambda index, docset, lemma: pair_evolution(index, lemma, "mater", 2, 100, docset),
+    "semantic_map": lambda index, docset, lemma: semantic_map(index, docset, lemma, 2, 3),
+}
+
+
+@pytest.mark.parametrize("lemma", ["pater", "nemo"])
+@pytest.mark.parametrize("query", DOCSET_QUERIES.values(), ids=list(DOCSET_QUERIES))
+@pytest.mark.parametrize("docset, message", REJECTED_DOCSETS.values(), ids=list(REJECTED_DOCSETS))
+def test_a_docset_that_is_not_none_or_a_document_mask_is_rejected(docset, message, query, lemma):
+    # rejected before the lemma is looked up, so an unknown lemma is no way round
+    with pytest.raises(CorpusError) as caught:
+        query(three_doc_index(), docset, lemma)
+    assert str(caught.value) == message
+
+
 class TestCorpusIndex:
     def test_document_partition_reconstructs_arrays(self):
         rng = np.random.default_rng(7)
@@ -219,13 +287,15 @@ class TestCorpusIndex:
         ordered = [index.documents[p].doc_id for p in index.dated_order()]
         assert ordered == ["m", "a", "z"]
 
-    def test_doc_positions_accepts_ids_and_positions(self):
+    def test_doc_positions_of_a_mask(self):
         index = three_doc_index()
-        by_id = index.doc_positions({"a", "c"})
-        by_pos = index.doc_positions(np.array([0, 2]))
-        assert np.array_equal(by_id, by_pos)
+        by_id = index.doc_positions(subcorpus(index, with_ids("a", "c")))
+        mask = np.zeros(len(index), dtype=bool)
+        mask[np.array([0, 2])] = True
+        assert np.array_equal(by_id, index.doc_positions(mask))
+        assert by_id.tolist() == [0, 2] and index.doc_positions(None).tolist() == [0, 1, 2]
         with pytest.raises(CorpusError):
-            index.doc_positions({"nope"})
+            index.doc_positions({"a", "c"})
 
     def test_document_columns_match_documents(self):
         index = random_index(np.random.default_rng(5))
@@ -240,10 +310,9 @@ class TestCorpusIndex:
                 column[0] = column[-1]
 
     def test_doc_mask_forms(self):
+        # None and a mask are the only docsets
         index = three_doc_index()
         assert index.doc_mask(None).tolist() == [True, True, True]
-        assert index.doc_mask({"c", "a"}).tolist() == [True, False, True]
-        assert index.doc_mask(np.array([2, 0, 2])).tolist() == [True, False, True]
         mask = np.array([False, True, False])
         assert index.doc_mask(mask) is mask
         assert index.token_mask(None) is None
@@ -251,24 +320,8 @@ class TestCorpusIndex:
         assert index.doc_positions(mask).tolist() == [1]
         with pytest.raises(CorpusError, match="document mask"):
             index.doc_mask(np.array([True, False]))
-        with pytest.raises(CorpusError, match="out of range"):
-            index.doc_mask(np.array([3]))
-
-    def test_id_docset_resolved_once_per_query(self, monkeypatch):
-        index = three_doc_index()
-        calls = Counter()
-        original = CorpusIndex.position_of
-
-        def counting(self, doc_id):
-            calls[doc_id] += 1
-            return original(self, doc_id)
-
-        monkeypatch.setattr(CorpusIndex, "position_of", counting)
-        assert top_cooccurrents(index, {"a", "b"}, "pater", 2, 5, pos_filter=["NOM"])
-        assert calls == {"a": 1, "b": 1}
-        calls.clear()
-        assert form_share(index, {"a", "b"}, "pater", ["pater"]) == 1.0
-        assert calls == {"a": 1, "b": 1}
+        with pytest.raises(CorpusError, match="boolean mask"):
+            index.doc_mask(np.array([2, 0]))
 
     def test_partial_docset_queries_build_no_token_mask(self, monkeypatch):
         # a partial docset is counted through its own token positions
@@ -278,7 +331,7 @@ class TestCorpusIndex:
             raise AssertionError("corpus-length token mask built")
 
         monkeypatch.setattr(CorpusIndex, "token_mask", refuse)
-        docset = {"a", "b"}
+        docset = subcorpus(index, with_ids("a", "b"))
         assert lemma_count(index, docset, "pater") == 2
         assert form_share(index, docset, "pater", ["pater"]) == 1.0
         assert lemma_rank(index, docset, "pater") == 1
@@ -363,16 +416,17 @@ class TestDocsetForms:
     @settings(max_examples=80, deadline=None)
     @given(docset_cases(), st.integers(1, 4), st.integers(1, 80))
     def test_docset_forms_agree_with_a_subset_index(self, case, window, bin_width):
-        # the id set, the position array and the mask give the answers of an
-        # index built from those documents alone
+        # a mask set at the documents' positions and the with_ids filter of
+        # their ids (reversed and repeated) give the answers of an index
+        # built from those documents alone
         docs, names, ids = case
         index = build_index(docs)
-        positions = np.array([index.position_of(d) for d in ids], dtype=np.int64)
         mask = np.zeros(len(index), dtype=bool)
-        mask[positions] = True
+        mask[[index.position_of(d) for d in ids]] = True
+        by_ids = subcorpus(index, with_ids(*sorted(ids, reverse=True), *ids))
         alone = build_index([d for d in docs if d[0] in ids])
         expected = _docset_queries(alone, None, names, window, bin_width)
-        for docset in (ids, positions[::-1], mask):
+        for docset in (mask, by_ids):
             assert _docset_queries(index, docset, names, window, bin_width) == expected
             assert index.doc_positions(docset).tolist() == np.flatnonzero(mask).tolist()
 

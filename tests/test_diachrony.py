@@ -108,7 +108,8 @@ class TestTrancheScores:
         tranches = make_tranches(index, 4)
         pivot = index.lemmas[0]
         pairs, _ = tranche_pairs(index, tranches, pivot, 3)
-        dated = np.asarray(index.dated_order(), dtype=np.int64)
+        dated = np.zeros(len(index), dtype=bool)
+        dated[list(index.dated_order())] = True
         whole = cooc_counts(index, dated, pivot, 3)
         assert nonzero_counts(index, pairs.sum(axis=0)) == whole.pair_counts
 
@@ -122,7 +123,9 @@ class TestTrancheScores:
         tranches = TrancheSet(1, (0, len(order)), (sum(lens),), order)
         pivot = index.lemmas[0]
         pairs, freqs = tranche_pairs(index, tranches, pivot, 4)
-        whole = cooc_counts(index, np.asarray(order, dtype=np.int64), pivot, 4)
+        in_order = np.zeros(len(index), dtype=bool)
+        in_order[list(order)] = True
+        whole = cooc_counts(index, in_order, pivot, 4)
         assert nonzero_counts(index, pairs[0]) == whole.pair_counts
         assert freqs[0, index.lemmas.id_of(pivot)] == whole.pivot_freq
 

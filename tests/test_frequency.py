@@ -26,7 +26,7 @@ from diachrona.frequency import (
 
 from diachrona.indexio import load_index, save_index
 
-from conftest import build_index, corpora, doc_lemma_lists, lemma_doc, random_index
+from conftest import build_index, corpora, doc_lemma_lists, id_docset, lemma_doc, random_index
 
 
 @st.composite
@@ -61,17 +61,15 @@ class TestLemmaCount:
             index = random_index(rng, min_tokens=50, max_tokens=400)
             lemma = index.lemmas[0]
             total = lemma_count(index, None, lemma)
-            parts = sum(
-                lemma_count(index, {d.doc_id}, lemma) for d in index.documents
-            )
+            positions = np.arange(len(index))
+            parts = sum(lemma_count(index, positions == i, lemma) for i in positions)
             assert parts == total
 
     def test_additivity_over_disjoint_docsets(self):
         rng = np.random.default_rng(4)
         index = random_index(rng, min_tokens=100, max_tokens=400)
-        ids = [d.doc_id for d in index.documents]
-        half = len(ids) // 2
-        a, b = set(ids[:half]), set(ids[half:])
+        a = np.arange(len(index)) < len(index) // 2
+        b = ~a
         lemma = index.lemmas[0]
         assert lemma_count(index, a, lemma) + lemma_count(index, b, lemma) == lemma_count(
             index, a | b, lemma
@@ -106,7 +104,7 @@ class TestCountTable:
         lemmas = [index.lemmas[i] for i in range(min(4, len(index.lemmas)))]
         ids = [d.doc_id for d in index.documents]
         docsets = [set(ids[: len(ids) // 2]), set(ids[len(ids) // 2 :])]
-        table = count_table(index, lemmas, docsets, labels=["early", "late"])
+        table = count_table(index, lemmas, [id_docset(index, d) for d in docsets], labels=["early", "late"])
 
         by_doc = doc_lemma_lists(index)
         id_to_pos = {d.doc_id: i for i, d in enumerate(index.documents)}
@@ -302,7 +300,7 @@ class TestTimeSeries:
             lemma = index.lemmas[0]
             series = time_series(index, lemma, 50)
             dated = {d.doc_id for d in index.documents if d.date.is_dated}
-            assert series.total_count() == lemma_count(index, dated, lemma)
+            assert series.total_count() == lemma_count(index, id_docset(index, dated), lemma)
 
     def test_range_documents_bin_by_midpoint(self):
         index = build_index([lemma_doc("a", DateSpec.year_range(774, 800), ["x"])])

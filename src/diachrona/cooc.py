@@ -6,24 +6,24 @@ pivot lemma, adds 1 to that neighbor's pair count.  Pairs never cross
 document boundaries, and pivot-pivot pairs are excluded, so a pivot never
 appears among its own neighbors.
 
-Every window count in the package (collocate vectors, pair counts of two
-lemmas, tranche and year-bin series, field-map submatrices) comes from one
-kernel, ``_window_pairs``.  It looks at the 2w neighbours of each
-occurrence of the requested row lemmas and bincounts them under one key,
-(bucket, row, neighbor column), where a document's bucket (a docset
-member, a tranche, a year bin, or -1 for left out) is fixed per call.  So
-a per-tranche or per-bin series costs one pass, not one per bucket, and
-the work follows the row occurrences, not the corpus size.  When the
-columns are the rows (a field-map submatrix, or a lemma paired with
-itself), every counted pair joins two row occurrences, so the kernel walks
-the sorted row occurrences themselves instead of gathering neighbours: for
-s = 1..w it pairs each occurrence with the s-th one after it, and stops at
-the first s that pairs none, so it makes at most w passes.  The kernel
+Every window count in the package comes from one kernel, ``_window_pairs``,
+in one of three shapes: one pivot against every lemma (the collocate
+vectors of ``cooc_counts`` and ``top_cooccurrents``, and the tranche series
+of ``diachrony``), one lemma against one other (``adjacency_count`` and the
+year-bin series of ``pair_evolution``, whose shared ``_lemma_pairs`` makes
+the rarer lemma the row), and the pairs among a set of lemmas (a field-map
+submatrix in ``semfield``, or a lemma paired with itself).  A document's
+bucket (a docset member, a tranche, a year bin, or -1 for left out) is
+fixed per call, so a per-tranche or per-bin series costs one pass.  One
+row's 2w neighbours are gathered around each of its occurrences, so the
+work follows the row occurrences, not the corpus size.  Among a set of
+rows every counted pair joins two row occurrences, so the kernel walks the
+sorted row occurrences themselves: for s = 1..w it pairs each occurrence
+with the s-th one after it, and stops at the first s that pairs none.  It
 walks the occurrences in slabs of at most ``_SLAB`` of them, so its
 temporary arrays are bounded by the slab, not by the occurrence count of
 frequent rows (a field map's 30 terms can hold 4.3M occurrences at 10M
-tokens); in the mirror walk a slab also reads, as right sides only, the at
-most w occurrences after it that its last ones reach.
+tokens); a mirror slab also reads the at most w occurrences after it.
 
 Every Dice value comes from one array function, ``_dice`` (0 where both
 frequencies are 0), and every ranking from one helper, ``_top_k``, so
@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CorpusError, CorpusIndex
-from .frequency import _bin_sums, _docset_counts, _occurrences, _year_bins
+from .frequency import _bin_sums, _docset_counts, _lemma_pos_counts, _occurrences, _year_bins
 
 __all__ = [
     "CoocTable",
@@ -107,51 +107,48 @@ def _window_pairs(
     n_buckets: int,
     rows,
     window: int,
-    cols=None,
+    col: int | None = None,
 ) -> np.ndarray:
-    """Windowed pair counts, shape (n_buckets, len(rows), len(cols) or V).
+    """Windowed pair counts per bucket, in one of three shapes.
 
-    Cell [b, r, c] counts the token pairs at distance 1..window inside one
-    document of bucket b where one side carries lemma ``rows[r]`` and the
-    other carries lemma ``cols[c]`` (lemma c when ``cols`` is None).  A pair
-    whose two sides carry the same row lemma counts once.  ``doc_bucket``
-    maps each document position to its bucket, or to -1 to leave it out;
-    None puts every document in bucket 0.  ``rows`` must be distinct.
+    A pair is two tokens at distance 1..window inside one document, counted
+    in its document's bucket: ``doc_bucket`` maps each document position to
+    a bucket, or to -1 to leave it out; None puts every document in bucket 0.
 
-    This is the only window counter.  It takes the row occurrences and their
-    per-document counts from the one occurrence lookup, ``_occurrences``,
-    and for each offset d looks d tokens to either side of every occurrence
-    whose document reaches that far: the work follows the row occurrences,
-    and a window wider than the longest document costs no more than it.
-    When ``cols`` equals ``rows`` (the mirror case) it reads no neighbour
-    token: for s = 1..window it pairs row occurrence i with occurrence i + s
-    when both lie in one document at most ``window`` tokens apart, counts
-    each pair once under (bucket, row of i, row of i + s), and stops at the
-    first s where no pair passes; the counts plus their transpose are then
-    the pairs seen from both sides.  The occurrences are taken ``_SLAB`` at
-    a time, a mirror slab with the at most ``window`` occurrences after it
-    that its last left side reaches, so the temporaries of one call stay
-    within a few slab-length arrays.
+    - ``rows`` one lemma id: shape (n_buckets, V), the pivot's pairs with
+      each lemma, its own column 0 (``cooc_counts``, ``top_cooccurrents``,
+      ``diachrony._tranche_scores``).
+    - ``rows`` and ``col`` two distinct lemma ids: shape (n_buckets,)
+      (``adjacency_count`` and ``pair_evolution``, through ``_lemma_pairs``).
+    - ``rows`` a sequence of distinct lemma ids: shape (n_buckets, R, R),
+      cell [b, r, c] the pairs of ``rows[r]`` with ``rows[c]``, a pair of two
+      occurrences of one lemma counted once (``semfield.build_submatrix``,
+      and ``_lemma_pairs`` for a lemma paired with itself).
+
+    The row occurrences come from the one occurrence lookup,
+    ``_occurrences``.  One row's neighbours are read d = 1..window tokens to
+    either side of each occurrence whose document reaches that far.  A set
+    of rows is walked as a mirror: for s = 1..window, occurrence i pairs with
+    occurrence i + s when both lie in one document at most ``window`` tokens
+    apart, counted once under (bucket, row of i, row of i + s) and then
+    added to its transpose; the walk stops at the first s that pairs none.
+    Occurrences are taken ``_SLAB`` at a time (a mirror slab also reads the
+    at most ``window`` after it that its last left side reaches), so the
+    temporaries of one call stay within a few slab-length arrays.
     """
     lem = index.lemma_ids
     # no pair lies farther apart than the corpus is long, and position
     # arithmetic on this window cannot overflow
     window = min(window, len(lem))
-    rows = np.asarray(rows, dtype=np.int64)
+    mirror = np.ndim(rows) == 1
+    rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
     n_rows = len(rows)
-    n_cols = len(index.lemmas) if cols is None else len(cols)
+    n_cols = n_rows if mirror else 1 if col is not None else len(index.lemmas)
     occ, per_doc = _occurrences(index, rows)
     occ_doc = np.repeat(np.arange(len(index), dtype=np.int32), per_doc)
-    # with cols == rows the row occurrences themselves are walked
-    mirror = cols is not None and np.array_equal(rows, cols)
-    row_of = None
-    if n_rows > 1 or mirror:
+    if mirror:
         row_of = np.zeros(len(index.lemmas), dtype=np.int64)
         row_of[rows] = np.arange(n_rows)
-    col_of = None
-    if cols is not None:
-        col_of = np.full(len(index.lemmas), -1, dtype=np.int64)
-        col_of[np.asarray(cols, dtype=np.int64)] = np.arange(n_cols)
     counts = np.zeros(n_buckets * n_rows * n_cols, dtype=np.int64)
     for lo in range(0, len(occ), _SLAB):
         hi = lo + _SLAB
@@ -170,15 +167,12 @@ def _window_pairs(
             n_left = int(np.count_nonzero(keep[:n_left]))
             pos, docs = pos[keep], docs[keep]
             base = bucket[keep] * (n_rows * n_cols)
-        if row_of is not None:
+        if mirror:
             row = row_of[lem[pos]]
             base = base + row * n_cols
-        if mirror:
-            # occurrence i pairs with occurrence i + s when both lie in one
-            # document at most window tokens apart; left-out documents were
-            # filtered out above, so a pair across them fails the document
-            # test.  Distances grow with s, so once no i passes, no larger s
-            # does either.
+            # left-out documents were filtered out above, so a pair across
+            # them fails the document test; distances grow with s, so once
+            # no i passes, no larger s does either
             for s in range(1, min(window, len(pos) - 1) + 1):
                 m = min(n_left, len(pos) - s)
                 ok = pos[s : s + m] - pos[:m] <= window
@@ -194,19 +188,23 @@ def _window_pairs(
             # tokens between each occurrence and its document's edge on this side
             room = index.doc_starts[docs + 1] - 1 - pos if step == 1 else pos - index.doc_starts[docs]
             for d in range(1, min(window, int(room.max(initial=0))) + 1):
-                col = np.take(lem, pos + step * d, mode="clip")
+                neighbour = np.take(lem, pos + step * d, mode="clip")
                 ok = room >= d
-                if col_of is not None:
-                    col = col_of[col]
-                    ok &= col >= 0
-                counts += np.bincount((base + col)[ok], minlength=len(counts))
-    counts = counts.reshape(n_buckets, n_rows, n_cols)
+                if col is not None:
+                    # the one column is cell 0 of each (bucket, row) block
+                    ok &= neighbour == col
+                    neighbour[:] = 0
+                counts += np.bincount((base + neighbour)[ok], minlength=len(counts))
     if mirror:
+        counts = counts.reshape(n_buckets, n_rows, n_rows)
+        # the walk counted a pair of two occurrences of one row lemma on the
+        # diagonal, so with the transpose it is counted twice
         counts = counts + counts.transpose(0, 2, 1)
-    # a pair of two occurrences of the same row lemma was reached from both
-    self_cols = rows if col_of is None else col_of[rows]
-    hit = self_cols >= 0
-    counts[:, np.arange(n_rows)[hit], self_cols[hit]] //= 2
+        diagonal = np.arange(n_rows)
+        counts[:, diagonal, diagonal] //= 2
+    elif col is None:
+        counts = counts.reshape(n_buckets, n_cols)
+        counts[:, rows[0]] = 0  # pivot-pivot pairs are excluded
     return counts
 
 
@@ -215,14 +213,19 @@ def _docset_bucket(dmask: np.ndarray) -> np.ndarray | None:
     return None if dmask.all() else np.where(dmask, 0, -1)
 
 
-def _pivot_pairs(
-    index: CorpusIndex, doc_bucket: np.ndarray | None, n_buckets: int, pivot_id: int, window: int
+def _lemma_pairs(
+    index: CorpusIndex, doc_bucket: np.ndarray | None, n_buckets: int, a_id: int, b_id: int, window: int
 ) -> np.ndarray:
-    """Per-bucket pair counts of every lemma with the pivot, shape
-    (n_buckets, V); pivot-pivot pairs are excluded."""
-    pairs = _window_pairs(index, doc_bucket, n_buckets, [pivot_id], window)[:, 0]
-    pairs[:, pivot_id] = 0
-    return pairs
+    """Per-bucket pair counts of two lemmas, shape (n_buckets,).
+
+    Pair counts are symmetric and the kernel's work follows its row lemma's
+    occurrences, so the rarer lemma in the corpus is the row (the first one
+    on a tie); a lemma paired with itself is a one-row mirror walk."""
+    if a_id == b_id:
+        return _window_pairs(index, doc_bucket, n_buckets, [a_id], window)[:, 0, 0]
+    freqs = _lemma_pos_counts(index)
+    row, col = sorted((a_id, b_id), key=lambda i: freqs[i].sum())
+    return _window_pairs(index, doc_bucket, n_buckets, row, window, col)
 
 
 def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTable:
@@ -234,7 +237,7 @@ def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTabl
     freqs = _docset_counts(index, dmask)
     if pivot_id is None:
         return CoocTable(pivot, window, {}, 0, {})
-    pairs = _pivot_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
+    pairs = _window_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
     nonzero = np.nonzero(pairs)[0]
     pair_counts = {index.lemmas[int(i)]: int(pairs[i]) for i in nonzero}
     neighbor_freqs = {index.lemmas[int(i)]: int(freqs[i]) for i in nonzero}
@@ -288,7 +291,7 @@ def top_cooccurrents(
     freqs, pos_ok = _pos_majority_pass(index, dmask, pos_filter)
     if freqs[pivot_id] == 0:
         return []
-    counts = _pivot_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
+    counts = _window_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
     candidate = counts >= min_count
     if pos_ok is not None:
         candidate &= pos_ok
@@ -304,15 +307,10 @@ def top_cooccurrents(
 def adjacency_count(index: CorpusIndex, docset, lemma_a: str, lemma_b: str) -> int:
     """Pairs of the two lemmas at distance exactly 1 (either order)."""
     doc_bucket = _docset_bucket(index.doc_mask(docset))
-    a_id = index.lemmas.id_of(lemma_a)
-    b_id = index.lemmas.id_of(lemma_b)
+    a_id, b_id = map(index.lemmas.id_of, (lemma_a, lemma_b))
     if a_id is None or b_id is None:
         return 0
-    # pair counts are symmetric and the kernel's work follows its row
-    # lemma's occurrences, so the rarer lemma in the corpus is the row
-    freqs = _docset_counts(index, index.doc_mask(None))
-    row, col = (b_id, a_id) if freqs[b_id] < freqs[a_id] else (a_id, b_id)
-    return int(_window_pairs(index, doc_bucket, 1, [row], 1, [col]).sum())
+    return int(_lemma_pairs(index, doc_bucket, 1, a_id, b_id, 1)[0])
 
 
 class PairBin(NamedTuple):
@@ -342,13 +340,10 @@ def pair_evolution(
         return []
     lo, n_bins, doc_bin = binning
     starts = range(lo, lo + n_bins * bin_width, bin_width)
-    a_id = index.lemmas.id_of(lemma_a)
-    b_id = index.lemmas.id_of(lemma_b)
+    a_id, b_id = map(index.lemmas.id_of, (lemma_a, lemma_b))
     if a_id is None or b_id is None:
         return [PairBin(start, 0, 0.0) for start in starts]
     freq_a = _bin_sums(doc_bin, n_bins, _occurrences(index, [a_id])[1])
     freq_b = _bin_sums(doc_bin, n_bins, _occurrences(index, [b_id])[1])
-    # the rarer lemma in the bins is the kernel row, as in adjacency_count
-    row, col = (b_id, a_id) if freq_b.sum() < freq_a.sum() else (a_id, b_id)
-    pairs = _window_pairs(index, doc_bin, n_bins, [row], window, [col])[:, 0, 0]
+    pairs = _lemma_pairs(index, doc_bin, n_bins, a_id, b_id, window)
     return list(map(PairBin, starts, pairs.tolist(), _dice(pairs, freq_a, freq_b).tolist()))

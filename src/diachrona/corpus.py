@@ -402,5 +402,9 @@ def is_dated(index: CorpusIndex) -> np.ndarray:
 
 
 def with_ids(*doc_ids: str) -> DocFilter:
-    """Filter: the document's id is one of ``doc_ids`` (an unknown id is a :class:`CorpusError`)."""
+    """Filter: the document's id is one of ``doc_ids``.  An unknown id, or an
+    argument that is not an id string (such as one collection of ids), is a :class:`CorpusError`."""
+    for doc_id in doc_ids:
+        if not isinstance(doc_id, str):
+            raise CorpusError(f"with_ids takes document id strings, not {type(doc_id).__name__}")
     return lambda index: np.isin(np.arange(len(index)), [index.position_of(d) for d in doc_ids])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooc import _dice, _pivot_pairs, _pos_majority_pass, _top_k
+from .cooc import _dice, _pos_majority_pass, _top_k, _window_pairs
 from .corpus import CorpusError, CorpusIndex
 from .frequency import _docset_counts
 
@@ -109,7 +109,7 @@ def _tranche_scores(
     doc_bucket = np.full(len(index), -1, dtype=np.int64)
     sizes = np.diff(tranches.boundaries)
     doc_bucket[list(tranches.doc_order)] = np.repeat(np.arange(tranches.k), sizes)
-    pairs = _pivot_pairs(index, doc_bucket, tranches.k, pivot_id, window)
+    pairs = _window_pairs(index, doc_bucket, tranches.k, pivot_id, window)
     freqs = np.stack([_docset_counts(index, doc_bucket == t) for t in range(tranches.k)])
     dice_mat = _dice(pairs, freqs[:, pivot_id, None], freqs)
     candidate = pairs.sum(axis=0) >= min_count

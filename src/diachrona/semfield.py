@@ -88,7 +88,7 @@ def build_submatrix(
     terms = ([pivot] if include_pivot else []) + [c.lemma for c in ranked]
     term_ids = np.asarray([index.lemmas.id_of(t) for t in terms], dtype=np.int64)
 
-    counts = _window_pairs(index, _docset_bucket(dmask), 1, term_ids, window, term_ids)[0]
+    counts = _window_pairs(index, _docset_bucket(dmask), 1, term_ids, window)[0]
     np.fill_diagonal(counts, 0)
 
     if weight == "dice":

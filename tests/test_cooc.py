@@ -341,19 +341,28 @@ class TestTopCooccurrents:
 
 class TestAdjacency:
     def test_rarer_lemma_is_the_kernel_row(self, monkeypatch):
+        # adjacency_count and pair_evolution share _lemma_pairs, which makes
+        # the rarer lemma in the corpus the row and pairs a lemma with
+        # itself as a one-row set
         index = build_index([lemma_doc("d0", DateSpec.exact(900), ["x", "y", "y", "z", "y"])])
-        rows = []
+        calls = []
         kernel = cooc._window_pairs
 
-        def spy(index, doc_bucket, n_buckets, row_ids, window, cols=None):
-            rows.append(index.lemmas[row_ids[0]])
-            return kernel(index, doc_bucket, n_buckets, row_ids, window, cols)
+        def spy(index, doc_bucket, n_buckets, rows, window, col=None):
+            calls.append((rows, col))
+            return kernel(index, doc_bucket, n_buckets, rows, window, col)
 
         monkeypatch.setattr(cooc, "_window_pairs", spy)
         for a, b in (("y", "x"), ("x", "y"), ("z", "x")):
             adjacency_count(index, None, a, b)
             pair_evolution(index, a, b, 2, 100)
-        assert rows == ["x", "x", "x", "x", "z", "z"]  # a tie keeps the order
+        # a tie keeps the order
+        assert [index.lemmas[row] for row, _ in calls] == ["x", "x", "x", "x", "z", "z"]
+        assert [index.lemmas[col] for _, col in calls] == ["y", "y", "y", "y", "x", "x"]
+        calls.clear()
+        assert adjacency_count(index, None, "y", "y") == 1
+        assert pair_evolution(index, "y", "y", 2, 100) == [(900, 2, 2 / 3)]
+        assert calls == [([index.lemmas.id_of("y")], None)] * 2
 
     def test_single_bigram(self):
         assert adjacency_count(single_doc("sanctus pater".split()), None, "pater", "sanctus") == 1
@@ -453,6 +462,14 @@ def cases(draw, vocab_sizes=st.integers(1, 5), tagged=False):
     return index, draw(st.integers(1, 8)), docs, draw(lemmas), draw(lemmas)
 
 
+@st.composite
+def doc_buckets(draw, n_docs):
+    """(n_buckets, doc_bucket): None, or a bucket in -1..n_buckets - 1 per document."""
+    n_buckets = draw(st.integers(1, 3))
+    bucket = st.lists(st.integers(-1, n_buckets - 1), min_size=n_docs, max_size=n_docs)
+    return n_buckets, draw(st.none() | bucket.map(np.array))
+
+
 class TestKernelProperties:
     @PROPERTY
     @given(cases())
@@ -531,19 +548,27 @@ class TestKernelProperties:
 
     @PROPERTY
     @given(cases(), st.data())
-    def test_mirror_walk_matches_brute_force(self, case, data):
-        # cols == rows: every cell, the diagonal included, in every bucket
+    def test_one_other_lemma_is_a_column_of_the_pivot_shape(self, case, data):
+        # in every bucket; documents in bucket -1 count in neither shape
         index, window, _, _, _ = case
-        n_buckets = data.draw(st.integers(1, 3))
-        doc_bucket = data.draw(
-            st.none()
-            | st.lists(st.integers(-1, n_buckets - 1), min_size=len(index), max_size=len(index)).map(
-                np.array
-            )
-        )
+        assume(len(index.lemmas) > 1)
+        n_buckets, doc_bucket = data.draw(doc_buckets(len(index)))
+        row, col = data.draw(st.permutations(range(len(index.lemmas))))[:2]
+        pivot = cooc._window_pairs(index, doc_bucket, n_buckets, row, window)
+        pair = cooc._window_pairs(index, doc_bucket, n_buckets, row, window, col)
+        assert pivot.shape == (n_buckets, len(index.lemmas))
+        assert pair.shape == (n_buckets,)
+        assert pair.tolist() == pivot[:, col].tolist()
+
+    @PROPERTY
+    @given(cases(), st.data())
+    def test_mirror_walk_matches_brute_force(self, case, data):
+        # a set of rows: every cell, the diagonal included, in every bucket
+        index, window, _, _, _ = case
+        n_buckets, doc_bucket = data.draw(doc_buckets(len(index)))
         order = data.draw(st.permutations(range(len(index.lemmas))))
         rows = order[: data.draw(st.integers(1, len(order)))]
-        counts = cooc._window_pairs(index, doc_bucket, n_buckets, rows, window, rows)
+        counts = cooc._window_pairs(index, doc_bucket, n_buckets, rows, window)
         assert counts.shape == (n_buckets, len(rows), len(rows))
         lemmas = [index.lemmas[r] for r in rows]
         for b in range(n_buckets):
@@ -675,10 +700,10 @@ def test_mirror_walk_across_a_slab_edge_and_a_left_out_document(monkeypatch):
     )
     monkeypatch.setattr(cooc, "_SLAB", 2)
     rows = [index.lemmas.id_of("a"), index.lemmas.id_of("b")]
-    counts = cooc._window_pairs(index, np.array([0, -1, 0]), 1, rows, 2, rows)
+    counts = cooc._window_pairs(index, np.array([0, -1, 0]), 1, rows, 2)
     # d0: a-b; d2: b-a, a-b, b-b
     assert counts[0].tolist() == [[0, 3], [3, 1]]
-    counts = cooc._window_pairs(index, np.array([0, 1, 0]), 2, rows, 2, rows)
+    counts = cooc._window_pairs(index, np.array([0, 1, 0]), 2, rows, 2)
     assert counts[1].tolist() == [[3, 0], [0, 0]]
 
 
@@ -688,8 +713,8 @@ def test_mirror_walk_takes_any_window(monkeypatch):
     monkeypatch.setattr(cooc, "_SLAB", 2)
     index = single_doc("a b a a b".split())
     rows = [index.lemmas.id_of("a"), index.lemmas.id_of("b")]
-    huge = cooc._window_pairs(index, None, 1, rows, 2**63, rows)
-    assert huge.tolist() == cooc._window_pairs(index, None, 1, rows, 5, rows).tolist() == [[[3, 6], [6, 1]]]
+    huge = cooc._window_pairs(index, None, 1, rows, 2**63)
+    assert huge.tolist() == cooc._window_pairs(index, None, 1, rows, 5).tolist() == [[[3, 6], [6, 1]]]
 
 
 @pytest.mark.parametrize(
@@ -698,9 +723,12 @@ def test_mirror_walk_takes_any_window(monkeypatch):
     ids=["rows", "rows-partial-docset", "all"],
 )
 def test_kernel_temporaries_are_bounded_by_the_slab(monkeypatch, cols, partial):
-    # eight lemmas, all of them rows: every token is a row occurrence
-    index = synthetic_index(200_000, 8, 50, seed=3)
-    rows = list(range(8))
+    # every token is a row occurrence: eight lemmas, all of them rows, or
+    # one lemma, the pivot against every lemma
+    if cols == "rows":
+        index, rows = synthetic_index(200_000, 8, 50, seed=3), list(range(8))
+    else:  # its pairs are all pivot-pivot pairs, so every count is 0
+        index, rows = synthetic_index(200_000, 1, 50, seed=3), 0
     n_occ = index.total_tokens
     # a partial docset: every third document left out
     doc_bucket = np.where(np.arange(len(index)) % 3 == 1, -1, 0) if partial else None
@@ -709,7 +737,7 @@ def test_kernel_temporaries_are_bounded_by_the_slab(monkeypatch, cols, partial):
         monkeypatch.setattr(cooc, "_SLAB", slab)
         tracemalloc.start()
         try:
-            counts = cooc._window_pairs(index, doc_bucket, 1, rows, 5, rows if cols == "rows" else None)
+            counts = cooc._window_pairs(index, doc_bucket, 1, rows, 5)
             return tracemalloc.get_traced_memory()[1], counts
         finally:
             tracemalloc.stop()

@@ -175,6 +175,16 @@ class TestWithIds:
         with pytest.raises(CorpusError, match="^unknown document id: 'x'$"):
             subcorpus(index, with_ids("a", "x"))
 
+    @pytest.mark.parametrize(
+        "collection, name", [({"a", "b"}, "set"), (["a"], "list"), (("a", "b"), "tuple")]
+    )
+    def test_one_collection_of_ids_is_rejected_by_with_ids(self, collection, name):
+        # the ids go in as separate arguments; a collection of them is named
+        # by type when the filter is made, not when it is applied
+        with pytest.raises(CorpusError, match=f"^with_ids takes document id strings, not {name}$"):
+            with_ids(collection)
+        assert subcorpus(three_doc_index(), with_ids("a", "b")).tolist() == [True, True, False]
+
     def test_anded_with_dated_within(self):
         index = three_doc_index()
         ids, early = with_ids("a", "c"), dated_within(700, 999)

@@ -15,15 +15,18 @@ the rarer lemma the row), and the pairs among a set of lemmas (a field-map
 submatrix in ``semfield``, or a lemma paired with itself).  A document's
 bucket (a docset member, a tranche, a year bin, or -1 for left out) is
 fixed per call, so a per-tranche or per-bin series costs one pass.  One
-row's 2w neighbours are gathered around each of its occurrences, so the
-work follows the row occurrences, not the corpus size.  Among a set of
+row's occurrences are looked up in the documents of buckets >= 0 only, and
+its 2w neighbours are gathered around each of them, so the work follows the
+row's occurrences in those documents, not the corpus size.  Among a set of
 rows every counted pair joins two row occurrences, so the kernel walks the
-sorted row occurrences themselves: for s = 1..w it pairs each occurrence
-with the s-th one after it, and stops at the first s that pairs none.  It
-walks the occurrences in slabs of at most ``_SLAB`` of them, so its
-temporary arrays are bounded by the slab, not by the occurrence count of
-frequent rows (a field map's 30 terms can hold 4.3M occurrences at 10M
-tokens); a mirror slab also reads the at most w occurrences after it.
+sorted row occurrences themselves (several rows are gathered from every
+document, and the left-out ones dropped slab by slab): for s = 1..w it
+pairs each occurrence with the s-th one after it, and stops at the first s
+that pairs none.  It walks the occurrences in slabs of at most ``_SLAB`` of
+them, so its temporary arrays are bounded by the slab, not by the
+occurrence count of frequent rows (a field map's 30 terms can hold 4.3M
+occurrences at 10M tokens); a mirror slab also reads the at most w
+occurrences after it.
 
 Every Dice value comes from one array function, ``_dice`` (0 where both
 frequencies are 0), and every ranking from one helper, ``_top_k``, so
@@ -39,7 +42,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CorpusError, CorpusIndex
-from .frequency import _bin_sums, _docset_counts, _lemma_pos_counts, _occurrences, _year_bins
+from .frequency import (
+    _bin_counts,
+    _docset_counts,
+    _lemma_pos_counts,
+    _occurrence_docs,
+    _occurrences,
+    _year_bins,
+)
 
 __all__ = [
     "CoocTable",
@@ -108,6 +118,7 @@ def _window_pairs(
     rows,
     window: int,
     col: int | None = None,
+    occ: np.ndarray | None = None,
 ) -> np.ndarray:
     """Windowed pair counts per bucket, in one of three shapes.
 
@@ -126,12 +137,15 @@ def _window_pairs(
       and ``_lemma_pairs`` for a lemma paired with itself).
 
     The row occurrences come from the one occurrence lookup,
-    ``_occurrences``.  One row's neighbours are read d = 1..window tokens to
-    either side of each occurrence whose document reaches that far.  A set
-    of rows is walked as a mirror: for s = 1..window, occurrence i pairs with
-    occurrence i + s when both lie in one document at most ``window`` tokens
-    apart, counted once under (bucket, row of i, row of i + s) and then
-    added to its transpose; the walk stops at the first s that pairs none.
+    ``_occurrences``, over the documents of buckets >= 0, unless the caller
+    hands over one row's occurrences as ``occ``; any that lie in left-out
+    documents are dropped slab by slab.  One row's neighbours are read
+    d = 1..window tokens to either side of each occurrence whose document
+    reaches that far.  A set of rows is walked as a mirror: for
+    s = 1..window, occurrence i pairs with occurrence i + s when both lie in
+    one document at most ``window`` tokens apart, counted once under
+    (bucket, row of i, row of i + s) and then added to its transpose; the
+    walk stops at the first s that pairs none.
     Occurrences are taken ``_SLAB`` at a time (a mirror slab also reads the
     at most ``window`` after it that its last left side reaches), so the
     temporaries of one call stay within a few slab-length arrays.
@@ -144,8 +158,9 @@ def _window_pairs(
     rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
     n_rows = len(rows)
     n_cols = n_rows if mirror else 1 if col is not None else len(index.lemmas)
-    occ, per_doc = _occurrences(index, rows)
-    occ_doc = np.repeat(np.arange(len(index), dtype=np.int32), per_doc)
+    if occ is None:
+        occ = _occurrences(index, rows, None if doc_bucket is None else doc_bucket >= 0)
+    occ_doc = _occurrence_docs(index, occ)
     if mirror:
         row_of = np.zeros(len(index.lemmas), dtype=np.int64)
         row_of[rows] = np.arange(n_rows)
@@ -214,18 +229,25 @@ def _docset_bucket(dmask: np.ndarray) -> np.ndarray | None:
 
 
 def _lemma_pairs(
-    index: CorpusIndex, doc_bucket: np.ndarray | None, n_buckets: int, a_id: int, b_id: int, window: int
+    index: CorpusIndex,
+    doc_bucket: np.ndarray | None,
+    n_buckets: int,
+    ids: tuple[int, int],
+    freqs,
+    window: int,
+    occs: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
 ) -> np.ndarray:
     """Per-bucket pair counts of two lemmas, shape (n_buckets,).
 
     Pair counts are symmetric and the kernel's work follows its row lemma's
-    occurrences, so the rarer lemma in the corpus is the row (the first one
-    on a tie); a lemma paired with itself is a one-row mirror walk."""
-    if a_id == b_id:
-        return _window_pairs(index, doc_bucket, n_buckets, [a_id], window)[:, 0, 0]
-    freqs = _lemma_pos_counts(index)
-    row, col = sorted((a_id, b_id), key=lambda i: freqs[i].sum())
-    return _window_pairs(index, doc_bucket, n_buckets, row, window, col)
+    occurrences, so the rarer lemma by the frequencies ``freqs`` that the
+    caller holds is the row (the first one on a tie), read from ``occs``
+    when the caller has looked it up; a lemma paired with itself is a
+    one-row mirror walk."""
+    if ids[0] == ids[1]:
+        return _window_pairs(index, doc_bucket, n_buckets, [ids[0]], window, occ=occs[0])[:, 0, 0]
+    r = int(freqs[1] < freqs[0])
+    return _window_pairs(index, doc_bucket, n_buckets, ids[r], window, ids[1 - r], occs[r])
 
 
 def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTable:
@@ -310,7 +332,8 @@ def adjacency_count(index: CorpusIndex, docset, lemma_a: str, lemma_b: str) -> i
     a_id, b_id = map(index.lemmas.id_of, (lemma_a, lemma_b))
     if a_id is None or b_id is None:
         return 0
-    return int(_lemma_pairs(index, doc_bucket, 1, a_id, b_id, 1)[0])
+    freqs = _lemma_pos_counts(index)[[a_id, b_id]].sum(axis=1)
+    return int(_lemma_pairs(index, doc_bucket, 1, (a_id, b_id), freqs, 1)[0])
 
 
 class PairBin(NamedTuple):
@@ -335,7 +358,8 @@ def pair_evolution(
     """
     if window < 1:
         raise CorpusError("window must be >= 1")
-    binning = _year_bins(index, index.doc_mask(docset), bin_width)
+    dmask = index.doc_mask(docset)
+    binning = _year_bins(index, dmask, bin_width)
     if binning is None:
         return []
     lo, n_bins, doc_bin = binning
@@ -343,7 +367,10 @@ def pair_evolution(
     a_id, b_id = map(index.lemmas.id_of, (lemma_a, lemma_b))
     if a_id is None or b_id is None:
         return [PairBin(start, 0, 0.0) for start in starts]
-    freq_a = _bin_sums(doc_bin, n_bins, _occurrences(index, [a_id])[1])
-    freq_b = _bin_sums(doc_bin, n_bins, _occurrences(index, [b_id])[1])
-    pairs = _lemma_pairs(index, doc_bin, n_bins, a_id, b_id, window)
+    # each lemma is looked up once, and the kernel reads the row's lookup
+    occ_a = _occurrences(index, [a_id], dmask)
+    occ_b = occ_a if b_id == a_id else _occurrences(index, [b_id], dmask)
+    freq_a, freq_b = (_bin_counts(index, occ, doc_bin, n_bins) for occ in (occ_a, occ_b))
+    freqs = (len(occ_a), len(occ_b))
+    pairs = _lemma_pairs(index, doc_bin, n_bins, (a_id, b_id), freqs, window, (occ_a, occ_b))
     return list(map(PairBin, starts, pairs.tolist(), _dice(pairs, freq_a, freq_b).tolist()))

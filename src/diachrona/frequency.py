@@ -10,14 +10,21 @@ full docset reads one lemma x POS table, counted once per index and cached
 on it (``_lemma_pos_counts``); a partial docset counts only its own tokens,
 copied run by run of adjacent documents (``_docset_values``).  So the cost
 of a count follows the docset's tokens, and no corpus-length token mask is
-built.  Where a lemma occurs comes from one lookup, ``_occurrences``: its
-token positions and per-document counts, which ``lemma_count``,
-``form_share``, time series and the window kernel all read.  An index's
-first single-lemma lookups scan the lemma column; after
-``_SCANS_BEFORE_POSTINGS`` of them the index builds its postings (token
-positions grouped by lemma, ``_postings``) once, and every later lookup of
-one lemma reads a slice of them, so its cost follows the lemma's
-occurrences, not the corpus size.
+built.  Where a lemma occurs comes from one lookup, ``_occurrences``: the
+token positions of the lemma inside a docset, in corpus order, which
+``lemma_count`` (their number), ``form_share``, time series, pair series
+and the window kernel all read.  An index's first single-lemma lookups scan
+the lemma column; after ``_SCANS_BEFORE_POSTINGS`` of them the index builds
+its postings (token positions grouped by lemma, ``_postings``) once, and
+every later lookup of one lemma reads a slice of them.  Over a partial
+docset a lookup keeps only the positions inside the docset's runs of
+adjacent documents, found by two ``searchsorted`` calls; from the postings
+it gathers and widens only those, so its cost follows the runs and the
+occurrences it returns, not the lemma's whole slice or the corpus size.
+Each position's document, or a count per document or year bin, is found by
+whichever search is cheaper: each position among the document starts
+(n log D) when there are fewer positions than documents, else each
+document start among the positions (D log n).
 """
 
 from __future__ import annotations
@@ -53,10 +60,16 @@ def _docset_values(index: CorpusIndex, dmask: np.ndarray, column: np.ndarray) ->
     slice per run: the cost follows the docset's tokens and runs, not the
     corpus size, and no token positions or token mask are built.
     """
+    runs = zip(*(bound.tolist() for bound in _docset_runs(index, dmask)))
+    return np.concatenate([column[:0], *(column[lo:hi] for lo, hi in runs)])
+
+
+def _docset_runs(index: CorpusIndex, dmask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first token, end token) of each run of adjacent documents in a
+    document mask, in corpus order."""
     # edges[i] is 1 where a run starts at document i, -1 where one ends before it
     edges = np.diff(dmask.astype(np.int8), prepend=0, append=0)
-    runs = zip(index.doc_starts[edges == 1].tolist(), index.doc_starts[edges == -1].tolist())
-    return np.concatenate([column[:0], *(column[lo:hi] for lo, hi in runs)])
+    return index.doc_starts[edges == 1], index.doc_starts[edges == -1]
 
 
 def _lemma_pos_counts(index: CorpusIndex) -> np.ndarray:
@@ -145,29 +158,62 @@ def _postings(index: CorpusIndex) -> tuple[np.ndarray, np.ndarray]:
     return index._postings
 
 
-def _occurrences(index: CorpusIndex, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The one occurrence lookup: token positions of the lemmas ``rows`` in
-    corpus order, and how many of them each document holds, found by one
-    ``searchsorted`` of ``doc_starts`` over the positions.
+def _occurrences(index: CorpusIndex, rows, dmask: np.ndarray | None = None) -> np.ndarray:
+    """The one occurrence lookup: token positions of the lemmas ``rows``, in
+    corpus order; for one lemma, only those in the documents of ``dmask``
+    (None or a full mask keeps them all).
 
     One lemma is a slice of the postings once the index has them, and a scan
-    of the lemma column before; several lemmas are one gather pass, which
-    costs less than merging their postings."""
+    of the lemma column before.  Over a partial docset, two ``searchsorted``
+    calls find where each run of adjacent docset documents begins and ends in
+    those positions, and only the positions inside the runs are gathered and
+    widened: after a scan the lookup costs the scan, and from the postings it
+    costs the runs and what it returns, never the whole slice.  Several
+    lemmas are one gather pass over the column, which costs less than
+    merging their postings; it ignores ``dmask``, so its caller drops the
+    left-out documents itself."""
     rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) == 1:
-        lid = int(rows[0])
-        if index._postings is None and index._lemma_scans < _SCANS_BEFORE_POSTINGS:
-            index._lemma_scans += 1
-            positions = np.flatnonzero(index.lemma_ids == lid)
-        else:
-            offsets, postings = _postings(index)
-            # as intp, so that position arithmetic is signed under every numpy
-            positions = postings[offsets[lid] : offsets[lid + 1]].astype(np.intp)
-    else:
+    if len(rows) > 1:
         is_row = np.zeros(len(index.lemmas), dtype=bool)
         is_row[rows] = True
-        positions = np.flatnonzero(is_row[index.lemma_ids])
-    return positions, np.diff(np.searchsorted(positions, index.doc_starts))
+        return np.flatnonzero(is_row[index.lemma_ids])
+    lid = int(rows[0])
+    if index._postings is None and index._lemma_scans < _SCANS_BEFORE_POSTINGS:
+        index._lemma_scans += 1
+        lemma = np.flatnonzero(index.lemma_ids == lid)
+    else:
+        offsets, postings = _postings(index)
+        lemma = postings[offsets[lid] : offsets[lid + 1]]
+    if dmask is None or dmask.all():
+        # widened to intp, so that position arithmetic is signed under every numpy
+        return lemma.astype(np.intp, copy=False)
+    # bounds in the positions' own dtype, so that searchsorted does not cast them
+    first, end = (np.searchsorted(lemma, bound.astype(lemma.dtype)) for bound in _docset_runs(index, dmask))
+    lengths = end - first
+    # index of each kept position: its run's first, plus its rank in the run
+    kept = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    kept += np.arange(len(kept))
+    # each index is replaced by the position it holds, widened in place
+    kept[:] = lemma[kept]
+    return kept
+
+
+def _doc_counts(index: CorpusIndex, positions: np.ndarray) -> np.ndarray:
+    """How many of the ascending ``positions`` each document holds: one
+    search of each document start among them (D log n)."""
+    return np.diff(np.searchsorted(positions, index.doc_starts))
+
+
+def _occurrence_docs(index: CorpusIndex, positions: np.ndarray) -> np.ndarray:
+    """The document of each of the ascending ``positions``, by the cheaper
+    search: fewer positions than documents search each position among the
+    document starts (n log D, no document-length array); more expand the
+    per-document counts (D log n, int32 documents)."""
+    if len(positions) < len(index):
+        # the last start at or before a position is its document's, past any
+        # empty documents that start there too
+        return np.searchsorted(index.doc_starts, positions, "right") - 1
+    return np.repeat(np.arange(len(index), dtype=np.int32), _doc_counts(index, positions))
 
 
 def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
@@ -176,8 +222,7 @@ def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
     lid = index.lemmas.id_of(lemma)
     if lid is None:
         return 0
-    _, per_doc = _occurrences(index, [lid])
-    return int(per_doc[dmask].sum())
+    return len(_occurrences(index, [lid], dmask))
 
 
 @dataclass(frozen=True)
@@ -272,10 +317,7 @@ def form_share(index: CorpusIndex, docset, lemma: str, forms: Iterable[str]) -> 
     """Share of the lemma's tokens whose surface form (case-folded) is in ``forms``."""
     dmask = index.doc_mask(docset)
     lid = index.lemmas.id_of(lemma)
-    hits = np.zeros(0, dtype=np.intp)
-    if lid is not None:
-        positions, per_doc = _occurrences(index, [lid])
-        hits = positions[np.repeat(dmask, per_doc)]
+    hits = np.zeros(0, dtype=np.intp) if lid is None else _occurrences(index, [lid], dmask)
     total = len(hits)
     if total == 0:
         raise CorpusError(f"form share undefined: lemma {lemma!r} has zero count in docset")
@@ -343,6 +385,16 @@ def _bin_sums(doc_bin: np.ndarray, n_bins: int, per_doc: np.ndarray) -> np.ndarr
     return np.bincount(doc_bin[binned], weights=per_doc[binned], minlength=n_bins).astype(np.int64)
 
 
+def _bin_counts(index: CorpusIndex, positions: np.ndarray, doc_bin: np.ndarray, n_bins: int) -> np.ndarray:
+    """Per-bin counts of the occurrences at the ascending ``positions``, by
+    the cheaper search: fewer occurrences than documents bin each one by its
+    document; more bin their per-document counts."""
+    if len(positions) < len(index):
+        bins = doc_bin[_occurrence_docs(index, positions)]
+        return np.bincount(bins[bins >= 0], minlength=n_bins)
+    return _bin_sums(doc_bin, n_bins, _doc_counts(index, positions))
+
+
 def time_series(
     index: CorpusIndex,
     lemma: str,
@@ -356,7 +408,8 @@ def time_series(
     the token mass of contributing documents, and the per-million rate
     (None for bins with zero mass).
     """
-    binning = _year_bins(index, index.doc_mask(docset), bin_width)
+    dmask = index.doc_mask(docset)
+    binning = _year_bins(index, dmask, bin_width)
     if binning is None:
         return TimeSeries(lemma, bin_width, ())
     lo, n_bins, doc_bin = binning
@@ -364,7 +417,7 @@ def time_series(
     counts = np.zeros(n_bins, dtype=np.int64)
     lid = index.lemmas.id_of(lemma)
     if lid is not None:
-        counts = _bin_sums(doc_bin, n_bins, _occurrences(index, [lid])[1])
+        counts = _bin_counts(index, _occurrences(index, [lid], dmask), doc_bin, n_bins)
 
     bins = []
     for b in range(n_bins):

@@ -25,11 +25,11 @@ from diachrona.diachrony import (
     make_tranches,
     ols_slope,
 )
-from diachrona.frequency import lemma_count
+from diachrona.frequency import _occurrence_docs, _occurrences, form_share, lemma_count, time_series
 from diachrona.semfield import build_submatrix
 from diachrona.synth import synthetic_index
 
-from conftest import build_index, corpora, doc_lemma_lists, id_docset, lemma_doc, random_index
+from conftest import POS_TAGS, build_index, corpora, doc_lemma_lists, id_docset, lemma_doc, random_index
 
 
 def brute_pairs(index, window, docs=None):
@@ -348,9 +348,9 @@ class TestAdjacency:
         calls = []
         kernel = cooc._window_pairs
 
-        def spy(index, doc_bucket, n_buckets, rows, window, col=None):
+        def spy(index, doc_bucket, n_buckets, rows, window, col=None, occ=None):
             calls.append((rows, col))
-            return kernel(index, doc_bucket, n_buckets, rows, window, col)
+            return kernel(index, doc_bucket, n_buckets, rows, window, col, occ)
 
         monkeypatch.setattr(cooc, "_window_pairs", spy)
         for a, b in (("y", "x"), ("x", "y"), ("z", "x")):
@@ -619,6 +619,106 @@ class TestKernelPropertiesOnEveryLookupPath(TestKernelProperties):
     postings and with the kernel walking slabs of 1, 2 and 7 occurrences."""
 
 
+@st.composite
+def lookup_cases(draw):
+    """(index, mask): 2-9 documents, some empty and some undated, where
+    lemma "hi" occurs as often as there are documents and "lo" once (so
+    their lookups over every document lie on either side of the
+    occurrences-versus-documents crossover), among filler lemmas, each token
+    with one of two forms and a random tag; and a mask over the documents:
+    empty, full, one document, random, or random with both end documents in.
+    """
+    n_docs = draw(st.integers(2, 9))
+    filled = draw(st.lists(st.booleans(), min_size=n_docs, max_size=n_docs))
+    filled[draw(st.integers(0, n_docs - 1))] = True
+    lemmas = [draw(st.lists(st.sampled_from(["f0", "f1"]), max_size=5)) if f else [] for f in filled]
+    in_filled = st.sampled_from([i for i, f in enumerate(filled) if f])
+    for lemma in ["hi"] * n_docs + ["lo"]:
+        lemmas[draw(in_filled)].append(lemma)
+    docs = []
+    for i, doc_lemmas in enumerate(lemmas):
+        tokens = [
+            (lemma + draw(st.sampled_from(["", "a"])), draw(st.sampled_from(POS_TAGS)), lemma)
+            for lemma in draw(st.permutations(doc_lemmas))
+        ]
+        lo = draw(st.none() | st.integers(800, 1100))
+        date = DateSpec.undated() if lo is None else DateSpec.year_range(lo, lo + draw(st.integers(0, 60)))
+        docs.append((f"d{i}", date, None, tokens))
+    kind = draw(st.sampled_from(["empty", "full", "single", "random", "ends"]))
+    mask = np.full(n_docs, kind == "full")
+    if kind == "single":
+        mask[draw(st.integers(0, n_docs - 1))] = True
+    elif kind in ("random", "ends"):
+        mask[:] = draw(st.lists(st.booleans(), min_size=n_docs, max_size=n_docs))
+        if kind == "ends":
+            mask[[0, -1]] = True
+    return build_index(docs), mask
+
+
+@pytest.mark.usefixtures("lookup_path")
+class TestDocsetLookup:
+    """A lookup over a docset against the full lookup and brute force, on
+    every lookup path."""
+
+    @PROPERTY
+    @given(lookup_cases())
+    def test_restricted_lookup_is_the_full_lookup_filtered(self, case):
+        index, mask = case
+        doc_of = [i for i, doc in enumerate(index.documents) for _ in range(doc.token_len)]
+        sizes = {}
+        for lid, lemma in enumerate(index.lemmas):
+            full = _occurrences(index, [lid])
+            assert full.tolist() == np.flatnonzero(index.lemma_ids == lid).tolist()
+            assert _occurrence_docs(index, full).tolist() == [doc_of[p] for p in full.tolist()]
+            want = [p for p in full.tolist() if mask[doc_of[p]]]
+            got = _occurrences(index, [lid], mask)
+            assert got.dtype == np.intp
+            assert got.tolist() == want
+            assert _occurrence_docs(index, got).tolist() == [doc_of[p] for p in want]
+            sizes[lemma] = len(full)
+        assert sizes["hi"] >= len(index) > sizes["lo"]
+
+    @PROPERTY
+    @given(lookup_cases(), st.integers(1, 4), st.integers(1, 80), st.booleans())
+    def test_queries_over_the_mask_match_brute_force(self, case, window, bin_width, filtered):
+        index, mask = case
+        inside = [doc for doc, keep in zip(index.documents, mask) if keep]
+        ids = {doc.doc_id for doc in inside}
+        freqs = brute_freqs(index, ids)
+        pos_filter = {"NOM"} if filtered else None
+        passing = brute_pos_majority(index, pos_filter, ids) if filtered else set(freqs)
+        dated = [doc for doc in inside if doc.date.is_dated]
+        starts = {doc.date.midpoint() // bin_width * bin_width for doc in dated}
+        lemma_lists = dict(zip(index.doc_ids, doc_lemma_lists(index)))
+        for lemma in index.lemmas:
+            assert lemma_count(index, mask, lemma) == freqs[lemma]
+            forms = [
+                index.forms[int(index.form_ids[t])]
+                for doc in inside
+                for t in range(doc.token_start, doc.token_start + doc.token_len)
+                if index.lemmas[int(index.lemma_ids[t])] == lemma
+            ]
+            if forms:
+                assert form_share(index, mask, lemma, [lemma.upper()]) == forms.count(lemma) / len(forms)
+            else:
+                with pytest.raises(CorpusError, match="zero count in docset"):
+                    form_share(index, mask, lemma, [lemma])
+            counts = Counter()
+            for doc in dated:
+                counts[doc.date.midpoint() // bin_width * bin_width] += lemma_lists[doc.doc_id].count(lemma)
+            series = time_series(index, lemma, bin_width, docset=mask)
+            span = range(min(starts), max(starts) + 1, bin_width) if starts else range(0)
+            assert [(b.start_year, b.count) for b in series.bins] == [(s, counts[s]) for s in span]
+            scored = [
+                (other, n, freqs[other], dice(n, freqs[lemma], freqs[other]))
+                for other, n in brute_pair_counts(index, lemma, window, ids).items()
+                if other in passing
+            ]
+            scored.sort(key=lambda c: (-c[3], -c[1], c[0]))
+            got = top_cooccurrents(index, mask, lemma, window, 10, pos_filter=pos_filter)
+            assert [tuple(c) for c in got] == scored
+
+
 class TestRankingProperties:
     """Few lemmas give many tied scores, so the k-th value is often shared."""
 
@@ -669,6 +769,31 @@ class TestRankingProperties:
             assert e.total_pairs == brute.totals[e.lemma]
         for n in range(1, 6):
             assert entries(n) == full[:n]
+
+
+def test_pair_evolution_looks_up_each_lemma_once(monkeypatch):
+    # the row's occurrences go to the kernel, and its rarer row is picked
+    # from the lookups, so no lemma x POS table is built
+    index = random_index(np.random.default_rng(31), min_tokens=300, max_vocab=12)
+    a, b = index.lemmas[0], index.lemmas[1]
+    expected = pair_evolution(index, a, b, 3, 50)
+    paired_with_itself = pair_evolution(index, a, a, 3, 50)
+    fresh = random_index(np.random.default_rng(31), min_tokens=300, max_vocab=12)
+    looked_up = []
+    lookup = cooc._occurrences
+
+    def spy(index, rows, dmask=None):
+        looked_up.append([index.lemmas[int(r)] for r in np.atleast_1d(rows)])
+        return lookup(index, rows, dmask)
+
+    monkeypatch.setattr(cooc, "_occurrences", spy)
+    assert pair_evolution(fresh, a, b, 3, 50) == expected
+    assert looked_up == [[a], [b]]
+    assert fresh._lemma_pos is None
+    looked_up.clear()
+    assert pair_evolution(fresh, a, a, 3, 50) == paired_with_itself
+    assert looked_up == [[a]]
+    assert adjacency_count(fresh, None, a, b) == brute_pairs(fresh, 1)[tuple(sorted((a, b)))]
 
 
 def test_huge_window_counts_like_the_longest_document():

@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diachrona import frequency
-from diachrona.corpus import CorpusError, CorpusIndex, DateKind, DateSpec, Vocabulary
+from diachrona.corpus import CorpusError, CorpusIndex, DateKind, DateSpec, Vocabulary, dated_within, subcorpus
 from diachrona.frequency import (
     CountTable,
+    _bin_counts,
     _docset_counts,
     _docset_values,
     _MAX_YEAR_BINS,
     _SCANS_BEFORE_POSTINGS,
     _lemma_pos_counts,
+    _occurrence_docs,
     _occurrences,
     _postings,
     _year_bins,
@@ -25,6 +29,7 @@ from diachrona.frequency import (
 )
 
 from diachrona.indexio import load_index, save_index
+from diachrona.synth import synthetic_index
 
 from conftest import build_index, corpora, doc_lemma_lists, id_docset, lemma_doc, random_index
 
@@ -478,9 +483,9 @@ class TestPostings:
         _check_postings(index, offsets, positions)
         for lid in (0, 7, 65_536, 65_543):
             want = np.flatnonzero(lemma_ids == lid)
-            found, per_doc = _occurrences(index, [lid])
+            found = _occurrences(index, [lid])
             assert found.tolist() == want.tolist()
-            assert per_doc.tolist() == [np.count_nonzero(want < 3), np.count_nonzero(want >= 3)]
+            assert _occurrence_docs(index, found).tolist() == [int(p >= 3) for p in want]
 
     def test_built_on_the_lookup_after_the_scan_threshold(self):
         index = random_index(np.random.default_rng(5))
@@ -497,7 +502,7 @@ class TestPostings:
     def test_postings_lookup_gives_signed_positions(self, monkeypatch):
         monkeypatch.setattr(frequency, "_SCANS_BEFORE_POSTINGS", 0)
         index = random_index(np.random.default_rng(6))
-        positions, _ = _occurrences(index, [0])
+        positions = _occurrences(index, [0])
         assert positions.dtype == np.intp
         assert (positions - index.total_tokens < 0).all()
 
@@ -510,3 +515,53 @@ class TestPostings:
         assert (tmp_path / "before.csem").read_bytes() == (tmp_path / "after.csem").read_bytes()
         assert index == twin and twin == index
         assert load_index(tmp_path / "after.csem") == index
+
+
+def _peak_bytes(call):
+    """(result, peak bytes that tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLookupCost:
+    """A lookup over postings allocates for what it returns."""
+
+    def test_a_partial_docset_gathers_only_its_occurrences(self):
+        index = synthetic_index(2_000_000, 50, 2_000, seed=11)
+        _postings(index)
+        freqs = np.bincount(index.lemma_ids)
+        lid = int(np.argmax(freqs))
+        mask = subcorpus(index, dated_within(900, 917))  # about 3% of the documents
+        positions, peak = _peak_bytes(lambda: _occurrences(index, [lid], mask))
+        docs = np.repeat(np.arange(len(index)), np.diff(index.doc_starts))
+        want = np.flatnonzero((index.lemma_ids == lid) & mask[docs])
+        assert positions.tolist() == want.tolist()
+        # a few bytes per kept occurrence, plus a few per document for the runs
+        bound = 24 * len(positions) + 8 * len(index) + (64 << 10)
+        assert peak < bound
+        assert 8 * freqs[lid] > 4 * bound  # widening the whole slice would break it
+
+    def test_a_rare_lemma_over_every_document_allocates_nothing_document_long(self):
+        index = synthetic_index(400_000, 20_000, 20_000, seed=12)
+        _postings(index)
+        freqs = np.bincount(index.lemma_ids, minlength=len(index.lemmas))
+        lid = int(np.flatnonzero((freqs > 0) & (freqs < 40))[0])
+        dmask = index.doc_mask(None)
+        _, n_bins, doc_bin = _year_bins(index, dmask, 50)
+
+        def lookup():
+            positions = _occurrences(index, [lid], dmask)
+            docs = _occurrence_docs(index, positions)
+            return positions, docs, _bin_counts(index, positions, doc_bin, n_bins)
+
+        (positions, docs, counts), peak = _peak_bytes(lookup)
+        assert len(positions) == freqs[lid] < len(index)
+        doc_of = np.repeat(np.arange(len(index)), np.diff(index.doc_starts))
+        assert docs.tolist() == doc_of[positions].tolist()
+        assert counts.tolist() == np.bincount(doc_bin[docs], minlength=n_bins).tolist()
+        # a boolean mask over the documents would take len(index) bytes
+        assert peak < len(index)

@@ -14,19 +14,18 @@ year-bin series of ``pair_evolution``, whose shared ``_lemma_pairs`` makes
 the rarer lemma the row), and the pairs among a set of lemmas (a field-map
 submatrix in ``semfield``, or a lemma paired with itself).  A document's
 bucket (a docset member, a tranche, a year bin, or -1 for left out) is
-fixed per call, so a per-tranche or per-bin series costs one pass.  One
-row's occurrences are looked up in the documents of buckets >= 0 only, and
-its 2w neighbours are gathered around each of them, so the work follows the
-row's occurrences in those documents, not the corpus size.  Among a set of
-rows every counted pair joins two row occurrences, so the kernel walks the
-sorted row occurrences themselves (several rows are gathered from every
-document, and the left-out ones dropped slab by slab): for s = 1..w it
-pairs each occurrence with the s-th one after it, and stops at the first s
-that pairs none.  It walks the occurrences in slabs of at most ``_SLAB`` of
-them, so its temporary arrays are bounded by the slab, not by the
-occurrence count of frequent rows (a field map's 30 terms can hold 4.3M
-occurrences at 10M tokens); a mirror slab also reads the at most w
-occurrences after it.
+fixed per call, so a per-tranche or per-bin series costs one pass.  Row
+occurrences are looked up in the documents of buckets >= 0 only, so the
+kernel never reads a left-out document.  One row's 2w neighbours are
+gathered around each of its occurrences, so the work follows the row's
+occurrences in those documents, not the corpus size.  Among a set of rows
+every counted pair joins two row occurrences, so the kernel walks the
+sorted row occurrences themselves: for s = 1..w it pairs each occurrence
+with the s-th one after it, and stops at the first s that pairs none.
+It walks the occurrences in slabs of at most ``_SLAB`` of them, so its
+temporary arrays are bounded by the slab, not by the occurrence count of
+frequent rows (a field map's 30 terms can hold 4.3M occurrences at 10M
+tokens); a mirror slab also reads the at most w occurrences after it.
 
 Every Dice value comes from one array function, ``_dice`` (0 where both
 frequencies are 0), and every ranking from one helper, ``_top_k``, so
@@ -136,16 +135,16 @@ def _window_pairs(
       occurrences of one lemma counted once (``semfield.build_submatrix``,
       and ``_lemma_pairs`` for a lemma paired with itself).
 
-    The row occurrences come from the one occurrence lookup,
-    ``_occurrences``, over the documents of buckets >= 0, unless the caller
-    hands over one row's occurrences as ``occ``; any that lie in left-out
-    documents are dropped slab by slab.  One row's neighbours are read
-    d = 1..window tokens to either side of each occurrence whose document
-    reaches that far.  A set of rows is walked as a mirror: for
-    s = 1..window, occurrence i pairs with occurrence i + s when both lie in
-    one document at most ``window`` tokens apart, counted once under
-    (bucket, row of i, row of i + s) and then added to its transpose; the
-    walk stops at the first s that pairs none.
+    Every occurrence the kernel reads lies in a document of a bucket >= 0:
+    the row occurrences come from the one occurrence lookup,
+    ``_occurrences``, over those documents, unless the caller hands over one
+    row's occurrences as ``occ``, which must keep to them too.  One row's
+    neighbours are read d = 1..window tokens to either side of each
+    occurrence whose document reaches that far.  A set of rows is walked as
+    a mirror: for s = 1..window, occurrence i pairs with occurrence i + s
+    when both lie in one document at most ``window`` tokens apart, counted
+    once under (bucket, row of i, row of i + s) and then added to its
+    transpose; the walk stops at the first s that pairs none.
     Occurrences are taken ``_SLAB`` at a time (a mirror slab also reads the
     at most ``window`` after it that its last left side reaches), so the
     temporaries of one call stay within a few slab-length arrays.
@@ -173,23 +172,16 @@ def _window_pairs(
             reach = min(occ[hi - 1] + window, index.doc_starts[occ_doc[hi - 1] + 1] - 1)
             hi = int(np.searchsorted(occ, reach, "right"))
         pos, docs = occ[lo:hi], occ_doc[lo:hi]
-        n_left = min(_SLAB, len(pos))
         # base: flat offset of each occurrence's (bucket, row) block of cells
-        base = 0
-        if doc_bucket is not None:
-            bucket = doc_bucket[docs]
-            keep = bucket >= 0
-            n_left = int(np.count_nonzero(keep[:n_left]))
-            pos, docs = pos[keep], docs[keep]
-            base = bucket[keep] * (n_rows * n_cols)
+        base = 0 if doc_bucket is None else doc_bucket[docs] * (n_rows * n_cols)
         if mirror:
             row = row_of[lem[pos]]
             base = base + row * n_cols
-            # left-out documents were filtered out above, so a pair across
-            # them fails the document test; distances grow with s, so once
+            # no occurrence lies in a left-out document, so a pair across
+            # one fails the document test; distances grow with s, so once
             # no i passes, no larger s does either
             for s in range(1, min(window, len(pos) - 1) + 1):
-                m = min(n_left, len(pos) - s)
+                m = min(_SLAB, len(pos) - s)
                 ok = pos[s : s + m] - pos[:m] <= window
                 ok &= docs[s : s + m] == docs[:m]
                 if not ok.any():
@@ -367,9 +359,11 @@ def pair_evolution(
     a_id, b_id = map(index.lemmas.id_of, (lemma_a, lemma_b))
     if a_id is None or b_id is None:
         return [PairBin(start, 0, 0.0) for start in starts]
-    # each lemma is looked up once, and the kernel reads the row's lookup
-    occ_a = _occurrences(index, [a_id], dmask)
-    occ_b = occ_a if b_id == a_id else _occurrences(index, [b_id], dmask)
+    # each lemma is looked up once, in the binned documents only, and the
+    # kernel reads the row's lookup
+    binned = doc_bin >= 0
+    occ_a = _occurrences(index, [a_id], binned)
+    occ_b = occ_a if b_id == a_id else _occurrences(index, [b_id], binned)
     freq_a, freq_b = (_bin_counts(index, occ, doc_bin, n_bins) for occ in (occ_a, occ_b))
     freqs = (len(occ_a), len(occ_b))
     pairs = _lemma_pairs(index, doc_bin, n_bins, (a_id, b_id), freqs, window, (occ_a, occ_b))

@@ -10,17 +10,21 @@ full docset reads one lemma x POS table, counted once per index and cached
 on it (``_lemma_pos_counts``); a partial docset counts only its own tokens,
 copied run by run of adjacent documents (``_docset_values``).  So the cost
 of a count follows the docset's tokens, and no corpus-length token mask is
-built.  Where a lemma occurs comes from one lookup, ``_occurrences``: the
-token positions of the lemma inside a docset, in corpus order, which
-``lemma_count`` (their number), ``form_share``, time series, pair series
-and the window kernel all read.  An index's first single-lemma lookups scan
-the lemma column; after ``_SCANS_BEFORE_POSTINGS`` of them the index builds
-its postings (token positions grouped by lemma, ``_postings``) once, and
-every later lookup of one lemma reads a slice of them.  Over a partial
-docset a lookup keeps only the positions inside the docset's runs of
-adjacent documents, found by two ``searchsorted`` calls; from the postings
-it gathers and widens only those, so its cost follows the runs and the
-occurrences it returns, not the lemma's whole slice or the corpus size.
+built.  Where lemmas occur comes from one lookup, ``_occurrences``: the
+token positions of one or more lemmas inside a docset, in corpus order,
+which ``lemma_count`` (their number), ``form_share``, time series, pair
+series and the window kernel all read, so no caller drops left-out
+documents itself.  An index's first single-lemma lookups scan the lemma
+column; after ``_SCANS_BEFORE_POSTINGS`` of them the index builds its
+postings (token positions grouped by lemma, ``_postings``) once, a chunk of
+tokens at a time, and every later lookup of one lemma reads a slice of
+them.  Over a partial docset a one-lemma lookup keeps only the positions
+inside the docset's runs of adjacent documents, found by two
+``searchsorted`` calls; from the postings it gathers and widens only those,
+so its cost follows the runs and the occurrences it returns, not the
+lemma's whole slice or the corpus size.  A lookup of several lemmas reads
+the docset's copy of the lemma column, so its cost follows the docset's
+tokens.
 Each position's document, or a count per document or year bin, is found by
 whichever search is cheaper: each position among the document starts
 (n log D) when there are fewer positions than documents, else each
@@ -134,24 +138,42 @@ def _docset_counts(
 _SCANS_BEFORE_POSTINGS = 15
 
 
+# Tokens the postings build sorts at once: each chunk's temporaries are a
+# few int64 arrays of this length (~8 MB each), whatever the corpus size.
+_POSTINGS_CHUNK = 1 << 20
+
+
 def _postings(index: CorpusIndex) -> tuple[np.ndarray, np.ndarray]:
     """(offsets, positions): the token positions of lemma i, in corpus order,
     are ``positions[offsets[i]:offsets[i + 1]]``.
 
     Built once per index and cached on it, read only.  Positions are uint32
-    when they fit, 4 bytes per token (40 MB at 10M tokens); the int64 sort
-    result is not kept.  Lemma ids sort as 16-bit keys when the vocabulary
-    allows, which numpy radix-sorts.
+    when they fit, 4 bytes per token (40 MB at 10M tokens).  The offsets
+    come from the lemma counts, so the build sorts ``_POSTINGS_CHUNK``
+    tokens at a time and scatters each chunk's positions, grouped by lemma,
+    to the next free slots of their lemmas: its int64 temporaries (the sort
+    order and the slots) are chunk-long, not corpus-long.  At 10M tokens it
+    peaks at 68 MB, of which the 40 MB of positions are kept.  Lemma ids
+    sort as 16-bit keys when the vocabulary allows, which numpy radix-sorts.
     """
     if index._postings is None:
-        lemma_ids = index.lemma_ids
-        keys = lemma_ids.astype(np.uint16) if len(index.lemmas) <= 1 << 16 else lemma_ids
-        order = np.argsort(keys, kind="stable")
-        del keys
-        positions = order.astype(np.uint32 if len(lemma_ids) < 1 << 32 else np.int64)
-        del order
-        offsets = np.zeros(len(index.lemmas) + 1, dtype=np.int64)
+        lemma_ids, n_lemmas = index.lemma_ids, len(index.lemmas)
+        offsets = np.zeros(n_lemmas + 1, dtype=np.int64)
         np.cumsum(_lemma_pos_counts(index).sum(axis=1), out=offsets[1:])
+        positions = np.empty(len(lemma_ids), dtype=np.uint32 if len(lemma_ids) < 1 << 32 else np.int64)
+        free = offsets[:-1].copy()  # each lemma's next free slot
+        for lo in range(0, len(lemma_ids), _POSTINGS_CHUNK):
+            keys = lemma_ids[lo : lo + _POSTINGS_CHUNK]
+            keys = keys.astype(np.uint16) if n_lemmas <= 1 << 16 else keys
+            counts = np.bincount(keys, minlength=n_lemmas)
+            order = np.argsort(keys, kind="stable")
+            # the k-th of lemma i's tokens in the chunk goes to slot
+            # free[i] + k, and they are sorted from sum(counts[:i]) on
+            slots = np.repeat(free - (np.cumsum(counts) - counts), counts)
+            slots += np.arange(len(order))
+            order += lo
+            positions[slots] = order
+            free += counts
         offsets.flags.writeable = False
         positions.flags.writeable = False
         index._postings = (offsets, positions)
@@ -159,9 +181,9 @@ def _postings(index: CorpusIndex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _occurrences(index: CorpusIndex, rows, dmask: np.ndarray | None = None) -> np.ndarray:
-    """The one occurrence lookup: token positions of the lemmas ``rows``, in
-    corpus order; for one lemma, only those in the documents of ``dmask``
-    (None or a full mask keeps them all).
+    """The one occurrence lookup: token positions of the lemmas ``rows`` in
+    the documents of ``dmask`` (None or a full mask keeps them all), in
+    corpus order, as intp.
 
     One lemma is a slice of the postings once the index has them, and a scan
     of the lemma column before.  Over a partial docset, two ``searchsorted``
@@ -169,14 +191,24 @@ def _occurrences(index: CorpusIndex, rows, dmask: np.ndarray | None = None) -> n
     those positions, and only the positions inside the runs are gathered and
     widened: after a scan the lookup costs the scan, and from the postings it
     costs the runs and what it returns, never the whole slice.  Several
-    lemmas are one gather pass over the column, which costs less than
-    merging their postings; it ignores ``dmask``, so its caller drops the
-    left-out documents itself."""
+    lemmas are one gather pass over the lemma column, which costs less than
+    merging their postings; over a partial docset the pass reads only the
+    docset's copy of the column, and each hit found there is moved back to
+    its corpus position by its run's shift."""
     rows = np.asarray(rows, dtype=np.int64)
+    full = dmask is None or dmask.all()
     if len(rows) > 1:
         is_row = np.zeros(len(index.lemmas), dtype=bool)
         is_row[rows] = True
-        return np.flatnonzero(is_row[index.lemma_ids])
+        if full:
+            return np.flatnonzero(is_row[index.lemma_ids])
+        hits = np.flatnonzero(is_row[_docset_values(index, dmask, index.lemma_ids)])
+        first, end = _docset_runs(index, dmask)
+        lengths = end - first
+        copied = np.cumsum(lengths) - lengths  # each run's offset in the copy
+        per_run = np.diff(np.searchsorted(hits, copied), append=len(hits))
+        hits += np.repeat(first - copied, per_run)
+        return hits
     lid = int(rows[0])
     if index._postings is None and index._lemma_scans < _SCANS_BEFORE_POSTINGS:
         index._lemma_scans += 1
@@ -184,7 +216,7 @@ def _occurrences(index: CorpusIndex, rows, dmask: np.ndarray | None = None) -> n
     else:
         offsets, postings = _postings(index)
         lemma = postings[offsets[lid] : offsets[lid + 1]]
-    if dmask is None or dmask.all():
+    if full:
         # widened to intp, so that position arithmetic is signed under every numpy
         return lemma.astype(np.intp, copy=False)
     # bounds in the positions' own dtype, so that searchsorted does not cast them
@@ -222,6 +254,9 @@ def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
     lid = index.lemmas.id_of(lemma)
     if lid is None:
         return 0
+    if index._postings is not None and dmask.all():
+        offsets = index._postings[0]
+        return int(offsets[lid + 1] - offsets[lid])
     return len(_occurrences(index, [lid], dmask))
 
 

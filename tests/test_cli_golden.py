@@ -74,6 +74,8 @@ CASES = {
                  "--no-pivot", "--out", "@map.tsv"],
     "map-filter": ["map", "--pivot", "pater", "--terms", "8", "--window", "3",
                    "--filter", "date=700..1100"],
+    "map-typology-filter": ["map", "--pivot", "pater", "--terms", "8", "--window", "3",
+                            "--filter", "typology=charter"],
     "map-tsv-over-out": ["map", "--pivot", "pater", "--terms", "5", "--tsv", "@field.tsv",
                          "--out", "@ignored.tsv"],
 }

@@ -679,6 +679,16 @@ class TestDocsetLookup:
         assert sizes["hi"] >= len(index) > sizes["lo"]
 
     @PROPERTY
+    @given(lookup_cases(), st.data())
+    def test_several_lemmas_are_the_union_of_their_restricted_lookups(self, case, data):
+        index, mask = case
+        rows = data.draw(st.lists(st.integers(0, len(index.lemmas) - 1), min_size=2, unique=True))
+        got = _occurrences(index, rows, mask)
+        assert got.dtype == np.intp
+        union = np.concatenate([_occurrences(index, [lid], mask) for lid in rows])
+        assert got.tolist() == sorted(union.tolist())
+
+    @PROPERTY
     @given(lookup_cases(), st.integers(1, 4), st.integers(1, 80), st.booleans())
     def test_queries_over_the_mask_match_brute_force(self, case, window, bin_width, filtered):
         index, mask = case
@@ -813,9 +823,10 @@ def test_huge_window_counts_like_the_longest_document():
 
 def test_mirror_walk_across_a_slab_edge_and_a_left_out_document(monkeypatch):
     # slabs of two occurrences, every token a row occurrence (positions 0-7):
-    # the slab {2, 3} ends inside the left-out d1 and reads its position 4
-    # as a right side, and the slab {4, 5} pairs position 5 with 6 and 7
-    # across its edge
+    # with d1 left out, its positions 2-4 are never looked up, so the slab
+    # {0, 1} of d0 is followed by the slab {5, 6} of d2, which pairs 5 and 6
+    # with 7 across its edge; with d1 in bucket 1, the slab {2, 3} reads
+    # position 4 as a right side, and the slab {4, 5} pairs 5 with 6 and 7
     index = build_index(
         [
             lemma_doc("d0", DateSpec.exact(900), ["a", "b"]),

@@ -445,9 +445,11 @@ def _check_postings(index, offsets, positions):
 
 class TestPostings:
     @settings(max_examples=60, deadline=None)
-    @given(corpora())
-    def test_each_lemma_slice_is_its_scan_read_only_and_narrow(self, index):
-        offsets, positions = _postings(index)
+    @given(corpora(), st.sampled_from([1, 2, 3, 7, frequency._POSTINGS_CHUNK]))
+    def test_each_lemma_slice_is_its_scan_read_only_and_narrow(self, index, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frequency, "_POSTINGS_CHUNK", chunk)
+            offsets, positions = _postings(index)
         assert positions.dtype == np.uint32
         for lid in range(len(index.lemmas)):
             scan = np.flatnonzero(index.lemma_ids == lid)
@@ -486,6 +488,25 @@ class TestPostings:
             found = _occurrences(index, [lid])
             assert found.tolist() == want.tolist()
             assert _occurrence_docs(index, found).tolist() == [int(p >= 3) for p in want]
+
+    def test_build_temporaries_are_bounded_by_the_chunk(self, monkeypatch):
+        index = synthetic_index(1_000_000, 2_000, 2_000, seed=13)
+        _lemma_pos_counts(index)
+
+        def build(chunk):
+            monkeypatch.setattr(frequency, "_POSTINGS_CHUNK", chunk)
+            index._postings = None
+            return _peak_bytes(lambda: _postings(index))
+
+        chunk = 1 << 14
+        (offsets, positions), peak = build(chunk)
+        # kept: 4-byte positions and the offsets; per chunk, a few int64
+        # arrays of its length, plus small V-length tables
+        bound = 4 * index.total_tokens + 48 * chunk + 64 * len(index.lemmas) + (64 << 10)
+        assert peak < bound
+        (same_offsets, same_positions), whole = build(index.total_tokens)
+        assert np.array_equal(offsets, same_offsets) and np.array_equal(positions, same_positions)
+        assert whole > bound  # one chunk of every token would break the bound
 
     def test_built_on_the_lookup_after_the_scan_threshold(self):
         index = random_index(np.random.default_rng(5))
@@ -544,6 +565,16 @@ class TestLookupCost:
         bound = 24 * len(positions) + 8 * len(index) + (64 << 10)
         assert peak < bound
         assert 8 * freqs[lid] > 4 * bound  # widening the whole slice would break it
+
+    def test_a_full_docset_count_reads_the_offsets(self):
+        index = synthetic_index(1_000_000, 50, 2_000, seed=14)
+        offsets, _ = _postings(index)
+        lid = int(np.argmax(np.diff(offsets)))
+        lemma = index.lemmas[lid]
+        count, peak = _peak_bytes(lambda: lemma_count(index, None, lemma))
+        assert count == np.count_nonzero(index.lemma_ids == lid) > 10_000
+        # widening the lemma's slice would take 8 bytes per occurrence
+        assert peak < index.total_tokens // 100
 
     def test_a_rare_lemma_over_every_document_allocates_nothing_document_long(self):
         index = synthetic_index(400_000, 20_000, 20_000, seed=12)

@@ -146,8 +146,9 @@ def _window_pairs(
     once under (bucket, row of i, row of i + s) and then added to its
     transpose; the walk stops at the first s that pairs none.
     Occurrences are taken ``_SLAB`` at a time (a mirror slab also reads the
-    at most ``window`` after it that its last left side reaches), so the
-    temporaries of one call stay within a few slab-length arrays.
+    ``window`` occurrences after it, the farthest its left sides can pair
+    with), so the temporaries of one call stay within a few arrays of at most
+    ``_SLAB + window`` occurrences.
     """
     lem = index.lemma_ids
     # no pair lies farther apart than the corpus is long, and position
@@ -165,12 +166,9 @@ def _window_pairs(
         row_of[rows] = np.arange(n_rows)
     counts = np.zeros(n_buckets * n_rows * n_cols, dtype=np.int64)
     for lo in range(0, len(occ), _SLAB):
-        hi = lo + _SLAB
-        if mirror and hi < len(occ):
-            # the right sides run on to the last occurrence that the slab's
-            # last left side reaches: at most window occurrences more
-            reach = min(occ[hi - 1] + window, index.doc_starts[occ_doc[hi - 1] + 1] - 1)
-            hi = int(np.searchsorted(occ, reach, "right"))
+        # positions are distinct, so the right sides that the slab's left
+        # sides reach lie at most window occurrences past it
+        hi = lo + _SLAB + (window if mirror else 0)
         pos, docs = occ[lo:hi], occ_doc[lo:hi]
         # base: flat offset of each occurrence's (bucket, row) block of cells
         base = 0 if doc_bucket is None else doc_bucket[docs] * (n_rows * n_cols)

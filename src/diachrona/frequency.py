@@ -8,10 +8,12 @@ midpoint; undated documents never contribute.
 Per-lemma docset counts come from one function, ``_docset_counts``.  The
 full docset reads one lemma x POS table, counted once per index and cached
 on it (``_lemma_pos_counts``); a partial docset counts only its own tokens,
-copied run by run of adjacent documents (``_docset_values``).  So the cost
-of a count follows the docset's tokens, and no corpus-length token mask is
-built.  Where lemmas occur comes from one lookup, ``_occurrences``: the
-token positions of one or more lemmas inside a docset, in corpus order,
+copied run by run of adjacent documents (``_docset_values``).  Both count
+with one counter, ``_lemma_counts``, which widens ``_CHUNK`` lemma ids at a
+time into one reused key buffer.  So the cost of a count follows the
+docset's tokens, and no corpus-length token mask or key array is built.
+Where lemmas occur comes from one lookup, ``_occurrences``: the token
+positions of one or more lemmas inside a docset, in corpus order,
 which ``lemma_count`` (their number), ``form_share``, time series, pair
 series and the window kernel all read, so no caller drops left-out
 documents itself.  An index's first single-lemma lookups scan the lemma
@@ -76,20 +78,46 @@ def _docset_runs(index: CorpusIndex, dmask: np.ndarray) -> tuple[np.ndarray, np.
     return index.doc_starts[edges == 1], index.doc_starts[edges == -1]
 
 
+# Tokens a chunked pass reads at once: the lemma counter's key buffer and
+# the postings build's sort temporaries are this long (~8 MB of intp or
+# int64 each), whatever the corpus or docset size.
+_CHUNK = 1 << 20
+
+
+def _lemma_counts(n_lemmas: int, lemma_ids: np.ndarray, classes=None, n_classes: int = 1) -> np.ndarray:
+    """Token counts by lemma and class, shape (n_lemmas, n_classes), int64:
+    cell [i, c] counts the tokens with lemma i and class c, where
+    ``classes`` holds each token's class below ``n_classes`` (None puts
+    every token in class 0).
+
+    The one per-lemma counter.  It counts ``_CHUNK`` tokens at a time
+    through one reused intp key buffer: the chunk's lemma ids are copied
+    into it, which widens them, turned in place into the keys
+    lemma * n_classes + class, and bincounted into the table.  So no key
+    array as long as the input is built, and bincount never casts one.
+    """
+    table = np.zeros(n_lemmas * n_classes, dtype=np.int64)
+    buffer = np.empty(min(_CHUNK, len(lemma_ids)), dtype=np.intp)
+    for lo in range(0, len(lemma_ids), _CHUNK):
+        keys = buffer[: len(lemma_ids) - lo]
+        keys[:] = lemma_ids[lo : lo + _CHUNK]
+        if classes is not None:
+            keys *= n_classes
+            keys += classes[lo : lo + _CHUNK]
+        table += np.bincount(keys, minlength=len(table))
+    return table.reshape(n_lemmas, n_classes)
+
+
 def _lemma_pos_counts(index: CorpusIndex) -> np.ndarray:
     """Full-corpus token counts by lemma and POS tag, shape (V, P).
 
-    Counted once per index and cached on it, read only: V x P int64 cells,
-    30,000 x 3 (720 KB) on a 10M-token corpus of 30,000 lemmas and three
-    tags.  Only full-docset counts read it.
+    Counted once per index by ``_lemma_counts`` and cached on it, read
+    only: V x P int64 cells, 30,000 x 3 (720 KB) on a 10M-token corpus of
+    30,000 lemmas and three tags.  Full-docset counts and the postings
+    offsets read it.
     """
     if index._lemma_pos is None:
-        n_pos = len(index.pos_tags)
-        keys = index.lemma_ids.astype(np.int64)
-        keys *= n_pos
-        keys += index.pos_ids
-        table = np.bincount(keys, minlength=len(index.lemmas) * n_pos)
-        table = table.reshape(len(index.lemmas), n_pos)
+        table = _lemma_counts(len(index.lemmas), index.lemma_ids, index.pos_ids, len(index.pos_tags))
         table.flags.writeable = False
         index._lemma_pos = table
     return index._lemma_pos
@@ -104,29 +132,24 @@ def _docset_counts(
     ``pos_allowed`` (a flag per POS tag), the pair (all tokens, tokens of
     allowed tags).
 
-    The full docset reads the cached lemma x POS table.  A partial docset
-    counts its own tokens, so its cost follows its tokens, not the corpus
-    size or the tagset: its lemma ids are copied once and bincounted into a
-    V-length vector, or with POS flags, turned in place into the keys
-    2 * lemma + flag, whose one bincount holds both counts.
+    The full docset reads the cached lemma x POS table, whose allowed
+    columns sum to the second count.  A partial docset counts its own tokens
+    with ``_lemma_counts``, so its cost follows its tokens, not the corpus
+    size or the tagset: its lemma ids are copied once, and with POS flags,
+    its tags are copied once too and turned into one flag per token, the
+    token's class (1 for an allowed tag).
     """
-    n_lemmas = len(index.lemmas)
+    # a lemma x class table, and the classes whose tokens are allowed
     if dmask.all():
-        table = _lemma_pos_counts(index)
-        totals = table.sum(axis=1)
-        allowed = None if pos_allowed is None else table[:, pos_allowed].sum(axis=1)
-    elif pos_allowed is None:
-        return np.bincount(_docset_values(index, dmask, index.lemma_ids), minlength=n_lemmas)
+        table, allowed = _lemma_pos_counts(index), pos_allowed
     else:
         # the POS flags come first, so their tag copy is freed before the lemma ids are copied
-        keep = pos_allowed[_docset_values(index, dmask, index.pos_ids)]
-        keys = _docset_values(index, dmask, index.lemma_ids)
-        keys = keys.astype(np.int64) if n_lemmas > 1 << 31 else keys
-        keys <<= 1
-        keys += keep
-        split = np.bincount(keys, minlength=2 * n_lemmas).reshape(n_lemmas, 2)
-        totals, allowed = split.sum(axis=1), split[:, 1]
-    return totals if pos_allowed is None else (totals, allowed)
+        flags = None if pos_allowed is None else pos_allowed[_docset_values(index, dmask, index.pos_ids)]
+        lemma_ids = _docset_values(index, dmask, index.lemma_ids)
+        table = _lemma_counts(len(index.lemmas), lemma_ids, flags, 1 if flags is None else 2)
+        allowed = [1]  # class 1 holds the tokens of an allowed tag
+    totals = table.sum(axis=1)
+    return totals if pos_allowed is None else (totals, table[:, allowed].sum(axis=1))
 
 
 # Single-lemma lookups an index answers by scanning its lemma column before
@@ -138,22 +161,17 @@ def _docset_counts(
 _SCANS_BEFORE_POSTINGS = 15
 
 
-# Tokens the postings build sorts at once: each chunk's temporaries are a
-# few int64 arrays of this length (~8 MB each), whatever the corpus size.
-_POSTINGS_CHUNK = 1 << 20
-
-
 def _postings(index: CorpusIndex) -> tuple[np.ndarray, np.ndarray]:
     """(offsets, positions): the token positions of lemma i, in corpus order,
     are ``positions[offsets[i]:offsets[i + 1]]``.
 
     Built once per index and cached on it, read only.  Positions are uint32
     when they fit, 4 bytes per token (40 MB at 10M tokens).  The offsets
-    come from the lemma counts, so the build sorts ``_POSTINGS_CHUNK``
-    tokens at a time and scatters each chunk's positions, grouped by lemma,
-    to the next free slots of their lemmas: its int64 temporaries (the sort
-    order and the slots) are chunk-long, not corpus-long.  At 10M tokens it
-    peaks at 68 MB, of which the 40 MB of positions are kept.  Lemma ids
+    come from the lemma counts, so the build sorts ``_CHUNK`` tokens at a
+    time and scatters each chunk's positions, grouped by lemma, to the next
+    free slots of their lemmas: its int64 temporaries (the sort order and
+    the slots) are chunk-long, not corpus-long.  At 10M tokens it peaks at
+    69 MB, of which the 40 MB of positions are kept.  Lemma ids
     sort as 16-bit keys when the vocabulary allows, which numpy radix-sorts.
     """
     if index._postings is None:
@@ -162,8 +180,8 @@ def _postings(index: CorpusIndex) -> tuple[np.ndarray, np.ndarray]:
         np.cumsum(_lemma_pos_counts(index).sum(axis=1), out=offsets[1:])
         positions = np.empty(len(lemma_ids), dtype=np.uint32 if len(lemma_ids) < 1 << 32 else np.int64)
         free = offsets[:-1].copy()  # each lemma's next free slot
-        for lo in range(0, len(lemma_ids), _POSTINGS_CHUNK):
-            keys = lemma_ids[lo : lo + _POSTINGS_CHUNK]
+        for lo in range(0, len(lemma_ids), _CHUNK):
+            keys = lemma_ids[lo : lo + _CHUNK]
             keys = keys.astype(np.uint16) if n_lemmas <= 1 << 16 else keys
             counts = np.bincount(keys, minlength=n_lemmas)
             order = np.argsort(keys, kind="stable")

@@ -112,6 +112,8 @@ def _index(heads: list[_Head], types: Iterable[Sequence[str]], token_types: arra
     its type's first token, so interning in type order keeps first-seen order.
     Each token column is a gather of a per-type id table, and ``heads``,
     (doc_id, date, typology, first_token) tuples, become the document columns.
+    A record item, document id or typology that is not a string (a typology
+    may also be None) raises :class:`CorpusError`.
     """
     lemmas: dict[str, int] = {}
     forms: dict[str, int] = {}
@@ -123,6 +125,10 @@ def _index(heads: list[_Head], types: Iterable[Sequence[str]], token_types: arra
         lemma_of.append(lemmas.setdefault(lemma, len(lemmas)))
     token_ids = np.asarray(token_types)  # a uint32 view
     ids, dates, typologies, starts = zip(*heads) if heads else [()] * 4
+    # every string the index file stores, each checked once, not per token
+    for value in (*lemmas, *forms, *tags, *ids, *(t for t in typologies if t is not None)):
+        if not isinstance(value, str):
+            raise CorpusError(f"record items, document ids and typologies must be strings, not {value!r}")
     return CorpusIndex(
         Vocabulary(lemmas),
         Vocabulary(forms),
@@ -228,7 +234,9 @@ def index_from_documents(
     docs: Iterable[tuple[str, DateSpec, str | None, Sequence[VerticalRecord | tuple[str, str, str]]]],
 ) -> CorpusIndex:
     """Assemble an index from (doc_id, date, typology, records) tuples; a record
-    is any sequence of three strings (form, POS, lemma)."""
+    is any sequence of three strings (form, POS, lemma).  The document id is a
+    string and the typology a string or None; any other value raises
+    :class:`CorpusError`."""
     heads: list[_Head] = []
     types: dict[tuple[str, ...], int] = {}
     token_types = array("I")

@@ -394,6 +394,10 @@ class TestMovingAverage:
             moving_average([1.0], 2)
 
 
+# chunk lengths for the chunked counters: one token, a few, and the default
+_chunks = st.sampled_from([1, 2, 3, 7, frequency._CHUNK])
+
+
 class TestDocsetCountProperties:
     @settings(max_examples=60, deadline=None)
     @given(masked_corpora())
@@ -406,32 +410,62 @@ class TestDocsetCountProperties:
             assert values.tolist() == column[tokens].tolist()
 
     @settings(max_examples=60, deadline=None)
-    @given(masked_corpora())
-    def test_docset_counts_match_per_token_counting(self, case):
+    @given(masked_corpora(), _chunks, st.data())
+    def test_docset_counts_match_per_token_counting(self, case, chunk, data):
         index, dmask = case
         expected = np.zeros((len(index.lemmas), len(index.pos_tags)), dtype=np.int64)
         for doc, inside in zip(index.documents, dmask):
             span = range(doc.token_start, doc.token_start + doc.token_len)
             for t in span if inside else ():
                 expected[index.lemma_ids[t], index.pos_ids[t]] += 1
-        counts = _docset_counts(index, dmask)
+        flags = data.draw(st.lists(st.booleans(), min_size=len(index.pos_tags), max_size=len(index.pos_tags)))
+        allowed = np.array(flags, dtype=bool)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frequency, "_CHUNK", chunk)
+            counts = _docset_counts(index, dmask)
+            totals, good = _docset_counts(index, dmask, allowed)
         assert counts.dtype == np.int64
-        assert counts.tolist() == expected.sum(axis=1).tolist()
-        allowed = np.arange(len(index.pos_tags)) % 2 == 0
-        want = expected[:, allowed].sum(axis=1)
-        assert _docset_counts(index, dmask, allowed)[1].tolist() == want.tolist()
+        assert counts.tolist() == totals.tolist() == expected.sum(axis=1).tolist()
+        assert good.tolist() == expected[:, allowed].sum(axis=1).tolist()
 
     @settings(max_examples=30, deadline=None)
-    @given(corpora(tagged=True))
-    def test_full_table_is_cached_read_only(self, index):
+    @given(corpora(tagged=True), _chunks)
+    def test_full_table_is_cached_read_only(self, index, chunk):
         expected = np.zeros((len(index.lemmas), len(index.pos_tags)), dtype=np.int64)
         np.add.at(expected, (index.lemma_ids, index.pos_ids), 1)
-        table = _lemma_pos_counts(index)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frequency, "_CHUNK", chunk)
+            table = _lemma_pos_counts(index)
+        assert table.dtype == np.int64
         assert table.tolist() == expected.tolist()
         assert _lemma_pos_counts(index) is table
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] += 1
+
+    def test_full_table_temporaries_are_bounded_by_the_chunk(self, monkeypatch):
+        index = synthetic_index(1_000_000, 2_000, 2_000, seed=13)
+        chunk = 1 << 14
+        monkeypatch.setattr(frequency, "_CHUNK", chunk)
+        table, peak = _peak_bytes(lambda: _lemma_pos_counts(index))
+        # the kept table, one bincount of its size, and a few chunk-long
+        # intp buffers; never a token-long key array
+        assert peak < 2 * table.nbytes + 3 * 8 * chunk + (64 << 10)
+
+    def test_partial_pos_count_temporaries_follow_the_docset(self, monkeypatch):
+        index = synthetic_index(1_000_000, 2_000, 2_000, seed=13)
+        chunk = 1 << 14
+        monkeypatch.setattr(frequency, "_CHUNK", chunk)
+        dmask = np.arange(len(index)) % 2 == 0  # about half the tokens, in one-document runs
+        allowed = np.arange(len(index.pos_tags)) % 2 == 0
+        n_docset = int(np.diff(index.doc_starts)[dmask].sum())
+        (totals, good), peak = _peak_bytes(lambda: _docset_counts(index, dmask, allowed))
+        assert totals.sum() == n_docset
+        # a uint32 lemma copy and a flag per docset token (its uint16 tag
+        # copy is freed before the lemma copy is made), plus a few chunk-long
+        # intp buffers and V-length tables; never an intp key per token
+        table = 8 * 2 * len(index.lemmas)
+        assert peak < 6 * n_docset + 3 * 8 * chunk + 4 * table + (64 << 10)
 
 
 def _check_postings(index, offsets, positions):
@@ -445,10 +479,10 @@ def _check_postings(index, offsets, positions):
 
 class TestPostings:
     @settings(max_examples=60, deadline=None)
-    @given(corpora(), st.sampled_from([1, 2, 3, 7, frequency._POSTINGS_CHUNK]))
+    @given(corpora(), _chunks)
     def test_each_lemma_slice_is_its_scan_read_only_and_narrow(self, index, chunk):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(frequency, "_POSTINGS_CHUNK", chunk)
+            patch.setattr(frequency, "_CHUNK", chunk)
             offsets, positions = _postings(index)
         assert positions.dtype == np.uint32
         for lid in range(len(index.lemmas)):
@@ -494,7 +528,7 @@ class TestPostings:
         _lemma_pos_counts(index)
 
         def build(chunk):
-            monkeypatch.setattr(frequency, "_POSTINGS_CHUNK", chunk)
+            monkeypatch.setattr(frequency, "_CHUNK", chunk)
             index._postings = None
             return _peak_bytes(lambda: _postings(index))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diachrona.corpus import DateKind, DateSpec
+from diachrona.corpus import CorpusError, DateKind, DateSpec
 from diachrona.indexio import save_index
 from diachrona.ingest import (
     DEFAULT_DROP_POS,
@@ -233,6 +233,21 @@ class TestOneInterningPass:
         # a long record must not be cut to its first three items
         with pytest.raises(ValueError):
             index_from_documents([("a", DateSpec.undated(), None, [("x", "NOM", "y"), record])])
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            ("a", DateSpec.undated(), None, [("x", "NOM", "y"), ("z", None, "y")]),  # a record item
+            ("a", DateSpec.undated(), None, [("x", "NOM", "y"), ("x", "NOM", b"a")]),  # a record item
+            (None, DateSpec.undated(), None, [("x", "NOM", "y")]),  # a document id
+            ("a", DateSpec.undated(), 5, [("x", "NOM", "y")]),  # a typology
+        ],
+    )
+    def test_a_value_that_is_not_a_string_raises(self, doc):
+        # such an index could be built, yet not saved
+        with pytest.raises(CorpusError) as info:
+            index_from_documents([("ok", DateSpec.undated(), "charter", [("x", "NOM", "y")]), doc])
+        assert "must be strings" in str(info.value) and "\n" not in str(info.value)
 
 
 class TestTokenizePlain:

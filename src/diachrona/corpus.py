@@ -20,9 +20,11 @@ returns such a mask, :func:`subcorpus` ANDs them, and the CLI's ``--filter``
 expressions parse into them.
 The arrays are read-only after construction, and all query modules are pure
 readers.  The lazy caches (the lemma x POS counts, the postings, the dated
-order, the records) are each built into a local and assigned once, so
-readers on several threads can at worst build one twice; a lost increment
-of the lookup counter only delays the postings.
+order, the records, and the entries and lookup of a :class:`Vocabulary`
+made by ``from_text``, as ``load_index`` makes the forms table) are each
+built into a local and assigned once, so readers on several threads can at
+worst build one twice; a lost increment of the lookup counter only delays
+the postings.
 """
 
 from __future__ import annotations
@@ -68,35 +70,57 @@ class _IdOutOfRange(CorpusError):
 
 
 class Vocabulary:
-    """Dense string table: entry ``i`` has id ``i``.  Duplicate entries are rejected."""
+    """Dense string table: entry ``i`` has id ``i``.  Duplicate entries are rejected.
 
-    __slots__ = ("entries", "_lookup")
+    A table made by :meth:`from_text` keeps its entries as one string and
+    their offsets into it: its length comes from the offsets, and its entries
+    are sliced, their lookup built and their repeats rejected on the first
+    use of any other method.
+    """
+
+    __slots__ = ("_size", "_table", "_text", "_offsets", "_what")
 
     def __init__(self, entries: Iterable[str] = (), what: str = "vocabulary entry") -> None:
-        self.entries: list[str] = list(entries)
-        self._lookup: dict[str, int] = dict(zip(self.entries, range(len(self.entries))))
-        if len(self._lookup) != len(self.entries):
-            seen: set[str] = set()
-            for entry in self.entries:
-                if entry in seen:
-                    raise CorpusError(f"duplicate {what}: {entry!r}")
-                seen.add(entry)
+        self._table = _interned(list(entries), what)
+        self._size = len(self._table[0])
+        self._text = self._offsets = None
+        self._what = what
+
+    @classmethod
+    def from_text(cls, text: str, offsets: np.ndarray, what: str = "vocabulary entry") -> "Vocabulary":
+        """The table whose entry ``i`` is ``text[offsets[i]:offsets[i + 1]]``.
+        ``offsets`` must rise from 0 to ``len(text)``; nothing is sliced yet."""
+        vocab = cls.__new__(cls)
+        vocab._size, vocab._table = len(offsets) - 1, None
+        vocab._text, vocab._offsets, vocab._what = text, offsets, what
+        return vocab
+
+    def _entries_and_lookup(self) -> tuple[list[str], dict[str, int]]:
+        table = self._table
+        if table is None:
+            table = _interned(_split(self._text, self._offsets), self._what)
+            self._table = table
+        return table
+
+    @property
+    def entries(self) -> list[str]:
+        return self._entries_and_lookup()[0]
 
     def id_of(self, entry: str) -> int | None:
         """Return the id of ``entry``, or None when it is not in the table."""
-        return self._lookup.get(entry)
+        return self._entries_and_lookup()[1].get(entry)
 
     def __getitem__(self, ident: int) -> str:
-        return self.entries[ident]
+        return self._entries_and_lookup()[0][ident]
 
     def __contains__(self, entry: str) -> bool:
-        return entry in self._lookup
+        return entry in self._entries_and_lookup()[1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._size
 
     def __iter__(self):
-        return iter(self.entries)
+        return iter(self._entries_and_lookup()[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vocabulary):
@@ -104,7 +128,26 @@ class Vocabulary:
         return self.entries == other.entries
 
     def __repr__(self) -> str:
-        return f"Vocabulary({len(self.entries)} entries)"
+        return f"Vocabulary({self._size} entries)"
+
+
+def _interned(entries: list[str], what: str) -> tuple[list[str], dict[str, int]]:
+    """``entries`` and the id of each, or a :class:`CorpusError` naming the
+    entry whose second occurrence comes first."""
+    lookup = dict(zip(entries, range(len(entries))))
+    if len(lookup) != len(entries):
+        seen: set[str] = set()
+        for entry in entries:
+            if entry in seen:
+                raise CorpusError(f"duplicate {what}: {entry!r}")
+            seen.add(entry)
+    return entries, lookup
+
+
+def _split(text: str, offsets: np.ndarray) -> list[str]:
+    """The entries ``text[offsets[i]:offsets[i + 1]]`` of a string table."""
+    bounds = offsets.tolist()
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class DateKind(IntEnum):

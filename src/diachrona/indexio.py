@@ -33,10 +33,15 @@ can leave the temporary file behind).
 Loading reads the file once into a read-only buffer and takes each column
 as a view of it.  It checks each section before use: that it lies inside the
 file, starts where the layout puts it and holds whole items, and that its
-CRC32 matches; then that each string table's offsets rise from 0 to its
-text's length and that every stored id is in range, raising a distinct
-error for each failure mode.  The index checks the document table it is
-given.
+CRC32 matches; then that each string table's text is UTF-8 and its offsets
+rise from 0 to the text's length, and that every stored id is in range,
+raising a distinct error for each failure mode.  The index checks the
+document table it is given.  The lemma, POS, document id and typology
+tables are split into their entries at load, and repeats in them are
+rejected there.  The forms table is kept as its decoded text and offsets
+(:meth:`Vocabulary.from_text`): no query looks a form up by its string, and
+a form share reads only the forms its hits carry, so the forms are split,
+and a repeated form reported, on their first use.
 
 Format version 1 is read, never written.  Its strings are length-prefixed
 UTF-8 (byte length u32, then the bytes) and it holds no checksum:
@@ -56,7 +61,7 @@ import zlib
 
 import numpy as np
 
-from .corpus import CorpusError, CorpusIndex, Vocabulary, _IdOutOfRange
+from .corpus import CorpusError, CorpusIndex, Vocabulary, _IdOutOfRange, _split
 
 __all__ = [
     "MAGIC",
@@ -171,10 +176,11 @@ def load_index(path: str | os.PathLike) -> CorpusIndex:
     """Read an index written by :func:`save_index`, in format version 2 or 1.
 
     Every malformed file raises an :class:`IndexFormatError`.  Tables the
-    index itself rejects (a repeated vocabulary entry or document id,
+    index itself rejects (a repeated lemma, POS tag or document id,
     documents that do not cover the tokens, an invalid date) raise the base
     class with the index's message, except token ids outside their
-    vocabulary, which raise :class:`IdRangeError`.
+    vocabulary, which raise :class:`IdRangeError`.  A repeated form is
+    reported by the first use of the forms table, as a :class:`CorpusError`.
     """
     # read into a numpy buffer, not bytes: numpy asks the kernel for huge
     # pages for a large buffer, so the read takes about half as long and the
@@ -232,7 +238,10 @@ def _read_v2(cur: "_Cursor") -> CorpusIndex:
     if end != len(buf):
         raise IndexFormatError("trailing bytes after the last section")
     lemmas, forms, pos_tags, doc_ids, typologies = (_strings(sections, table) for table in _STRING_TABLES)
-    lemmas, forms, pos_tags = Vocabulary(lemmas), Vocabulary(forms), Vocabulary(pos_tags)
+    # the forms alone are split on their first use (see the module docstring)
+    lemmas, pos_tags = Vocabulary(_split(*lemmas)), Vocabulary(_split(*pos_tags))
+    doc_ids, typologies = _split(*doc_ids), _split(*typologies)
+    forms = Vocabulary.from_text(*forms, what="form in the index file")
     lemma_ids, form_ids, pos_ids, doc_starts, doc_kind, doc_lo, doc_hi, doc_typology = (
         sections[name] for name, _ in _COLUMNS
     )
@@ -251,8 +260,8 @@ def _read_v2(cur: "_Cursor") -> CorpusIndex:
     return index
 
 
-def _strings(sections: dict, table: str) -> list[str]:
-    """The entries of one string table, from its text and offsets sections."""
+def _strings(sections: dict, table: str) -> tuple[str, np.ndarray]:
+    """The decoded text and the checked offsets of one string table."""
     offsets = sections[f"{table} offsets"]
     try:
         text = str(sections[f"{table} text"], "utf-8")
@@ -260,8 +269,7 @@ def _strings(sections: dict, table: str) -> list[str]:
         raise StringTableError(f"{table} text is not valid UTF-8 ({exc.reason})") from None
     if not len(offsets) or offsets[0] or offsets[-1] != len(text) or (offsets[1:] < offsets[:-1]).any():
         raise StringTableError(f"{table} offsets do not rise from 0 to the text length {len(text)}")
-    bounds = offsets.tolist()
-    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    return text, offsets
 
 
 def _read_v1(cur: "_Cursor") -> CorpusIndex:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -18,6 +21,41 @@ POS_TAGS = ("NOM", "ADJ", "VER")
 settings.register_profile("tier1", derandomize=True)
 settings.register_profile("fuzz", derandomize=False)
 settings.load_profile("tier1")
+
+
+# the sections of a version 2 file, in file order, as the indexio module documents them
+V2_SECTIONS = [
+    (f"{table} {part}", dtype)
+    for table in ("lemmas", "forms", "pos_tags", "doc_ids", "typologies")
+    for part, dtype in (("text", "u1"), ("offsets", "<u8"))
+] + [
+    ("lemma_ids", "<u4"), ("form_ids", "<u4"), ("pos_ids", "<u2"), ("doc_starts", "<i8"),
+    ("doc_kind", "<u1"), ("doc_lo", "<i4"), ("doc_hi", "<i4"), ("doc_typology", "<i4"),
+]
+V2_NAMES = [name for name, _ in V2_SECTIONS]
+V2_HEADER = 8 + 20 * len(V2_SECTIONS)
+
+
+def v2_entry(raw: bytes, name: str) -> tuple[int, int, int]:
+    """(offset, byte length, CRC32) of a section of a version 2 file."""
+    return struct.unpack_from("<QQI", raw, 8 + 20 * V2_NAMES.index(name))
+
+
+def v2_set_entry(raw: bytes, name: str, offset=None, size=None, crc=None) -> bytes:
+    """``raw`` with some fields of one section's table entry replaced."""
+    old = v2_entry(raw, name)
+    new = [old[i] if value is None else value for i, value in enumerate((offset, size, crc))]
+    at = 8 + 20 * V2_NAMES.index(name)
+    return raw[:at] + struct.pack("<QQI", *new) + raw[at + 20 :]
+
+
+def v2_set_section(raw: bytes, name: str, content: bytes) -> bytes:
+    """``raw`` with one section's bytes replaced by as many others, and its
+    CRC32 updated to match, so that only the content checks can fail."""
+    offset, size, _ = v2_entry(raw, name)
+    assert len(content) == size
+    raw = raw[:offset] + content + raw[offset + size :]
+    return v2_set_entry(raw, name, crc=zlib.crc32(content))
 
 
 def build_index(docs) -> CorpusIndex:

@@ -21,6 +21,8 @@ from diachrona.indexio import load_index, save_index
 from diachrona.ingest import index_from_documents
 from diachrona.synth import synthetic_index
 
+from conftest import v2_set_section
+
 SAMPLE = importlib.resources.files("diachrona") / "data" / "sample.vrt"
 
 
@@ -100,6 +102,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_repeated_form_is_a_one_line_error_of_the_share_that_reads_it(self, sample_index, tmp_path, capsys):
+        # "patrum" made a second "patres", with the CRC32 updated: the load and
+        # a count read no form, a share reads the forms its hits carry
+        forms = list(load_index(sample_index).forms)
+        forms[forms.index("patrum")] = "patres"
+        bad = tmp_path / "bad.csem"
+        bad.write_bytes(v2_set_section(sample_index.read_bytes(), "forms text", "".join(forms).encode()))
+        assert run_cli(["freq", "count", "--lemma", "pater", "--index", str(bad)]) == 0
+        assert capsys.readouterr().out == f"pater\t{sample_lemma_count('pater')}\n"
+        argv = ["freq", "share", "--lemma", "pater", "--forms", "patres,patrum,patribus", "--index", str(bad)]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate form in the index file: 'patres'\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,3 +1,4 @@
+import itertools
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -54,6 +55,77 @@ class TestVocabulary:
         vocab = Vocabulary(["sæculum", "æterna", "kyrié"])
         for word in ("sæculum", "æterna", "kyrié"):
             assert vocab[vocab.id_of(word)] == word
+
+
+def _saved(forms: Vocabulary) -> bytes:
+    """The file of an index with one token per entry of ``forms``."""
+    n = len(forms)
+    index = CorpusIndex(
+        Vocabulary(["l"]), forms, Vocabulary(["N"]), np.zeros(n, np.uint32), np.arange(n, dtype=np.uint32),
+        np.zeros(n, np.uint16), ["d"], [0, n], [0], [0], [0], [None],
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(index, Path(tmp) / "t.csem")
+        return (Path(tmp) / "t.csem").read_bytes()
+
+
+def _table_use(use, vocab, arg):
+    """What a use of a table returns, or the error it raises."""
+    try:
+        return "returns", use(vocab, arg)
+    except (CorpusError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+# the uses of a table, each given the table and a drawn argument
+_USES = {
+    "len": lambda vocab, arg: len(vocab),
+    "repr": lambda vocab, arg: repr(vocab),
+    "getitem": lambda vocab, arg: vocab[arg],
+    "iter": lambda vocab, arg: list(vocab),
+    "entries": lambda vocab, arg: vocab.entries,
+    "id_of": lambda vocab, arg: vocab.id_of(arg),
+    "in": lambda vocab, arg: arg in vocab,
+    "eq": lambda vocab, arg: (vocab == arg, arg == vocab),
+    "save": lambda vocab, arg: _saved(vocab),
+}
+# few letters, so empty entries and repeats are common; the non-ASCII ones
+# make character offsets differ from byte offsets
+_LETTERS = st.sampled_from("ab\u00e6\u03a9\U0001d52d")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(st.text(_LETTERS, max_size=3), max_size=8),
+    uses=st.lists(st.sampled_from(sorted(_USES)), max_size=12),
+    data=st.data(),
+)
+def test_a_table_sliced_on_first_use_behaves_as_its_list(entries, uses, data):
+    text = "".join(entries)
+    offsets = np.array([0, *itertools.accumulate(map(len, entries))], "<u8")
+    lazy = Vocabulary.from_text(text, offsets, what="form")
+    repeats = [entry for i, entry in enumerate(entries) if entry in entries[:i]]
+    eager = None if repeats else Vocabulary(entries, what="form")
+    n = len(entries)
+    probes = st.sampled_from(entries) | st.text(_LETTERS, max_size=3) if entries else st.text(_LETTERS, max_size=3)
+    args = {
+        "getitem": st.integers(-n - 1, n),
+        "id_of": probes,
+        "in": probes,
+        "eq": st.builds(lambda: Vocabulary.from_text(text, offsets, what="form")),
+    }
+    for name in uses:
+        arg = data.draw(args.get(name, st.none()), label=name)
+        got = _table_use(_USES[name], lazy, arg)
+        if eager is not None:
+            assert got == _table_use(_USES[name], eager, arg), name
+        elif name in ("len", "repr"):
+            # a length needs only the offsets
+            assert got == ("returns", n if name == "len" else f"Vocabulary({n} entries)")
+        else:
+            # every other use slices the entries first, and a repeat is
+            # reported by each one, not only by the first
+            assert got == (CorpusError, f"duplicate form: {repeats[0]!r}"), name
 
 
 class TestDateSpec:

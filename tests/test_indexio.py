@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diachrona import indexio
-from diachrona.corpus import CorpusError, CorpusIndex, DateSpec
+from diachrona.corpus import CorpusError, CorpusIndex, DateSpec, Vocabulary
+from diachrona.frequency import lemma_count
 from diachrona.indexio import (
     MAGIC,
     BadMagicError,
@@ -29,7 +30,17 @@ from diachrona.indexio import (
 from diachrona.ingest import index_from_documents, parse_vertical
 from diachrona.synth import synthetic_index
 
-from conftest import build_index, lemma_doc, random_index
+from conftest import (
+    V2_HEADER,
+    V2_NAMES,
+    V2_SECTIONS,
+    build_index,
+    lemma_doc,
+    random_index,
+    v2_entry,
+    v2_set_entry,
+    v2_set_section,
+)
 
 
 def save_v1(index: CorpusIndex, path) -> None:
@@ -54,41 +65,6 @@ def save_v1(index: CorpusIndex, path) -> None:
 
 
 WRITERS = pytest.mark.parametrize("save", [save_index, save_v1], ids=["v2", "v1"])
-
-# the sections of a version 2 file, in file order, as the indexio module documents them
-V2_SECTIONS = [
-    (f"{table} {part}", dtype)
-    for table in ("lemmas", "forms", "pos_tags", "doc_ids", "typologies")
-    for part, dtype in (("text", "u1"), ("offsets", "<u8"))
-] + [
-    ("lemma_ids", "<u4"), ("form_ids", "<u4"), ("pos_ids", "<u2"), ("doc_starts", "<i8"),
-    ("doc_kind", "<u1"), ("doc_lo", "<i4"), ("doc_hi", "<i4"), ("doc_typology", "<i4"),
-]
-V2_NAMES = [name for name, _ in V2_SECTIONS]
-V2_HEADER = 8 + 20 * len(V2_SECTIONS)
-
-
-def v2_entry(raw: bytes, name: str) -> tuple[int, int, int]:
-    """(offset, byte length, CRC32) of a section of a version 2 file."""
-    return struct.unpack_from("<QQI", raw, 8 + 20 * V2_NAMES.index(name))
-
-
-def v2_set_entry(raw: bytes, name: str, offset=None, size=None, crc=None) -> bytes:
-    """``raw`` with some fields of one section's table entry replaced."""
-    old = v2_entry(raw, name)
-    new = [old[i] if value is None else value for i, value in enumerate((offset, size, crc))]
-    at = 8 + 20 * V2_NAMES.index(name)
-    return raw[:at] + struct.pack("<QQI", *new) + raw[at + 20 :]
-
-
-def v2_set_section(raw: bytes, name: str, content: bytes) -> bytes:
-    """``raw`` with one section's bytes replaced by as many others, and its
-    CRC32 updated to match, so that only the content checks can fail."""
-    offset, size, _ = v2_entry(raw, name)
-    assert len(content) == size
-    raw = raw[:offset] + content + raw[offset + size :]
-    return v2_set_entry(raw, name, crc=zlib.crc32(content))
-
 
 @WRITERS
 def test_empty_corpus_round_trips(tmp_path, save):
@@ -559,6 +535,49 @@ def test_v2_corrupt_tables_raise_one_line_index_format_error(tmp_path, v2_raw, n
     with pytest.raises(error, match=message) as caught:
         _load_raw(tmp_path, v2_set_section(v2_raw, name, content))
     assert "\n" not in str(caught.value)
+
+
+def test_v2_repeated_form_is_reported_on_first_use(tmp_path, v2_raw):
+    # forms "ab", "cd", "g" become "ab", "ab", "g", with the CRC32 updated.
+    # The load and the index's form id check read only the offsets, and a
+    # lemma query reads no form; the first use of any entry slices them all
+    index = _load_raw(tmp_path, v2_set_section(v2_raw, "forms text", b"ababg"))
+    assert len(index.forms) == 3 and repr(index.forms) == "Vocabulary(3 entries)"
+    assert lemma_count(index, None, "ab") == 2
+    first_uses = [
+        lambda forms: forms[2], lambda forms: forms.id_of("g"), lambda forms: "g" in forms, list,
+        lambda forms: forms.entries, lambda forms: forms == forms, lambda forms: save_index(index, tmp_path / "y"),
+    ]
+    for use in first_uses:
+        with pytest.raises(CorpusError, match="^duplicate form in the index file: 'ab'$"):
+            use(index.forms)
+    assert not (tmp_path / "y").exists()
+
+
+def test_a_cold_lemma_count_slices_no_form(tmp_path):
+    # 60k distinct forms, one per token: sliced, with their lookup, they take
+    # several times the whole file, so a load that slices them breaks the bound
+    n = 60_000
+    lemmas, forms, pos_tags = Vocabulary(["a", "b"]), Vocabulary(f"form{i:05d}" for i in range(n)), Vocabulary(["N"])
+    lemma_ids, form_ids = np.arange(n, dtype=np.uint32) % 2, np.arange(n, dtype=np.uint32)
+    index = CorpusIndex(
+        lemmas, forms, pos_tags, lemma_ids, form_ids, np.zeros(n, np.uint16),
+        ["d1", "d2"], [0, n // 2, n], [0, 0], [0, 0], [0, 0], [None, None],
+    )
+    path = tmp_path / "forms.csem"
+    save_index(index, path)
+    tracemalloc.start()
+    try:
+        loaded = load_index(path)
+        assert lemma_count(loaded, None, "a") == n // 2
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert loaded.forms.id_of("form00007") == 7
+        sliced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < sliced
 
 
 def test_random_round_trips(tmp_path):

@@ -18,14 +18,19 @@ fixed per call, so a per-tranche or per-bin series costs one pass.  Row
 occurrences are looked up in the documents of buckets >= 0 only, so the
 kernel never reads a left-out document.  One row's 2w neighbours are
 gathered around each of its occurrences, so the work follows the row's
-occurrences in those documents, not the corpus size.  Among a set of rows
-every counted pair joins two row occurrences, so the kernel walks the
-sorted row occurrences themselves: for s = 1..w it pairs each occurrence
-with the s-th one after it, and stops at the first s that pairs none.
-It walks the occurrences in slabs of at most ``_SLAB`` of them, so its
-temporary arrays are bounded by the slab, not by the occurrence count of
-frequent rows (a field map's 30 terms can hold 4.3M occurrences at 10M
-tokens); a mirror slab also reads the at most w occurrences after it.
+occurrences in those documents, not the corpus size, and one ``bincount``
+per slab (below) counts the passing pairs of all 2w offsets.  Among a set
+of rows every counted pair joins two row occurrences, so the kernel walks
+the sorted row occurrences themselves: each gets a key that grows by its
+position within a document and by more than w from one document to the
+next, so for s = 1..w one test of key distances pairs each occurrence with
+the s-th one after it, and the walk stops at the first s that pairs none.
+It walks the occurrences in cache-sized slabs of at most ``_SLAB`` of
+them, so its temporary arrays are bounded by the slab, not by the
+occurrence count of frequent rows (a field map's 30 terms can hold 4.3M
+occurrences at 10M tokens), and each step rereads arrays that are still in
+the CPU caches; a mirror slab also reads the at most w occurrences after
+it.
 
 Every Dice value comes from one array function, ``_dice`` (0 where both
 frequencies are 0), and every ranking from one helper, ``_top_k``, so
@@ -99,8 +104,10 @@ class CoocTable:
 
 
 # Most row occurrences one kernel step works on at once: each step holds a
-# few int64 arrays of this length (~8 MB each), whatever the row count.
-_SLAB = 1 << 20
+# few int64 arrays of this length (512 KB each, so they stay in the CPU
+# caches while the walk passes over them once per offset), whatever the row
+# count.
+_SLAB = 1 << 16
 
 
 class Cooccurrent(NamedTuple):
@@ -140,15 +147,22 @@ def _window_pairs(
     ``_occurrences``, over those documents, unless the caller hands over one
     row's occurrences as ``occ``, which must keep to them too.  One row's
     neighbours are read d = 1..window tokens to either side of each
-    occurrence whose document reaches that far.  A set of rows is walked as
-    a mirror: for s = 1..window, occurrence i pairs with occurrence i + s
-    when both lie in one document at most ``window`` tokens apart, counted
-    once under (bucket, row of i, row of i + s) and then added to its
-    transpose; the walk stops at the first s that pairs none.
-    Occurrences are taken ``_SLAB`` at a time (a mirror slab also reads the
-    ``window`` occurrences after it, the farthest its left sides can pair
-    with), so the temporaries of one call stay within a few arrays of at most
-    ``_SLAB + window`` occurrences.
+    occurrence whose document reaches that far, and the (bucket, column)
+    keys of a slab's passing neighbours at all 2 * window offsets are
+    counted by one ``bincount`` (a window past 8 fills the reused key
+    buffer, 16 slab lengths, and is counted whenever it does).  A set of
+    rows is walked as a mirror: each occurrence's key is its position plus
+    ``window + 1`` times the number of documents it lies past its slab's
+    first one, so two keys lie at most ``window`` apart exactly when both
+    occurrences lie in one document at most ``window`` tokens apart.  For
+    s = 1..window, occurrence i pairs with occurrence i + s when their keys
+    pass that one test, counted once under (bucket, row of i, row of
+    i + s) and then added to its transpose; the walk stops at the first s
+    that pairs none.  Occurrences are taken ``_SLAB`` at a time (a mirror
+    slab also reads the ``window`` occurrences after it, the farthest its
+    left sides can pair with), so the temporaries of one call stay within a
+    few arrays of at most ``_SLAB + window`` occurrences, plus the key
+    buffer.
     """
     lem = index.lemma_ids
     # no pair lies farther apart than the corpus is long, and position
@@ -165,6 +179,8 @@ def _window_pairs(
         row_of = np.zeros(len(index.lemmas), dtype=np.int64)
         row_of[rows] = np.arange(n_rows)
     counts = np.zeros(n_buckets * n_rows * n_cols, dtype=np.int64)
+    # the pivot shape's passing keys of up to 16 offsets of a slab
+    keys = np.empty(0 if mirror else min(2 * window, 16) * min(_SLAB, len(occ)), dtype=np.intp)
     for lo in range(0, len(occ), _SLAB):
         # positions are distinct, so the right sides that the slab's left
         # sides reach lie at most window occurrences past it
@@ -175,13 +191,17 @@ def _window_pairs(
         if mirror:
             row = row_of[lem[pos]]
             base = base + row * n_cols
-            # no occurrence lies in a left-out document, so a pair across
-            # one fails the document test; distances grow with s, so once
-            # no i passes, no larger s does either
+            # a strictly increasing key that spaces documents more than window
+            # apart (documents widened first, as they may be int32): two
+            # occurrences pair exactly when their keys are at most window
+            # apart, and key gaps grow with s, so once no i passes, no larger
+            # s does either; no occurrence lies in a left-out document
+            key = np.subtract(docs, docs[0], dtype=np.int64)
+            key *= window + 1
+            key += pos
             for s in range(1, min(window, len(pos) - 1) + 1):
                 m = min(_SLAB, len(pos) - s)
-                ok = pos[s : s + m] - pos[:m] <= window
-                ok &= docs[s : s + m] == docs[:m]
+                ok = key[s : s + m] - key[:m] <= window
                 if not ok.any():
                     break
                 # weighting by the test counts the passing pairs without
@@ -189,6 +209,7 @@ def _window_pairs(
                 pairs = np.bincount(base[:m] + row[s : s + m], weights=ok, minlength=len(counts))
                 counts += pairs.astype(np.int64)
             continue
+        n = 0
         for step in (1, -1):
             # tokens between each occurrence and its document's edge on this side
             room = index.doc_starts[docs + 1] - 1 - pos if step == 1 else pos - index.doc_starts[docs]
@@ -199,7 +220,13 @@ def _window_pairs(
                     # the one column is cell 0 of each (bucket, row) block
                     ok &= neighbour == col
                     neighbour[:] = 0
-                counts += np.bincount((base + neighbour)[ok], minlength=len(counts))
+                if n + len(pos) > len(keys):
+                    counts += np.bincount(keys[:n], minlength=len(counts))
+                    n = 0
+                passing = (base + neighbour)[ok]
+                keys[n : n + len(passing)] = passing
+                n += len(passing)
+        counts += np.bincount(keys[:n], minlength=len(counts))
     if mirror:
         counts = counts.reshape(n_buckets, n_rows, n_rows)
         # the walk counted a pair of two occurrences of one row lemma on the

@@ -843,14 +843,77 @@ def test_mirror_walk_across_a_slab_edge_and_a_left_out_document(monkeypatch):
     assert counts[1].tolist() == [[3, 0], [0, 0]]
 
 
+@pytest.mark.parametrize("between", [[], ["c"]], ids=["empty-document", "one-token-document"])
+@pytest.mark.parametrize("slab", [1, 2])
+@pytest.mark.parametrize("buckets", [None, [0, 1, 1]], ids=["one-bucket", "two-buckets"])
+def test_mirror_walk_pairs_nothing_across_documents(monkeypatch, between, slab, buckets):
+    # a at positions 1 and 2 (3 past a one-token document) lie within the
+    # window but in two documents, whose keys the walk spaces more than the
+    # window apart; only b-a in d0 and a-b in d2 are pairs
+    index = build_index(
+        [
+            lemma_doc("d0", DateSpec.exact(900), ["b", "a"]),
+            lemma_doc("d1", DateSpec.exact(900), between),
+            lemma_doc("d2", DateSpec.exact(900), ["a", "b"]),
+        ]
+    )
+    monkeypatch.setattr(cooc, "_SLAB", slab)
+    rows = [index.lemmas.id_of("a"), index.lemmas.id_of("b")]
+    doc_bucket = None if buckets is None else np.array(buckets)
+    counts = cooc._window_pairs(index, doc_bucket, 1 + (buckets is not None), rows, 2)
+    per_document = [[0, 1], [1, 0]]
+    want = [[[0, 2], [2, 0]]] if buckets is None else [per_document, per_document]
+    assert counts.tolist() == want
+
+
 def test_mirror_walk_takes_any_window(monkeypatch):
     # a window past int64 counts like the corpus length, with no overflow
-    # where a slab's right sides are found
+    # where a slab's right sides are found or in the keys, whose documents
+    # (int32 when there are more occurrences than documents) are spaced the
+    # corpus length plus one apart
     monkeypatch.setattr(cooc, "_SLAB", 2)
     index = single_doc("a b a a b".split())
     rows = [index.lemmas.id_of("a"), index.lemmas.id_of("b")]
     huge = cooc._window_pairs(index, None, 1, rows, 2**63)
     assert huge.tolist() == cooc._window_pairs(index, None, 1, rows, 5).tolist() == [[[3, 6], [6, 1]]]
+    index = build_index(
+        [
+            lemma_doc(f"d{i}", DateSpec.exact(900), lemmas.split())
+            for i, lemmas in enumerate(["a b a", "", "b", "a a b a", "b a"])
+        ]
+    )
+    assert _occurrence_docs(index, _occurrences(index, rows)).dtype == np.int32
+    pairs = brute_pairs(index, len(index.lemma_ids))
+    want = [[[pairs[tuple(sorted((x, y)))] for y in "ab"] for x in "ab"]]
+    assert want == [[[4, 6], [6, 0]]]
+    for doc_bucket in (None, np.array([0, 0, -1, 0, 0])):
+        assert cooc._window_pairs(index, doc_bucket, 1, rows, 2**63).tolist() == want
+
+
+@pytest.mark.parametrize("window", [2, 11])
+@pytest.mark.parametrize("slab", [1, 2, 7])
+def test_pivot_walk_of_slabs_without_neighbours(monkeypatch, slab, window):
+    # nine one-token pivot documents between two long ones: with slabs of 1,
+    # 2 or 7 occurrences, some slab holds only pivots with no in-document
+    # neighbour, and so no key; a window of 11 fills the slab's key buffer
+    # (16 offsets) and counts it more than once
+    filler = "x y z w x y z w x y z w".split()
+    index = build_index(
+        [lemma_doc("d0", DateSpec.exact(900), ["p"] * 7 + filler)]
+        + [lemma_doc(f"s{i}", DateSpec.exact(900), ["p"]) for i in range(9)]
+        + [lemma_doc("d1", DateSpec.exact(900), filler + ["p", "x", "p"])]
+    )
+    monkeypatch.setattr(cooc, "_SLAB", slab)
+    pivot = index.lemmas.id_of("p")
+    doc_bucket = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 2, 2])
+    counts = cooc._window_pairs(index, doc_bucket, 3, pivot, window)
+    for b in range(3):
+        members = {doc.doc_id for doc, g in zip(index.documents, doc_bucket) if g == b}
+        brute = brute_pair_counts(index, "p", window, members)
+        assert dict(zip(index.lemmas, counts[b].tolist())) == {x: brute.get(x, 0) for x in index.lemmas}
+    for col in (index.lemmas.id_of("x"), index.lemmas.id_of("w")):
+        assert cooc._window_pairs(index, doc_bucket, 3, pivot, window, col).tolist() == counts[:, col].tolist()
+    assert counts[0].any() and counts[2].any() and not counts[1].any()
 
 
 @pytest.mark.parametrize(

@@ -19,12 +19,12 @@ The document filters (``is_dated``, ``dated_within``, ``has_typology``,
 returns such a mask, :func:`subcorpus` ANDs them, and the CLI's ``--filter``
 expressions parse into them.
 The arrays are read-only after construction, and all query modules are pure
-readers.  The lazy caches (the lemma x POS counts, the postings, the dated
-order, the records, and the entries and lookup of a :class:`Vocabulary`
-made by ``from_text``, as ``load_index`` makes the forms table) are each
-built into a local and assigned once, so readers on several threads can at
-worst build one twice; a lost increment of the lookup counter only delays
-the postings.
+readers.  The lazy caches (the lemma x POS counts, each looked-up lemma's
+positions, the dated order, the records, and the entries and lookup of a
+:class:`Vocabulary` made by ``from_text``, as ``load_index`` makes the
+forms table) are each built into a local and assigned once, so readers on
+several threads can at worst build one twice: two threads may both scan
+a lemma, and either's positions are correct.
 """
 
 from __future__ import annotations
@@ -299,11 +299,8 @@ class CorpusIndex:
             getattr(self, name).flags.writeable = False
         # full-corpus (lemma, POS) token counts, filled by frequency._lemma_pos_counts
         self._lemma_pos: np.ndarray | None = None
-        # single-lemma lookups made by a full scan, and the (offsets,
-        # positions) postings that replace those scans, both kept by
-        # frequency._occurrences
-        self._lemma_scans = 0
-        self._postings: tuple[np.ndarray, np.ndarray] | None = None
+        # lemma id -> its token positions, filled by frequency._lemma_positions
+        self._positions: dict[int, np.ndarray] = {}
 
     @cached_property
     def documents(self) -> tuple[Document, ...]:

@@ -16,17 +16,17 @@ Where lemmas occur comes from one lookup, ``_occurrences``: the token
 positions of one or more lemmas inside a docset, in corpus order,
 which ``lemma_count`` (their number), ``form_share``, time series, pair
 series and the window kernel all read, so no caller drops left-out
-documents itself.  An index's first single-lemma lookups scan the lemma
-column; after ``_SCANS_BEFORE_POSTINGS`` of them the index builds its
-postings (token positions grouped by lemma, ``_postings``) once, a chunk of
-tokens at a time, and every later lookup of one lemma reads a slice of
-them.  Over a partial docset a one-lemma lookup keeps only the positions
-inside the docset's runs of adjacent documents, found by two
-``searchsorted`` calls; from the postings it gathers and widens only those,
-so its cost follows the runs and the occurrences it returns, not the
-lemma's whole slice or the corpus size.  A lookup of several lemmas reads
-the docset's copy of the lemma column, so its cost follows the docset's
-tokens.
+documents itself.  A lemma looked up on its own is found by one scan of
+the lemma column, the first time an index is asked for it; its positions
+are cached on the index (``_lemma_positions``), and every later lookup of
+that lemma reads them.  So a query pays one scan per distinct lemma, not
+one per lookup, and no index builds positions for lemmas it is never
+asked for.  Over a partial docset a one-lemma lookup keeps only the
+cached positions inside the docset's runs of adjacent documents, found by
+two ``searchsorted`` calls, so after the first scan its cost follows the
+runs and the occurrences it returns, not the corpus size.  A lookup of
+several lemmas reads the docset's copy of the lemma column, so its cost
+follows the docset's tokens; it caches nothing.
 Each position's document, or a count per document or year bin, is found by
 whichever search is cheaper: each position among the document starts
 (n log D) when there are fewer positions than documents, else each
@@ -78,9 +78,8 @@ def _docset_runs(index: CorpusIndex, dmask: np.ndarray) -> tuple[np.ndarray, np.
     return index.doc_starts[edges == 1], index.doc_starts[edges == -1]
 
 
-# Tokens a chunked pass reads at once: the lemma counter's key buffer and
-# the postings build's sort temporaries are this long (~8 MB of intp or
-# int64 each), whatever the corpus or docset size.
+# Tokens a chunked pass reads at once: the lemma counter's key buffer is
+# this long (~8 MB of intp), whatever the corpus or docset size.
 _CHUNK = 1 << 20
 
 
@@ -113,8 +112,7 @@ def _lemma_pos_counts(index: CorpusIndex) -> np.ndarray:
 
     Counted once per index by ``_lemma_counts`` and cached on it, read
     only: V x P int64 cells, 30,000 x 3 (720 KB) on a 10M-token corpus of
-    30,000 lemmas and three tags.  Full-docset counts and the postings
-    offsets read it.
+    30,000 lemmas and three tags.  Full-docset counts read it.
     """
     if index._lemma_pos is None:
         table = _lemma_counts(len(index.lemmas), index.lemma_ids, index.pos_ids, len(index.pos_tags))
@@ -152,50 +150,19 @@ def _docset_counts(
     return totals if pos_allowed is None else (totals, table[:, allowed].sum(axis=1))
 
 
-# Single-lemma lookups an index answers by scanning its lemma column before
-# it builds postings.  One build costs as much as 17-27 scans (measured at
-# 1M and 10M tokens on a 2-core host), so building on the next lookup keeps
-# the total lookup cost within about twice that of the best choice made in
-# hindsight (the ski-rental rule), and a cold CLI query, which makes 1-3
-# lookups per loaded index, never builds.
-_SCANS_BEFORE_POSTINGS = 15
+def _lemma_positions(index: CorpusIndex, lid: int) -> np.ndarray:
+    """The token positions of lemma ``lid``, ascending, as intp.
 
-
-def _postings(index: CorpusIndex) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, positions): the token positions of lemma i, in corpus order,
-    are ``positions[offsets[i]:offsets[i + 1]]``.
-
-    Built once per index and cached on it, read only.  Positions are uint32
-    when they fit, 4 bytes per token (40 MB at 10M tokens).  The offsets
-    come from the lemma counts, so the build sorts ``_CHUNK`` tokens at a
-    time and scatters each chunk's positions, grouped by lemma, to the next
-    free slots of their lemmas: its int64 temporaries (the sort order and
-    the slots) are chunk-long, not corpus-long.  At 10M tokens it peaks at
-    69 MB, of which the 40 MB of positions are kept.  Lemma ids
-    sort as 16-bit keys when the vocabulary allows, which numpy radix-sorts.
+    Found by one scan of the lemma column on the index's first lookup of the
+    lemma, then cached on it read only and returned as is: 8 bytes per
+    occurrence, kept only for the lemmas the index is asked for.
     """
-    if index._postings is None:
-        lemma_ids, n_lemmas = index.lemma_ids, len(index.lemmas)
-        offsets = np.zeros(n_lemmas + 1, dtype=np.int64)
-        np.cumsum(_lemma_pos_counts(index).sum(axis=1), out=offsets[1:])
-        positions = np.empty(len(lemma_ids), dtype=np.uint32 if len(lemma_ids) < 1 << 32 else np.int64)
-        free = offsets[:-1].copy()  # each lemma's next free slot
-        for lo in range(0, len(lemma_ids), _CHUNK):
-            keys = lemma_ids[lo : lo + _CHUNK]
-            keys = keys.astype(np.uint16) if n_lemmas <= 1 << 16 else keys
-            counts = np.bincount(keys, minlength=n_lemmas)
-            order = np.argsort(keys, kind="stable")
-            # the k-th of lemma i's tokens in the chunk goes to slot
-            # free[i] + k, and they are sorted from sum(counts[:i]) on
-            slots = np.repeat(free - (np.cumsum(counts) - counts), counts)
-            slots += np.arange(len(order))
-            order += lo
-            positions[slots] = order
-            free += counts
-        offsets.flags.writeable = False
+    positions = index._positions.get(lid)
+    if positions is None:
+        positions = np.flatnonzero(index.lemma_ids == lid)
         positions.flags.writeable = False
-        index._postings = (offsets, positions)
-    return index._postings
+        index._positions[lid] = positions
+    return positions
 
 
 def _occurrences(index: CorpusIndex, rows, dmask: np.ndarray | None = None) -> np.ndarray:
@@ -203,16 +170,15 @@ def _occurrences(index: CorpusIndex, rows, dmask: np.ndarray | None = None) -> n
     the documents of ``dmask`` (None or a full mask keeps them all), in
     corpus order, as intp.
 
-    One lemma is a slice of the postings once the index has them, and a scan
-    of the lemma column before.  Over a partial docset, two ``searchsorted``
-    calls find where each run of adjacent docset documents begins and ends in
-    those positions, and only the positions inside the runs are gathered and
-    widened: after a scan the lookup costs the scan, and from the postings it
-    costs the runs and what it returns, never the whole slice.  Several
-    lemmas are one gather pass over the lemma column, which costs less than
-    merging their postings; over a partial docset the pass reads only the
-    docset's copy of the column, and each hit found there is moved back to
-    its corpus position by its run's shift."""
+    One lemma reads its cached positions (``_lemma_positions``): the full
+    docset returns the cached array itself, read only.  Over a partial
+    docset, two ``searchsorted`` calls find where each run of adjacent
+    docset documents begins and ends in those positions, and only the
+    positions inside the runs are gathered, so the lookup costs the runs and
+    what it returns, never a copy of the whole array.  Several lemmas are
+    one gather pass over the lemma column; over a partial docset the pass
+    reads only the docset's copy of the column, and each hit found there is
+    moved back to its corpus position by its run's shift."""
     rows = np.asarray(rows, dtype=np.int64)
     full = dmask is None or dmask.all()
     if len(rows) > 1:
@@ -227,23 +193,15 @@ def _occurrences(index: CorpusIndex, rows, dmask: np.ndarray | None = None) -> n
         per_run = np.diff(np.searchsorted(hits, copied), append=len(hits))
         hits += np.repeat(first - copied, per_run)
         return hits
-    lid = int(rows[0])
-    if index._postings is None and index._lemma_scans < _SCANS_BEFORE_POSTINGS:
-        index._lemma_scans += 1
-        lemma = np.flatnonzero(index.lemma_ids == lid)
-    else:
-        offsets, postings = _postings(index)
-        lemma = postings[offsets[lid] : offsets[lid + 1]]
+    lemma = _lemma_positions(index, int(rows[0]))
     if full:
-        # widened to intp, so that position arithmetic is signed under every numpy
-        return lemma.astype(np.intp, copy=False)
-    # bounds in the positions' own dtype, so that searchsorted does not cast them
-    first, end = (np.searchsorted(lemma, bound.astype(lemma.dtype)) for bound in _docset_runs(index, dmask))
+        return lemma
+    first, end = (np.searchsorted(lemma, bound) for bound in _docset_runs(index, dmask))
     lengths = end - first
     # index of each kept position: its run's first, plus its rank in the run
     kept = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
     kept += np.arange(len(kept))
-    # each index is replaced by the position it holds, widened in place
+    # each index is replaced by the position it holds, in place
     kept[:] = lemma[kept]
     return kept
 
@@ -272,9 +230,6 @@ def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
     lid = index.lemmas.id_of(lemma)
     if lid is None:
         return 0
-    if index._postings is not None and dmask.all():
-        offsets = index._postings[0]
-        return int(offsets[lid + 1] - offsets[lid])
     return len(_occurrences(index, [lid], dmask))
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from diachrona import cooc, frequency
+from diachrona import cooc
 from diachrona.corpus import CorpusIndex, DateSpec, subcorpus, with_ids
 from diachrona.ingest import index_from_documents
 
@@ -156,26 +156,13 @@ def corpora(vocab_sizes=st.integers(1, 5), tagged=False):
     return corpus_records(vocab_sizes, tagged).map(build_index)
 
 
-# (single-lemma scans before an index builds its postings, kernel slab size);
-# None keeps the module's own value
-LOOKUP_PATHS = {
-    "postings-slab1": (0, 1),
-    "scan-slab2": (None, 2),
-    "postings-slab7": (0, 7),
-}
-
-
-@pytest.fixture(scope="class", params=list(LOOKUP_PATHS.values()), ids=list(LOOKUP_PATHS))
-def lookup_path(request):
-    """Runs a test class with single-lemma lookups read from postings built
-    on an index's first lookup, and/or with the window kernel walking slabs
-    of a few occurrences.  Class-scoped, so hypothesis tests may use it."""
-    scans, slab = request.param
+@pytest.fixture(scope="class", params=[1, 2, 7], ids=lambda slab: f"slab{slab}")
+def kernel_slab(request):
+    """Runs a test class with the window kernel walking slabs of a few
+    occurrences, so that every slab edge is crossed.  Class-scoped, so
+    hypothesis tests may use it."""
     with pytest.MonkeyPatch.context() as patch:
-        if scans is not None:
-            patch.setattr(frequency, "_SCANS_BEFORE_POSTINGS", scans)
-        if slab is not None:
-            patch.setattr(cooc, "_SLAB", slab)
+        patch.setattr(cooc, "_SLAB", request.param)
         yield request.param
 
 

@@ -470,6 +470,20 @@ def doc_buckets(draw, n_docs):
     return n_buckets, draw(st.none() | bucket.map(np.array))
 
 
+@st.composite
+def run_docsets(draw, n_docs):
+    """(1, doc_bucket): a docset of 1-3 runs of adjacent documents, in
+    bucket 0, with every other document left out (-1)."""
+    n_runs = draw(st.integers(1, min(3, (n_docs + 1) // 2)))
+    # strictly increasing edges, so that the runs are not empty and a left-out
+    # document lies between two of them
+    edges = sorted(draw(st.sets(st.integers(0, n_docs), min_size=2 * n_runs, max_size=2 * n_runs)))
+    doc_bucket = np.full(n_docs, -1)
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        doc_bucket[lo:hi] = 0
+    return 1, doc_bucket
+
+
 class TestKernelProperties:
     @PROPERTY
     @given(cases())
@@ -565,7 +579,7 @@ class TestKernelProperties:
     def test_mirror_walk_matches_brute_force(self, case, data):
         # a set of rows: every cell, the diagonal included, in every bucket
         index, window, _, _, _ = case
-        n_buckets, doc_bucket = data.draw(doc_buckets(len(index)))
+        n_buckets, doc_bucket = data.draw(doc_buckets(len(index)) | run_docsets(len(index)))
         order = data.draw(st.permutations(range(len(index.lemmas))))
         rows = order[: data.draw(st.integers(1, len(order)))]
         counts = cooc._window_pairs(index, doc_bucket, n_buckets, rows, window)
@@ -613,10 +627,10 @@ class TestKernelProperties:
         )
 
 
-@pytest.mark.usefixtures("lookup_path")
-class TestKernelPropertiesOnEveryLookupPath(TestKernelProperties):
-    """The oracle properties again, with single-lemma lookups read from
-    postings and with the kernel walking slabs of 1, 2 and 7 occurrences."""
+@pytest.mark.usefixtures("kernel_slab")
+class TestKernelPropertiesOnSmallSlabs(TestKernelProperties):
+    """The oracle properties again, with the kernel walking slabs of 1, 2
+    and 7 occurrences."""
 
 
 @st.composite
@@ -655,10 +669,8 @@ def lookup_cases(draw):
     return build_index(docs), mask
 
 
-@pytest.mark.usefixtures("lookup_path")
 class TestDocsetLookup:
-    """A lookup over a docset against the full lookup and brute force, on
-    every lookup path."""
+    """A lookup over a docset against the full lookup and brute force."""
 
     @PROPERTY
     @given(lookup_cases())
@@ -688,6 +700,7 @@ class TestDocsetLookup:
         union = np.concatenate([_occurrences(index, [lid], mask) for lid in rows])
         assert got.tolist() == sorted(union.tolist())
 
+    @pytest.mark.usefixtures("kernel_slab")
     @PROPERTY
     @given(lookup_cases(), st.integers(1, 4), st.integers(1, 80), st.booleans())
     def test_queries_over_the_mask_match_brute_force(self, case, window, bin_width, filtered):

@@ -428,7 +428,9 @@ class TestCorpusIndex:
 
     def test_queries_cache_no_token_length_array(self):
         # beyond its three token columns, an index holds nothing as long as
-        # the corpus, whatever queries have run on it
+        # the corpus, whatever queries have run on it; its position cache
+        # holds only the lemmas looked up on their own, fewer positions than
+        # there are tokens
         index = random_index(np.random.default_rng(4), min_tokens=300, max_vocab=12)
         a, b = index.lemmas[0], index.lemmas[1]
         half = np.arange(len(index)) % 2 == 0
@@ -449,6 +451,11 @@ class TestCorpusIndex:
             if isinstance(value, np.ndarray) and value.size == index.total_tokens
         ]
         assert set(token_length) == token_columns
+        # the pivot a and the pair (a, b); the field maps gather their terms
+        assert set(index._positions) == {0, 1}
+        for lid, positions in index._positions.items():
+            assert positions.tolist() == np.flatnonzero(index.lemma_ids == lid).tolist()
+        assert sum(map(len, index._positions.values())) < index.total_tokens
 
 
 @st.composite

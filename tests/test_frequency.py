@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,11 +15,10 @@ from diachrona.frequency import (
     _docset_counts,
     _docset_values,
     _MAX_YEAR_BINS,
-    _SCANS_BEFORE_POSTINGS,
     _lemma_pos_counts,
+    _lemma_positions,
     _occurrence_docs,
     _occurrences,
-    _postings,
     _year_bins,
     count_table,
     form_share,
@@ -88,11 +89,6 @@ class TestLemmaCount:
         for lemma in [*index.lemmas, "nemo"]:
             expected = sum(lem == lemma for _, lem in tokens)
             assert lemma_count(index, dmask, lemma) == expected
-
-
-@pytest.mark.usefixtures("lookup_path")
-class TestLemmaCountOnEveryLookupPath(TestLemmaCount):
-    """The lemma count tests again, with every lookup read from postings."""
 
 
 class TestCountTable:
@@ -376,11 +372,6 @@ class TestTimeSeries:
             assert [b.token_mass for b in series.bins] == [masses.get(s, 0) for s in starts]
 
 
-@pytest.mark.usefixtures("lookup_path")
-class TestTimeSeriesOnEveryLookupPath(TestTimeSeries):
-    """The time series tests again, with every lookup read from postings."""
-
-
 class TestMovingAverage:
     def test_centered_window(self):
         assert moving_average([1.0, 2.0, 3.0], 3) == [1.5, 2.0, 2.5]
@@ -468,33 +459,35 @@ class TestDocsetCountProperties:
         assert peak < 6 * n_docset + 3 * 8 * chunk + 4 * table + (64 << 10)
 
 
-def _check_postings(index, offsets, positions):
-    """Lemma i's slice holds exactly its positions, ascending."""
-    assert offsets.tolist() == [0, *np.cumsum(np.bincount(index.lemma_ids, minlength=len(index.lemmas)))]
-    slice_lemma = np.repeat(np.arange(len(index.lemmas)), np.diff(offsets))
-    assert index.lemma_ids[positions].tolist() == slice_lemma.tolist()
-    ascending = np.diff(positions.astype(np.int64)) > 0
-    assert ascending[slice_lemma[1:] == slice_lemma[:-1]].all()
-
-
-class TestPostings:
+class TestPositionCache:
     @settings(max_examples=60, deadline=None)
-    @given(corpora(), _chunks)
-    def test_each_lemma_slice_is_its_scan_read_only_and_narrow(self, index, chunk):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(frequency, "_CHUNK", chunk)
-            offsets, positions = _postings(index)
-        assert positions.dtype == np.uint32
+    @given(masked_corpora())
+    def test_each_lemma_is_scanned_once_and_cached_read_only(self, case):
+        index, dmask = case
         for lid in range(len(index.lemmas)):
-            scan = np.flatnonzero(index.lemma_ids == lid)
-            assert positions[offsets[lid] : offsets[lid + 1]].tolist() == scan.tolist()
-        assert _postings(index)[1] is positions
-        for arr in (offsets, positions):
-            assert not arr.flags.writeable
+            positions = _occurrences(index, [lid])
+            assert index._positions[lid] is positions
+            assert positions.dtype == np.intp
+            assert positions.tolist() == np.flatnonzero(index.lemma_ids == lid).tolist()
+            assert not positions.flags.writeable
             with pytest.raises(ValueError):
-                arr[-1] = 0
+                positions[:1] = 0
+            # later lookups, over any docset, read the cached positions
+            _occurrences(index, [lid], dmask)
+            assert _occurrences(index, [lid]) is positions
+            assert _lemma_positions(index, lid) is positions
+        assert len(index._positions) == len(index.lemmas)
 
-    def test_vocabulary_beyond_16_bits_sorts_on_full_keys(self):
+    @settings(max_examples=30, deadline=None)
+    @given(masked_corpora())
+    def test_a_several_lemma_gather_caches_nothing(self, case):
+        index, dmask = case
+        rows = list(range(len(index.lemmas)))
+        for docset in (None, dmask):
+            _occurrences(index, [*rows, 0], docset)  # a lemma named twice is still a gather
+        assert index._positions == {}
+
+    def test_vocabulary_beyond_16_bits(self):
         n_lemmas, n_tokens = 70_000, 5_000
         rng = np.random.default_rng(8)
         lemma_ids = rng.integers(0, n_lemmas, size=n_tokens)
@@ -514,62 +507,58 @@ class TestPostings:
             [0, 900],
             [None, None],
         )
-        offsets, positions = _postings(index)
-        assert positions.dtype == np.uint32
-        _check_postings(index, offsets, positions)
         for lid in (0, 7, 65_536, 65_543):
             want = np.flatnonzero(lemma_ids == lid)
             found = _occurrences(index, [lid])
             assert found.tolist() == want.tolist()
             assert _occurrence_docs(index, found).tolist() == [int(p >= 3) for p in want]
+            assert lemma_count(index, None, f"l{lid}") == len(want)
 
-    def test_build_temporaries_are_bounded_by_the_chunk(self, monkeypatch):
-        index = synthetic_index(1_000_000, 2_000, 2_000, seed=13)
-        _lemma_pos_counts(index)
-
-        def build(chunk):
-            monkeypatch.setattr(frequency, "_CHUNK", chunk)
-            index._postings = None
-            return _peak_bytes(lambda: _postings(index))
-
-        chunk = 1 << 14
-        (offsets, positions), peak = build(chunk)
-        # kept: 4-byte positions and the offsets; per chunk, a few int64
-        # arrays of its length, plus small V-length tables
-        bound = 4 * index.total_tokens + 48 * chunk + 64 * len(index.lemmas) + (64 << 10)
-        assert peak < bound
-        (same_offsets, same_positions), whole = build(index.total_tokens)
-        assert np.array_equal(offsets, same_offsets) and np.array_equal(positions, same_positions)
-        assert whole > bound  # one chunk of every token would break the bound
-
-    def test_built_on_the_lookup_after_the_scan_threshold(self):
-        index = random_index(np.random.default_rng(5))
-        lemma = index.lemmas[0]
-        expected = lemma_count(index, None, lemma)
-        for _ in range(_SCANS_BEFORE_POSTINGS - 1):
-            _occurrences(index, [0, 1])  # several lemmas are a gather pass and do not count
-            assert lemma_count(index, None, lemma) == expected
-        assert index._postings is None
-        assert lemma_count(index, None, lemma) == expected
-        assert index._postings is not None
-        _check_postings(index, *index._postings)
-
-    def test_postings_lookup_gives_signed_positions(self, monkeypatch):
-        monkeypatch.setattr(frequency, "_SCANS_BEFORE_POSTINGS", 0)
-        index = random_index(np.random.default_rng(6))
-        positions = _occurrences(index, [0])
-        assert positions.dtype == np.intp
-        assert (positions - index.total_tokens < 0).all()
-
-    def test_building_changes_neither_equality_nor_saved_bytes(self, tmp_path):
+    def test_caching_changes_neither_equality_nor_saved_bytes(self, tmp_path):
         index = random_index(np.random.default_rng(7))
         twin = random_index(np.random.default_rng(7))
         save_index(index, tmp_path / "before.csem")
-        _postings(index)
+        for lid in range(len(index.lemmas)):
+            _occurrences(index, [lid])
+        assert len(index._positions) == len(index.lemmas)
         save_index(index, tmp_path / "after.csem")
         assert (tmp_path / "before.csem").read_bytes() == (tmp_path / "after.csem").read_bytes()
         assert index == twin and twin == index
         assert load_index(tmp_path / "after.csem") == index
+
+    def test_threads_sharing_an_index_read_every_lemma_right(self):
+        # two threads may both scan a lemma and cache either result
+        index = random_index(np.random.default_rng(9), min_tokens=2_000, max_tokens=4_000)
+        scans = {lid: np.flatnonzero(index.lemma_ids == lid).tolist() for lid in range(len(index.lemmas))}
+        wrong = []
+
+        def look():
+            for lid in [*scans] * 5:
+                if _occurrences(index, [lid]).tolist() != scans[lid]:
+                    wrong.append(lid)
+
+        threads = [threading.Thread(target=look) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert {lid: positions.tolist() for lid, positions in index._positions.items()} == scans
+
+    def test_a_first_lookup_allocates_one_flag_per_token_and_its_positions(self):
+        index = synthetic_index(1_000_000, 50, 2_000, seed=14)
+        lid = int(np.argmax(np.bincount(index.lemma_ids)))
+        positions, peak = _peak_bytes(lambda: _occurrences(index, [lid]))
+        assert len(positions) > 10_000
+        # the scan's bool per token and the kept intp positions; nothing else
+        # as long as the corpus or the occurrences
+        assert peak < index.total_tokens + 8 * len(positions) + (64 << 10)
 
 
 def _peak_bytes(call):
@@ -583,13 +572,13 @@ def _peak_bytes(call):
 
 
 class TestLookupCost:
-    """A lookup over postings allocates for what it returns."""
+    """A lookup of a cached lemma allocates for what it returns."""
 
     def test_a_partial_docset_gathers_only_its_occurrences(self):
         index = synthetic_index(2_000_000, 50, 2_000, seed=11)
-        _postings(index)
         freqs = np.bincount(index.lemma_ids)
         lid = int(np.argmax(freqs))
+        _occurrences(index, [lid])  # the scan that caches the lemma's positions
         mask = subcorpus(index, dated_within(900, 917))  # about 3% of the documents
         positions, peak = _peak_bytes(lambda: _occurrences(index, [lid], mask))
         docs = np.repeat(np.arange(len(index)), np.diff(index.doc_starts))
@@ -598,23 +587,23 @@ class TestLookupCost:
         # a few bytes per kept occurrence, plus a few per document for the runs
         bound = 24 * len(positions) + 8 * len(index) + (64 << 10)
         assert peak < bound
-        assert 8 * freqs[lid] > 4 * bound  # widening the whole slice would break it
+        assert 8 * freqs[lid] > 4 * bound  # copying the cached positions would break it
 
-    def test_a_full_docset_count_reads_the_offsets(self):
+    def test_a_repeated_full_docset_count_allocates_nothing_occurrence_long(self):
         index = synthetic_index(1_000_000, 50, 2_000, seed=14)
-        offsets, _ = _postings(index)
-        lid = int(np.argmax(np.diff(offsets)))
+        lid = int(np.argmax(np.bincount(index.lemma_ids)))
         lemma = index.lemmas[lid]
-        count, peak = _peak_bytes(lambda: lemma_count(index, None, lemma))
-        assert count == np.count_nonzero(index.lemma_ids == lid) > 10_000
-        # widening the lemma's slice would take 8 bytes per occurrence
-        assert peak < index.total_tokens // 100
+        count = lemma_count(index, None, lemma)  # the scan that caches the lemma's positions
+        again, peak = _peak_bytes(lambda: lemma_count(index, None, lemma))
+        assert again == count == np.count_nonzero(index.lemma_ids == lid) > 10_000
+        # a copy of the cached positions would take 8 bytes per occurrence
+        assert peak < count
 
     def test_a_rare_lemma_over_every_document_allocates_nothing_document_long(self):
         index = synthetic_index(400_000, 20_000, 20_000, seed=12)
-        _postings(index)
         freqs = np.bincount(index.lemma_ids, minlength=len(index.lemmas))
         lid = int(np.flatnonzero((freqs > 0) & (freqs < 40))[0])
+        _occurrences(index, [lid])  # the scan that caches the lemma's positions
         dmask = index.doc_mask(None)
         _, n_bins, doc_bin = _year_bins(index, dmask, 50)
 

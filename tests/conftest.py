@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from diachrona import cooc
 from diachrona.corpus import CorpusIndex, DateSpec, subcorpus, with_ids
+from diachrona.indexio import MAGIC, load_index, save_index
 from diachrona.ingest import index_from_documents
 
 POS_TAGS = ("NOM", "ADJ", "VER")
@@ -56,6 +58,27 @@ def v2_set_section(raw: bytes, name: str, content: bytes) -> bytes:
     assert len(content) == size
     raw = raw[:offset] + content + raw[offset + size :]
     return v2_set_entry(raw, name, crc=zlib.crc32(content))
+
+
+def save_v1(index: CorpusIndex, path) -> None:
+    """Write ``index`` in format version 1, which load_index reads and no
+    longer writes: strings length-prefixed UTF-8, then the token columns,
+    then one record per document (see the indexio module docstring)."""
+
+    def string(s: str) -> bytes:
+        raw = s.encode("utf-8")
+        return struct.pack("<I", len(raw)) + raw
+
+    parts = [MAGIC, struct.pack("<I", 1)]
+    for vocab in (index.lemmas, index.forms, index.pos_tags):
+        parts += [struct.pack("<I", len(vocab)), *map(string, vocab)]
+    parts.append(struct.pack("<Q", index.total_tokens))
+    parts += [index.lemma_ids.astype("<u4").tobytes(), index.form_ids.astype("<u4").tobytes()]
+    parts += [index.pos_ids.astype("<u2").tobytes(), struct.pack("<I", len(index))]
+    for doc in index.documents:
+        parts += [string(doc.doc_id), struct.pack("<Bii", doc.date.kind, doc.date.lo or 0, doc.date.hi or 0)]
+        parts += [string(doc.typology or ""), struct.pack("<QI", doc.token_start, doc.token_len)]
+    Path(path).write_bytes(b"".join(parts))
 
 
 def build_index(docs) -> CorpusIndex:
@@ -164,6 +187,30 @@ def kernel_slab(request):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cooc, "_SLAB", request.param)
         yield request.param
+
+
+@pytest.fixture(scope="class", params=["v2", "v1"])
+def loaded_indexes(request, tmp_path_factory):
+    """Runs a test class with every index that :func:`build_index` makes
+    (so also :func:`random_index` and :func:`corpora`) saved to a file in
+    format version 2 or 1 and loaded back: a version 2 index holds views of
+    the file image and splits its forms on first use.  Class-scoped, so
+    hypothesis tests may use it; fails the class if no index of it was
+    loaded."""
+    save = {"v2": save_index, "v1": save_v1}[request.param]
+    path = tmp_path_factory.mktemp("loaded") / "index.csem"
+    loads = []
+    build = index_from_documents
+
+    def saved_and_loaded(docs):
+        save(build(docs), path)
+        loads.append(path)
+        return load_index(path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(globals(), "index_from_documents", saved_and_loaded)
+        yield request.param
+    assert loads, "the class built no index through build_index"
 
 
 # ---------------------------------------------------------------------------

@@ -633,6 +633,12 @@ class TestKernelPropertiesOnSmallSlabs(TestKernelProperties):
     and 7 occurrences."""
 
 
+@pytest.mark.usefixtures("loaded_indexes")
+class TestKernelPropertiesOnALoadedIndex(TestKernelProperties):
+    """The oracle properties again, on indexes read back from their file in
+    either format."""
+
+
 @st.composite
 def lookup_cases(draw):
     """(index, mask): 2-9 documents, some empty and some undated, where
@@ -740,6 +746,12 @@ class TestDocsetLookup:
             scored.sort(key=lambda c: (-c[3], -c[1], c[0]))
             got = top_cooccurrents(index, mask, lemma, window, 10, pos_filter=pos_filter)
             assert [tuple(c) for c in got] == scored
+
+
+@pytest.mark.usefixtures("loaded_indexes")
+class TestDocsetLookupOnALoadedIndex(TestDocsetLookup):
+    """The docset lookup tests again, on indexes read back from their file in
+    either format."""
 
 
 class TestRankingProperties:

@@ -91,6 +91,12 @@ class TestLemmaCount:
             assert lemma_count(index, dmask, lemma) == expected
 
 
+@pytest.mark.usefixtures("loaded_indexes")
+class TestLemmaCountOnALoadedIndex(TestLemmaCount):
+    """The lemma count tests again, on indexes read back from their file in
+    either format."""
+
+
 class TestCountTable:
     def test_one_by_one_degenerates_to_lemma_count(self):
         index = build_index([lemma_doc("d", DateSpec.undated(), ["a", "a", "b"])])
@@ -194,6 +200,12 @@ class TestLemmaRank:
             assert freqs[r1] >= freqs[r2]
 
 
+@pytest.mark.usefixtures("loaded_indexes")
+class TestLemmaRankOnALoadedIndex(TestLemmaRank):
+    """The rank tests again, on indexes read back from their file in
+    either format."""
+
+
 _FORM_POOL = ("a", "A", "b", "B", "ab", "aB")
 
 
@@ -271,6 +283,12 @@ class TestFormShare:
                 form_share(index, dmask, lemma, wanted)
         else:
             assert form_share(index, dmask, lemma, wanted) == hits / total
+
+
+@pytest.mark.usefixtures("loaded_indexes")
+class TestFormShareOnALoadedIndex(TestFormShare):
+    """The form share tests again, on indexes read back from their file in
+    either format; a version 2 index splits its forms on first use."""
 
 
 class TestTimeSeries:
@@ -370,6 +388,12 @@ class TestTimeSeries:
             assert [b.start_year for b in series.bins] == list(starts)
             assert [b.count for b in series.bins] == [counts[s] for s in starts]
             assert [b.token_mass for b in series.bins] == [masses.get(s, 0) for s in starts]
+
+
+@pytest.mark.usefixtures("loaded_indexes")
+class TestTimeSeriesOnALoadedIndex(TestTimeSeries):
+    """The time series tests again, on indexes read back from their file in
+    either format."""
 
 
 class TestMovingAverage:

@@ -37,31 +37,11 @@ from conftest import (
     build_index,
     lemma_doc,
     random_index,
+    save_v1,
     v2_entry,
     v2_set_entry,
     v2_set_section,
 )
-
-
-def save_v1(index: CorpusIndex, path) -> None:
-    """Write ``index`` in format version 1, which load_index reads and no
-    longer writes: strings length-prefixed UTF-8, then the token columns,
-    then one record per document (see the indexio module docstring)."""
-
-    def string(s: str) -> bytes:
-        raw = s.encode("utf-8")
-        return struct.pack("<I", len(raw)) + raw
-
-    parts = [MAGIC, struct.pack("<I", 1)]
-    for vocab in (index.lemmas, index.forms, index.pos_tags):
-        parts += [struct.pack("<I", len(vocab)), *map(string, vocab)]
-    parts.append(struct.pack("<Q", index.total_tokens))
-    parts += [index.lemma_ids.astype("<u4").tobytes(), index.form_ids.astype("<u4").tobytes()]
-    parts += [index.pos_ids.astype("<u2").tobytes(), struct.pack("<I", len(index))]
-    for doc in index.documents:
-        parts += [string(doc.doc_id), struct.pack("<Bii", doc.date.kind, doc.date.lo or 0, doc.date.hi or 0)]
-        parts += [string(doc.typology or ""), struct.pack("<QI", doc.token_start, doc.token_len)]
-    Path(path).write_bytes(b"".join(parts))
 
 
 WRITERS = pytest.mark.parametrize("save", [save_index, save_v1], ids=["v2", "v1"])

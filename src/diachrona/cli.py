@@ -12,19 +12,21 @@ its chart to ``--svg`` when given.  A query is a function of
 
 ``--filter`` restricts queries to a document subset and may be repeated
 (conjunction).  Accepted forms: ``date=LO..HI`` (midpoint within the
-interval), ``typology=TAG``, ``dated``.  Each expression parses into one of
-the document filters defined in :mod:`diachrona.corpus` (``dated_within``,
-``has_typology``, ``is_dated``), and :func:`~diachrona.corpus.subcorpus`
-ANDs them into one document mask.  ``evolve`` has no ``--filter``; it
-tranches the dated documents.  ``freq table`` AND-s ``--filter`` into each
-``--slice`` column, or uses it as its single ``all`` column.  ``--min``
-(minimum pair count) must be at least 1.
+interval, LO <= HI), ``typology=TAG``, ``dated``.  Each expression parses
+into one of the document filters defined in :mod:`diachrona.corpus`
+(``dated_within``, ``has_typology``, ``is_dated``), and
+:func:`~diachrona.corpus.subcorpus` ANDs them into one document mask.
+``evolve`` has no ``--filter``; it tranches the dated documents.  ``freq
+table`` AND-s ``--filter`` into each ``--slice`` column (no two with one
+label), or uses it as its single ``all`` column.  ``--scale`` must be
+finite, and ``--min`` (minimum pair count) must be at least 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -169,6 +171,8 @@ def _freq_table(index, docset, args):
             label, sep, expr = spec.partition(":")
             if not sep:
                 raise CorpusError(f"bad slice (expected LABEL:FILTER): {spec!r}")
+            if label in labels:
+                raise CorpusError(f"two slices are labelled {label!r}")
             labels.append(label)
             docsets.append(_docset_from_filters(index, expr.split(";")) & docset)
     table = freq_mod.count_table(index, lemmas, docsets, labels)
@@ -215,7 +219,14 @@ def _freq_series(index, docset, args):
     return rows, chart
 
 
+def _check_scale(args) -> None:
+    """``--scale``, the display multiplier of Dice, must be finite."""
+    if not math.isfinite(args.scale):
+        raise CorpusError(f"--scale must be a finite number, not {args.scale}")
+
+
 def _cooc_top(index, docset, args):
+    _check_scale(args)
     ranked = cooc_mod.top_cooccurrents(
         index,
         docset,
@@ -231,6 +242,7 @@ def _cooc_top(index, docset, args):
 
 
 def _cooc_pair(index, docset, args):
+    _check_scale(args)
     bins = cooc_mod.pair_evolution(index, args.a, args.b, args.window, args.bin, docset=docset)
     rows = [["start_year", "pair_count", "dice"]]
     rows += [[b.start_year, b.pair_count, b.dice * args.scale] for b in bins]

@@ -11,16 +11,17 @@ in one of three shapes: one pivot against every lemma (the collocate
 vectors of ``cooc_counts`` and ``top_cooccurrents``, and the tranche series
 of ``diachrony``), one lemma against one other (``adjacency_count`` and the
 year-bin series of ``pair_evolution``, whose shared ``_lemma_pairs`` makes
-the rarer lemma the row), and the pairs among a set of lemmas (a field-map
-submatrix in ``semfield``, or a lemma paired with itself).  A document's
-bucket (a docset member, a tranche, a year bin, or -1 for left out) is
-fixed per call, so a per-tranche or per-bin series costs one pass.  Row
-occurrences are looked up in the documents of buckets >= 0 only, so the
-kernel never reads a left-out document.  One row's 2w neighbours are
-gathered around each of its occurrences, so the work follows the row's
-occurrences in those documents, not the corpus size, and one ``bincount``
-per slab (below) counts the passing pairs of all 2w offsets.  Among a set
-of rows every counted pair joins two row occurrences, so the kernel walks
+the lemma with fewer positions in the corpus the row), and the pairs among
+a set of lemmas (a field-map submatrix in ``semfield``, or a lemma paired
+with itself).  A document's bucket (a docset member, a tranche, a year bin,
+or -1 for left out) is fixed per call, so a per-tranche or per-bin series
+costs one pass.  The kernel looks up its row occurrences itself, with
+``_occurrences``, in the documents of buckets >= 0 only, so it never reads
+a left-out document.  One row's 2w neighbours are gathered around each of
+its occurrences, so the work follows the row's occurrences in those
+documents, not the corpus size, and one ``bincount`` per slab (below)
+counts the passing pairs of all 2w offsets.  Among a set of rows every
+counted pair joins two row occurrences, so the kernel walks
 the sorted row occurrences themselves: each gets a key that grows by its
 position within a document and by more than w from one document to the
 next, so for s = 1..w one test of key distances pairs each occurrence with
@@ -49,7 +50,7 @@ from .corpus import CorpusError, CorpusIndex
 from .frequency import (
     _bin_counts,
     _docset_counts,
-    _lemma_pos_counts,
+    _lemma_positions,
     _occurrence_docs,
     _occurrences,
     _year_bins,
@@ -124,7 +125,6 @@ def _window_pairs(
     rows,
     window: int,
     col: int | None = None,
-    occ: np.ndarray | None = None,
 ) -> np.ndarray:
     """Windowed pair counts per bucket, in one of three shapes.
 
@@ -143,9 +143,8 @@ def _window_pairs(
       and ``_lemma_pairs`` for a lemma paired with itself).
 
     Every occurrence the kernel reads lies in a document of a bucket >= 0:
-    the row occurrences come from the one occurrence lookup,
-    ``_occurrences``, over those documents, unless the caller hands over one
-    row's occurrences as ``occ``, which must keep to them too.  One row's
+    it looks up every row occurrence itself, with the one occurrence
+    lookup, ``_occurrences``, over those documents.  One row's
     neighbours are read d = 1..window tokens to either side of each
     occurrence whose document reaches that far, and the (bucket, column)
     keys of a slab's passing neighbours at all 2 * window offsets are
@@ -172,8 +171,7 @@ def _window_pairs(
     rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
     n_rows = len(rows)
     n_cols = n_rows if mirror else 1 if col is not None else len(index.lemmas)
-    if occ is None:
-        occ = _occurrences(index, rows, None if doc_bucket is None else doc_bucket >= 0)
+    occ = _occurrences(index, rows, None if doc_bucket is None else doc_bucket >= 0)
     occ_doc = _occurrence_docs(index, occ)
     if mirror:
         row_of = np.zeros(len(index.lemmas), dtype=np.int64)
@@ -246,25 +244,19 @@ def _docset_bucket(dmask: np.ndarray) -> np.ndarray | None:
 
 
 def _lemma_pairs(
-    index: CorpusIndex,
-    doc_bucket: np.ndarray | None,
-    n_buckets: int,
-    ids: tuple[int, int],
-    freqs,
-    window: int,
-    occs: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
+    index: CorpusIndex, doc_bucket: np.ndarray | None, n_buckets: int, a: int, b: int, window: int
 ) -> np.ndarray:
-    """Per-bucket pair counts of two lemmas, shape (n_buckets,).
+    """Per-bucket pair counts of lemmas ``a`` and ``b``, shape (n_buckets,).
 
     Pair counts are symmetric and the kernel's work follows its row lemma's
-    occurrences, so the rarer lemma by the frequencies ``freqs`` that the
-    caller holds is the row (the first one on a tie), read from ``occs``
-    when the caller has looked it up; a lemma paired with itself is a
-    one-row mirror walk."""
-    if ids[0] == ids[1]:
-        return _window_pairs(index, doc_bucket, n_buckets, [ids[0]], window, occ=occs[0])[:, 0, 0]
-    r = int(freqs[1] < freqs[0])
-    return _window_pairs(index, doc_bucket, n_buckets, ids[r], window, ids[1 - r], occs[r])
+    occurrences, so the lemma with fewer positions in the corpus (cached by
+    ``_lemma_positions``, which the kernel's lookup reads too) is the row,
+    ``a`` on a tie; a lemma paired with itself is a one-row mirror walk."""
+    if a == b:
+        return _window_pairs(index, doc_bucket, n_buckets, [a], window)[:, 0, 0]
+    if len(_lemma_positions(index, b)) < len(_lemma_positions(index, a)):
+        a, b = b, a
+    return _window_pairs(index, doc_bucket, n_buckets, a, window, b)
 
 
 def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTable:
@@ -349,8 +341,7 @@ def adjacency_count(index: CorpusIndex, docset, lemma_a: str, lemma_b: str) -> i
     a_id, b_id = map(index.lemmas.id_of, (lemma_a, lemma_b))
     if a_id is None or b_id is None:
         return 0
-    freqs = _lemma_pos_counts(index)[[a_id, b_id]].sum(axis=1)
-    return int(_lemma_pairs(index, doc_bucket, 1, (a_id, b_id), freqs, 1)[0])
+    return int(_lemma_pairs(index, doc_bucket, 1, a_id, b_id, 1)[0])
 
 
 class PairBin(NamedTuple):
@@ -384,12 +375,8 @@ def pair_evolution(
     a_id, b_id = map(index.lemmas.id_of, (lemma_a, lemma_b))
     if a_id is None or b_id is None:
         return [PairBin(start, 0, 0.0) for start in starts]
-    # each lemma is looked up once, in the binned documents only, and the
-    # kernel reads the row's lookup
-    binned = doc_bin >= 0
-    occ_a = _occurrences(index, [a_id], binned)
-    occ_b = occ_a if b_id == a_id else _occurrences(index, [b_id], binned)
-    freq_a, freq_b = (_bin_counts(index, occ, doc_bin, n_bins) for occ in (occ_a, occ_b))
-    freqs = (len(occ_a), len(occ_b))
-    pairs = _lemma_pairs(index, doc_bin, n_bins, (a_id, b_id), freqs, window, (occ_a, occ_b))
+    freq_a, freq_b = (
+        _bin_counts(index, _occurrences(index, [lid], doc_bin >= 0), doc_bin, n_bins) for lid in (a_id, b_id)
+    )
+    pairs = _lemma_pairs(index, doc_bin, n_bins, a_id, b_id, window)
     return list(map(PairBin, starts, pairs.tolist(), _dice(pairs, freq_a, freq_b).tolist()))

@@ -422,7 +422,10 @@ def subcorpus(index: CorpusIndex, *filters: DocFilter) -> np.ndarray:
 
 
 def dated_within(lo: int, hi: int) -> DocFilter:
-    """Filter: the document's date midpoint lies in [lo, hi] (undated never matches)."""
+    """Filter: the document's date midpoint lies in [lo, hi] (undated never
+    matches).  A reversed range, lo > hi, is a :class:`CorpusError`."""
+    if lo > hi:
+        raise CorpusError(f"reversed date range: {lo}..{hi}")
     return lambda index: index.doc_dated & (index.doc_mids >= lo) & (index.doc_mids <= hi)
 
 

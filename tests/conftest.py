@@ -137,6 +137,25 @@ def random_index(
     return build_index(docs)
 
 
+class LemmaColumn(np.ndarray):
+    """A lemma column that records the lemma of each scan of it, in
+    ``scans`` (views and copies of it record nothing)."""
+
+    def __eq__(self, other):
+        if getattr(self, "scans", None) is not None and np.ndim(other) == 0:
+            self.scans.append(int(other))
+        return np.asarray(self) == other
+
+
+def record_scans(index: CorpusIndex) -> list[int]:
+    """Give ``index`` a :class:`LemmaColumn` and return the list in which it
+    records the lemma id of each scan."""
+    column = index.lemma_ids.view(LemmaColumn)
+    column.scans = []
+    index.lemma_ids = column
+    return column.scans
+
+
 def id_docset(index: CorpusIndex, ids) -> np.ndarray | None:
     """The docset of the documents an oracle names by id; None (every
     document) stays None."""

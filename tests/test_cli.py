@@ -171,6 +171,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: moving average window must be a positive odd number\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["freq", "count", "--lemma", "pater", "--filter", "date=1000..999"],
+             "reversed date range: 1000..999"),
+            (["freq", "table", "--lemmas", "pater", "--slice", "a:date=9..-9"],
+             "reversed date range: 9..-9"),
+            (["cooc", "top", "--pivot", "pater", "--scale", "nan"],
+             "--scale must be a finite number, not nan"),
+            (["cooc", "pair", "--a", "pater", "--b", "deus", "--scale", "inf"],
+             "--scale must be a finite number, not inf"),
+            (["freq", "table", "--lemmas", "pater", "--slice", "a:dated", "--slice", "b:dated",
+              "--slice", "a:dated"],
+             "two slices are labelled 'a'"),
+        ],
+        ids=["reversed-filter", "reversed-slice", "top-nan-scale", "pair-inf-scale", "repeated-slice-label"],
+    )
+    def test_absurd_input_is_one_line_error(self, sample_index, capsys, argv, message):
+        assert run_cli(argv + ["--index", str(sample_index)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestIndexBuild:
     def test_known_count_from_file_scan_oracle(self, sample_index, capsys):
@@ -387,7 +408,21 @@ def _library_filters(filters):
     return out
 
 
+def _reversed(expr):
+    """Whether a filter expression is a date range whose LO exceeds its HI."""
+    key, _, value = expr.partition("=")
+    lo, _, hi = value.partition("..")
+    return key == "date" and int(lo) > int(hi)
+
+
 def _check_filters(index, filters):
+    if any(map(_reversed, filters)):
+        # both the command line and the library refuse a reversed range
+        with pytest.raises(CorpusError, match="^reversed date range: "):
+            _docset_from_filters(index, filters)
+        with pytest.raises(CorpusError, match="^reversed date range: "):
+            _library_filters(filters)
+        return
     expected = _oracle_mask(index, filters)
     for mask in (_docset_from_filters(index, filters), subcorpus(index, *_library_filters(filters))):
         assert mask.dtype == bool
@@ -513,16 +548,25 @@ class TestQueries:
         scaled = float(capsys.readouterr().out.strip().splitlines()[1].split("\t")[3])
         assert scaled == pytest.approx(1000 * base, rel=1e-4)
 
-    @pytest.mark.parametrize("scale", ["nan", "inf", "1e308"])
-    def test_non_finite_scaled_dice_is_not_charted(self, sample_index, tmp_path, capsys, scale):
-        # pater's dice with itself exceeds 1, so 1e308 times it overflows to inf
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            ("nan", "--scale must be a finite number, not nan"),
+            ("inf", "--scale must be a finite number, not inf"),
+            ("1e308", "cannot plot a NaN or infinite value"),
+        ],
+        ids=["nan", "inf", "1e308"],
+    )
+    def test_non_finite_scaled_dice_is_not_charted(self, sample_index, tmp_path, capsys, scale, message):
+        # a non-finite scale is refused; pater's dice with itself exceeds 1,
+        # so 1e308 times it overflows to inf, which the chart refuses
         svg = tmp_path / "pair.svg"
         code = run_cli(
             ["cooc", "pair", "--a", "pater", "--b", "pater", "--window", "50", "--scale", scale,
              "--svg", str(svg), "--index", str(sample_index)]
         )
         assert code == 1 and not svg.exists()
-        assert capsys.readouterr().err == "error: cannot plot a NaN or infinite value\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_evolve_tsv_shape(self, sample_index, capsys):
         code = run_cli(

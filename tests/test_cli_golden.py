@@ -21,7 +21,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from diachrona import cli
@@ -29,6 +28,8 @@ from diachrona.cli import run_cli
 from diachrona.corpus import CorpusIndex
 from diachrona.indexio import load_index, save_index
 from diachrona.synth import synthetic_index
+
+from conftest import record_scans
 
 SAMPLE = importlib.resources.files("diachrona") / "data" / "sample.vrt"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -122,16 +123,6 @@ def test_cli_output_matches_golden(golden_index, tmp_path, case):
     check_case(case, golden_index, tmp_path)
 
 
-class _LemmaColumn(np.ndarray):
-    """A lemma column that records the lemma of each scan of it, in
-    ``scans`` (views and copies of it record nothing)."""
-
-    def __eq__(self, other):
-        if getattr(self, "scans", None) is not None and np.ndim(other) == 0:
-            self.scans.append(int(other))
-        return np.asarray(self) == other
-
-
 def test_cold_queries_scan_each_lemma_at_most_once(golden_index, tmp_path, monkeypatch):
     # each query loads its own index; a lemma it looks up again, over any
     # docset, reads the positions that its first lookup cached
@@ -139,10 +130,7 @@ def test_cold_queries_scan_each_lemma_at_most_once(golden_index, tmp_path, monke
 
     def load(path):
         index = load_index(path)
-        column = index.lemma_ids.view(_LemmaColumn)
-        column.scans = []
-        scans.append(column.scans)
-        index.lemma_ids = column
+        scans.append(record_scans(index))
         return index
 
     monkeypatch.setattr(cli, "load_index", load)

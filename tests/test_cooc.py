@@ -29,7 +29,16 @@ from diachrona.frequency import _occurrence_docs, _occurrences, form_share, lemm
 from diachrona.semfield import build_submatrix
 from diachrona.synth import synthetic_index
 
-from conftest import POS_TAGS, build_index, corpora, doc_lemma_lists, id_docset, lemma_doc, random_index
+from conftest import (
+    POS_TAGS,
+    build_index,
+    corpora,
+    doc_lemma_lists,
+    id_docset,
+    lemma_doc,
+    random_index,
+    record_scans,
+)
 
 
 def brute_pairs(index, window, docs=None):
@@ -55,6 +64,34 @@ def brute_pair_counts(index, pivot, window, docs=None):
         if (a == pivot) != (b == pivot):
             counts[b if a == pivot else a] += n
     return dict(counts)
+
+
+def brute_pair_bins(index, a, b, window, bin_width, docs=None):
+    """(start year, pair count, Dice) of ``a`` and ``b`` per midpoint year
+    bin of the dated documents in ``docs`` (all when None), from the
+    all-pairs enumeration; Dice is 0 in a bin where neither lemma occurs."""
+    groups = {}
+    for doc in index.documents:
+        mid = doc.date.midpoint()
+        if mid is not None and (docs is None or doc.doc_id in docs):
+            groups.setdefault(mid // bin_width * bin_width, set()).add(doc.doc_id)
+    bins = []
+    for start in range(min(groups, default=0), max(groups, default=-1) + 1, bin_width):
+        members = groups.get(start, set())
+        pairs = brute_pairs(index, window, members)[tuple(sorted((a, b)))]
+        freqs = brute_freqs(index, members)
+        total = freqs[a] + freqs[b]
+        bins.append((start, pairs, 2.0 * pairs / total if total else 0.0))
+    return bins
+
+
+def bucket_members(index, doc_bucket, bucket):
+    """Ids of the documents that ``doc_bucket`` (None: all in bucket 0) puts in ``bucket``."""
+    return {
+        doc.doc_id
+        for i, doc in enumerate(index.documents)
+        if (0 if doc_bucket is None else doc_bucket[i]) == bucket
+    }
 
 
 def brute_freqs(index, docs=None):
@@ -339,20 +376,26 @@ class TestTopCooccurrents:
             assert [tuple(c) for c in got] == expected
 
 
+def spy_kernel(monkeypatch) -> list:
+    """Record the (rows, col) of every kernel call that cooc makes."""
+    calls = []
+    kernel = cooc._window_pairs
+
+    def spy(index, doc_bucket, n_buckets, rows, window, col=None):
+        calls.append((rows, col))
+        return kernel(index, doc_bucket, n_buckets, rows, window, col)
+
+    monkeypatch.setattr(cooc, "_window_pairs", spy)
+    return calls
+
+
 class TestAdjacency:
     def test_rarer_lemma_is_the_kernel_row(self, monkeypatch):
         # adjacency_count and pair_evolution share _lemma_pairs, which makes
         # the rarer lemma in the corpus the row and pairs a lemma with
         # itself as a one-row set
         index = build_index([lemma_doc("d0", DateSpec.exact(900), ["x", "y", "y", "z", "y"])])
-        calls = []
-        kernel = cooc._window_pairs
-
-        def spy(index, doc_bucket, n_buckets, rows, window, col=None, occ=None):
-            calls.append((rows, col))
-            return kernel(index, doc_bucket, n_buckets, rows, window, col, occ)
-
-        monkeypatch.setattr(cooc, "_window_pairs", spy)
+        calls = spy_kernel(monkeypatch)
         for a, b in (("y", "x"), ("x", "y"), ("z", "x")):
             adjacency_count(index, None, a, b)
             pair_evolution(index, a, b, 2, 100)
@@ -363,6 +406,22 @@ class TestAdjacency:
         assert adjacency_count(index, None, "y", "y") == 1
         assert pair_evolution(index, "y", "y", 2, 100) == [(900, 2, 2 / 3)]
         assert calls == [([index.lemmas.id_of("y")], None)] * 2
+
+    def test_row_is_the_rarer_lemma_in_the_corpus_not_in_the_docset(self, monkeypatch):
+        # x is the rarer lemma in the corpus (3 against 6), y in d0 (1
+        # against 2): x is the row, and the counts are those of d0 alone
+        index = build_index(
+            [
+                lemma_doc("d0", DateSpec.exact(900), ["x", "y", "x"]),
+                lemma_doc("d1", DateSpec.exact(950), ["x"] + ["y"] * 5),
+            ]
+        )
+        d0 = id_docset(index, {"d0"})
+        calls = spy_kernel(monkeypatch)
+        for a, b in (("x", "y"), ("y", "x")):
+            assert adjacency_count(index, d0, a, b) == brute_pairs(index, 1, {"d0"})[("x", "y")] == 2
+            assert pair_evolution(index, a, b, 2, 100, d0) == brute_pair_bins(index, a, b, 2, 100, {"d0"})
+        assert calls == [(index.lemmas.id_of("x"), index.lemmas.id_of("y"))] * 4
 
     def test_single_bigram(self):
         assert adjacency_count(single_doc("sanctus pater".split()), None, "pater", "sanctus") == 1
@@ -504,24 +563,8 @@ class TestKernelProperties:
     @given(cases(), st.integers(1, 80))
     def test_pair_evolution_matches_brute_force(self, case, bin_width):
         index, window, docs, a, b = case
-        groups = {}
-        for doc in index.documents:
-            mid = doc.date.midpoint()
-            if mid is not None and (docs is None or doc.doc_id in docs):
-                groups.setdefault(mid // bin_width * bin_width, set()).add(doc.doc_id)
         bins = pair_evolution(index, a, b, window, bin_width, docset=id_docset(index, docs))
-        if not groups:
-            assert bins == []
-            return
-        starts = range(min(groups), max(groups) + 1, bin_width)
-        assert [pb.start_year for pb in bins] == list(starts)
-        for pb in bins:
-            members = groups.get(pb.start_year, set())
-            pairs = brute_pairs(index, window, members)[tuple(sorted((a, b)))]
-            freqs = brute_freqs(index, members)
-            total = freqs[a] + freqs[b]
-            assert pb.pair_count == pairs
-            assert pb.dice == (2.0 * pairs / total if total else 0.0)
+        assert bins == brute_pair_bins(index, a, b, window, bin_width, docs)
 
     @PROPERTY
     @given(cases(), st.data())
@@ -586,12 +629,7 @@ class TestKernelProperties:
         assert counts.shape == (n_buckets, len(rows), len(rows))
         lemmas = [index.lemmas[r] for r in rows]
         for b in range(n_buckets):
-            members = {
-                doc.doc_id
-                for i, doc in enumerate(index.documents)
-                if (0 if doc_bucket is None else doc_bucket[i]) == b
-            }
-            pairs = brute_pairs(index, window, members)
+            pairs = brute_pairs(index, window, bucket_members(index, doc_bucket, b))
             assert counts[b].tolist() == [[pairs[tuple(sorted((x, y)))] for y in lemmas] for x in lemmas]
 
     @PROPERTY
@@ -637,6 +675,22 @@ class TestKernelPropertiesOnSmallSlabs(TestKernelProperties):
 class TestKernelPropertiesOnALoadedIndex(TestKernelProperties):
     """The oracle properties again, on indexes read back from their file in
     either format."""
+
+
+@pytest.mark.usefixtures("kernel_slab")
+class TestWideWindowsOnSmallSlabs:
+    """Windows past 8: the pivot walk's 2w offsets outgrow its key buffer of
+    16 slab lengths, so the buffer is counted part way through a slab."""
+
+    @PROPERTY
+    @given(cases(), st.integers(9, 20), st.data())
+    def test_pivot_shape_matches_brute_force(self, case, window, data):
+        index, _, _, a, _ = case
+        n_buckets, doc_bucket = data.draw(doc_buckets(len(index)) | run_docsets(len(index)))
+        counts = cooc._window_pairs(index, doc_bucket, n_buckets, index.lemmas.id_of(a), window)
+        for b in range(n_buckets):
+            brute = brute_pair_counts(index, a, window, bucket_members(index, doc_bucket, b))
+            assert counts[b].tolist() == [brute.get(x, 0) for x in index.lemmas]
 
 
 @st.composite
@@ -806,29 +860,28 @@ class TestRankingProperties:
             assert entries(n) == full[:n]
 
 
-def test_pair_evolution_looks_up_each_lemma_once(monkeypatch):
-    # the row's occurrences go to the kernel, and its rarer row is picked
-    # from the lookups, so no lemma x POS table is built
-    index = random_index(np.random.default_rng(31), min_tokens=300, max_vocab=12)
+def test_two_lemma_counts_scan_each_lemma_at_most_once():
+    # the row is picked by the lengths of the cached positions, which the
+    # kernel's and the per-bin lookups read too, so on a fresh index each
+    # lemma's column scan is its first lookup, and no lemma x POS table is built
+    def fresh():
+        index = random_index(np.random.default_rng(31), min_tokens=300, max_vocab=12)
+        return index, record_scans(index)
+
+    index, _ = fresh()
     a, b = index.lemmas[0], index.lemmas[1]
-    expected = pair_evolution(index, a, b, 3, 50)
-    paired_with_itself = pair_evolution(index, a, a, 3, 50)
-    fresh = random_index(np.random.default_rng(31), min_tokens=300, max_vocab=12)
-    looked_up = []
-    lookup = cooc._occurrences
-
-    def spy(index, rows, dmask=None):
-        looked_up.append([index.lemmas[int(r)] for r in np.atleast_1d(rows)])
-        return lookup(index, rows, dmask)
-
-    monkeypatch.setattr(cooc, "_occurrences", spy)
-    assert pair_evolution(fresh, a, b, 3, 50) == expected
-    assert looked_up == [[a], [b]]
-    assert fresh._lemma_pos is None
-    looked_up.clear()
-    assert pair_evolution(fresh, a, a, 3, 50) == paired_with_itself
-    assert looked_up == [[a]]
-    assert adjacency_count(fresh, None, a, b) == brute_pairs(fresh, 1)[tuple(sorted((a, b)))]
+    ids = {a: 0, b: 1}
+    pair = tuple(sorted((a, b)))
+    queries = [
+        ((a, b), lambda index: pair_evolution(index, a, b, 3, 50), brute_pair_bins(index, a, b, 3, 50)),
+        ((a,), lambda index: pair_evolution(index, a, a, 3, 50), brute_pair_bins(index, a, a, 3, 50)),
+        ((a, b), lambda index: adjacency_count(index, None, a, b), brute_pairs(index, 1)[pair]),
+    ]
+    for lemmas, query, expected in queries:
+        index, scans = fresh()
+        assert query(index) == expected
+        assert sorted(scans) == [ids[x] for x in lemmas]
+        assert index._lemma_pos is None
 
 
 def test_huge_window_counts_like_the_longest_document():
@@ -933,8 +986,7 @@ def test_pivot_walk_of_slabs_without_neighbours(monkeypatch, slab, window):
     doc_bucket = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 2, 2])
     counts = cooc._window_pairs(index, doc_bucket, 3, pivot, window)
     for b in range(3):
-        members = {doc.doc_id for doc, g in zip(index.documents, doc_bucket) if g == b}
-        brute = brute_pair_counts(index, "p", window, members)
+        brute = brute_pair_counts(index, "p", window, bucket_members(index, doc_bucket, b))
         assert dict(zip(index.lemmas, counts[b].tolist())) == {x: brute.get(x, 0) for x in index.lemmas}
     for col in (index.lemmas.id_of("x"), index.lemmas.id_of("w")):
         assert cooc._window_pairs(index, doc_bucket, 3, pivot, window, col).tolist() == counts[:, col].tolist()

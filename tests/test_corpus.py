@@ -192,7 +192,12 @@ class TestSubcorpus:
 
     def test_empty_result_is_legal(self):
         index = three_doc_index()
-        assert not subcorpus(index, dated_within(2000, 1000)).any()
+        assert not subcorpus(index, dated_within(2000, 3000)).any()
+
+    def test_reversed_range_is_an_error(self):
+        dated_within(1000, 1000)
+        with pytest.raises(CorpusError, match=r"^reversed date range: 1000\.\.999$"):
+            dated_within(1000, 999)
 
     def test_is_dated(self):
         index = build_index(

@@ -164,6 +164,11 @@ def _freq_count(index, docset, args):
 
 def _freq_table(index, docset, args):
     lemmas = [part for part in args.lemmas.split(",") if part]
+    if not lemmas:
+        raise CorpusError(f"--lemmas names no lemma: {args.lemmas!r}")
+    repeated = [lemma for i, lemma in enumerate(lemmas) if lemma in lemmas[:i]]
+    if repeated:
+        raise CorpusError(f"lemma {repeated[0]!r} is listed twice")
     labels, docsets = ["all"], [docset]
     if args.slice:
         labels, docsets = [], []

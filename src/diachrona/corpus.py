@@ -430,7 +430,10 @@ def dated_within(lo: int, hi: int) -> DocFilter:
 
 
 def has_typology(tag: str) -> DocFilter:
-    """Filter: the document carries typology ``tag`` (none does when the index lacks it)."""
+    """Filter: the document carries typology ``tag`` (none does when the index
+    lacks it).  An empty tag, which is stored as no tag, is a :class:`CorpusError`."""
+    if not tag:
+        raise CorpusError("empty typology tag")
 
     def keep(index: CorpusIndex) -> np.ndarray:
         ident = index.typologies.id_of(tag)

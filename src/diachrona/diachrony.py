@@ -69,15 +69,15 @@ def make_tranches(index: CorpusIndex, k: int) -> TrancheSet:
     if n < k:
         raise CorpusError(f"need at least {k} dated documents, found {n}")
     cum = np.cumsum(np.diff(index.doc_starts)[list(order)])  # cum[j] = mass of docs 0..j
-    total = int(cum[-1]) if n else 0
+    total = int(cum[-1])
+    k_cum = k * cum  # compared against i*total: exact integers
 
     boundaries = [0]
     for i in range(1, k):
-        target = i * total  # compare k*cum against i*total: exact integers
-        j = int(np.searchsorted(k * cum, target, side="left"))
-        j = min(j, n - 1)
+        target = i * total
+        j = min(int(np.searchsorted(k_cum, target, side="left")), n - 1)
         boundary = j + 1
-        if j >= 1 and abs(k * int(cum[j - 1]) - target) < abs(k * int(cum[j]) - target):
+        if j >= 1 and abs(int(k_cum[j - 1]) - target) < abs(int(k_cum[j]) - target):
             boundary = j
         # keep boundaries strictly increasing and leave one doc per tranche
         boundary = max(boundary, boundaries[-1] + 1)
@@ -85,10 +85,7 @@ def make_tranches(index: CorpusIndex, k: int) -> TrancheSet:
         boundaries.append(boundary)
     boundaries.append(n)
 
-    masses = tuple(
-        int(cum[b - 1]) - (int(cum[a - 1]) if a > 0 else 0) if b > a else 0
-        for a, b in zip(boundaries, boundaries[1:])
-    )
+    masses = tuple(np.diff(np.concatenate(([0], cum))[boundaries]).tolist())
     return TrancheSet(k, tuple(boundaries), masses, order)
 
 

@@ -137,6 +137,24 @@ def random_index(
     return build_index(docs)
 
 
+def permuted_documents(index: CorpusIndex, order) -> CorpusIndex:
+    """``index`` with its documents stored in ``order`` (a permutation of
+    their positions): each keeps its token slice, id, date and typology, and
+    the lemma, form and POS vocabularies stay as they are, so no token id
+    moves."""
+    order = np.asarray(order, dtype=np.int64)
+    starts = index.doc_starts
+    tokens = np.concatenate([np.arange(starts[d], starts[d + 1]) for d in order])
+    tags = [*index.typologies, None]
+    return CorpusIndex(
+        index.lemmas, index.forms, index.pos_tags,
+        index.lemma_ids[tokens], index.form_ids[tokens], index.pos_ids[tokens],
+        [index.doc_ids[d] for d in order], np.concatenate(([0], np.cumsum(np.diff(starts)[order]))),
+        index.doc_kind[order], index.doc_lo[order], index.doc_hi[order],
+        [tags[t] for t in index.doc_typology[order]],
+    )
+
+
 class LemmaColumn(np.ndarray):
     """A lemma column that records the lemma of each scan of it, in
     ``scans`` (views and copies of it record nothing)."""

@@ -185,8 +185,16 @@ class TestExitCodes:
             (["freq", "table", "--lemmas", "pater", "--slice", "a:dated", "--slice", "b:dated",
               "--slice", "a:dated"],
              "two slices are labelled 'a'"),
+            (["freq", "table", "--lemmas", "pater,mater,pater"], "lemma 'pater' is listed twice"),
+            (["freq", "table", "--lemmas", ""], "--lemmas names no lemma: ''"),
+            (["freq", "table", "--lemmas", ","], "--lemmas names no lemma: ','"),
+            (["freq", "count", "--lemma", "pater", "--filter", "typology="], "empty typology tag"),
+            (["freq", "table", "--lemmas", "pater", "--slice", "x:typology="], "empty typology tag"),
         ],
-        ids=["reversed-filter", "reversed-slice", "top-nan-scale", "pair-inf-scale", "repeated-slice-label"],
+        ids=[
+            "reversed-filter", "reversed-slice", "top-nan-scale", "pair-inf-scale", "repeated-slice-label",
+            "repeated-lemma", "no-lemma", "comma-lemma", "empty-typology-filter", "empty-typology-slice",
+        ],
     )
     def test_absurd_input_is_one_line_error(self, sample_index, capsys, argv, message):
         assert run_cli(argv + ["--index", str(sample_index)]) == 1
@@ -408,19 +416,25 @@ def _library_filters(filters):
     return out
 
 
-def _reversed(expr):
-    """Whether a filter expression is a date range whose LO exceeds its HI."""
+def _refusal(expr):
+    """The error pattern of an absurd filter expression, a reversed date
+    range or an empty typology; None for any other."""
     key, _, value = expr.partition("=")
     lo, _, hi = value.partition("..")
-    return key == "date" and int(lo) > int(hi)
+    if key == "date" and int(lo) > int(hi):
+        return "^reversed date range: "
+    if key == "typology" and not value:
+        return "^empty typology tag$"
+    return None
 
 
 def _check_filters(index, filters):
-    if any(map(_reversed, filters)):
-        # both the command line and the library refuse a reversed range
-        with pytest.raises(CorpusError, match="^reversed date range: "):
+    refusals = [r for r in map(_refusal, filters) if r]
+    if refusals:
+        # both the command line and the library refuse the first absurd filter
+        with pytest.raises(CorpusError, match=refusals[0]):
             _docset_from_filters(index, filters)
-        with pytest.raises(CorpusError, match="^reversed date range: "):
+        with pytest.raises(CorpusError, match=refusals[0]):
             _library_filters(filters)
         return
     expected = _oracle_mask(index, filters)

@@ -7,9 +7,19 @@ argument ``@NAME`` stands for a file ``NAME`` in a fresh directory; its
 golden is ``<case>.NAME``, and a missing golden means the command must not
 write that file.  Stdout goldens are ``<case>.stdout``.
 
+``CASES`` is the one list of these commands: a new golden needs only a case
+there and a regeneration.  Every case also runs on shuffled copies of the
+sample index and, when a ``diachrona`` console script is on PATH, through
+that script; CI replays this module so against the installed package.
+
 After an intended output change, regenerate with::
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+To check an installed package, run from outside the checkout (``-o
+pythonpath=`` drops the ``src`` that ``pyproject.toml`` puts on the path)::
+
+    python -m pytest -q -p no:cacheprovider -o pythonpath= CHECKOUT/tests/test_cli_golden.py
 """
 
 from __future__ import annotations
@@ -17,10 +27,13 @@ from __future__ import annotations
 import contextlib
 import importlib.resources
 import io
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diachrona import cli
@@ -29,7 +42,7 @@ from diachrona.corpus import CorpusIndex
 from diachrona.indexio import load_index, save_index
 from diachrona.synth import synthetic_index
 
-from conftest import record_scans
+from conftest import permuted_documents, record_scans
 
 SAMPLE = importlib.resources.files("diachrona") / "data" / "sample.vrt"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -83,15 +96,24 @@ CASES = {
 }
 
 
-def run_case(argv: list[str], index: Path, workdir: Path) -> tuple[int, str, str, dict[str, bytes]]:
-    """Exit code, stdout, stderr and the bytes of each ``@NAME`` file written."""
+def run_case(
+    argv: list[str], index: Path, workdir: Path, script=None
+) -> tuple[int, bytes, str, dict[str, bytes]]:
+    """Exit code, stdout bytes, stderr and the bytes of each ``@NAME`` file
+    written: through ``run_cli`` in this process, or through the command
+    ``script`` (a list, such as the console script's path) in a subprocess."""
     names = [a[1:] for a in argv if a.startswith("@")]
-    full = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli(full + ["--index", str(index)])
+    full = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv] + ["--index", str(index)]
+    if script is None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(full)
+        stdout, stderr = out.getvalue().encode("utf-8"), err.getvalue()
+    else:
+        proc = subprocess.run([*script, *full], capture_output=True)
+        code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr.decode()
     files = {n: (workdir / n).read_bytes() for n in names if (workdir / n).exists()}
-    return code, out.getvalue(), err.getvalue(), files
+    return code, stdout, stderr, files
 
 
 def build_sample(path: Path) -> Path:
@@ -105,22 +127,52 @@ def golden_index(tmp_path_factory):
     return build_sample(tmp_path_factory.mktemp("golden") / "sample.csem")
 
 
-def check_case(case: str, index: Path, workdir: Path) -> None:
+def check_case(case: str, index: Path, workdir: Path, script=None) -> None:
     argv = CASES[case]
-    code, out, err, files = run_case(argv, index, workdir)
+    code, out, err, files = run_case(argv, index, workdir, script)
     assert (code, err) == (0, ""), case
-    assert out.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
+    assert out == (GOLDEN / f"{case}.stdout").read_bytes(), case
     for name in (a[1:] for a in argv if a.startswith("@")):
         golden = GOLDEN / f"{case}.{name}"
         if golden.exists():
-            assert files.get(name) == golden.read_bytes(), name
+            assert files.get(name) == golden.read_bytes(), golden.name
         else:
-            assert name not in files, name
+            assert name not in files, golden.name
+
+
+def check_every_case(index: Path, workdir: Path, script=None) -> None:
+    for case in sorted(CASES):
+        (workdir / case).mkdir()
+        check_case(case, index, workdir / case, script)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(golden_index, tmp_path, case):
     check_case(case, golden_index, tmp_path)
+
+
+def test_console_script_matches_every_golden(golden_index, tmp_path):
+    # the installed entry point, in a process of its own, builds the same
+    # index bytes from its packaged sample and writes every golden
+    script = shutil.which("diachrona")
+    if script is None:
+        pytest.skip("console script not on PATH")
+    index = tmp_path / "sample.csem"
+    build = subprocess.run([script, "index", "build", "--input", str(SAMPLE), "--out", str(index)],
+                           capture_output=True)
+    assert build.returncode == 0, build.stderr
+    assert index.read_bytes() == golden_index.read_bytes()
+    check_every_case(index, tmp_path, [script])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_goldens_do_not_depend_on_document_order(golden_index, tmp_path, seed):
+    # every case on the sample index with its documents stored shuffled
+    index = load_index(golden_index)
+    shuffled = permuted_documents(index, np.random.default_rng(seed).permutation(len(index)))
+    assert shuffled.doc_ids != index.doc_ids
+    save_index(shuffled, tmp_path / "shuffled.csem")
+    check_every_case(tmp_path / "shuffled.csem", tmp_path)
 
 
 def test_cold_queries_scan_each_lemma_at_most_once(golden_index, tmp_path, monkeypatch):
@@ -134,9 +186,7 @@ def test_cold_queries_scan_each_lemma_at_most_once(golden_index, tmp_path, monke
         return index
 
     monkeypatch.setattr(cli, "load_index", load)
-    for case in sorted(CASES):
-        (tmp_path / case).mkdir()
-        check_case(case, golden_index, tmp_path / case)
+    check_every_case(golden_index, tmp_path)
     assert len(scans) == len(CASES)
     assert all(len(lemmas) == len(set(lemmas)) for lemmas in scans)
     assert sum(map(len, scans)) >= len(CASES) // 2
@@ -153,9 +203,7 @@ def test_no_document_records_on_the_load_synth_build_and_query_paths(tmp_path, m
     save_index(index, tmp_path / "synth.csem")
     assert load_index(tmp_path / "synth.csem") == index
     sample = build_sample(tmp_path / "sample.csem")
-    for case in sorted(CASES):
-        (tmp_path / case).mkdir()
-        check_case(case, sample, tmp_path / case)
+    check_every_case(sample, tmp_path)
 
 
 def regenerate() -> None:
@@ -170,7 +218,7 @@ def regenerate() -> None:
             code, out, err, files = run_case(argv, index, workdir)
             if code != 0:
                 sys.exit(f"{case}: exit {code}: {err}")
-            (GOLDEN / f"{case}.stdout").write_bytes(out.encode("utf-8"))
+            (GOLDEN / f"{case}.stdout").write_bytes(out)
             for name, data in files.items():
                 (GOLDEN / f"{case}.{name}").write_bytes(data)
 

@@ -28,7 +28,9 @@ from diachrona.indexio import load_index, save_index
 from diachrona.ingest import index_from_documents
 from diachrona.semfield import semantic_map
 
-from conftest import POS_TAGS, build_index, corpus_records, lemma_doc, random_index
+from conftest import (
+    POS_TAGS, build_index, corpus_records, corpora, lemma_doc, permuted_documents, random_index,
+)
 
 
 class TestVocabulary:
@@ -198,6 +200,11 @@ class TestSubcorpus:
         dated_within(1000, 1000)
         with pytest.raises(CorpusError, match=r"^reversed date range: 1000\.\.999$"):
             dated_within(1000, 999)
+
+    def test_empty_typology_is_an_error(self):
+        # an empty tag is stored as no tag, so it could match nothing
+        with pytest.raises(CorpusError, match="^empty typology tag$"):
+            has_typology("")
 
     def test_is_dated(self):
         index = build_index(
@@ -537,6 +544,63 @@ class TestDocsetForms:
         report = evolving_cooccurrents(index, tranches, names[0], window, pos, top_n=everything)
         ranked = top_cooccurrents(index, subcorpus(index, is_dated), names[0], window, everything, pos)
         assert {e.lemma for e in report.entries} == {c.lemma for c in ranked}
+
+
+def _order_free_answers(index, ids, a, b, window):
+    """Every public query's answer for lemmas ``a`` and ``b`` over the
+    documents ``ids`` (None: every document), in terms that name no
+    document position."""
+    docset = None if ids is None else subcorpus(index, with_ids(*ids))
+    table = count_table(index, [a, b], [docset, None])
+    return [
+        lemma_count(index, docset, a),
+        (table.lemmas, table.labels, table.counts.tolist()),
+        lemma_rank(index, docset, b),
+        _outcome(lambda: form_share(index, docset, a, [a])),
+        time_series(index, a, 50, docset=docset),
+        cooc_counts(index, docset, a, window),
+        top_cooccurrents(index, docset, a, window, 6),
+        top_cooccurrents(index, docset, a, window, 6, pos_filter=["NOM", "ADJ"]),
+        adjacency_count(index, docset, a, b),
+        pair_evolution(index, a, b, window, 50, docset=docset),
+        _outcome(lambda: semantic_map(index, docset, a, window, 4)),
+    ]
+
+
+def _order_free_tranches(index, a, window):
+    """The documents of 3 tranches by id, their boundaries and token masses,
+    and the collocates of ``a`` that evolve across them."""
+    tranches = make_tranches(index, 3)
+    docs = [index.doc_ids[p] for p in tranches.doc_order]
+    return docs, tranches.boundaries, tranches.token_masses, evolving_cooccurrents(index, tranches, a, window)
+
+
+def _check_document_order_free(index, order, window):
+    shuffled = permuted_documents(index, order)
+    assert [shuffled.doc_ids[i] for i in range(len(index))] == [index.doc_ids[p] for p in order]
+    a, b = index.lemmas[0], index.lemmas[len(index.lemmas) // 2]
+    for ids in (None, index.doc_ids.entries[::2]):
+        got, expected = (_order_free_answers(i, ids, a, b, window) for i in (shuffled, index))
+        assert got == expected
+    got, expected = (_outcome(lambda: _order_free_tranches(i, a, window)) for i in (shuffled, index))
+    assert got == expected
+
+
+class TestDocumentOrder:
+    # every query answers the same on a copy of the index that stores its
+    # documents in another order: no result depends on document position
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpora(st.integers(1, 6), tagged=True), st.integers(1, 4), st.data())
+    def test_small_corpora(self, index, window, data):
+        _check_document_order_free(index, data.draw(st.permutations(range(len(index)))), window)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_random_indexes(self, seed, window):
+        rng = np.random.default_rng(seed)
+        index = random_index(rng, max_tokens=600, max_vocab=12)
+        _check_document_order_free(index, rng.permutation(len(index)), window)
 
 
 def _columns(**changes):

@@ -18,8 +18,14 @@ into one of the document filters defined in :mod:`diachrona.corpus`
 :func:`~diachrona.corpus.subcorpus` ANDs them into one document mask.
 ``evolve`` has no ``--filter``; it tranches the dated documents.  ``freq
 table`` AND-s ``--filter`` into each ``--slice`` column (no two with one
-label), or uses it as its single ``all`` column.  ``--scale`` must be
-finite, and ``--min`` (minimum pair count) must be at least 1.
+label), or uses it as its single ``all`` column; ``count_table`` itself
+rejects a lemma listed twice.
+
+An option that several commands take is defined once, with one help text
+and one default: ``--index``, ``--out``, ``--filter``, ``--lemma``, ``--a``
+and ``--b``, ``--pivot``, ``--window 5``, ``--pos`` (a comma-separated
+list), ``--min 1`` (minimum pair count, at least 1), ``--bin 50`` (years),
+``--scale 1.0`` (finite) and ``--svg``.
 """
 
 from __future__ import annotations
@@ -85,9 +91,8 @@ def _docset_from_filters(index: CorpusIndex, filters: list[str] | None):
     return subcorpus(index, *map(_parse_filter, filters or ()))
 
 
-def _comma_set(raw: str | None) -> frozenset[str] | None:
-    if raw is None:
-        return None
+def _comma_set(raw: str) -> frozenset[str]:
+    """A comma-separated option value as a set, without empty items."""
     return frozenset(part for part in raw.split(",") if part)
 
 
@@ -117,7 +122,6 @@ def _cmd_index_build(args) -> int:
             docs.append((Path(path).stem, DateSpec.undated(), None, records))
         index = index_from_documents(docs)
     else:
-        drop = _comma_set(args.drop_pos) or frozenset()
         opened: list[str] = []
 
         def files():
@@ -129,7 +133,7 @@ def _cmd_index_build(args) -> int:
         # parse_vertical reads the open files' lines directly; a decoding
         # failure is raised while it reads the last file opened
         try:
-            index = parse_vertical(itertools.chain.from_iterable(files()), drop_pos=drop)
+            index = parse_vertical(itertools.chain.from_iterable(files()), drop_pos=args.drop_pos)
         except UnicodeDecodeError as exc:
             raise CorpusError(f"{opened[-1]}: not valid UTF-8 text ({exc.reason})") from None
     save_index(index, args.out)
@@ -166,9 +170,6 @@ def _freq_table(index, docset, args):
     lemmas = [part for part in args.lemmas.split(",") if part]
     if not lemmas:
         raise CorpusError(f"--lemmas names no lemma: {args.lemmas!r}")
-    repeated = [lemma for i, lemma in enumerate(lemmas) if lemma in lemmas[:i]]
-    if repeated:
-        raise CorpusError(f"lemma {repeated[0]!r} is listed twice")
     labels, docsets = ["all"], [docset]
     if args.slice:
         labels, docsets = [], []
@@ -202,8 +203,7 @@ def _freq_rank(index, docset, args):
 
 
 def _freq_share(index, docset, args):
-    forms = _comma_set(args.forms) or frozenset()
-    return [[args.lemma, freq_mod.form_share(index, docset, args.lemma, forms)]], None
+    return [[args.lemma, freq_mod.form_share(index, docset, args.lemma, args.forms)]], None
 
 
 def _freq_series(index, docset, args):
@@ -238,7 +238,7 @@ def _cooc_top(index, docset, args):
         args.pivot,
         args.window,
         k=args.k,
-        pos_filter=_comma_set(args.pos),
+        pos_filter=args.pos,
         min_count=args.min,
     )
     rows = [["lemma", "pair_count", "freq", "dice"]]
@@ -274,7 +274,7 @@ def _evolve(index, docset, args):
         make_tranches(index, args.k),
         args.pivot,
         args.window,
-        pos_filter=_comma_set(args.pos),
+        pos_filter=args.pos,
         min_count=args.min,
         top_n=args.top,
     )
@@ -291,7 +291,7 @@ def _map(index, docset, args):
         args.pivot,
         args.window,
         args.terms,
-        pos_filter=_comma_set(args.pos),
+        pos_filter=args.pos,
         min_count=args.min,
         include_pivot=not args.no_pivot,
         weight=args.weight,
@@ -331,25 +331,42 @@ def _run_query(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(sub, query) -> None:
-    """Add ``--index``, ``--filter`` and ``--out``, and route ``sub`` to ``query``."""
-    sub.add_argument("--index", required=True, help="path to a .csem index file")
-    sub.add_argument(
-        "--filter",
-        action="append",
-        metavar="EXPR",
-        help="restrict to documents matching EXPR (date=LO..HI, typology=TAG, dated); repeatable",
-    )
-    sub.add_argument("--out", help="write TSV here instead of stdout")
-    sub.set_defaults(func=_run_query, query=query)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diachrona",
         description="Corpus semantics over lemmatized diachronic corpora.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+
+    # an option that several subcommands take is defined once, in a parent
+    # parser that each of them lists
+    def shared(flag, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(flag, **kwargs)
+        return parent
+
+    index_path = shared("--index", required=True, help="path to a .csem index file")
+    out = shared("--out", help="write TSV here instead of stdout")
+    filtered = shared(
+        "--filter", action="append", metavar="EXPR",
+        help="restrict to documents matching EXPR (date=LO..HI, typology=TAG, dated); repeatable",
+    )
+    lemma = shared("--lemma", required=True, help="the lemma queried")
+    pair = shared("--a", required=True, help="first lemma")
+    pair.add_argument("--b", required=True, help="second lemma")
+    pivot = shared("--pivot", required=True, help="the lemma whose collocates are scored")
+    window = shared("--window", type=int, default=5, help="greatest token distance of a pair (default 5)")
+    pos = shared("--pos", type=_comma_set, help="comma-separated allowed POS tags (majority rule)")
+    min_count = shared("--min", type=int, default=1, help="minimum pair count, at least 1 (default 1)")
+    bin_width = shared("--bin", type=int, default=50, help="bin width in years (default 50)")
+    scale = shared("--scale", type=float, default=1.0, help="display multiplier for dice (default 1.0)")
+    svg = shared("--svg", help="also render the chart here")
+
+    def query(group, name, help, run, *parents) -> argparse.ArgumentParser:
+        """A query subcommand running ``run``: ``parents``' options, then --index, --filter, --out."""
+        sub = group.add_parser(name, help=help, parents=[*parents, index_path, filtered, out])
+        sub.set_defaults(func=_run_query, query=run)
+        return sub
 
     index_cmd = commands.add_parser("index", help="build or synthesize an index")
     index_sub = index_cmd.add_subparsers(dest="subcommand", required=True)
@@ -360,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     build.add_argument("--out", required=True, help="output .csem path")
     build.add_argument(
-        "--drop-pos",
-        default="PUN,SENT",
+        "--drop-pos", type=_comma_set, default="PUN,SENT",
         help="comma-separated POS tags dropped at ingestion (default PUN,SENT)",
     )
     build.add_argument("--plain", action="store_true", help="treat inputs as plain text")
@@ -379,90 +395,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     freq = commands.add_parser("freq", help="lemma frequency queries")
     freq_sub = freq.add_subparsers(dest="subcommand", required=True)
-
-    count = freq_sub.add_parser("count", help="occurrences of one lemma")
-    count.add_argument("--lemma", required=True)
-    _add_common(count, _freq_count)
-
-    table = freq_sub.add_parser("table", help="lemma x slice count table with sums")
+    query(freq_sub, "count", "occurrences of one lemma", _freq_count, lemma)
+    table = query(freq_sub, "table", "lemma x slice count table with sums", _freq_table)
     table.add_argument("--lemmas", required=True, help="comma-separated lemma list")
     table.add_argument(
-        "--slice",
-        action="append",
-        metavar="LABEL:FILTER",
+        "--slice", action="append", metavar="LABEL:FILTER",
         help="named docset column; FILTER may join filters with ';'",
     )
-    _add_common(table, _freq_table)
-
-    ratio_cmd = freq_sub.add_parser("ratio", help="count ratio of two lemmas")
-    ratio_cmd.add_argument("--a", required=True)
-    ratio_cmd.add_argument("--b", required=True)
-    _add_common(ratio_cmd, _freq_ratio)
-
-    rank = freq_sub.add_parser("rank", help="frequency rank of a lemma (1 = most frequent)")
-    rank.add_argument("--lemma", required=True)
-    _add_common(rank, _freq_rank)
-
-    share = freq_sub.add_parser("share", help="share of a lemma's tokens with given surface forms")
-    share.add_argument("--lemma", required=True)
-    share.add_argument("--forms", required=True, help="comma-separated surface forms")
-    _add_common(share, _freq_share)
-
-    series = freq_sub.add_parser("series", help="dated time series of a lemma")
-    series.add_argument("--lemma", required=True)
-    series.add_argument("--bin", type=int, default=50, help="bin width in years")
+    query(freq_sub, "ratio", "count ratio of two lemmas", _freq_ratio, pair)
+    query(freq_sub, "rank", "frequency rank of a lemma (1 = most frequent)", _freq_rank, lemma)
+    share = query(
+        freq_sub, "share", "share of a lemma's tokens with given surface forms", _freq_share, lemma
+    )
+    share.add_argument("--forms", type=_comma_set, required=True, help="comma-separated surface forms")
+    series = query(freq_sub, "series", "dated time series of a lemma", _freq_series, lemma, bin_width, svg)
     series.add_argument("--ma", type=int, help="odd moving-average window (extra column)")
-    series.add_argument("--svg", help="also render a series chart here")
-    _add_common(series, _freq_series)
 
     cooc = commands.add_parser("cooc", help="windowed cooccurrence queries")
     cooc_sub = cooc.add_subparsers(dest="subcommand", required=True)
-
-    top = cooc_sub.add_parser("top", help="Dice-ranked collocates of a pivot")
-    top.add_argument("--pivot", required=True)
-    top.add_argument("--window", type=int, default=5)
+    top = query(
+        cooc_sub, "top", "Dice-ranked collocates of a pivot", _cooc_top,
+        pivot, window, pos, min_count, scale,
+    )
     top.add_argument("--k", type=int, default=50)
-    top.add_argument("--pos", help="comma-separated allowed POS tags (majority rule)")
-    top.add_argument("--min", type=int, default=1, help="minimum pair count")
-    top.add_argument("--scale", type=float, default=1.0, help="display multiplier for dice")
-    _add_common(top, _cooc_top)
+    query(
+        cooc_sub, "pair", "association of two lemmas over time", _cooc_pair,
+        pair, window, bin_width, scale, svg,
+    )
+    query(cooc_sub, "adj", "directly adjacent pairs of two lemmas", _cooc_adj, pair)
 
-    pair = cooc_sub.add_parser("pair", help="association of two lemmas over time")
-    pair.add_argument("--a", required=True)
-    pair.add_argument("--b", required=True)
-    pair.add_argument("--window", type=int, default=5)
-    pair.add_argument("--bin", type=int, default=50)
-    pair.add_argument("--scale", type=float, default=1.0)
-    pair.add_argument("--svg", help="also render the evolution chart here")
-    _add_common(pair, _cooc_pair)
-
-    adj = cooc_sub.add_parser("adj", help="directly adjacent pairs of two lemmas")
-    adj.add_argument("--a", required=True)
-    adj.add_argument("--b", required=True)
-    _add_common(adj, _cooc_adj)
-
-    evolve = commands.add_parser("evolve", help="strongest-evolving collocates across tranches")
-    evolve.add_argument("--pivot", required=True)
+    # evolve tranches the dated documents, so it takes no --filter
+    evolve = commands.add_parser(
+        "evolve",
+        help="strongest-evolving collocates across tranches",
+        parents=[pivot, window, pos, min_count, index_path, out],
+    )
     evolve.add_argument("--k", type=int, default=10, help="tranche count")
-    evolve.add_argument("--window", type=int, default=5)
-    evolve.add_argument("--min", type=int, default=1, help="minimum total pair count")
     evolve.add_argument("--top", type=int, default=20)
-    evolve.add_argument("--pos", help="comma-separated allowed POS tags")
-    evolve.add_argument("--index", required=True)
-    evolve.add_argument("--out", help="write TSV here instead of stdout")
     evolve.set_defaults(func=_run_query, query=_evolve)
 
-    map_cmd = commands.add_parser("map", help="correspondence-analysis semantic field map")
-    map_cmd.add_argument("--pivot", required=True)
+    map_cmd = query(
+        commands, "map", "correspondence-analysis semantic field map", _map,
+        pivot, window, pos, min_count, svg,
+    )
     map_cmd.add_argument("--terms", type=int, default=30, help="total terms on the map")
-    map_cmd.add_argument("--window", type=int, default=5)
-    map_cmd.add_argument("--pos", help="comma-separated allowed POS tags")
-    map_cmd.add_argument("--min", type=int, default=1)
     map_cmd.add_argument("--weight", choices=("raw", "dice"), default="raw")
     map_cmd.add_argument("--no-pivot", action="store_true", help="exclude the pivot itself")
-    map_cmd.add_argument("--svg", help="render the map here")
     map_cmd.add_argument("--tsv", help="write coordinates here")
-    _add_common(map_cmd, _map)
 
     return parser
 

@@ -270,7 +270,11 @@ def count_table(
     docsets: Sequence,
     labels: Sequence[str] | None = None,
 ) -> CountTable:
-    """Cell (i, j) = count of lemmas[i] within docsets[j]."""
+    """Cell (i, j) = count of lemmas[i] within docsets[j].  A lemma listed
+    twice is an error: it would count twice in every sum."""
+    repeated = [lemma for i, lemma in enumerate(lemmas) if lemma in lemmas[:i]]
+    if repeated:
+        raise CorpusError(f"lemma {repeated[0]!r} is listed twice")
     if labels is None:
         labels = [f"docset{j}" for j in range(len(docsets))]
     mat = np.zeros((len(lemmas), len(docsets)), dtype=np.int64)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib.resources
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import diachrona
 from diachrona import frequency
-from diachrona.cli import _docset_from_filters, run_cli
+from diachrona.cli import _comma_set, _docset_from_filters, build_parser, run_cli
 from diachrona.corpus import CorpusError, DateSpec, dated_within, has_typology, is_dated, subcorpus
 from diachrona.indexio import load_index, save_index
 from diachrona.ingest import index_from_documents
@@ -190,15 +191,138 @@ class TestExitCodes:
             (["freq", "table", "--lemmas", ","], "--lemmas names no lemma: ','"),
             (["freq", "count", "--lemma", "pater", "--filter", "typology="], "empty typology tag"),
             (["freq", "table", "--lemmas", "pater", "--slice", "x:typology="], "empty typology tag"),
+            (["freq", "count", "--lemma", "pater", "--filter", "date=700"],
+             "bad date filter (expected date=LO..HI): 'date=700'"),
+            (["freq", "count", "--lemma", "pater", "--filter", "date=a..b"],
+             "bad date filter (years must be integers): 'date=a..b'"),
+            (["freq", "table", "--lemmas", "pater", "--slice", "early"],
+             "bad slice (expected LABEL:FILTER): 'early'"),
         ],
         ids=[
             "reversed-filter", "reversed-slice", "top-nan-scale", "pair-inf-scale", "repeated-slice-label",
             "repeated-lemma", "no-lemma", "comma-lemma", "empty-typology-filter", "empty-typology-slice",
+            "one-year-filter", "non-integer-filter", "slice-without-label",
         ],
     )
     def test_absurd_input_is_one_line_error(self, sample_index, capsys, argv, message):
         assert run_cli(argv + ["--index", str(sample_index)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# (option, action, default, type, required) of each leaf command's options;
+# "store_true" and "append" are argparse's action names
+_QUERY = [("--index", "store", None, str, True), ("--out", "store", None, str, False)]
+_FILTER = [("--filter", "append", None, str, False)]
+LEAF_OPTIONS = {
+    ("index", "build"): [
+        ("--input", "extend", None, str, True),
+        ("--out", "store", None, str, True),
+        ("--drop-pos", "store", "PUN,SENT", _comma_set, False),
+        ("--plain", "store_true", False, str, False),
+        ("--lexicon", "store", None, str, False),
+    ],
+    ("index", "synth"): [
+        ("--tokens", "store", None, int, True),
+        ("--vocab", "store", 1000, int, False),
+        ("--docs", "store", 100, int, False),
+        ("--seed", "store", 0, int, False),
+        ("--dated-fraction", "store", 1.0, float, False),
+        ("--out", "store", None, str, True),
+    ],
+    ("freq", "count"): [("--lemma", "store", None, str, True), *_QUERY, *_FILTER],
+    ("freq", "table"): [
+        ("--lemmas", "store", None, str, True),
+        ("--slice", "append", None, str, False),
+        *_QUERY, *_FILTER,
+    ],
+    ("freq", "ratio"): [
+        ("--a", "store", None, str, True), ("--b", "store", None, str, True), *_QUERY, *_FILTER
+    ],
+    ("freq", "rank"): [("--lemma", "store", None, str, True), *_QUERY, *_FILTER],
+    ("freq", "share"): [
+        ("--lemma", "store", None, str, True),
+        ("--forms", "store", None, _comma_set, True),
+        *_QUERY, *_FILTER,
+    ],
+    ("freq", "series"): [
+        ("--lemma", "store", None, str, True),
+        ("--bin", "store", 50, int, False),
+        ("--ma", "store", None, int, False),
+        ("--svg", "store", None, str, False),
+        *_QUERY, *_FILTER,
+    ],
+    ("cooc", "top"): [
+        ("--pivot", "store", None, str, True),
+        ("--window", "store", 5, int, False),
+        ("--k", "store", 50, int, False),
+        ("--pos", "store", None, _comma_set, False),
+        ("--min", "store", 1, int, False),
+        ("--scale", "store", 1.0, float, False),
+        *_QUERY, *_FILTER,
+    ],
+    ("cooc", "pair"): [
+        ("--a", "store", None, str, True),
+        ("--b", "store", None, str, True),
+        ("--window", "store", 5, int, False),
+        ("--bin", "store", 50, int, False),
+        ("--scale", "store", 1.0, float, False),
+        ("--svg", "store", None, str, False),
+        *_QUERY, *_FILTER,
+    ],
+    ("cooc", "adj"): [
+        ("--a", "store", None, str, True), ("--b", "store", None, str, True), *_QUERY, *_FILTER
+    ],
+    ("evolve",): [
+        ("--pivot", "store", None, str, True),
+        ("--k", "store", 10, int, False),
+        ("--window", "store", 5, int, False),
+        ("--min", "store", 1, int, False),
+        ("--top", "store", 20, int, False),
+        ("--pos", "store", None, _comma_set, False),
+        *_QUERY,
+    ],
+    ("map",): [
+        ("--pivot", "store", None, str, True),
+        ("--terms", "store", 30, int, False),
+        ("--window", "store", 5, int, False),
+        ("--pos", "store", None, _comma_set, False),
+        ("--min", "store", 1, int, False),
+        ("--weight", "store", "raw", str, False),
+        ("--no-pivot", "store_true", False, str, False),
+        ("--svg", "store", None, str, False),
+        ("--tsv", "store", None, str, False),
+        *_QUERY, *_FILTER,
+    ],
+}
+
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) of every leaf command under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, path + (name,))
+            return
+    yield path, parser
+
+
+class TestParser:
+    def test_every_command_keeps_its_options(self):
+        actions = {
+            argparse._StoreAction: "store", argparse._AppendAction: "append",
+            argparse._ExtendAction: "extend", argparse._StoreTrueAction: "store_true",
+        }
+        found = {}
+        for path, sub in _leaf_parsers(build_parser()):
+            found[path] = sorted(
+                (a.option_strings[0], actions[type(a)], a.default, a.type or str, a.required)
+                for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)
+            )
+        assert found == {path: sorted(rows) for path, rows in LEAF_OPTIONS.items()}
+
+
+_SYNTH_SIZES = "synthetic corpus needs n_tokens >= 0, vocab_size >= 1, n_docs >= 1"
 
 
 class TestIndexBuild:
@@ -356,6 +480,31 @@ class TestIndexBuild:
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"tokens": -1, "vocab": 3, "docs": 1}, _SYNTH_SIZES),
+            ({"tokens": 10, "vocab": 0, "docs": 1}, _SYNTH_SIZES),
+            ({"tokens": 10, "vocab": 3, "docs": 0}, _SYNTH_SIZES),
+            ({"tokens": 3, "vocab": 3, "docs": 5}, "more documents than tokens"),
+        ],
+        ids=["negative-tokens", "no-vocab", "no-docs", "docs-above-tokens"],
+    )
+    def test_synth_size_below_range_is_one_line_error(self, tmp_path, capsys, sizes, message):
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            synthetic_index(sizes["tokens"], sizes["vocab"], sizes["docs"], seed=1)
+        out = tmp_path / "small.csem"
+        argv = ["index", "synth", *(f"--{name}={n}" for name, n in sizes.items()), "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tokens, docs, lengths", [(7, 1, [7]), (0, 3, [0, 0, 0])])
+    def test_synth_one_document_or_no_tokens(self, tokens, docs, lengths):
+        index = synthetic_index(tokens, 5, docs, seed=1)
+        assert [d.token_len for d in index.documents] == lengths
+        assert index.total_tokens == tokens
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0])
     def test_synth_dated_fraction_bounds_are_accepted(self, fraction):

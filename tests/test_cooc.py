@@ -250,6 +250,11 @@ class TestDice:
     def test_no_cooccurrence(self):
         assert dice(0, 10, 3) == 0.0
 
+    @pytest.mark.parametrize("args", [(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
+    def test_negative_argument_rejected(self, args):
+        with pytest.raises(CorpusError, match="^dice arguments must be non-negative$"):
+            dice(*args)
+
     def test_token_pair_counting_can_exceed_one(self):
         index = single_doc("a b a b".split())
         table = cooc_counts(index, None, "a", 1)
@@ -457,6 +462,12 @@ class TestPairEvolution:
     def test_no_dated_docs_empty(self):
         index = build_index([lemma_doc("a", DateSpec.undated(), ["x", "y"])])
         assert pair_evolution(index, "x", "y", 5, 100) == []
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_rejected(self, window):
+        index = build_index([lemma_doc("a", DateSpec.exact(900), ["x", "y"])])
+        with pytest.raises(CorpusError, match="^window must be >= 1$"):
+            pair_evolution(index, "x", "y", window, 100)
 
     def test_association_doubling_doubles_dice(self):
         # era 1: one adjacent pair; era 2: two adjacent pairs, same frequencies

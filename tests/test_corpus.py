@@ -53,6 +53,11 @@ class TestVocabulary:
         with pytest.raises(CorpusError, match=f"^duplicate lemma: '{repeat}'$"):
             Vocabulary(iter(entries), what="lemma")
 
+    def test_never_equal_to_another_type(self):
+        vocab = Vocabulary(["a"])
+        assert vocab.__eq__(["a"]) is NotImplemented
+        assert vocab != ["a"] and vocab == Vocabulary(["a"])
+
     def test_unicode_survives(self):
         vocab = Vocabulary(["sæculum", "æterna", "kyrié"])
         for word in ("sæculum", "æterna", "kyrié"):
@@ -150,6 +155,19 @@ class TestDateSpec:
     def test_exact_requires_equal_bounds(self):
         with pytest.raises(CorpusError):
             DateSpec(DateKind.EXACT, 800, 900)
+
+    @pytest.mark.parametrize(
+        "kind, lo, hi, message",
+        [
+            (DateKind.UNDATED, 800, None, "undated DateSpec must not carry years"),
+            (DateKind.UNDATED, None, 800, "undated DateSpec must not carry years"),
+            (DateKind.EXACT, None, None, "dated DateSpec requires lo and hi"),
+            (DateKind.RANGE, 800, None, "dated DateSpec requires lo and hi"),
+        ],
+    )
+    def test_years_must_match_the_kind(self, kind, lo, hi, message):
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            DateSpec(kind, lo, hi)
 
     def test_degenerate_range_collapses_to_exact(self):
         assert DateSpec.year_range(800, 800).kind is DateKind.EXACT
@@ -360,6 +378,30 @@ class TestCorpusIndex:
                 vocab, vocab, vocab, bad, ok, ok.astype(np.uint16), ["d1"], [0, 1], [0], [0], [0], [None]
             )
 
+    @pytest.mark.parametrize(
+        "lemma_ids, pos_tags, message",
+        [
+            (np.zeros(2, np.uint32), ["a"], "^token id arrays differ in length$"),
+            (np.zeros(3, np.float64), ["a"], "^lemma ids must be integers$"),
+            (np.zeros(3, np.uint32), [f"t{i}" for i in range(2**16 + 1)],
+             "^POS vocabulary exceeds u16 capacity$"),
+        ],
+        ids=["lengths-differ", "float-ids", "too-many-pos-tags"],
+    )
+    def test_malformed_token_columns_rejected(self, lemma_ids, pos_tags, message):
+        vocab = Vocabulary(["a"])
+        ok = np.zeros(3, dtype=np.uint32)
+        with pytest.raises(CorpusError, match=message):
+            CorpusIndex(
+                vocab, vocab, Vocabulary(pos_tags), lemma_ids, ok, ok.astype(np.uint16),
+                ["d1"], [0, 3], [0], [0], [0], [None],
+            )
+
+    def test_never_equal_to_another_type(self):
+        index = three_doc_index()
+        assert index.__eq__(index.lemmas) is NotImplemented
+        assert index != index.lemmas and index == three_doc_index()
+
     def test_duplicate_doc_ids_rejected(self):
         with pytest.raises(CorpusError):
             build_index(
@@ -551,7 +593,8 @@ def _order_free_answers(index, ids, a, b, window):
     documents ``ids`` (None: every document), in terms that name no
     document position."""
     docset = None if ids is None else subcorpus(index, with_ids(*ids))
-    table = count_table(index, [a, b], [docset, None])
+    # a one-lemma index gives a == b, which count_table refuses as a repeat
+    table = count_table(index, list(dict.fromkeys((a, b))), [docset, None])
     return [
         lemma_count(index, docset, a),
         (table.lemmas, table.labels, table.counts.tolist()),

@@ -155,6 +155,11 @@ class TestOlsSlope:
     def test_flat_is_zero(self):
         assert ols_slope([3.0] * 8) == 0.0
 
+    @pytest.mark.parametrize("values", [[], [2.5]])
+    def test_fewer_than_two_values_rejected(self, values):
+        with pytest.raises(CorpusError, match="^slope needs at least two values$"):
+            ols_slope(values)
+
     def test_bit_identical_to_the_one_row_formula(self):
         # Dice-like rows (ratios with zeros), read both as contiguous rows
         # and as strided columns of a (k x 7) matrix
@@ -249,6 +254,12 @@ class TestEvolvingCooccurrents:
         assert set(sa) == set(sb)
         for lemma in sa:
             assert sa[lemma] == pytest.approx(sb[lemma], abs=1e-12)
+
+    @pytest.mark.parametrize("top_n", [0, -2])
+    def test_top_n_below_one_rejected(self, top_n):
+        index = staircase_corpus()
+        with pytest.raises(CorpusError, match="^top_n must be >= 1$"):
+            evolving_cooccurrents(index, make_tranches(index, 10), "p", 1, top_n=top_n)
 
     def test_window_below_one_rejected(self):
         index = staircase_corpus()

@@ -123,6 +123,15 @@ class TestCountTable:
         assert np.array_equal(table.col_sums, table.counts.sum(axis=0))
         assert table.grand_total == int(table.counts.sum())
 
+    def test_repeated_lemma_is_an_error(self):
+        index = random_index(np.random.default_rng(1))
+        a, b = index.lemmas[0], index.lemmas[1]
+        for lemmas in ([a, a], [a, b, a]):
+            with pytest.raises(CorpusError, match=f"^lemma {a!r} is listed twice$"):
+                count_table(index, lemmas, [None])
+        empty = count_table(index, [], [None, None])
+        assert empty.counts.shape == (0, 2) and empty.grand_total == 0
+
     def test_from_counts_validates_shape(self):
         with pytest.raises(CorpusError):
             CountTable.from_counts(["a"], ["x", "y"], [[1]])

@@ -73,6 +73,14 @@ class TestParseVertical:
             with pytest.raises(VerticalParseError, match="date"):
                 parse_vertical(f"#doc id=d1 date={bad}\n")
 
+    def test_reversed_date_interval_names_line(self):
+        with pytest.raises(VerticalParseError, match=r"^line 2: date interval reversed: '1200-1100'$"):
+            parse_vertical("x\tNOM\tx\n#doc id=d1 date=1200-1100\n")
+
+    def test_empty_form_column_names_line(self):
+        with pytest.raises(VerticalParseError, match=r"^line 3: empty form column$"):
+            parse_vertical("#doc id=d1\nx\tNOM\tx\n\tNOM\tx\n")
+
     def test_date_range_parses(self):
         index = parse_vertical("#doc id=d1 date=774-800\nx\tNOM\tx\n")
         date = index.documents[0].date
@@ -294,3 +302,9 @@ class TestLemmatize:
     def test_lexicon_tsv_rejects_bad_columns(self):
         with pytest.raises(VerticalParseError):
             Lexicon.from_tsv("only_two\tcolumns\n")
+
+    def test_lexicon_tsv_skips_blank_lines_and_counts_them(self):
+        lex = Lexicon.from_tsv(["\n", "patris\tpater\tNOM\n", " \t\n"])
+        assert lemmatize(["patris"], lex) == [VerticalRecord("patris", "NOM", "pater")]
+        with pytest.raises(VerticalParseError, match=r"^line 3: lexicon line has 2 columns, expected 3$"):
+            Lexicon.from_tsv("\npatris\tpater\tNOM\nonly_two\tcolumns\n")

@@ -76,3 +76,9 @@ def test_identity_and_diagonal():
     a = np.diag([3.0, 2.0, 1.0])
     _, s, _ = jacobi_svd(a)
     np.testing.assert_allclose(s, [3.0, 2.0, 1.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("matrix", [np.ones(3), np.ones((2, 2, 2))], ids=["1-D", "3-D"])
+def test_non_matrix_rejected(matrix):
+    with pytest.raises(ValueError, match="^jacobi_svd expects a 2-D matrix$"):
+        jacobi_svd(matrix)

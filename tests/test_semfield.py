@@ -64,6 +64,19 @@ class TestCorrespondenceAnalysis:
             correspondence_analysis([[1, -1], [1, 1]])
 
     @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([1, 2, 3], "correspondence analysis needs a 2-D table"),
+            (np.zeros((0, 3)), "correspondence analysis needs a 2-D table"),
+            ([[0, 0], [0, 0]], "correspondence analysis needs a positive grand total"),
+        ],
+        ids=["one-dimensional", "no-rows", "all-zero"],
+    )
+    def test_degenerate_table_rejected(self, table, message):
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            correspondence_analysis(table)
+
+    @pytest.mark.parametrize(
         "table",
         [[[1, np.nan], [2, 3]], [[1, np.inf], [2, 3]], [[1e308, 1e308], [1e308, 1]]],
         ids=["nan", "inf", "overflowing-total"],
@@ -141,6 +154,10 @@ class TestBuildSubmatrix:
         index = star_corpus(n_terms=4)
         sub = build_submatrix(index, None, "v", 1, m=5)
         assert len(sub.terms) == 5
+
+    def test_unknown_weight_rejected(self):
+        with pytest.raises(CorpusError, match="^unknown weight mode: 'x'$"):
+            build_submatrix(star_corpus(), None, "v", 1, m=4, weight="x")
 
     def test_min_count_below_one_rejected(self):
         index = star_corpus()

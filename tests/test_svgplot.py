@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from diachrona.corpus import CorpusError
-from diachrona.svgplot import PlotSpec, emit_svg
+from diachrona.svgplot import _PALETTE, PlotSpec, _nice_ticks, emit_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -58,6 +58,17 @@ def test_series_draws_one_polyline_per_curve():
     )
     root = parse(emit_svg(spec))
     assert len([el for el in root.iter(f"{SVG_NS}polyline")]) == 2
+
+
+def test_empty_curve_draws_no_polyline():
+    spec = PlotSpec(kind="series", curves=[("a", []), ("b", [(0.0, 3.0), (1.0, 1.0)])])
+    polylines = list(parse(emit_svg(spec)).iter(f"{SVG_NS}polyline"))
+    assert len(polylines) == 1 and polylines[0].get("stroke") == _PALETTE[1]
+
+
+def test_ticks_of_an_empty_span_are_its_one_end():
+    assert _nice_ticks(3.0, 3.0) == [3.0]
+    assert _nice_ticks(3.0, 2.0) == [3.0]
 
 
 def test_axis_ticks_present():

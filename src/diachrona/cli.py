@@ -24,8 +24,9 @@ rejects a lemma listed twice.
 An option that several commands take is defined once, with one help text
 and one default: ``--index``, ``--out``, ``--filter``, ``--lemma``, ``--a``
 and ``--b``, ``--pivot``, ``--window 5``, ``--pos`` (a comma-separated
-list), ``--min 1`` (minimum pair count, at least 1), ``--bin 50`` (years),
-``--scale 1.0`` (finite) and ``--svg``.
+list naming at least one tag; ``freq share --forms`` likewise names at
+least one form), ``--min 1`` (minimum pair count, at least 1), ``--bin
+50`` (years), ``--scale 1.0`` (finite) and ``--svg``.
 """
 
 from __future__ import annotations
@@ -316,6 +317,10 @@ def _map(index, docset, args):
 
 def _run_query(args) -> int:
     """Load the index, resolve ``--filter``, run the query, write its TSV, then its SVG."""
+    # an empty --pos or --forms would quietly match nothing
+    for option, what in (("pos", "POS tag"), ("forms", "form")):
+        if getattr(args, option, None) == frozenset():
+            raise CorpusError(f"--{option} names no {what}")
     index = load_index(args.index)
     docset = _docset_from_filters(index, getattr(args, "filter", None))
     rows, chart = args.query(index, docset, args)

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CorpusError, CorpusIndex
+from .corpus import CorpusError, CorpusIndex, _require_collection
 from .frequency import (
     _bin_counts,
     _docset_counts,
@@ -287,6 +287,7 @@ def _pos_majority_pass(
     """
     if pos_filter is None:
         return _docset_counts(index, dmask), None
+    _require_collection(pos_filter, "pos_filter")
     allowed = np.zeros(len(index.pos_tags), dtype=bool)
     allowed[[i for i in map(index.pos_tags.id_of, pos_filter) if i is not None]] = True
     freqs, good = _docset_counts(index, dmask, allowed)

@@ -64,6 +64,13 @@ class CorpusError(Exception):
     """Domain error raised by corpus construction and corpus queries."""
 
 
+def _require_collection(names, what: str) -> None:
+    """A bare string where several names are expected is an error: iterated,
+    it would be read as one name per character."""
+    if isinstance(names, str):
+        raise CorpusError(f"{what} must be a collection of names, not the string {names!r}")
+
+
 class _IdOutOfRange(CorpusError):
     """A token id outside its vocabulary; ``load_index`` reports it as a
     corrupt file's ``IdRangeError``."""

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CorpusError, CorpusIndex
+from .corpus import CorpusError, CorpusIndex, _require_collection
 
 __all__ = [
     "Ratio",
@@ -272,6 +272,7 @@ def count_table(
 ) -> CountTable:
     """Cell (i, j) = count of lemmas[i] within docsets[j].  A lemma listed
     twice is an error: it would count twice in every sum."""
+    _require_collection(lemmas, "lemmas")
     repeated = [lemma for i, lemma in enumerate(lemmas) if lemma in lemmas[:i]]
     if repeated:
         raise CorpusError(f"lemma {repeated[0]!r} is listed twice")
@@ -327,6 +328,7 @@ def lemma_rank(index: CorpusIndex, docset, lemma: str) -> int | None:
 
 def form_share(index: CorpusIndex, docset, lemma: str, forms: Iterable[str]) -> float:
     """Share of the lemma's tokens whose surface form (case-folded) is in ``forms``."""
+    _require_collection(forms, "forms")
     dmask = index.doc_mask(docset)
     lid = index.lemmas.id_of(lemma)
     hits = np.zeros(0, dtype=np.intp) if lid is None else _occurrences(index, [lid], dmask)

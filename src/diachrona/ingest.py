@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CorpusError, CorpusIndex, DateSpec, Vocabulary
+from .corpus import CorpusError, CorpusIndex, DateSpec, Vocabulary, _require_collection
 
 __all__ = [
     "UNKNOWN_LEMMA",
@@ -180,6 +180,7 @@ def parse_vertical(
     Tokens appearing before any ``#doc`` header go into an implicit
     undated document named ``doc0``.
     """
+    _require_collection(drop_pos, "drop_pos")
     if isinstance(lines, str):
         lines = lines.splitlines()
     heads: list[_Head] = []

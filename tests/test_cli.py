@@ -197,16 +197,28 @@ class TestExitCodes:
              "bad date filter (years must be integers): 'date=a..b'"),
             (["freq", "table", "--lemmas", "pater", "--slice", "early"],
              "bad slice (expected LABEL:FILTER): 'early'"),
+            (["cooc", "top", "--pivot", "pater", "--pos", ","], "--pos names no POS tag"),
+            (["evolve", "--pivot", "pater", "--pos", ","], "--pos names no POS tag"),
+            (["map", "--pivot", "pater", "--pos", ""], "--pos names no POS tag"),
+            (["freq", "share", "--lemma", "pater", "--forms", ","], "--forms names no form"),
         ],
         ids=[
             "reversed-filter", "reversed-slice", "top-nan-scale", "pair-inf-scale", "repeated-slice-label",
             "repeated-lemma", "no-lemma", "comma-lemma", "empty-typology-filter", "empty-typology-slice",
-            "one-year-filter", "non-integer-filter", "slice-without-label",
+            "one-year-filter", "non-integer-filter", "slice-without-label", "top-no-pos", "evolve-no-pos",
+            "map-no-pos", "share-no-form",
         ],
     )
     def test_absurd_input_is_one_line_error(self, sample_index, capsys, argv, message):
         assert run_cli(argv + ["--index", str(sample_index)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_no_dropped_tag_and_an_absent_tag_are_legal(self, sample_index, tmp_path, capsys):
+        out = tmp_path / "all.csem"
+        assert run_cli(["index", "build", "--input", str(SAMPLE), "--out", str(out), "--drop-pos", ""]) == 0
+        assert load_index(out).pos_tags.id_of("PUN") is not None
+        assert run_cli(["cooc", "top", "--pivot", "pater", "--pos", "XYZ", "--index", str(sample_index)]) == 0
+        assert capsys.readouterr().out == "lemma\tpair_count\tfreq\tdice\n"
 
 
 # (option, action, default, type, required) of each leaf command's options;

@@ -1,3 +1,4 @@
+import importlib.resources
 import itertools
 import tempfile
 from collections import Counter
@@ -25,7 +26,7 @@ from diachrona.corpus import (
 from diachrona.diachrony import evolving_cooccurrents, make_tranches
 from diachrona.frequency import count_table, form_share, lemma_count, lemma_rank, time_series
 from diachrona.indexio import load_index, save_index
-from diachrona.ingest import index_from_documents
+from diachrona.ingest import index_from_documents, parse_vertical
 from diachrona.semfield import semantic_map
 
 from conftest import (
@@ -759,3 +760,35 @@ class TestDocumentColumns:
             loaded = load_index(path)
         assert loaded == index
         assert loaded.documents == index.documents
+
+
+
+SAMPLE_TEXT = (importlib.resources.files("diachrona") / "data" / "sample.vrt").read_text("utf-8")
+
+
+# each call takes several names; a bare string would be read one name per character
+@pytest.mark.parametrize(
+    "what, name, call",
+    [
+        ("pos_filter", "NOM", lambda index, names: top_cooccurrents(
+            index, None, "pater", 5, 10, pos_filter=names)),
+        ("pos_filter", "NOM", lambda index, names: evolving_cooccurrents(
+            index, make_tranches(index, 3), "pater", 5, pos_filter=names)),
+        ("pos_filter", "NOM", lambda index, names: semantic_map(
+            index, None, "pater", 5, 4, pos_filter=names)),
+        ("forms", "pater", lambda index, names: form_share(index, None, "pater", names)),
+        ("lemmas", "pater", lambda index, names: count_table(index, names, [None])),
+        ("drop_pos", "PUN", lambda index, names: parse_vertical(SAMPLE_TEXT, drop_pos=names)),
+    ],
+    ids=["top_cooccurrents", "evolving_cooccurrents", "semantic_map", "form_share", "count_table",
+         "parse_vertical"],
+)
+def test_a_bare_string_for_several_names_is_an_error(what, name, call):
+    index = parse_vertical(SAMPLE_TEXT)
+    with pytest.raises(CorpusError, match=f"^{what} must be a collection of names, not the string '{name}'$"):
+        call(index, name)
+    call(index, [name])
+    try:
+        call(index, [])
+    except CorpusError as exc:  # an empty collection is legal, though a map needs collocates
+        assert str(exc) == "pivot 'pater' has only 0 qualifying cooccurrents, need 3 for a 4-term map"

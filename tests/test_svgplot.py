@@ -1,6 +1,8 @@
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diachrona.corpus import CorpusError
 from diachrona.svgplot import _PALETTE, PlotSpec, _nice_ticks, emit_svg
@@ -66,9 +68,72 @@ def test_empty_curve_draws_no_polyline():
     assert len(polylines) == 1 and polylines[0].get("stroke") == _PALETTE[1]
 
 
-def test_ticks_of_an_empty_span_are_its_one_end():
-    assert _nice_ticks(3.0, 3.0) == [3.0]
-    assert _nice_ticks(3.0, 2.0) == [3.0]
+def test_ticks_are_sums_of_steps_rounded_to_the_float_spacing():
+    # at 1e9 each step of 2e-7 adds two float spacings (2.4e-7), so the third
+    # tick is 1e9 + 4.8e-7, not the nearest float to 1e9 + 4e-7
+    assert _nice_ticks(1e9, 1e9 + 1e-6) == [
+        1e9, 1000000000.0000002, 1000000000.0000005, 1000000000.0000007, 1000000000.000001
+    ]
+
+
+def test_a_step_below_the_float_spacing_ends_at_the_cap():
+    ticks = _nice_ticks(2.0**52 - 1, 2.0**52 + 1)  # 2**52 + 0.5 rounds back to 2**52
+    assert ticks[:3] == [2.0**52 - 1, 2.0**52 - 0.5, 2.0**52] and len(ticks) == 20
+
+
+def chart(kind: str, points: list[tuple[float, float]]) -> PlotSpec:
+    if kind == "series":
+        return PlotSpec(kind="series", curves=[("c", points)])
+    return PlotSpec(kind="scatter", points=points, labels=[f"p{i}" for i in range(len(points))])
+
+
+def svg_or_corpus_error(spec: PlotSpec) -> None:
+    """``emit_svg`` gives a document that parses, or a ``CorpusError``."""
+    try:
+        svg = emit_svg(spec)
+    except CorpusError as exc:
+        assert "\n" not in str(exc)
+    else:
+        assert parse(svg).tag == f"{SVG_NS}svg"
+
+
+# values where ticks once looped forever (2**52, 9e15), a single value once
+# gave a zero-width axis (2**60), a step underflowed (5e-324) and a span
+# overflowed (+-1e308)
+@pytest.mark.parametrize("kind", ["series", "scatter"])
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(2.0**52, 1.0)],
+        [(9e15, 1.0)],
+        [(2.0**60, 1.0)],
+        [(0.0, 1.0), (5e-324, 2.0)],
+        [(-1e308, 1.0), (1e308, 2.0)],
+    ],
+    ids=["2**52", "9e15", "2**60", "subnormal-span", "overflowing-span"],
+)
+def test_extreme_finite_values_end(kind, points):
+    svg_or_corpus_error(chart(kind, points))
+
+
+@pytest.mark.parametrize("kind", ["series", "scatter"])
+def test_one_value_past_2_53_still_gets_an_axis(kind):
+    root = parse(emit_svg(chart(kind, [(2.0**60, 1.0)])))
+    assert root.find(f"{SVG_NS}circle" if kind == "scatter" else f"{SVG_NS}polyline") is not None
+
+
+def test_an_overflowing_span_is_a_corpus_error():
+    with pytest.raises(CorpusError, match="the span overflows"):
+        emit_svg(chart("series", [(-1e308, 1.0), (1e308, 2.0)]))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["series", "scatter"]), st.lists(st.tuples(finite, finite), min_size=1, max_size=3))
+def test_any_finite_chart_is_an_svg_or_a_corpus_error(kind, points):
+    svg_or_corpus_error(chart(kind, points))
 
 
 def test_axis_ticks_present():

@@ -20,7 +20,8 @@ costs one pass.  The kernel looks up its row occurrences itself, with
 a left-out document.  One row's 2w neighbours are gathered around each of
 its occurrences, so the work follows the row's occurrences in those
 documents, not the corpus size, and one ``bincount`` per slab (below)
-counts the passing pairs of all 2w offsets.  Among a set of rows every
+counts the passing pairs of all 2w offsets; against one other lemma, the
+hits at each offset are counted directly.  Among a set of rows every
 counted pair joins two row occurrences, so the kernel walks
 the sorted row occurrences themselves: each gets a key that grows by its
 position within a document and by more than w from one document to the
@@ -137,6 +138,9 @@ def _window_pairs(
       ``diachrony._tranche_scores``).
     - ``rows`` and ``col`` two distinct lemma ids: shape (n_buckets,)
       (``adjacency_count`` and ``pair_evolution``, through ``_lemma_pairs``).
+      At each offset the passing neighbours equal to ``col`` are counted
+      directly, by ``count_nonzero`` with one bucket and by a ``bincount``
+      of their buckets with several; no key is built for them.
     - ``rows`` a sequence of distinct lemma ids: shape (n_buckets, R, R),
       cell [b, r, c] the pairs of ``rows[r]`` with ``rows[c]``, a pair of two
       occurrences of one lemma counted once (``semfield.build_submatrix``,
@@ -177,8 +181,11 @@ def _window_pairs(
         row_of = np.zeros(len(index.lemmas), dtype=np.int64)
         row_of[rows] = np.arange(n_rows)
     counts = np.zeros(n_buckets * n_rows * n_cols, dtype=np.int64)
-    # the pivot shape's passing keys of up to 16 offsets of a slab
-    keys = np.empty(0 if mirror else min(2 * window, 16) * min(_SLAB, len(occ)), dtype=np.intp)
+    # the pivot shape's passing keys of up to 16 offsets of a slab; the
+    # two-lemma shape counts its passing hits directly
+    pivot_shape = not mirror and col is None
+    keys = np.empty(min(2 * window, 16) * min(_SLAB, len(occ)) if pivot_shape else 0, dtype=np.intp)
+    one_bucket = doc_bucket is None or n_buckets == 1
     for lo in range(0, len(occ), _SLAB):
         # positions are distinct, so the right sides that the slab's left
         # sides reach lie at most window occurrences past it
@@ -215,9 +222,14 @@ def _window_pairs(
                 neighbour = np.take(lem, pos + step * d, mode="clip")
                 ok = room >= d
                 if col is not None:
-                    # the one column is cell 0 of each (bucket, row) block
+                    # the one column: count the passing hits, per bucket (base
+                    # is each occurrence's bucket here) when there are several
                     ok &= neighbour == col
-                    neighbour[:] = 0
+                    if one_bucket:
+                        counts[0] += np.count_nonzero(ok)
+                    else:
+                        counts += np.bincount(base[ok], minlength=n_buckets)
+                    continue
                 if n + len(pos) > len(keys):
                     counts += np.bincount(keys[:n], minlength=len(counts))
                     n = 0

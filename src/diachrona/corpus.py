@@ -19,7 +19,7 @@ The document filters (``is_dated``, ``dated_within``, ``has_typology``,
 returns such a mask, :func:`subcorpus` ANDs them, and the CLI's ``--filter``
 expressions parse into them.
 The arrays are read-only after construction, and all query modules are pure
-readers.  The lazy caches (the lemma x POS counts, each looked-up lemma's
+readers.  The lazy caches (the POS x lemma counts, each looked-up lemma's
 positions, the dated order, the records, and the entries and lookup of a
 :class:`Vocabulary` made by ``from_text``, as ``load_index`` makes the
 forms table) are each built into a local and assigned once, so readers on
@@ -304,7 +304,7 @@ class CorpusIndex:
         self.doc_mids = (lo + hi) >> 1
         for name in (*_COLUMNS, "doc_dated", "doc_mids"):
             getattr(self, name).flags.writeable = False
-        # full-corpus (lemma, POS) token counts, filled by frequency._lemma_pos_counts
+        # full-corpus (POS, lemma) token counts, filled by frequency._lemma_pos_counts
         self._lemma_pos: np.ndarray | None = None
         # lemma id -> its token positions, filled by frequency._lemma_positions
         self._positions: dict[int, np.ndarray] = {}
@@ -346,10 +346,18 @@ class CorpusIndex:
 
     @cached_property
     def _dated_positions(self) -> tuple[int, ...]:
+        return tuple(self._dated_array.tolist())
+
+    @cached_property
+    def _dated_array(self) -> np.ndarray:
+        """The dated order as a read-only intp array, to index document
+        columns with."""
         # by id in Python string order, then a stable sort by midpoint
         dated = sorted(np.flatnonzero(self.doc_dated).tolist(), key=self.doc_ids.entries.__getitem__)
-        by_id = np.array(dated, dtype=np.int64)
-        return tuple(by_id[np.argsort(self.doc_mids[by_id], kind="stable")].tolist())
+        by_id = np.array(dated, dtype=np.intp)
+        order = by_id[np.argsort(self.doc_mids[by_id], kind="stable")]
+        order.flags.writeable = False
+        return order
 
     def doc_mask(self, docset: np.ndarray | None) -> np.ndarray:
         """A docset as a boolean mask over document positions: every document

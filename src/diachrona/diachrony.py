@@ -68,7 +68,7 @@ def make_tranches(index: CorpusIndex, k: int) -> TrancheSet:
     n = len(order)
     if n < k:
         raise CorpusError(f"need at least {k} dated documents, found {n}")
-    cum = np.cumsum(np.diff(index.doc_starts)[list(order)])  # cum[j] = mass of docs 0..j
+    cum = np.cumsum(np.diff(index.doc_starts)[index._dated_array])  # cum[j] = mass of docs 0..j
     total = int(cum[-1])
     k_cum = k * cum  # compared against i*total: exact integers
 
@@ -105,7 +105,9 @@ def _tranche_scores(
     """
     doc_bucket = np.full(len(index), -1, dtype=np.int64)
     sizes = np.diff(tranches.boundaries)
-    doc_bucket[list(tranches.doc_order)] = np.repeat(np.arange(tranches.k), sizes)
+    # make_tranches' order is the index's dated order, cached as an array too
+    order = index._dated_array if tranches.doc_order is index.dated_order() else list(tranches.doc_order)
+    doc_bucket[order] = np.repeat(np.arange(tranches.k), sizes)
     pairs = _window_pairs(index, doc_bucket, tranches.k, pivot_id, window)
     freqs = np.stack([_docset_counts(index, doc_bucket == t) for t in range(tranches.k)])
     dice_mat = _dice(pairs, freqs[:, pivot_id, None], freqs)

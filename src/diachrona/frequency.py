@@ -5,13 +5,17 @@ All queries are pure reads over the columnar arrays; counts are exact
 integers, never estimates.  Time series bin dated documents by interval
 midpoint; undated documents never contribute.
 
-Per-lemma docset counts come from one function, ``_docset_counts``.  The
-full docset reads one lemma x POS table, counted once per index and cached
-on it (``_lemma_pos_counts``); a partial docset counts only its own tokens,
-copied run by run of adjacent documents (``_docset_values``).  Both count
-with one counter, ``_lemma_counts``, which widens ``_CHUNK`` lemma ids at a
-time into one reused key buffer.  So the cost of a count follows the
-docset's tokens, and no corpus-length token mask or key array is built.
+Per-lemma docset counts come from one function, ``_docset_counts``, which
+reads one class-major table of any docset: a row per class (a POS tag, or
+one row for every token), a column per lemma, summed over its rows.  The
+full docset reads the POS tag x lemma table, counted once per index and
+cached on it (``_lemma_pos_counts``); a partial docset counts only its own
+tokens, copied run by run of adjacent documents (``_docset_values``), with
+its tag copy as the classes when a POS filter applies.  Both count with one
+counter, ``_lemma_counts``, which widens ``_CHUNK`` ids at a time into one
+reused key buffer.  So the cost of a count follows the docset's tokens, no
+corpus-length token mask or key array is built, and no per-token flag is
+made.
 Where lemmas occur comes from one lookup, ``_occurrences``: the token
 positions of one or more lemmas inside a docset, in corpus order,
 which ``lemma_count`` (their number), ``form_share``, time series, pair
@@ -58,15 +62,15 @@ __all__ = [
 ]
 
 
-def _docset_values(index: CorpusIndex, dmask: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """A token column's entries at the tokens of the documents in a document
-    mask, in corpus order.
+def _docset_values(column: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """A token column's entries at the tokens of the runs ``first`` to
+    ``end`` (``_docset_runs``), in corpus order.
 
-    Adjacent documents of the mask are one run of tokens, so this copies one
+    Adjacent documents of a docset are one run of tokens, so this copies one
     slice per run: the cost follows the docset's tokens and runs, not the
     corpus size, and no token positions or token mask are built.
     """
-    runs = zip(*(bound.tolist() for bound in _docset_runs(index, dmask)))
+    runs = zip(first.tolist(), end.tolist())
     return np.concatenate([column[:0], *(column[lo:hi] for lo, hi in runs)])
 
 
@@ -84,34 +88,38 @@ _CHUNK = 1 << 20
 
 
 def _lemma_counts(n_lemmas: int, lemma_ids: np.ndarray, classes=None, n_classes: int = 1) -> np.ndarray:
-    """Token counts by lemma and class, shape (n_lemmas, n_classes), int64:
-    cell [i, c] counts the tokens with lemma i and class c, where
+    """Token counts by class and lemma, shape (n_classes, n_lemmas), int64:
+    cell [c, i] counts the tokens with class c and lemma i, where
     ``classes`` holds each token's class below ``n_classes`` (None puts
     every token in class 0).
 
     The one per-lemma counter.  It counts ``_CHUNK`` tokens at a time
-    through one reused intp key buffer: the chunk's lemma ids are copied
-    into it, which widens them, turned in place into the keys
-    lemma * n_classes + class, and bincounted into the table.  So no key
-    array as long as the input is built, and bincount never casts one.
+    through one reused intp key buffer: the chunk's classes (or, without
+    classes, its lemma ids) are copied into it, which widens them, turned in
+    place into the keys class * n_lemmas + lemma, and bincounted into the
+    table.  So no key array as long as the input is built, and bincount
+    never casts one.  The table is class-major, so a sum over classes adds a
+    few contiguous lemma-long rows.
     """
-    table = np.zeros(n_lemmas * n_classes, dtype=np.int64)
+    table = np.zeros(n_classes * n_lemmas, dtype=np.int64)
     buffer = np.empty(min(_CHUNK, len(lemma_ids)), dtype=np.intp)
     for lo in range(0, len(lemma_ids), _CHUNK):
         keys = buffer[: len(lemma_ids) - lo]
-        keys[:] = lemma_ids[lo : lo + _CHUNK]
-        if classes is not None:
-            keys *= n_classes
-            keys += classes[lo : lo + _CHUNK]
+        if classes is None:
+            keys[:] = lemma_ids[lo : lo + _CHUNK]
+        else:
+            keys[:] = classes[lo : lo + _CHUNK]
+            keys *= n_lemmas
+            keys += lemma_ids[lo : lo + _CHUNK]
         table += np.bincount(keys, minlength=len(table))
-    return table.reshape(n_lemmas, n_classes)
+    return table.reshape(n_classes, n_lemmas)
 
 
 def _lemma_pos_counts(index: CorpusIndex) -> np.ndarray:
-    """Full-corpus token counts by lemma and POS tag, shape (V, P).
+    """Full-corpus token counts by POS tag and lemma, shape (P, V).
 
     Counted once per index by ``_lemma_counts`` and cached on it, read
-    only: V x P int64 cells, 30,000 x 3 (720 KB) on a 10M-token corpus of
+    only: P x V int64 cells, 3 x 30,000 (720 KB) on a 10M-token corpus of
     30,000 lemmas and three tags.  Full-docset counts read it.
     """
     if index._lemma_pos is None:
@@ -130,24 +138,24 @@ def _docset_counts(
     ``pos_allowed`` (a flag per POS tag), the pair (all tokens, tokens of
     allowed tags).
 
-    The full docset reads the cached lemma x POS table, whose allowed
-    columns sum to the second count.  A partial docset counts its own tokens
+    Both come from one class x lemma table: the totals sum all its rows, the
+    second count the rows of the allowed tags.  The full docset reads the
+    cached POS tag x lemma table.  A partial docset counts its own tokens
     with ``_lemma_counts``, so its cost follows its tokens, not the corpus
-    size or the tagset: its lemma ids are copied once, and with POS flags,
-    its tags are copied once too and turned into one flag per token, the
-    token's class (1 for an allowed tag).
+    size: its runs are found once, and its lemma ids are copied once; with
+    POS flags its tags are copied once too and are the classes, so the
+    table has the cached table's form.  Without them every token is in one
+    class.
     """
-    # a lemma x class table, and the classes whose tokens are allowed
     if dmask.all():
-        table, allowed = _lemma_pos_counts(index), pos_allowed
+        table = _lemma_pos_counts(index)
     else:
-        # the POS flags come first, so their tag copy is freed before the lemma ids are copied
-        flags = None if pos_allowed is None else pos_allowed[_docset_values(index, dmask, index.pos_ids)]
-        lemma_ids = _docset_values(index, dmask, index.lemma_ids)
-        table = _lemma_counts(len(index.lemmas), lemma_ids, flags, 1 if flags is None else 2)
-        allowed = [1]  # class 1 holds the tokens of an allowed tag
-    totals = table.sum(axis=1)
-    return totals if pos_allowed is None else (totals, table[:, allowed].sum(axis=1))
+        runs = _docset_runs(index, dmask)
+        tags = None if pos_allowed is None else _docset_values(index.pos_ids, *runs)
+        lemma_ids = _docset_values(index.lemma_ids, *runs)
+        table = _lemma_counts(len(index.lemmas), lemma_ids, tags, 1 if tags is None else len(index.pos_tags))
+    totals = table.sum(axis=0)
+    return totals if pos_allowed is None else (totals, table[pos_allowed].sum(axis=0))
 
 
 def _lemma_positions(index: CorpusIndex, lid: int) -> np.ndarray:
@@ -186,8 +194,8 @@ def _occurrences(index: CorpusIndex, rows, dmask: np.ndarray | None = None) -> n
         is_row[rows] = True
         if full:
             return np.flatnonzero(is_row[index.lemma_ids])
-        hits = np.flatnonzero(is_row[_docset_values(index, dmask, index.lemma_ids)])
         first, end = _docset_runs(index, dmask)
+        hits = np.flatnonzero(is_row[_docset_values(index.lemma_ids, first, end)])
         lengths = end - first
         copied = np.cumsum(lengths) - lengths  # each run's offset in the copy
         per_run = np.diff(np.searchsorted(hits, copied), append=len(hits))

@@ -75,9 +75,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     top = min(hi + 1e-9 * span, sys.float_info.max)  # a tick past the largest float is inf
     ticks = []
     value = math.ceil(lo / step) * step
-    # the cap ends the loop where a step below the float spacing leaves the value as it is
+    # the cap bounds the loop whatever the rounding of the sums
     while value <= top and len(ticks) < 4 * target:
         ticks.append(value)
+        if value + step == value:  # a step below the float spacing: each value once
+            break
         value += step
     return ticks
 

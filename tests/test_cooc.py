@@ -356,9 +356,9 @@ class TestTopCooccurrents:
         copied = Counter()
         real = frequency._docset_values
 
-        def spy(index, dmask, column):
+        def spy(column, first, end):
             copied["lemma" if column is index.lemma_ids else "pos"] += 1
-            return real(index, dmask, column)
+            return real(column, first, end)
 
         monkeypatch.setattr(frequency, "_docset_values", spy)
         assert top_cooccurrents(index, docs, pivot, 3, 5, pos_filter={"NOM"}) == expected
@@ -702,6 +702,21 @@ class TestWideWindowsOnSmallSlabs:
         for b in range(n_buckets):
             brute = brute_pair_counts(index, a, window, bucket_members(index, doc_bucket, b))
             assert counts[b].tolist() == [brute.get(x, 0) for x in index.lemmas]
+
+    @PROPERTY
+    @given(cases(), st.integers(9, 20), st.data())
+    def test_two_lemma_shape_matches_brute_force(self, case, window, data):
+        # with and without a bucket map (None puts every document in bucket 0)
+        index, _, _, _, _ = case
+        assume(len(index.lemmas) > 1)
+        n_buckets, doc_bucket = data.draw(doc_buckets(len(index)) | run_docsets(len(index)))
+        row, col = data.draw(st.permutations(range(len(index.lemmas))))[:2]
+        counts = cooc._window_pairs(index, doc_bucket, n_buckets, row, window, col)
+        assert counts.shape == (n_buckets,)
+        for bucket in range(n_buckets):
+            members = bucket_members(index, doc_bucket, bucket)
+            brute = brute_pair_counts(index, index.lemmas[row], window, members)
+            assert counts[bucket] == brute.get(index.lemmas[col], 0)
 
 
 @st.composite

@@ -13,6 +13,7 @@ from diachrona.frequency import (
     CountTable,
     _bin_counts,
     _docset_counts,
+    _docset_runs,
     _docset_values,
     _MAX_YEAR_BINS,
     _lemma_pos_counts,
@@ -429,7 +430,7 @@ class TestDocsetCountProperties:
         index, dmask = case
         tokens = np.repeat(dmask, np.diff(index.doc_starts))
         for column in (index.lemma_ids, index.pos_ids):
-            values = _docset_values(index, dmask, column)
+            values = _docset_values(column, *_docset_runs(index, dmask))
             assert values.dtype == column.dtype
             assert values.tolist() == column[tokens].tolist()
 
@@ -455,12 +456,15 @@ class TestDocsetCountProperties:
     @settings(max_examples=30, deadline=None)
     @given(corpora(tagged=True), _chunks)
     def test_full_table_is_cached_read_only(self, index, chunk):
-        expected = np.zeros((len(index.lemmas), len(index.pos_tags)), dtype=np.int64)
-        np.add.at(expected, (index.lemma_ids, index.pos_ids), 1)
+        # class-major: a row per POS tag, a column per lemma
+        expected = np.zeros((len(index.pos_tags), len(index.lemmas)), dtype=np.int64)
+        np.add.at(expected, (index.pos_ids, index.lemma_ids), 1)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(frequency, "_CHUNK", chunk)
             table = _lemma_pos_counts(index)
         assert table.dtype == np.int64
+        assert table.flags.c_contiguous
+        assert table.shape == expected.shape
         assert table.tolist() == expected.tolist()
         assert _lemma_pos_counts(index) is table
         assert not table.flags.writeable
@@ -485,9 +489,10 @@ class TestDocsetCountProperties:
         n_docset = int(np.diff(index.doc_starts)[dmask].sum())
         (totals, good), peak = _peak_bytes(lambda: _docset_counts(index, dmask, allowed))
         assert totals.sum() == n_docset
-        # a uint32 lemma copy and a flag per docset token (its uint16 tag
-        # copy is freed before the lemma copy is made), plus a few chunk-long
-        # intp buffers and V-length tables; never an intp key per token
+        # a uint32 lemma copy and a uint16 tag copy per docset token (the
+        # tags are the classes of the count), plus a few chunk-long intp
+        # buffers and tables of a few V-long rows; never an intp key or a
+        # flag per token
         table = 8 * 2 * len(index.lemmas)
         assert peak < 6 * n_docset + 3 * 8 * chunk + 4 * table + (64 << 10)
 

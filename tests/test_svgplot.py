@@ -76,15 +76,24 @@ def test_ticks_are_sums_of_steps_rounded_to_the_float_spacing():
     ]
 
 
-def test_a_step_below_the_float_spacing_ends_at_the_cap():
-    ticks = _nice_ticks(2.0**52 - 1, 2.0**52 + 1)  # 2**52 + 0.5 rounds back to 2**52
-    assert ticks[:3] == [2.0**52 - 1, 2.0**52 - 0.5, 2.0**52] and len(ticks) == 20
+def test_a_step_below_the_float_spacing_ends_the_ticks():
+    # 2**52 + 0.5 rounds back to 2**52, so 2**52 is the last tick, listed once
+    assert _nice_ticks(2.0**52 - 1, 2.0**52 + 1) == [2.0**52 - 1, 2.0**52 - 0.5, 2.0**52]
 
 
 def chart(kind: str, points: list[tuple[float, float]]) -> PlotSpec:
     if kind == "series":
         return PlotSpec(kind="series", curves=[("c", points)])
     return PlotSpec(kind="scatter", points=points, labels=[f"p{i}" for i in range(len(points))])
+
+
+def test_a_series_at_2_52_draws_each_x_tick_once():
+    # its x axis spans 2**52 - 1 to 2**52 + 1, where a half step rounds away
+    root = parse(emit_svg(chart("series", [(2.0**52, 1.0)])))
+    labels = [el.get("x") for el in root.iter(f"{SVG_NS}text") if el.text == "4.504e+15"]
+    assert labels == ["56", "248", "440"]
+    lines = [tuple(el.attrib.items()) for el in root.iter(f"{SVG_NS}line")]
+    assert len(lines) == len(set(lines)) == 10  # two axes, 3 x ticks, 5 y ticks
 
 
 def svg_or_corpus_error(spec: PlotSpec) -> None:

@@ -105,9 +105,8 @@ def _tranche_scores(
     """
     doc_bucket = np.full(len(index), -1, dtype=np.int64)
     sizes = np.diff(tranches.boundaries)
-    # make_tranches' order is the index's dated order, cached as an array too
-    order = index._dated_array if tranches.doc_order is index.dated_order() else list(tranches.doc_order)
-    doc_bucket[order] = np.repeat(np.arange(tranches.k), sizes)
+    # doc_order is the index's dated order, which the index also caches as an array
+    doc_bucket[index._dated_array] = np.repeat(np.arange(tranches.k), sizes)
     pairs = _window_pairs(index, doc_bucket, tranches.k, pivot_id, window)
     freqs = np.stack([_docset_counts(index, doc_bucket == t) for t in range(tranches.k)])
     dice_mat = _dice(pairs, freqs[:, pivot_id, None], freqs)

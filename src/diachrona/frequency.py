@@ -10,12 +10,14 @@ reads one class-major table of any docset: a row per class (a POS tag, or
 one row for every token), a column per lemma, summed over its rows.  The
 full docset reads the POS tag x lemma table, counted once per index and
 cached on it (``_lemma_pos_counts``); a partial docset counts only its own
-tokens, copied run by run of adjacent documents (``_docset_values``), with
-its tag copy as the classes when a POS filter applies.  Both count with one
-counter, ``_lemma_counts``, which widens ``_CHUNK`` ids at a time into one
-reused key buffer.  So the cost of a count follows the docset's tokens, no
-corpus-length token mask or key array is built, and no per-token flag is
-made.
+tokens, copied run by run of adjacent documents (``_docset_values``).  With
+a POS filter its tag copy gives the classes: a row per tag, as in the
+cached table, unless that table would have more cells than the docset has
+tokens, when each tag's flag is looked up chunk by chunk and the table has
+two rows.  Both count with one counter, ``_lemma_counts``, which widens
+``_CHUNK`` ids at a time into one reused key buffer.  So the cost of a
+count follows the docset's tokens, and no corpus-length token mask, key
+array or per-token flag array is built.
 Where lemmas occur comes from one lookup, ``_occurrences``: the token
 positions of one or more lemmas inside a docset, in corpus order,
 which ``lemma_count`` (their number), ``form_share``, time series, pair
@@ -87,19 +89,23 @@ def _docset_runs(index: CorpusIndex, dmask: np.ndarray) -> tuple[np.ndarray, np.
 _CHUNK = 1 << 20
 
 
-def _lemma_counts(n_lemmas: int, lemma_ids: np.ndarray, classes=None, n_classes: int = 1) -> np.ndarray:
+def _lemma_counts(
+    n_lemmas: int, lemma_ids: np.ndarray, classes=None, n_classes: int = 1, class_of=None
+) -> np.ndarray:
     """Token counts by class and lemma, shape (n_classes, n_lemmas), int64:
     cell [c, i] counts the tokens with class c and lemma i, where
     ``classes`` holds each token's class below ``n_classes`` (None puts
-    every token in class 0).
+    every token in class 0).  With ``class_of``, an array such as a flag per
+    POS tag, a token's class is ``class_of[classes[t]]`` instead.
 
     The one per-lemma counter.  It counts ``_CHUNK`` tokens at a time
     through one reused intp key buffer: the chunk's classes (or, without
-    classes, its lemma ids) are copied into it, which widens them, turned in
-    place into the keys class * n_lemmas + lemma, and bincounted into the
-    table.  So no key array as long as the input is built, and bincount
-    never casts one.  The table is class-major, so a sum over classes adds a
-    few contiguous lemma-long rows.
+    classes, its lemma ids) are copied into it, which widens them, looked
+    up in ``class_of`` if given, turned in place into the keys
+    class * n_lemmas + lemma, and bincounted into the table.  So no key or
+    class array as long as the input is built, and bincount never casts
+    one.  The table is class-major, so a sum over classes adds a few
+    contiguous lemma-long rows.
     """
     table = np.zeros(n_classes * n_lemmas, dtype=np.int64)
     buffer = np.empty(min(_CHUNK, len(lemma_ids)), dtype=np.intp)
@@ -109,6 +115,8 @@ def _lemma_counts(n_lemmas: int, lemma_ids: np.ndarray, classes=None, n_classes:
             keys[:] = lemma_ids[lo : lo + _CHUNK]
         else:
             keys[:] = classes[lo : lo + _CHUNK]
+            if class_of is not None:
+                keys[:] = class_of[keys]
             keys *= n_lemmas
             keys += lemma_ids[lo : lo + _CHUNK]
         table += np.bincount(keys, minlength=len(table))
@@ -139,23 +147,35 @@ def _docset_counts(
     allowed tags).
 
     Both come from one class x lemma table: the totals sum all its rows, the
-    second count the rows of the allowed tags.  The full docset reads the
-    cached POS tag x lemma table.  A partial docset counts its own tokens
-    with ``_lemma_counts``, so its cost follows its tokens, not the corpus
-    size: its runs are found once, and its lemma ids are copied once; with
-    POS flags its tags are copied once too and are the classes, so the
-    table has the cached table's form.  Without them every token is in one
-    class.
+    second count the rows of the allowed classes.  The full docset reads
+    the cached POS tag x lemma table.  A partial docset counts its own
+    tokens with ``_lemma_counts``, so its cost follows its tokens, not the
+    corpus size: its runs are found once, and its lemma ids are copied once.
+    Without POS flags every token is in one class.  With them its tags are
+    copied once too and are the classes, a row per tag as in the cached
+    table, while that table has no more cells than the docset has tokens;
+    past that, a tagset too large for the docset would set the cost, so the
+    counter looks each tag's flag up chunk by chunk and the table has two
+    rows, the tokens of other and of allowed tags.
     """
+    rows = pos_allowed
     if dmask.all():
         table = _lemma_pos_counts(index)
     else:
         runs = _docset_runs(index, dmask)
-        tags = None if pos_allowed is None else _docset_values(index.pos_ids, *runs)
         lemma_ids = _docset_values(index.lemma_ids, *runs)
-        table = _lemma_counts(len(index.lemmas), lemma_ids, tags, 1 if tags is None else len(index.pos_tags))
+        n_lemmas, n_tags = len(index.lemmas), len(index.pos_tags)
+        if pos_allowed is None:
+            table = _lemma_counts(n_lemmas, lemma_ids)
+        else:
+            tags = _docset_values(index.pos_ids, *runs)
+            if n_tags * n_lemmas <= len(tags):
+                table = _lemma_counts(n_lemmas, lemma_ids, tags, n_tags)
+            else:
+                table = _lemma_counts(n_lemmas, lemma_ids, tags, 2, pos_allowed)
+                rows = slice(1, 2)
     totals = table.sum(axis=0)
-    return totals if pos_allowed is None else (totals, table[pos_allowed].sum(axis=0))
+    return totals if pos_allowed is None else (totals, table[rows].sum(axis=0))
 
 
 def _lemma_positions(index: CorpusIndex, lid: int) -> np.ndarray:

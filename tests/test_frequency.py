@@ -480,21 +480,50 @@ class TestDocsetCountProperties:
         # intp buffers; never a token-long key array
         assert peak < 2 * table.nbytes + 3 * 8 * chunk + (64 << 10)
 
-    def test_partial_pos_count_temporaries_follow_the_docset(self, monkeypatch):
-        index = synthetic_index(1_000_000, 2_000, 2_000, seed=13)
+    @pytest.mark.parametrize("n_tags", [3, 600])
+    def test_partial_pos_count_temporaries_follow_the_docset(self, monkeypatch, n_tags):
+        index = _retagged(synthetic_index(1_000_000, 2_000, 2_000, seed=13), n_tags)
         chunk = 1 << 14
         monkeypatch.setattr(frequency, "_CHUNK", chunk)
         dmask = np.arange(len(index)) % 2 == 0  # about half the tokens, in one-document runs
         allowed = np.arange(len(index.pos_tags)) % 2 == 0
         n_docset = int(np.diff(index.doc_starts)[dmask].sum())
+        counted, rows = frequency._lemma_counts, []
+
+        def spy(n_lemmas, lemma_ids, classes=None, n_classes=1, class_of=None):
+            rows.append(n_classes)
+            return counted(n_lemmas, lemma_ids, classes, n_classes, class_of)
+
+        monkeypatch.setattr(frequency, "_lemma_counts", spy)
         (totals, good), peak = _peak_bytes(lambda: _docset_counts(index, dmask, allowed))
-        assert totals.sum() == n_docset
-        # a uint32 lemma copy and a uint16 tag copy per docset token (the
-        # tags are the classes of the count), plus a few chunk-long intp
-        # buffers and tables of a few V-long rows; never an intp key or a
-        # flag per token
-        table = 8 * 2 * len(index.lemmas)
+        tokens = np.repeat(dmask, np.diff(index.doc_starts))
+        assert totals.tolist() == np.bincount(index.lemma_ids[tokens], minlength=len(index.lemmas)).tolist()
+        tokens &= allowed[index.pos_ids]
+        assert good.tolist() == np.bincount(index.lemma_ids[tokens], minlength=len(index.lemmas)).tolist()
+        # a uint32 lemma copy and a uint16 tag copy per docset token, plus a
+        # few chunk-long buffers and tables of a few V-long rows: a row per
+        # tag while that table has no more cells than the docset has tokens
+        # (3 x 2,000 here), else two rows (not 600 x 2,000 cells); never an
+        # intp key or a flag per token
+        assert rows == [n_tags if n_tags * len(index.lemmas) <= n_docset else 2]
+        table = 8 * rows[0] * len(index.lemmas)
         assert peak < 6 * n_docset + 3 * 8 * chunk + 4 * table + (64 << 10)
+
+
+def _retagged(index, n_tags):
+    """``index`` itself if it has ``n_tags`` POS tags, else a copy whose
+    tokens each carry one of ``n_tags`` random tags: a fine tagset over the
+    same lemmas and documents."""
+    if n_tags == len(index.pos_tags):
+        return index
+    rng = np.random.default_rng(n_tags)
+    typologies = [*index.typologies, None]
+    return CorpusIndex(
+        index.lemmas, index.forms, Vocabulary(f"T{i}" for i in range(n_tags)),
+        index.lemma_ids, index.form_ids, rng.integers(0, n_tags, len(index.pos_ids)).astype(np.uint16),
+        index.doc_ids, index.doc_starts, index.doc_kind, index.doc_lo, index.doc_hi,
+        [typologies[t] for t in index.doc_typology],
+    )
 
 
 class TestPositionCache:

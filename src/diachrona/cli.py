@@ -102,41 +102,32 @@ def _comma_set(raw: str) -> frozenset[str]:
 # --------------------------------------------------------------------------
 
 
-def _text_lines(path: str):
-    """Lines of a UTF-8 text file; a decoding failure names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
-
-
 def _cmd_index_build(args) -> int:
-    if args.plain:
-        lex = Lexicon()
-        if args.lexicon:
-            lex = Lexicon.from_tsv(_text_lines(args.lexicon))
-        docs = []
-        for path in args.input:
-            text = "".join(_text_lines(path))
-            records = lemmatize(tokenize_plain(text), lex)
-            docs.append((Path(path).stem, DateSpec.undated(), None, records))
-        index = index_from_documents(docs)
-    else:
-        opened: list[str] = []
+    if args.lexicon and not args.plain:
+        raise CorpusError("--lexicon applies only with --plain")
+    opened: list[str] = []
 
-        def files():
-            for path in args.input:
-                opened.append(path)
-                with open(path, encoding="utf-8") as fh:
-                    yield fh
+    def files(paths):
+        for path in paths:
+            opened.append(path)
+            with open(path, encoding="utf-8") as fh:
+                yield fh
 
-        # parse_vertical reads the open files' lines directly; a decoding
-        # failure is raised while it reads the last file opened
-        try:
-            index = parse_vertical(itertools.chain.from_iterable(files()), drop_pos=args.drop_pos)
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{opened[-1]}: not valid UTF-8 text ({exc.reason})") from None
+    # every file is read while it is the last one opened, so a decoding
+    # failure names it (parse_vertical reads the open files' lines directly)
+    try:
+        if args.plain:
+            lex = Lexicon()
+            for fh in files([args.lexicon] if args.lexicon else []):
+                lex = Lexicon.from_tsv(fh)
+            index = index_from_documents(
+                (Path(fh.name).stem, DateSpec.undated(), None, lemmatize(tokenize_plain(fh.read()), lex))
+                for fh in files(args.input)
+            )
+        else:
+            index = parse_vertical(itertools.chain.from_iterable(files(args.input)), drop_pos=args.drop_pos)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{opened[-1]}: not valid UTF-8 text ({exc.reason})") from None
     save_index(index, args.out)
     sys.stderr.write(
         f"indexed {index.total_tokens} tokens in {len(index)} documents "

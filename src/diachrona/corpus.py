@@ -9,10 +9,12 @@ document table of columns with one entry per document: ``doc_ids`` (a
 document i covers tokens ``doc_starts[i]:doc_starts[i+1]``), ``doc_kind``
 (a :class:`DateKind`), ``doc_lo`` and ``doc_hi`` (0 when undated),
 ``doc_typology`` (an id into the ``typologies`` :class:`Vocabulary`, -1 for
-no tag), and the derived ``doc_dated`` and ``doc_mids`` (floor midpoints, 0
-when undated).  Years lie in int32, the range the index file stores, and
+no tag; the table numbers the tags, none empty, in first-seen order), and
+the derived ``doc_dated`` and ``doc_mids`` (floor midpoints, 0 when
+undated).  Years lie in int32, the range the index file stores, and
 construction rejects any other.  ``documents`` reads the table as
-:class:`Document` records, built on first access.  A docset is None (every
+:class:`Document` records, built on first access: the one place that maps
+typology ids back to tags.  A docset is None (every
 document) or a boolean mask over documents; ``doc_mask`` rejects any other.
 The document filters (``is_dated``, ``dated_within``, ``has_typology``,
 ``with_ids``) are defined here once: each is a function of the index that
@@ -225,10 +227,10 @@ class CorpusIndex:
     """Read-only corpus: vocabularies + columnar token ids + document table.
 
     Construction validates every invariant once (column lengths, id ranges,
-    contiguous document slices that cover the tokens, valid int32 dates,
-    unique document ids) and makes the arrays read-only; afterwards the index
-    is safe for concurrent readers (see the module docstring on its lazy
-    caches).
+    the typology numbering, contiguous document slices that cover the
+    tokens, valid int32 dates, unique document ids) and makes the arrays
+    read-only; afterwards the index is safe for concurrent readers (see the
+    module docstring on its lazy caches).
     """
 
     def __init__(
@@ -244,7 +246,8 @@ class CorpusIndex:
         doc_kind: Sequence[int] | np.ndarray,
         doc_lo: Sequence[int] | np.ndarray,
         doc_hi: Sequence[int] | np.ndarray,
-        doc_typology: Iterable[str | None],
+        doc_typology: Sequence[int] | np.ndarray,
+        typologies: Vocabulary,
     ) -> None:
         lemma_ids = np.ascontiguousarray(lemma_ids)
         form_ids = np.ascontiguousarray(form_ids)
@@ -259,10 +262,8 @@ class CorpusIndex:
             raise CorpusError("POS vocabulary exceeds u16 capacity")
 
         self.doc_ids = Vocabulary(doc_ids, what="document id")
-        # tags get ids in first-seen order; an empty tag is no tag
-        tags: dict[str, int] = {}
-        typology = np.array([tags.setdefault(t, len(tags)) if t else -1 for t in doc_typology], np.int64)
         starts = _int64_column(doc_starts, "doc_starts")
+        typology = _int64_column(doc_typology, "doc_typology")
         try:
             kind, lo, hi = (
                 _int64_column(col, name)
@@ -273,6 +274,12 @@ class CorpusIndex:
         n_docs = len(self.doc_ids)
         if {len(starts) - 1, len(kind), len(lo), len(hi), len(typology)} != {n_docs}:
             raise CorpusError(f"document columns differ in length for {n_docs} documents")
+        _check_ids(typology, len(typologies), "typology", lowest=-1)
+        # first-seen order: each id is at most one past every id before it,
+        # and the last running maximum is the last tag, so each tag is used
+        running = np.maximum.accumulate(np.concatenate(([-1], typology)))
+        if (typology > running[:-1] + 1).any() or running[-1] != len(typologies) - 1 or "" in typologies:
+            raise CorpusError("typology tags disagree with the tags of the documents")
         if starts[0] != 0:
             raise CorpusError(f"documents start at token {starts[0]}, expected 0")
         if starts[-1] != n:
@@ -298,8 +305,7 @@ class CorpusIndex:
         self.form_ids = form_ids.astype(np.uint32, copy=False)
         self.pos_ids = pos_ids.astype(np.uint16, copy=False)
         self.doc_starts, self.doc_kind, self.doc_lo, self.doc_hi = starts, kind, lo, hi
-        self.doc_typology = typology
-        self.typologies = Vocabulary(tags)
+        self.doc_typology, self.typologies = typology, typologies
         self.doc_dated = kind != DateKind.UNDATED
         self.doc_mids = (lo + hi) >> 1
         for name in (*_COLUMNS, "doc_dated", "doc_mids"):
@@ -405,15 +411,23 @@ def _int64_column(values: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
     return col
 
 
-def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
+def _check_ids(ids: np.ndarray, size: int, what: str, lowest: int = 0) -> None:
     if ids.dtype.kind not in "iu":
         raise CorpusError(f"{what} ids must be integers")
     if len(ids) == 0:
         return
     hi = int(ids.max())
     lo = int(ids.min()) if ids.dtype.kind == "i" else 0
-    if lo < 0 or hi >= size:
-        raise _IdOutOfRange(f"{what} id {hi if hi >= size else lo} out of range (vocabulary size {size})")
+    if lo < lowest or hi >= size:
+        raise _IdOutOfRange(f"{what} id {lo if lo < lowest else hi} out of range (vocabulary size {size})")
+
+
+def _typology_column(tags: Iterable[str | None]) -> tuple[np.ndarray, Vocabulary]:
+    """The ``doc_typology`` ids and ``typologies`` table of documents tagged
+    ``tags``, numbered in first-seen order; an empty tag or None is no tag."""
+    table: dict[str, int] = {}
+    ids = np.array([table.setdefault(tag, len(table)) if tag else -1 for tag in tags], np.int64)
+    return ids, Vocabulary(table)
 
 
 # a document filter: a function of the index returning a boolean mask over its documents

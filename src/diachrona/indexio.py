@@ -34,11 +34,13 @@ Loading reads the file once into a read-only buffer and takes each column
 as a view of it.  It checks each section before use: that it lies inside the
 file, starts where the layout puts it and holds whole items, and that its
 CRC32 matches; then that each string table's text is UTF-8 and its offsets
-rise from 0 to the text's length, and that every stored id is in range,
-raising a distinct error for each failure mode.  The index checks the
-document table it is given.  The lemma, POS, document id and typology
-tables are split into their entries at load, and repeats in them are
-rejected there.  The forms table is kept as its decoded text and offsets
+rise from 0 to the text's length, raising a distinct error for each failure
+mode.  The stored columns and tables go to the index as they are, and the
+index checks them itself: every id against its table, the typology ids and
+tags (numbered in first-seen document order, each used, none empty), and the
+document table.  The lemma, POS, document id and typology tables are split
+into their entries at load, and repeats in them are rejected there.  The
+forms table is kept as its decoded text and offsets
 (:meth:`Vocabulary.from_text`): no query looks a form up by its string, and
 a form share reads only the forms its hits carry, so the forms are split,
 and a repeated form reported, on their first use.
@@ -61,7 +63,7 @@ import zlib
 
 import numpy as np
 
-from .corpus import CorpusError, CorpusIndex, Vocabulary, _IdOutOfRange, _split
+from .corpus import CorpusError, CorpusIndex, Vocabulary, _IdOutOfRange, _split, _typology_column
 
 __all__ = [
     "MAGIC",
@@ -177,10 +179,11 @@ def load_index(path: str | os.PathLike) -> CorpusIndex:
 
     Every malformed file raises an :class:`IndexFormatError`.  Tables the
     index itself rejects (a repeated lemma, POS tag or document id,
-    documents that do not cover the tokens, an invalid date) raise the base
-    class with the index's message, except token ids outside their
-    vocabulary, which raise :class:`IdRangeError`.  A repeated form is
-    reported by the first use of the forms table, as a :class:`CorpusError`.
+    documents that do not cover the tokens, an invalid date, typology tags
+    out of first-seen order, unused or empty) raise the base class with the
+    index's message, except token or typology ids outside their table, which
+    raise :class:`IdRangeError`.  A repeated form is reported by the first
+    use of the forms table, as a :class:`CorpusError`.
     """
     # read into a numpy buffer, not bytes: numpy asks the kernel for huge
     # pages for a large buffer, so the read takes about half as long and the
@@ -239,25 +242,11 @@ def _read_v2(cur: "_Cursor") -> CorpusIndex:
         raise IndexFormatError("trailing bytes after the last section")
     lemmas, forms, pos_tags, doc_ids, typologies = (_strings(sections, table) for table in _STRING_TABLES)
     # the forms alone are split on their first use (see the module docstring)
-    lemmas, pos_tags = Vocabulary(_split(*lemmas)), Vocabulary(_split(*pos_tags))
-    doc_ids, typologies = _split(*doc_ids), _split(*typologies)
+    lemmas, pos_tags, typologies = (Vocabulary(_split(*table)) for table in (lemmas, pos_tags, typologies))
     forms = Vocabulary.from_text(*forms, what="form in the index file")
-    lemma_ids, form_ids, pos_ids, doc_starts, doc_kind, doc_lo, doc_hi, doc_typology = (
-        sections[name] for name, _ in _COLUMNS
-    )
-    # the index checks the token ids against the vocabularies itself, once
-    if len(doc_typology):
-        lo, hi = int(doc_typology.min()), int(doc_typology.max())
-        if lo < -1 or hi >= len(typologies):
-            bad = lo if lo < -1 else hi
-            raise IdRangeError(f"typology id {bad} out of range (vocabulary size {len(typologies)})")
-    tags = map([*typologies, None].__getitem__, doc_typology.tolist())
-    index = CorpusIndex(
-        lemmas, forms, pos_tags, lemma_ids, form_ids, pos_ids, doc_ids, doc_starts, doc_kind, doc_lo, doc_hi, tags
-    )
-    if index.typologies.entries != typologies:
-        raise IndexFormatError("stored typology tags disagree with the tags of the documents")
-    return index
+    columns = [sections[name] for name, _ in _COLUMNS]  # the three token columns, then the document columns
+    # the index checks every id column against its table itself, once
+    return CorpusIndex(lemmas, forms, pos_tags, *columns[:3], _split(*doc_ids), *columns[3:], typologies)
 
 
 def _strings(sections: dict, table: str) -> tuple[str, np.ndarray]:
@@ -287,12 +276,13 @@ def _read_v1(cur: "_Cursor") -> CorpusIndex:
     ]
     if cur.at != len(cur.data):
         raise IndexFormatError("trailing bytes after document table")
-    ids, kinds, los, his, typologies, starts, lengths = zip(*docs) if docs else [()] * 7
+    ids, kinds, los, his, tags, starts, lengths = zip(*docs) if docs else [()] * 7
     doc_starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
     if not np.array_equal(starts, doc_starts[:-1]):
         raise IndexFormatError("stored document starts disagree with the document lengths")
     return CorpusIndex(
-        lemmas, forms, pos_tags, lemma_ids, form_ids, pos_ids, ids, doc_starts, kinds, los, his, typologies
+        lemmas, forms, pos_tags, lemma_ids, form_ids, pos_ids, ids, doc_starts, kinds, los, his,
+        *_typology_column(tags),
     )
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CorpusError, CorpusIndex, DateSpec, Vocabulary, _require_collection
+from .corpus import CorpusError, CorpusIndex, DateSpec, Vocabulary, _require_collection, _typology_column
 
 __all__ = [
     "UNKNOWN_LEMMA",
@@ -141,7 +141,7 @@ def _index(heads: list[_Head], types: Iterable[Sequence[str]], token_types: arra
         [date.kind for date in dates],
         [date.lo or 0 for date in dates],
         [date.hi or 0 for date in dates],
-        typologies,
+        *_typology_column(typologies),
     )
 
 

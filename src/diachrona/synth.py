@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import CorpusError, CorpusIndex, DateKind, Vocabulary
+from .corpus import CorpusError, CorpusIndex, DateKind, Vocabulary, _typology_column
 
 __all__ = ["synthetic_index"]
 
@@ -86,7 +86,7 @@ def synthetic_index(
     hi = np.where(kinds == DateKind.RANGE, np.minimum(years + spans, _YEAR_HI + 40), lo)
     ids = (f"d{i:06d}" for i in range(n_docs))
     starts = np.concatenate(([0], np.cumsum(doc_lens)))
-    typology = np.array(["charter", "letter", None], dtype=object)[typologies]
+    tags = np.array(["charter", "letter", None], dtype=object)[typologies]
     return CorpusIndex(
-        lemmas, forms, pos_tags, lemma_ids, form_ids, base_pos, ids, starts, kinds, lo, hi, typology
+        lemmas, forms, pos_tags, lemma_ids, form_ids, base_pos, ids, starts, kinds, lo, hi, *_typology_column(tags)
     )

@@ -12,7 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from diachrona import cooc
-from diachrona.corpus import CorpusIndex, DateSpec, subcorpus, with_ids
+from diachrona.corpus import CorpusIndex, DateSpec, _typology_column, subcorpus, with_ids
 from diachrona.indexio import MAGIC, load_index, save_index
 from diachrona.ingest import index_from_documents
 
@@ -145,13 +145,13 @@ def permuted_documents(index: CorpusIndex, order) -> CorpusIndex:
     order = np.asarray(order, dtype=np.int64)
     starts = index.doc_starts
     tokens = np.concatenate([np.arange(starts[d], starts[d + 1]) for d in order])
-    tags = [*index.typologies, None]
+    tags = [doc.typology for doc in index.documents]
     return CorpusIndex(
         index.lemmas, index.forms, index.pos_tags,
         index.lemma_ids[tokens], index.form_ids[tokens], index.pos_ids[tokens],
         [index.doc_ids[d] for d in order], np.concatenate(([0], np.cumsum(np.diff(starts)[order]))),
         index.doc_kind[order], index.doc_lo[order], index.doc_hi[order],
-        [tags[t] for t in index.doc_typology[order]],
+        *_typology_column(tags[d] for d in order),
     )
 
 

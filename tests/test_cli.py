@@ -201,16 +201,19 @@ class TestExitCodes:
             (["evolve", "--pivot", "pater", "--pos", ","], "--pos names no POS tag"),
             (["map", "--pivot", "pater", "--pos", ""], "--pos names no POS tag"),
             (["freq", "share", "--lemma", "pater", "--forms", ","], "--forms names no form"),
+            (["index", "build", "--input", str(SAMPLE), "--lexicon", "no-such.tsv", "--out", "no-dir/x.csem"],
+             "--lexicon applies only with --plain"),
         ],
         ids=[
             "reversed-filter", "reversed-slice", "top-nan-scale", "pair-inf-scale", "repeated-slice-label",
             "repeated-lemma", "no-lemma", "comma-lemma", "empty-typology-filter", "empty-typology-slice",
             "one-year-filter", "non-integer-filter", "slice-without-label", "top-no-pos", "evolve-no-pos",
-            "map-no-pos", "share-no-form",
+            "map-no-pos", "share-no-form", "lexicon-without-plain",
         ],
     )
     def test_absurd_input_is_one_line_error(self, sample_index, capsys, argv, message):
-        assert run_cli(argv + ["--index", str(sample_index)]) == 1
+        # a query reads the sample index; `index build` takes no index
+        assert run_cli(argv + (["--index", str(sample_index)] if argv[0] != "index" else [])) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_no_dropped_tag_and_an_absent_tag_are_legal(self, sample_index, tmp_path, capsys):
@@ -374,12 +377,17 @@ class TestIndexBuild:
         run_cli(["freq", "count", "--lemma", "pater", "--index", str(out)])
         assert capsys.readouterr().out.strip().split("\t")[1] == "1"
 
-    @pytest.mark.parametrize("plain", [False, True])
+    @pytest.mark.parametrize("plain", [False, True, "lexicon"])
     def test_non_utf8_input_is_one_line_domain_error(self, tmp_path, capsys, plain):
+        # "lexicon": a plain input that is UTF-8, and a lexicon that is not
         bad = tmp_path / "latin1.vrt"
         bad.write_bytes("#doc id=d1 date=900\ncaf\u00e9\tNOM\tcafe\n".encode("latin-1"))
-        argv = ["index", "build", "--input", str(bad), "--out", str(tmp_path / "x.csem")]
-        assert run_cli(argv + (["--plain"] if plain else [])) == 1
+        good = tmp_path / "good.txt"
+        good.write_text("pater\n", encoding="utf-8")
+        lexicon = plain == "lexicon"
+        argv = ["index", "build", "--input", str(good if lexicon else bad), "--out", str(tmp_path / "x.csem")]
+        argv += (["--plain"] if plain else []) + (["--lexicon", str(bad)] if lexicon else [])
+        assert run_cli(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: ") and str(bad) in err and "UTF-8" in err

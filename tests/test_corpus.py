@@ -70,7 +70,7 @@ def _saved(forms: Vocabulary) -> bytes:
     n = len(forms)
     index = CorpusIndex(
         Vocabulary(["l"]), forms, Vocabulary(["N"]), np.zeros(n, np.uint32), np.arange(n, dtype=np.uint32),
-        np.zeros(n, np.uint16), ["d"], [0, n], [0], [0], [0], [None],
+        np.zeros(n, np.uint16), ["d"], [0, n], [0], [0], [0], [-1], Vocabulary(),
     )
     with tempfile.TemporaryDirectory() as tmp:
         save_index(index, Path(tmp) / "t.csem")
@@ -365,7 +365,7 @@ class TestCorpusIndex:
         with pytest.raises(CorpusError):
             CorpusIndex(
                 vocab, vocab, vocab, ids, ids, ids.astype(np.uint16),
-                ["d1", "d2"], [0, 1, 2], [0, 0], [0, 0], [0, 0], [None, None],
+                ["d1", "d2"], [0, 1, 2], [0, 0], [0, 0], [0, 0], [-1, -1], Vocabulary(),
             )
 
     @pytest.mark.parametrize("bad_id, dtype", [(5, np.uint32), (-1, np.int64), (1, np.int8)])
@@ -376,7 +376,8 @@ class TestCorpusIndex:
         ok = np.zeros(1, dtype=np.uint32)
         with pytest.raises(CorpusError, match=f"lemma id {bad_id} out of range"):
             CorpusIndex(
-                vocab, vocab, vocab, bad, ok, ok.astype(np.uint16), ["d1"], [0, 1], [0], [0], [0], [None]
+                vocab, vocab, vocab, bad, ok, ok.astype(np.uint16), ["d1"], [0, 1], [0], [0], [0], [-1],
+                Vocabulary(),
             )
 
     @pytest.mark.parametrize(
@@ -395,7 +396,7 @@ class TestCorpusIndex:
         with pytest.raises(CorpusError, match=message):
             CorpusIndex(
                 vocab, vocab, Vocabulary(pos_tags), lemma_ids, ok, ok.astype(np.uint16),
-                ["d1"], [0, 3], [0], [0], [0], [None],
+                ["d1"], [0, 3], [0], [0], [0], [-1], Vocabulary(),
             )
 
     def test_never_equal_to_another_type(self):
@@ -649,16 +650,18 @@ class TestDocumentOrder:
 
 def _columns(**changes):
     """Document columns of a valid two-document, three-token index, with
-    ``changes`` applied."""
+    ``changes`` applied; ``typologies`` is given as a list of tags."""
     columns = dict(
         doc_ids=["a", "b"],
         doc_starts=[0, 1, 3],
         doc_kind=[DateKind.EXACT, DateKind.RANGE],
         doc_lo=[900, 950],
         doc_hi=[900, 990],
-        doc_typology=[None, "charter"],
+        doc_typology=[-1, 0],
+        typologies=["charter"],
     )
     columns.update(changes)
+    columns["typologies"] = Vocabulary(columns["typologies"])
     vocab = Vocabulary(["a"])
     ids = np.zeros(3, dtype=np.uint32)
     return CorpusIndex(vocab, vocab, vocab, ids, ids, ids.astype(np.uint16), **columns)
@@ -688,10 +691,21 @@ class TestDocumentColumns:
             ({"doc_hi": [901, 990]}, "document 'a': exact date spans 900..901"),
             ({"doc_lo": [900, 991]}, "document 'b': date interval reversed: 991 > 990"),
             ({"doc_ids": ["a", "a"]}, "duplicate document id: 'a'"),
+            ({"doc_typology": [-2, 0]}, r"^typology id -2 out of range \(vocabulary size 1\)$"),
+            ({"doc_typology": [-1, 1]}, r"^typology id 1 out of range \(vocabulary size 1\)$"),
+            ({"doc_typology": [1, 0], "typologies": ["charter", "letter"]},
+             "^typology tags disagree with the tags of the documents$"),
+            ({"doc_typology": [0, 1], "typologies": ["charter", ""]},
+             "^typology tags disagree with the tags of the documents$"),
+            ({"typologies": ["charter", "letter"]}, "^typology tags disagree with the tags of the documents$"),
+            ({"doc_typology": [0, 1], "typologies": ["charter", "charter"]},
+             "^duplicate vocabulary entry: 'charter'$"),
         ],
         ids=[
             "length-mismatch", "starts-length", "first-start", "decreasing-starts", "cover",
             "kind-3", "undated-with-years", "exact-spans", "reversed-range", "duplicate-id",
+            "typology-id-low", "typology-id-at-table-length", "tags-out-of-first-seen-order",
+            "empty-tag-in-table", "unused-tag", "repeated-tag",
         ],
     )
     def test_malformed_columns_raise_one_line_errors(self, changes, message):
@@ -727,7 +741,9 @@ class TestDocumentColumns:
     def test_empty_list_columns_build(self):
         vocab = Vocabulary(["a"])
         ids = np.zeros(0, dtype=np.uint32)
-        index = CorpusIndex(vocab, vocab, vocab, ids, ids, ids.astype(np.uint16), [], [0], [], [], [], [])
+        index = CorpusIndex(
+            vocab, vocab, vocab, ids, ids, ids.astype(np.uint16), [], [0], [], [], [], [], Vocabulary()
+        )
         assert len(index) == 0 and index.total_tokens == 0
         assert index.doc_kind.dtype == np.int64 and index.doc_starts.tolist() == [0]
 
@@ -760,6 +776,23 @@ class TestDocumentColumns:
             loaded = load_index(path)
         assert loaded == index
         assert loaded.documents == index.documents
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus_records(typologies=st.sampled_from([None, "", "charter", "letter", "é"])), st.data())
+    def test_typology_tags_are_numbered_in_first_seen_order(self, docs, data):
+        # built, and with its documents permuted, which renumbers the tags
+        built = build_index(docs)
+        order = data.draw(st.permutations(range(len(built))))
+        for index, tags in (
+            (built, [tag for _, _, tag, _ in docs]),
+            (permuted_documents(built, order), [docs[d][2] for d in order]),
+        ):
+            tags = [tag or None for tag in tags]
+            assert [doc.typology for doc in index.documents] == tags
+            assert index.typologies.entries == list(dict.fromkeys(tag for tag in tags if tag))
+            with tempfile.TemporaryDirectory() as tmp:
+                save_index(index, Path(tmp) / "x.csem")
+                assert load_index(Path(tmp) / "x.csem") == index
 
 
 

@@ -517,12 +517,11 @@ def _retagged(index, n_tags):
     if n_tags == len(index.pos_tags):
         return index
     rng = np.random.default_rng(n_tags)
-    typologies = [*index.typologies, None]
     return CorpusIndex(
         index.lemmas, index.forms, Vocabulary(f"T{i}" for i in range(n_tags)),
         index.lemma_ids, index.form_ids, rng.integers(0, n_tags, len(index.pos_ids)).astype(np.uint16),
         index.doc_ids, index.doc_starts, index.doc_kind, index.doc_lo, index.doc_hi,
-        [typologies[t] for t in index.doc_typology],
+        index.doc_typology, index.typologies,
     )
 
 
@@ -572,7 +571,8 @@ class TestPositionCache:
             [DateKind.UNDATED, DateKind.EXACT],
             [0, 900],
             [0, 900],
-            [None, None],
+            [-1, -1],
+            Vocabulary(),
         )
         for lid in (0, 7, 65_536, 65_543):
             want = np.flatnonzero(lemma_ids == lid)

@@ -517,6 +517,33 @@ def test_v2_corrupt_tables_raise_one_line_index_format_error(tmp_path, v2_raw, n
     assert "\n" not in str(caught.value)
 
 
+@pytest.fixture(scope="module")
+def v2_two_tags_raw(tmp_path_factory):
+    """A version 2 file of two documents tagged "charter" and "diploma"."""
+    docs = [("d1", DateSpec.undated(), "charter", [("ab", "NOM", "ab")]), ("d2", DateSpec.undated(), "diploma", [])]
+    path = tmp_path_factory.mktemp("v2") / "x.csem"
+    save_index(build_index(docs), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        # typology tags "charter", "diploma": text "charterdiploma", offsets 0, 7, 14; ids 0, 1
+        ("doc_typology", _column("<i4", 1, 0), "typology tags disagree"),
+        ("typologies offsets", _column("<u8", 0, 0, 14), "typology tags disagree"),
+        ("typologies text", b"chartercharter", "duplicate vocabulary entry: 'charter'"),
+    ],
+    ids=["out-of-first-seen-order", "empty-tag", "repeated-tag"],
+)
+def test_v2_typology_table_that_breaks_the_tag_rule_raises_one_line_index_format_error(
+    tmp_path, v2_two_tags_raw, name, content, message
+):
+    with pytest.raises(IndexFormatError, match=message) as caught:
+        _load_raw(tmp_path, v2_set_section(v2_two_tags_raw, name, content))
+    assert "\n" not in str(caught.value)
+
+
 def test_v2_repeated_form_is_reported_on_first_use(tmp_path, v2_raw):
     # forms "ab", "cd", "g" become "ab", "ab", "g", with the CRC32 updated.
     # The load and the index's form id check read only the offsets, and a
@@ -542,7 +569,7 @@ def test_a_cold_lemma_count_slices_no_form(tmp_path):
     lemma_ids, form_ids = np.arange(n, dtype=np.uint32) % 2, np.arange(n, dtype=np.uint32)
     index = CorpusIndex(
         lemmas, forms, pos_tags, lemma_ids, form_ids, np.zeros(n, np.uint16),
-        ["d1", "d2"], [0, n // 2, n], [0, 0], [0, 0], [0, 0], [None, None],
+        ["d1", "d2"], [0, n // 2, n], [0, 0], [0, 0], [0, 0], [-1, -1], Vocabulary(),
     )
     path = tmp_path / "forms.csem"
     save_index(index, path)

@@ -34,7 +34,10 @@ occurrences at 10M tokens), and each step rereads arrays that are still in
 the CPU caches; a mirror slab also reads the at most w occurrences after
 it.
 
-Every Dice value comes from one array function, ``_dice`` (0 where both
+Collocates over a docset (``top_cooccurrents``) and per tranche
+(``diachrony.evolving_cooccurrents``) come from one scorer,
+``_pivot_scores``, the only place the candidate rule is applied.  Every
+Dice value comes from one array function, ``_dice`` (0 where both
 frequencies are 0), and every ranking from one helper, ``_top_k``, so
 Python objects are built only for the rows a query returns.
 """
@@ -134,8 +137,7 @@ def _window_pairs(
     a bucket, or to -1 to leave it out; None puts every document in bucket 0.
 
     - ``rows`` one lemma id: shape (n_buckets, V), the pivot's pairs with
-      each lemma, its own column 0 (``cooc_counts``, ``top_cooccurrents``,
-      ``diachrony._tranche_scores``).
+      each lemma, its own column 0 (``cooc_counts`` and ``_pivot_scores``).
     - ``rows`` and ``col`` two distinct lemma ids: shape (n_buckets,)
       (``adjacency_count`` and ``pair_evolution``, through ``_lemma_pairs``).
       At each offset the passing neighbours equal to ``col`` are counted
@@ -287,23 +289,44 @@ def cooc_counts(index: CorpusIndex, docset, pivot: str, window: int) -> CoocTabl
     return CoocTable(pivot, window, pair_counts, int(freqs[pivot_id]), neighbor_freqs)
 
 
-def _pos_majority_pass(
+def _pivot_scores(
     index: CorpusIndex,
-    dmask: np.ndarray,
+    doc_bucket: np.ndarray | None,
+    n_buckets: int,
+    pivot_id: int,
+    window: int,
     pos_filter: Iterable[str] | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-lemma token counts in the document mask, and a boolean per-lemma
-    vector: at least half of a lemma's tokens there carry an allowed POS tag
-    (None when no filter applies).  Both come from one copy of the docset's
-    tokens.
+    min_count: int,
+):
+    """The one collocate scorer: candidate ids, their pairs with the pivot
+    and Dice per bucket (n_buckets x candidates), and every lemma's
+    frequency per bucket (n_buckets x V); buckets as in ``_window_pairs``.
+
+    A candidate's pairs over all buckets reach ``min_count`` and, with a POS
+    filter, at least half its tokens in the buckets' documents carry an
+    allowed tag.  One bucket counts its frequencies and tags in one pass;
+    several count each bucket without tags, and the tags once over their
+    union, only when a filter is given.
     """
-    if pos_filter is None:
-        return _docset_counts(index, dmask), None
-    _require_collection(pos_filter, "pos_filter")
-    allowed = np.zeros(len(index.pos_tags), dtype=bool)
-    allowed[[i for i in map(index.pos_tags.id_of, pos_filter) if i is not None]] = True
-    freqs, good = _docset_counts(index, dmask, allowed)
-    return freqs, 2 * good >= np.maximum(freqs, 1)
+    docs = np.ones(len(index), dtype=bool) if doc_bucket is None else doc_bucket >= 0
+    good = None
+    if pos_filter is not None:
+        _require_collection(pos_filter, "pos_filter")
+        allowed = np.zeros(len(index.pos_tags), dtype=bool)
+        allowed[[i for i in map(index.pos_tags.id_of, pos_filter) if i is not None]] = True
+        totals, good = _docset_counts(index, docs, allowed)
+    if n_buckets == 1:
+        freqs = (totals if good is not None else _docset_counts(index, docs))[None]
+    else:
+        freqs = np.stack([_docset_counts(index, doc_bucket == b) for b in range(n_buckets)])
+    pairs = _window_pairs(index, doc_bucket, n_buckets, pivot_id, window)
+    # one bucket's row is its total, read without a reduction over one row
+    candidate = (pairs[0] if n_buckets == 1 else pairs.sum(axis=0)) >= min_count
+    if good is not None:
+        candidate &= 2 * good >= np.maximum(totals, 1)
+    ids = np.flatnonzero(candidate)
+    pairs = pairs[:, ids]
+    return ids, pairs, _dice(pairs, freqs[:, pivot_id, None], freqs[:, ids]), freqs
 
 
 def top_cooccurrents(
@@ -328,22 +351,14 @@ def top_cooccurrents(
         raise CorpusError("window must be >= 1")
     if min_count < 1:
         raise CorpusError("min_count must be >= 1")
-    dmask = index.doc_mask(docset)
+    doc_bucket = _docset_bucket(index.doc_mask(docset))
     pivot_id = index.lemmas.id_of(pivot)
     if pivot_id is None:
         return []
-    freqs, pos_ok = _pos_majority_pass(index, dmask, pos_filter)
-    if freqs[pivot_id] == 0:
-        return []
-    counts = _window_pairs(index, _docset_bucket(dmask), 1, pivot_id, window)[0]
-    candidate = counts >= min_count
-    if pos_ok is not None:
-        candidate &= pos_ok
-    ids = np.flatnonzero(candidate)
-    pairs, cand_freqs = counts[ids], freqs[ids]
-    scores = _dice(pairs, freqs[pivot_id], cand_freqs)
+    scored = _pivot_scores(index, doc_bucket, 1, pivot_id, window, pos_filter, min_count)
+    ids, (pairs,), (scores,), (freqs,) = scored
     return [
-        Cooccurrent(index.lemmas[int(ids[i])], int(pairs[i]), int(cand_freqs[i]), float(scores[i]))
+        Cooccurrent(index.lemmas[int(ids[i])], int(pairs[i]), int(freqs[ids[i]]), float(scores[i]))
         for i in _top_k(index, ids, scores, pairs, k)
     ]
 

@@ -2,7 +2,8 @@
 
 Dated documents are sorted by date midpoint and cut into k contiguous
 tranches of near-equal token mass (never splitting a document).  Counting
-collocates per tranche, and scoring each candidate by the least-squares
+collocates per tranche, each tranche one bucket of the one collocate scorer
+``cooc._pivot_scores``, and scoring each candidate by the least-squares
 slope of its per-tranche Dice values relative to their mean, surfaces the
 associations that rise or fall most strongly across the timeline.
 
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooc import _dice, _pos_majority_pass, _top_k, _window_pairs
+from .cooc import _pivot_scores, _top_k
 from .corpus import CorpusError, CorpusIndex
-from .frequency import _docset_counts
 
 __all__ = [
     "TrancheSet",
@@ -89,33 +89,6 @@ def make_tranches(index: CorpusIndex, k: int) -> TrancheSet:
     return TrancheSet(k, tuple(boundaries), masses, order)
 
 
-def _tranche_scores(
-    index: CorpusIndex,
-    tranches: TrancheSet,
-    pivot_id: int,
-    window: int,
-    pos_filter: Iterable[str] | None,
-    min_count: int,
-):
-    """Per-tranche pair counts and frequencies (k x V), the Dice matrix, and
-    the ids of the candidate collocates.
-
-    A candidate's total pair count reaches ``min_count`` and its POS
-    majority over all dated documents passes the filter.
-    """
-    doc_bucket = np.full(len(index), -1, dtype=np.int64)
-    sizes = np.diff(tranches.boundaries)
-    # doc_order is the index's dated order, which the index also caches as an array
-    doc_bucket[index._dated_array] = np.repeat(np.arange(tranches.k), sizes)
-    pairs = _window_pairs(index, doc_bucket, tranches.k, pivot_id, window)
-    freqs = np.stack([_docset_counts(index, doc_bucket == t) for t in range(tranches.k)])
-    dice_mat = _dice(pairs, freqs[:, pivot_id, None], freqs)
-    candidate = pairs.sum(axis=0) >= min_count
-    if pos_filter is not None:
-        candidate &= _pos_majority_pass(index, doc_bucket >= 0, pos_filter)[1]
-    return pairs, freqs, dice_mat, np.nonzero(candidate)[0]
-
-
 def ols_slope(values) -> float:
     """Ordinary-least-squares slope of values against positions 1..k."""
     y = np.ascontiguousarray(values, dtype=np.float64)
@@ -172,14 +145,22 @@ def evolving_cooccurrents(
         raise CorpusError("min_count must be >= 1")
     if top_n < 1:
         raise CorpusError("top_n must be >= 1")
+    order, cuts = index.dated_order(), list(tranches.boundaries)
+    # make_tranches stores the index's own dated order, so identity settles it
+    same_order = tranches.doc_order is order or tranches.doc_order == order
+    rising = len(cuts) == tranches.k + 1 >= 2 and cuts == sorted(set(cuts))
+    if not (same_order and rising and cuts[0] == 0 and cuts[-1] == len(order)):
+        raise CorpusError("tranches were not cut from this index's dated documents")
     pivot_id = index.lemmas.id_of(pivot)
     if pivot_id is None:
         return TrendReport(pivot, window, tranches.k, ())
-    pairs, _, dice_mat, ids = _tranche_scores(
-        index, tranches, pivot_id, window, pos_filter, min_count
+    doc_bucket = np.full(len(index), -1, dtype=np.int64)
+    doc_bucket[index._dated_array] = np.repeat(np.arange(tranches.k), np.diff(cuts))
+    ids, pairs, dice, _ = _pivot_scores(
+        index, doc_bucket, tranches.k, pivot_id, window, pos_filter, min_count
     )
-    totals = pairs.sum(axis=0)[ids]
-    rows = np.ascontiguousarray(dice_mat[:, ids].T)
+    totals = pairs.sum(axis=0)
+    rows = np.ascontiguousarray(dice.T)
     slopes = _slopes(rows)
     scores = slopes / np.maximum(rows.mean(axis=1), SCORE_EPSILON)
     entries = tuple(

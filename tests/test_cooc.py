@@ -20,7 +20,6 @@ from diachrona.cooc import (
 from diachrona.corpus import CorpusError, DateSpec
 from diachrona.diachrony import (
     SCORE_EPSILON,
-    _tranche_scores,
     evolving_cooccurrents,
     make_tranches,
     ols_slope,
@@ -578,20 +577,40 @@ class TestKernelProperties:
         assert bins == brute_pair_bins(index, a, b, window, bin_width, docs)
 
     @PROPERTY
-    @given(cases(), st.data())
-    def test_tranche_scores_match_brute_force(self, case, data):
-        index, window, _, a, _ = case
+    @given(cases(tagged=True), st.data())
+    def test_pivot_scores_match_brute_force(self, case, data):
+        # one bucket over a docset, or k tranches of the dated documents, each
+        # with a drawn POS filter (an unknown tag among them) and min_count
+        index, window, docs, a, _ = case
+        pos_filter = data.draw(st.none() | st.sets(st.sampled_from((*POS_TAGS, "XX"))))
+        min_count = data.draw(st.integers(1, 3))
         n_dated = len(index.dated_order())
-        assume(n_dated >= 2)
-        tranches = make_tranches(index, data.draw(st.integers(2, n_dated)))
-        pairs, freqs, dice_mat, ids = _tranche_scores(index, tranches, index.lemmas.id_of(a), window, None, 1)
-        brute = brute_tranche_scores(index, tranches, a, window)
+        if n_dated >= 2 and data.draw(st.booleans()):
+            tranches = make_tranches(index, data.draw(st.integers(2, n_dated)))
+            positions = map(tranches.tranche_positions, range(tranches.k))
+            groups = [{index.documents[int(p)].doc_id for p in tranche} for tranche in positions]
+            union = set().union(*groups)
+        else:
+            groups, union = [docs], docs
+        doc_bucket = None if union is None else np.array(
+            [next((b for b, group in enumerate(groups) if doc.doc_id in group), -1) for doc in index.documents]
+        )
+        ids, pairs, dice_, freqs = cooc._pivot_scores(
+            index, doc_bucket, len(groups), index.lemmas.id_of(a), window, pos_filter, min_count
+        )
         lemmas = index.lemmas.entries
-        for t, (want_pairs, want_freqs) in enumerate(zip(brute.pairs, brute.freqs)):
-            assert dict(zip(lemmas, pairs[t].tolist())) == {x: want_pairs.get(x, 0) for x in lemmas}
-            assert freqs[t].tolist() == [want_freqs[x] for x in lemmas]
-        assert dice_mat.T.tolist() == [brute.dice[x] for x in lemmas]
-        assert {lemmas[i] for i in ids} == set(brute.totals)
+        want_pairs = [brute_pair_counts(index, a, window, group) for group in groups]
+        want_freqs = [brute_freqs(index, group) for group in groups]
+        totals = sum(map(Counter, want_pairs), Counter())
+        passing = set(lemmas) if pos_filter is None else brute_pos_majority(index, pos_filter, union)
+        candidates = [x for x in lemmas if totals[x] >= min_count and x in passing]
+        assert [lemmas[i] for i in ids] == candidates
+        assert freqs.tolist() == [[f[x] for x in lemmas] for f in want_freqs]
+        assert pairs.tolist() == [[p.get(x, 0) for x in candidates] for p in want_pairs]
+        assert dice_.tolist() == [
+            [2.0 * p.get(x, 0) / (f[a] + f[x]) if f[a] + f[x] else 0.0 for x in candidates]
+            for p, f in zip(want_pairs, want_freqs)
+        ]
 
     @PROPERTY
     @given(cases(st.integers(4, 8)), st.integers(3, 5), st.booleans())

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from diachrona.cooc import cooc_counts
+from diachrona.cooc import _pivot_scores, cooc_counts
 from diachrona.corpus import CorpusError, DateSpec
 from diachrona.diachrony import (
     TrancheSet,
-    _tranche_scores,
     evolving_cooccurrents,
     make_tranches,
     ols_slope,
@@ -76,13 +75,14 @@ class TestMakeTranches:
 
 
 def tranche_pairs(index, tranches, pivot, window):
-    """Per-tranche pair counts and frequencies (k x V) of ``pivot``."""
-    pairs, freqs, _, _ = _tranche_scores(index, tranches, index.lemmas.id_of(pivot), window, None, 1)
-    return pairs, freqs
-
-
-def nonzero_counts(index, row):
-    return {index.lemmas[int(i)]: int(row[i]) for i in np.flatnonzero(row)}
+    """The pivot's per-tranche pair counts with each lemma it pairs with
+    (lemma -> k counts), and the per-tranche frequencies (k x V), from the
+    collocate scorer with every pairing lemma a candidate."""
+    doc_bucket = np.full(len(index), -1)
+    for t in range(tranches.k):
+        doc_bucket[tranches.tranche_positions(t)] = t
+    ids, pairs, _, freqs = _pivot_scores(index, doc_bucket, tranches.k, index.lemmas.id_of(pivot), window, None, 1)
+    return {index.lemmas[int(i)]: pairs[:, j].tolist() for j, i in enumerate(ids)}, freqs
 
 
 class TestTrancheScores:
@@ -111,7 +111,7 @@ class TestTrancheScores:
         dated = np.zeros(len(index), dtype=bool)
         dated[list(index.dated_order())] = True
         whole = cooc_counts(index, dated, pivot, 3)
-        assert nonzero_counts(index, pairs.sum(axis=0)) == whole.pair_counts
+        assert {x: sum(counts) for x, counts in pairs.items()} == whole.pair_counts
 
     def test_k1_degenerates_to_plain_counts(self):
         rng = np.random.default_rng(63)
@@ -126,8 +126,42 @@ class TestTrancheScores:
         in_order = np.zeros(len(index), dtype=bool)
         in_order[list(order)] = True
         whole = cooc_counts(index, in_order, pivot, 4)
-        assert nonzero_counts(index, pairs[0]) == whole.pair_counts
+        assert {x: n for x, (n,) in pairs.items()} == whole.pair_counts
         assert freqs[0, index.lemmas.id_of(pivot)] == whole.pivot_freq
+        # evolve accepts the hand-built set (its one tranche has no slope: 0 / 0)
+        with np.errstate(invalid="ignore"):
+            assert evolving_cooccurrents(index, tranches, pivot, 4).k == 1
+
+    def test_tranches_of_another_index_rejected(self):
+        def dated(n, step=1):
+            return build_index([lemma_doc(f"d{i:02d}", DateSpec.exact(800 + step * i), ["p", "x"]) for i in range(n)])
+
+        index = dated(40)
+        tranches = make_tranches(index, 4)
+        # more dated documents, and as many in another dated order
+        for other in (dated(60), dated(40, step=-1)):
+            with pytest.raises(CorpusError, match="^tranches were not cut from this index's dated documents$"):
+                evolving_cooccurrents(other, tranches, "p", 1)
+        # an equal dated order is this index's own
+        assert evolving_cooccurrents(dated(40), tranches, "p", 1) == evolving_cooccurrents(index, tranches, "p", 1)
+
+    @pytest.mark.parametrize(
+        "n_dated, k, cuts",
+        [
+            (40, 2, (0, 5, 30)),
+            (40, 2, (5, 20, 40)),
+            (40, 3, (0, 30, 20, 40)),
+            (40, 3, (0, 20, 20, 40)),
+            (40, 3, (0, 20, 40)),
+            (0, 0, (0,)),
+        ],
+    )
+    def test_boundaries_off_the_dated_order_rejected(self, n_dated, k, cuts):
+        dates = [DateSpec.exact(800 + i) if i < n_dated else DateSpec.undated() for i in range(40)]
+        index = build_index([lemma_doc(f"d{i:02d}", date, ["p", "x"]) for i, date in enumerate(dates)])
+        tranches = TrancheSet(k, cuts, (), index.dated_order())
+        with pytest.raises(CorpusError, match="^tranches were not cut from this index's dated documents$"):
+            evolving_cooccurrents(index, tranches, "p", 1)
 
     @pytest.mark.parametrize("min_count", [0, -3])
     def test_min_count_below_one_rejected(self, min_count):

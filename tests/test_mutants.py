@@ -9,11 +9,12 @@ there with ``-x``: a killed mutant must fail a test, a survivor must pass
 them all.  A row whose line no longer stands in its file fails, so the table
 cannot drift from the code unseen.
 
-Each row runs pytest again, for 2-60 s, so the test is opt-in:
+Each row runs pytest again, for 2-90 s, so the test is opt-in:
 
     DIACHRONA_MUTANTS=1 python -m pytest tests/test_mutants.py
 """
 
+import faulthandler
 import os
 import shutil
 import subprocess
@@ -114,12 +115,38 @@ MUTANTS = {
         ("test_corpus.py", "test_indexio.py"),
         "yes",
     ),
+    "pos-majority-strict": Mutant(
+        "cooc.py",
+        "        candidate &= 2 * good >= np.maximum(totals, 1)",
+        "        candidate &= 2 * good > np.maximum(totals, 1)",
+        ("test_cooc.py",),
+        "yes",
+    ),
+    "candidates-by-largest-bucket": Mutant(
+        "cooc.py",
+        "    candidate = (pairs[0] if n_buckets == 1 else pairs.sum(axis=0)) >= min_count",
+        "    candidate = (pairs[0] if n_buckets == 1 else pairs.max(axis=0)) >= min_count",
+        # test_diachrony.py kills it at once; test_cooc.py takes a minute
+        ("test_diachrony.py", "test_cooc.py"),
+        "yes",
+    ),
+    "one-bucket-freqs-of-allowed-tags": Mutant(
+        "cooc.py",
+        "        freqs = (totals if good is not None else _docset_counts(index, docs))[None]",
+        "        freqs = (good if good is not None else _docset_counts(index, docs))[None]",
+        ("test_cooc.py",),
+        "yes",
+    ),
 }
 
 
 @pytest.mark.skipif(os.environ.get("DIACHRONA_MUTANTS") != "1", reason="opt-in: set DIACHRONA_MUTANTS=1")
 @pytest.mark.parametrize("name", MUTANTS)
 def test_mutant(tmp_path, name):
+    # a survivor reruns whole test files, test_cooc.py alone about a minute on
+    # a 2-core host, past the suite's 60 s hang guard (pyproject.toml); the
+    # run's own timeout bounds each row instead
+    faulthandler.cancel_dump_traceback_later()
     mutant = MUTANTS[name]
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     shutil.copytree(ROOT / "tests", tmp_path / "tests", ignore=shutil.ignore_patterns("__pycache__"))
@@ -133,7 +160,7 @@ def test_mutant(tmp_path, name):
     # pyproject.toml puts the copy's src/ first on the path
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *(f"tests/{t}" for t in mutant.tests)],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
     )
     # exit 1: a test failed; 0: every test passed; anything else is a broken run
     expected = 1 if mutant.killed == "yes" else 0

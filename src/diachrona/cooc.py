@@ -308,7 +308,7 @@ def _pivot_scores(
     several count each bucket without tags, and the tags once over their
     union, only when a filter is given.
     """
-    docs = np.ones(len(index), dtype=bool) if doc_bucket is None else doc_bucket >= 0
+    docs = None if doc_bucket is None else doc_bucket >= 0
     good = None
     if pos_filter is not None:
         _require_collection(pos_filter, "pos_filter")
@@ -320,8 +320,7 @@ def _pivot_scores(
     else:
         freqs = np.stack([_docset_counts(index, doc_bucket == b) for b in range(n_buckets)])
     pairs = _window_pairs(index, doc_bucket, n_buckets, pivot_id, window)
-    # one bucket's row is its total, read without a reduction over one row
-    candidate = (pairs[0] if n_buckets == 1 else pairs.sum(axis=0)) >= min_count
+    candidate = pairs.sum(axis=0) >= min_count
     if good is not None:
         candidate &= 2 * good >= np.maximum(totals, 1)
     ids = np.flatnonzero(candidate)

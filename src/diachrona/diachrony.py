@@ -148,7 +148,7 @@ def evolving_cooccurrents(
     order, cuts = index.dated_order(), list(tranches.boundaries)
     # make_tranches stores the index's own dated order, so identity settles it
     same_order = tranches.doc_order is order or tranches.doc_order == order
-    rising = len(cuts) == tranches.k + 1 >= 2 and cuts == sorted(set(cuts))
+    rising = len(cuts) == tranches.k + 1 >= 3 and cuts == sorted(set(cuts))
     if not (same_order and rising and cuts[0] == 0 and cuts[-1] == len(order)):
         raise CorpusError("tranches were not cut from this index's dated documents")
     pivot_id = index.lemmas.id_of(pivot)

@@ -139,12 +139,12 @@ def _lemma_pos_counts(index: CorpusIndex) -> np.ndarray:
 
 def _docset_counts(
     index: CorpusIndex,
-    dmask: np.ndarray,
+    dmask: np.ndarray | None,
     pos_allowed: np.ndarray | None = None,
 ):
-    """Per-lemma token counts over the documents of a document mask; with
-    ``pos_allowed`` (a flag per POS tag), the pair (all tokens, tokens of
-    allowed tags).
+    """Per-lemma token counts over the documents of a document mask (None
+    for every document); with ``pos_allowed`` (a flag per POS tag), the pair
+    (all tokens, tokens of allowed tags).
 
     Both come from one class x lemma table: the totals sum all its rows, the
     second count the rows of the allowed classes.  The full docset reads
@@ -159,7 +159,7 @@ def _docset_counts(
     rows, the tokens of other and of allowed tags.
     """
     rows = pos_allowed
-    if dmask.all():
+    if dmask is None or dmask.all():
         table = _lemma_pos_counts(index)
     else:
         runs = _docset_runs(index, dmask)

@@ -124,8 +124,8 @@ MUTANTS = {
     ),
     "candidates-by-largest-bucket": Mutant(
         "cooc.py",
-        "    candidate = (pairs[0] if n_buckets == 1 else pairs.sum(axis=0)) >= min_count",
-        "    candidate = (pairs[0] if n_buckets == 1 else pairs.max(axis=0)) >= min_count",
+        "    candidate = pairs.sum(axis=0) >= min_count",
+        "    candidate = pairs.max(axis=0) >= min_count",
         # test_diachrony.py kills it at once; test_cooc.py takes a minute
         ("test_diachrony.py", "test_cooc.py"),
         "yes",

@@ -15,18 +15,22 @@ the lemma with fewer positions in the corpus the row), and the pairs among
 a set of lemmas (a field-map submatrix in ``semfield``, or a lemma paired
 with itself).  A document's bucket (a docset member, a tranche, a year bin,
 or -1 for left out) is fixed per call, so a per-tranche or per-bin series
-costs one pass.  The kernel looks up its row occurrences itself, with
-``_occurrences``, in the documents of buckets >= 0 only, so it never reads
-a left-out document.  One row's 2w neighbours are gathered around each of
-its occurrences, so the work follows the row's occurrences in those
-documents, not the corpus size, and one ``bincount`` per slab (below)
-counts the passing pairs of all 2w offsets; against one other lemma, the
-hits at each offset are counted directly.  Among a set of rows every
-counted pair joins two row occurrences, so the kernel walks
-the sorted row occurrences themselves: each gets a key that grows by its
-position within a document and by more than w from one document to the
-next, so for s = 1..w one test of key distances pairs each occurrence with
-the s-th one after it, and the walk stops at the first s that pairs none.
+costs one pass.  The kernel looks up its row occurrences itself, in the
+documents of buckets >= 0 only, so it never reads a left-out document: one
+row with ``frequency._occurrences`` (its cached positions), a set of rows
+with ``_row_occurrences``, one chunked pass over the lemma column that
+returns each occurrence's row with its position.  One row's 2w
+neighbours are gathered around each of its occurrences, so the work
+follows the row's occurrences in those documents, not the corpus size,
+and one ``bincount`` per slab (below) counts the passing pairs of all 2w
+offsets; against one other lemma, the hits at each offset are counted
+directly.  Among a set of rows every counted pair joins two row
+occurrences, so the kernel walks the sorted row occurrences themselves:
+each gets a key that grows by its position within a document and by more
+than w from one document to the next, so for s = 1..w one test of key
+distances pairs each occurrence with the s-th one after it, and the walk
+stops at the first s that pairs none.  A slab's keys count from its first
+occurrence, so they are int32 unless its largest key passes 2**31 - 1.
 It walks the occurrences in cache-sized slabs of at most ``_SLAB`` of
 them, so its temporary arrays are bounded by the slab, not by the
 occurrence count of frequent rows (a field map's 30 terms can hold 4.3M
@@ -54,6 +58,8 @@ from .corpus import CorpusError, CorpusIndex, _require_collection
 from .frequency import (
     _bin_counts,
     _docset_counts,
+    _docset_runs,
+    _docset_values,
     _lemma_positions,
     _occurrence_docs,
     _occurrences,
@@ -109,9 +115,10 @@ class CoocTable:
 
 
 # Most row occurrences one kernel step works on at once: each step holds a
-# few int64 arrays of this length (512 KB each, so they stay in the CPU
-# caches while the walk passes over them once per offset), whatever the row
-# count.
+# few arrays of this length, of at most 8 bytes an entry (512 KB each, so
+# they stay in the CPU caches while the walk passes over them once per
+# offset), whatever the row count.  The mirror walk's lookup reads the lemma
+# column 16 slabs at a time.
 _SLAB = 1 << 16
 
 
@@ -120,6 +127,56 @@ class Cooccurrent(NamedTuple):
     pair_count: int
     freq: int
     dice: float
+
+
+def _row_occurrences(
+    index: CorpusIndex, rows, dmask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mirror walk's lookup: the token positions of the lemmas ``rows``
+    in the documents of ``dmask`` (None or a full mask keeps them all), in
+    corpus order, as intp, and the row code of each, 1 + its lemma's place
+    in ``rows``, in the narrowest unsigned dtype that holds ``len(rows)``.
+
+    One lemma reads its cached positions (``_occurrences``).  Several are one
+    pass over the lemma column, or over a partial docset's copy of it
+    (``_docset_values``): ``16 * _SLAB`` ids at a time are widened into one
+    reused intp buffer and looked up in a table of each lemma's code (0 for
+    a lemma that is no row), so no corpus-long index is cast and each hit's
+    row comes with it.  Each temporary is dropped once read: the copy and
+    the buffer after the pass, the code and hit flag per token read once
+    the hits are taken.  Over a partial docset each hit found in the copy
+    is moved back to its corpus position by its run's shift.
+    """
+    if len(rows) == 1:
+        positions = _occurrences(index, int(rows[0]), dmask)
+        return positions, np.ones(len(positions), dtype=np.uint8)
+    code_of = np.zeros(len(index.lemmas), dtype=np.min_scalar_type(len(rows)))
+    code_of[rows] = np.arange(1, len(rows) + 1)
+    full = dmask is None or dmask.all()
+    if full:
+        column = index.lemma_ids
+    else:
+        first, end = _docset_runs(index, dmask)
+        column = _docset_values(index.lemma_ids, first, end)
+    codes = np.empty(len(column), dtype=code_of.dtype)
+    hit = np.empty(len(column), dtype=bool)
+    chunk = 16 * _SLAB
+    buffer = np.empty(min(chunk, len(column)), dtype=np.intp)
+    for lo in range(0, len(column), chunk):
+        ids = buffer[: len(column) - lo]
+        ids[:] = column[lo : lo + chunk]
+        np.take(code_of, ids, out=codes[lo : lo + chunk], mode="clip")
+        np.not_equal(codes[lo : lo + chunk], 0, out=hit[lo : lo + chunk])
+    del column, buffer
+    positions = np.flatnonzero(hit)
+    del hit
+    codes = codes[positions]
+    if not full:
+        lengths = end - first
+        copied = np.cumsum(lengths) - lengths  # each run's offset in the copy
+        per_run = np.diff(np.searchsorted(positions, copied), append=len(positions))
+        positions += np.repeat(first - copied, per_run)
+    return positions, codes
 
 
 def _window_pairs(
@@ -149,25 +206,27 @@ def _window_pairs(
       and ``_lemma_pairs`` for a lemma paired with itself).
 
     Every occurrence the kernel reads lies in a document of a bucket >= 0:
-    it looks up every row occurrence itself, with the one occurrence
-    lookup, ``_occurrences``, over those documents.  One row's
+    it looks up every row occurrence itself, over those documents, with
+    ``_occurrences`` for one row and ``_row_occurrences`` for a set of rows,
+    which hands over each occurrence's row code too.  One row's
     neighbours are read d = 1..window tokens to either side of each
     occurrence whose document reaches that far, and the (bucket, column)
     keys of a slab's passing neighbours at all 2 * window offsets are
     counted by one ``bincount`` (a window past 8 fills the reused key
     buffer, 16 slab lengths, and is counted whenever it does).  A set of
-    rows is walked as a mirror: each occurrence's key is its position plus
-    ``window + 1`` times the number of documents it lies past its slab's
-    first one, so two keys lie at most ``window`` apart exactly when both
-    occurrences lie in one document at most ``window`` tokens apart.  For
-    s = 1..window, occurrence i pairs with occurrence i + s when their keys
-    pass that one test, counted once under (bucket, row of i, row of
-    i + s) and then added to its transpose; the walk stops at the first s
-    that pairs none.  Occurrences are taken ``_SLAB`` at a time (a mirror
-    slab also reads the ``window`` occurrences after it, the farthest its
-    left sides can pair with), so the temporaries of one call stay within a
-    few arrays of at most ``_SLAB + window`` occurrences, plus the key
-    buffer.
+    rows is walked as a mirror: each occurrence's key is its position past
+    its slab's first occurrence plus ``window + 1`` times the number of
+    documents it lies past that one's, int32 when the slab's largest key
+    fits and int64 otherwise, so two keys lie at most ``window`` apart
+    exactly when both occurrences lie in one document at most ``window``
+    tokens apart.  For s = 1..window, occurrence i pairs with occurrence
+    i + s when their keys pass that one test, counted once under (bucket,
+    row of i, row of i + s) and then added to its transpose; the walk stops
+    at the first s that pairs none.  Occurrences are taken ``_SLAB`` at a
+    time (a mirror slab also reads the ``window`` occurrences after it, the
+    farthest its left sides can pair with), so the temporaries of one call
+    stay within a few arrays of at most ``_SLAB + window`` occurrences, plus
+    the key buffer.
     """
     lem = index.lemma_ids
     # no pair lies farther apart than the corpus is long, and position
@@ -177,11 +236,12 @@ def _window_pairs(
     rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
     n_rows = len(rows)
     n_cols = n_rows if mirror else 1 if col is not None else len(index.lemmas)
-    occ = _occurrences(index, rows, None if doc_bucket is None else doc_bucket >= 0)
-    occ_doc = _occurrence_docs(index, occ)
+    in_buckets = None if doc_bucket is None else doc_bucket >= 0
     if mirror:
-        row_of = np.zeros(len(index.lemmas), dtype=np.int64)
-        row_of[rows] = np.arange(n_rows)
+        occ, codes = _row_occurrences(index, rows, in_buckets)
+    else:
+        occ = _occurrences(index, int(rows[0]), in_buckets)
+    occ_doc = _occurrence_docs(index, occ)
     counts = np.zeros(n_buckets * n_rows * n_cols, dtype=np.int64)
     # the pivot shape's passing keys of up to 16 offsets of a slab; the
     # two-lemma shape counts its passing hits directly
@@ -196,16 +256,20 @@ def _window_pairs(
         # base: flat offset of each occurrence's (bucket, row) block of cells
         base = 0 if doc_bucket is None else doc_bucket[docs] * (n_rows * n_cols)
         if mirror:
-            row = row_of[lem[pos]]
+            row = np.subtract(codes[lo:hi], 1, dtype=np.intp)
             base = base + row * n_cols
-            # a strictly increasing key that spaces documents more than window
-            # apart (documents widened first, as they may be int32): two
+            # a strictly increasing key, relative to the slab's first
+            # occurrence, that spaces documents more than window apart: two
             # occurrences pair exactly when their keys are at most window
             # apart, and key gaps grow with s, so once no i passes, no larger
-            # s does either; no occurrence lies in a left-out document
-            key = np.subtract(docs, docs[0], dtype=np.int64)
+            # s does either; no occurrence lies in a left-out document.  It is
+            # int32 when its largest value fits, and the spacing too (larger
+            # only when the slab lies in one document), else int64
+            largest = int(docs[-1] - docs[0]) * (window + 1) + int(pos[-1] - pos[0])
+            narrow = max(largest, window + 1) <= np.iinfo(np.int32).max
+            key = np.subtract(docs, docs[0], dtype=np.int32 if narrow else np.int64)
             key *= window + 1
-            key += pos
+            key += pos - pos[0]
             for s in range(1, min(window, len(pos) - 1) + 1):
                 m = min(_SLAB, len(pos) - s)
                 ok = key[s : s + m] - key[:m] <= window
@@ -403,7 +467,7 @@ def pair_evolution(
     if a_id is None or b_id is None:
         return [PairBin(start, 0, 0.0) for start in starts]
     freq_a, freq_b = (
-        _bin_counts(index, _occurrences(index, [lid], doc_bin >= 0), doc_bin, n_bins) for lid in (a_id, b_id)
+        _bin_counts(index, _occurrences(index, lid, doc_bin >= 0), doc_bin, n_bins) for lid in (a_id, b_id)
     )
     pairs = _lemma_pairs(index, doc_bin, n_bins, a_id, b_id, window)
     return list(map(PairBin, starts, pairs.tolist(), _dice(pairs, freq_a, freq_b).tolist()))

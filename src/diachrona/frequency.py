@@ -18,21 +18,21 @@ two rows.  Both count with one counter, ``_lemma_counts``, which widens
 ``_CHUNK`` ids at a time into one reused key buffer.  So the cost of a
 count follows the docset's tokens, and no corpus-length token mask, key
 array or per-token flag array is built.
-Where lemmas occur comes from one lookup, ``_occurrences``: the token
-positions of one or more lemmas inside a docset, in corpus order,
-which ``lemma_count`` (their number), ``form_share``, time series, pair
-series and the window kernel all read, so no caller drops left-out
-documents itself.  A lemma looked up on its own is found by one scan of
-the lemma column, the first time an index is asked for it; its positions
-are cached on the index (``_lemma_positions``), and every later lookup of
-that lemma reads them.  So a query pays one scan per distinct lemma, not
-one per lookup, and no index builds positions for lemmas it is never
-asked for.  Over a partial docset a one-lemma lookup keeps only the
-cached positions inside the docset's runs of adjacent documents, found by
-two ``searchsorted`` calls, so after the first scan its cost follows the
-runs and the occurrences it returns, not the corpus size.  A lookup of
-several lemmas reads the docset's copy of the lemma column, so its cost
-follows the docset's tokens; it caches nothing.
+Where a lemma occurs comes from one lookup, ``_occurrences``: the token
+positions of one lemma inside a docset, in corpus order, which
+``lemma_count`` (their number), ``form_share``, time series, pair series
+and the window kernel all read, so no caller drops left-out documents
+itself.  A lemma is found by one scan of the lemma column, the first time
+an index is asked for it; its positions are cached on the index
+(``_lemma_positions``), and every later lookup of that lemma reads them.
+So a query pays one scan per distinct lemma, not one per lookup, and no
+index builds positions for lemmas it is never asked for.  Over a partial
+docset the lookup keeps only the cached positions inside the docset's
+runs of adjacent documents, found by two ``searchsorted`` calls, so after
+the first scan its cost follows the runs and the occurrences it returns,
+not the corpus size.  The pairs among several lemmas (a field map) find
+their occurrences in one chunked pass of their own, ``cooc._row_occurrences``,
+which caches nothing.
 Each position's document, or a count per document or year bin, is found by
 whichever search is cheaper: each position among the document starts
 (n log D) when there are fewer positions than documents, else each
@@ -193,36 +193,19 @@ def _lemma_positions(index: CorpusIndex, lid: int) -> np.ndarray:
     return positions
 
 
-def _occurrences(index: CorpusIndex, rows, dmask: np.ndarray | None = None) -> np.ndarray:
-    """The one occurrence lookup: token positions of the lemmas ``rows`` in
-    the documents of ``dmask`` (None or a full mask keeps them all), in
-    corpus order, as intp.
+def _occurrences(index: CorpusIndex, lid: int, dmask: np.ndarray | None = None) -> np.ndarray:
+    """The one occurrence lookup: token positions of lemma ``lid`` in the
+    documents of ``dmask`` (None or a full mask keeps them all), in corpus
+    order, as intp.
 
-    One lemma reads its cached positions (``_lemma_positions``): the full
+    It reads the lemma's cached positions (``_lemma_positions``): the full
     docset returns the cached array itself, read only.  Over a partial
     docset, two ``searchsorted`` calls find where each run of adjacent
     docset documents begins and ends in those positions, and only the
     positions inside the runs are gathered, so the lookup costs the runs and
-    what it returns, never a copy of the whole array.  Several lemmas are
-    one gather pass over the lemma column; over a partial docset the pass
-    reads only the docset's copy of the column, and each hit found there is
-    moved back to its corpus position by its run's shift."""
-    rows = np.asarray(rows, dtype=np.int64)
-    full = dmask is None or dmask.all()
-    if len(rows) > 1:
-        is_row = np.zeros(len(index.lemmas), dtype=bool)
-        is_row[rows] = True
-        if full:
-            return np.flatnonzero(is_row[index.lemma_ids])
-        first, end = _docset_runs(index, dmask)
-        hits = np.flatnonzero(is_row[_docset_values(index.lemma_ids, first, end)])
-        lengths = end - first
-        copied = np.cumsum(lengths) - lengths  # each run's offset in the copy
-        per_run = np.diff(np.searchsorted(hits, copied), append=len(hits))
-        hits += np.repeat(first - copied, per_run)
-        return hits
-    lemma = _lemma_positions(index, int(rows[0]))
-    if full:
+    what it returns, never a copy of the whole array."""
+    lemma = _lemma_positions(index, lid)
+    if dmask is None or dmask.all():
         return lemma
     first, end = (np.searchsorted(lemma, bound) for bound in _docset_runs(index, dmask))
     lengths = end - first
@@ -258,7 +241,7 @@ def lemma_count(index: CorpusIndex, docset, lemma: str) -> int:
     lid = index.lemmas.id_of(lemma)
     if lid is None:
         return 0
-    return len(_occurrences(index, [lid], dmask))
+    return len(_occurrences(index, lid, dmask))
 
 
 @dataclass(frozen=True)
@@ -359,7 +342,7 @@ def form_share(index: CorpusIndex, docset, lemma: str, forms: Iterable[str]) -> 
     _require_collection(forms, "forms")
     dmask = index.doc_mask(docset)
     lid = index.lemmas.id_of(lemma)
-    hits = np.zeros(0, dtype=np.intp) if lid is None else _occurrences(index, [lid], dmask)
+    hits = np.zeros(0, dtype=np.intp) if lid is None else _occurrences(index, lid, dmask)
     total = len(hits)
     if total == 0:
         raise CorpusError(f"form share undefined: lemma {lemma!r} has zero count in docset")
@@ -459,7 +442,7 @@ def time_series(
     counts = np.zeros(n_bins, dtype=np.int64)
     lid = index.lemmas.id_of(lemma)
     if lid is not None:
-        counts = _bin_counts(index, _occurrences(index, [lid], dmask), doc_bin, n_bins)
+        counts = _bin_counts(index, _occurrences(index, lid, dmask), doc_bin, n_bins)
 
     bins = []
     for b in range(n_bins):

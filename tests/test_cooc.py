@@ -17,7 +17,7 @@ from diachrona.cooc import (
     pair_evolution,
     top_cooccurrents,
 )
-from diachrona.corpus import CorpusError, DateSpec
+from diachrona.corpus import CorpusError, CorpusIndex, DateKind, DateSpec, Vocabulary
 from diachrona.diachrony import (
     SCORE_EPSILON,
     evolving_cooccurrents,
@@ -784,11 +784,11 @@ class TestDocsetLookup:
         doc_of = [i for i, doc in enumerate(index.documents) for _ in range(doc.token_len)]
         sizes = {}
         for lid, lemma in enumerate(index.lemmas):
-            full = _occurrences(index, [lid])
+            full = _occurrences(index, lid)
             assert full.tolist() == np.flatnonzero(index.lemma_ids == lid).tolist()
             assert _occurrence_docs(index, full).tolist() == [doc_of[p] for p in full.tolist()]
             want = [p for p in full.tolist() if mask[doc_of[p]]]
-            got = _occurrences(index, [lid], mask)
+            got = _occurrences(index, lid, mask)
             assert got.dtype == np.intp
             assert got.tolist() == want
             assert _occurrence_docs(index, got).tolist() == [doc_of[p] for p in want]
@@ -800,10 +800,15 @@ class TestDocsetLookup:
     def test_several_lemmas_are_the_union_of_their_restricted_lookups(self, case, data):
         index, mask = case
         rows = data.draw(st.lists(st.integers(0, len(index.lemmas) - 1), min_size=2, unique=True))
-        got = _occurrences(index, rows, mask)
+        got, codes = cooc._row_occurrences(index, rows, mask)
         assert got.dtype == np.intp
-        union = np.concatenate([_occurrences(index, [lid], mask) for lid in rows])
+        union = np.concatenate([_occurrences(index, lid, mask) for lid in rows])
         assert got.tolist() == sorted(union.tolist())
+        # each position's code is 1 + the place of its lemma in rows
+        row_of = np.zeros(len(index.lemmas), dtype=np.int64)
+        row_of[rows] = np.arange(len(rows))
+        assert codes.dtype == np.uint8
+        assert (codes.astype(np.int64) - 1).tolist() == row_of[index.lemma_ids[got]].tolist()
 
     @pytest.mark.usefixtures("kernel_slab")
     @PROPERTY
@@ -1005,12 +1010,71 @@ def test_mirror_walk_takes_any_window(monkeypatch):
             for i, lemmas in enumerate(["a b a", "", "b", "a a b a", "b a"])
         ]
     )
-    assert _occurrence_docs(index, _occurrences(index, rows)).dtype == np.int32
+    assert _occurrence_docs(index, cooc._row_occurrences(index, rows)[0]).dtype == np.int32
     pairs = brute_pairs(index, len(index.lemma_ids))
     want = [[[pairs[tuple(sorted((x, y)))] for y in "ab"] for x in "ab"]]
     assert want == [[[4, 6], [6, 0]]]
     for doc_bucket in (None, np.array([0, 0, -1, 0, 0])):
         assert cooc._window_pairs(index, doc_bucket, 1, rows, 2**63).tolist() == want
+
+
+@pytest.mark.parametrize("n_rows, code", [(255, np.uint8), (256, np.uint16)])
+def test_mirror_walk_where_the_row_codes_widen(n_rows, code):
+    # 255 rows take one-byte codes 1..255; at 256 the codes widen to two bytes
+    rng = np.random.default_rng(n_rows)
+    lemmas = [f"l{i:03d}" for i in range(300)]
+    tokens = [*lemmas, *rng.choice(lemmas, 2_700).tolist()]
+    rng.shuffle(tokens)
+    cuts = np.sort(rng.integers(0, len(tokens), 120)).tolist()
+    index = build_index(
+        [
+            lemma_doc(f"d{i}", DateSpec.exact(900), tokens[lo:hi])
+            for i, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(tokens)]))
+        ]
+    )
+    rows = [index.lemmas.id_of(lemma) for lemma in rng.permutation(lemmas)[:n_rows].tolist()]
+    positions, codes = cooc._row_occurrences(index, rows)
+    assert codes.dtype == code
+    assert codes.min() == 1 and codes.max() == n_rows
+    row_of = np.zeros(len(index.lemmas), dtype=np.int64)
+    row_of[rows] = np.arange(n_rows)
+    assert (codes.astype(np.int64) - 1).tolist() == row_of[index.lemma_ids[positions]].tolist()
+    doc_bucket = rng.integers(-1, 2, len(index))
+    counts = cooc._window_pairs(index, doc_bucket, 2, rows, 3)
+    names = [index.lemmas[r] for r in rows]
+    for b in range(2):
+        pairs = brute_pairs(index, 3, bucket_members(index, doc_bucket, b))
+        want = [[pairs[tuple(sorted((x, y)))] for y in names] for x in names]
+        assert counts[b].tolist() == want
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["int32-max", "past-int32"])
+def test_mirror_walk_keys_past_int32(above):
+    # a window of the corpus length (65,536 tokens) spaces documents 65,537
+    # apart; a, b at positions 0, 1 of document 0 and b at 32,768 + above in
+    # document 32,767 (after 16,383 empty documents) give the slab's largest
+    # key 32,767 * 65,537 + 32,768 + above = 2**31 - 1 + above, which the walk
+    # tests at s = 2 and which int32 keys would wrap into a pair
+    n, empty = 1 << 16, 16_383
+    lemma_ids = np.full(n, 2, dtype=np.uint32)
+    lemma_ids[[0, 1, 32_768 + above]] = [0, 1, 1]
+    starts = [0, *[2] * empty, *range(2, n, 2), n]
+    n_docs = len(starts) - 1
+    index = CorpusIndex(
+        Vocabulary(["a", "b", "x"]), Vocabulary(["f"]), Vocabulary(["NOM"]),
+        lemma_ids, np.zeros(n, dtype=np.uint32), np.zeros(n, dtype=np.uint16),
+        [f"d{i}" for i in range(n_docs)], starts, [DateKind.EXACT] * n_docs,
+        [900] * n_docs, [900] * n_docs, [-1] * n_docs, Vocabulary(),
+    )
+    positions, _ = cooc._row_occurrences(index, [0, 1])
+    docs = _occurrence_docs(index, positions)
+    assert int(docs[-1] - docs[0]) * (n + 1) + int(positions[-1] - positions[0]) == 2**31 - 1 + above
+    pairs = brute_pairs(index, n)
+    want = [[[pairs[tuple(sorted((x, y)))] for y in "ab"] for x in "ab"]]
+    assert want == [[[0, 1], [1, 0]]]
+    # the full docset, and one that leaves out an empty and a filler document
+    for doc_bucket in (None, np.where(np.isin(np.arange(n_docs), [5, empty + 9]), -1, 0)):
+        assert cooc._window_pairs(index, doc_bucket, 1, [0, 1], n).tolist() == want
 
 
 @pytest.mark.parametrize("window", [2, 11])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diachrona import frequency
+from diachrona.cooc import _row_occurrences
 from diachrona.corpus import CorpusError, CorpusIndex, DateKind, DateSpec, Vocabulary, dated_within, subcorpus
 from diachrona.frequency import (
     CountTable,
@@ -531,7 +532,7 @@ class TestPositionCache:
     def test_each_lemma_is_scanned_once_and_cached_read_only(self, case):
         index, dmask = case
         for lid in range(len(index.lemmas)):
-            positions = _occurrences(index, [lid])
+            positions = _occurrences(index, lid)
             assert index._positions[lid] is positions
             assert positions.dtype == np.intp
             assert positions.tolist() == np.flatnonzero(index.lemma_ids == lid).tolist()
@@ -539,8 +540,8 @@ class TestPositionCache:
             with pytest.raises(ValueError):
                 positions[:1] = 0
             # later lookups, over any docset, read the cached positions
-            _occurrences(index, [lid], dmask)
-            assert _occurrences(index, [lid]) is positions
+            _occurrences(index, lid, dmask)
+            assert _occurrences(index, lid) is positions
             assert _lemma_positions(index, lid) is positions
         assert len(index._positions) == len(index.lemmas)
 
@@ -550,7 +551,7 @@ class TestPositionCache:
         index, dmask = case
         rows = list(range(len(index.lemmas)))
         for docset in (None, dmask):
-            _occurrences(index, [*rows, 0], docset)  # a lemma named twice is still a gather
+            _row_occurrences(index, [*rows, 0], docset)  # a lemma named twice is still a gather
         assert index._positions == {}
 
     def test_vocabulary_beyond_16_bits(self):
@@ -576,7 +577,7 @@ class TestPositionCache:
         )
         for lid in (0, 7, 65_536, 65_543):
             want = np.flatnonzero(lemma_ids == lid)
-            found = _occurrences(index, [lid])
+            found = _occurrences(index, lid)
             assert found.tolist() == want.tolist()
             assert _occurrence_docs(index, found).tolist() == [int(p >= 3) for p in want]
             assert lemma_count(index, None, f"l{lid}") == len(want)
@@ -586,7 +587,7 @@ class TestPositionCache:
         twin = random_index(np.random.default_rng(7))
         save_index(index, tmp_path / "before.csem")
         for lid in range(len(index.lemmas)):
-            _occurrences(index, [lid])
+            _occurrences(index, lid)
         assert len(index._positions) == len(index.lemmas)
         save_index(index, tmp_path / "after.csem")
         assert (tmp_path / "before.csem").read_bytes() == (tmp_path / "after.csem").read_bytes()
@@ -601,7 +602,7 @@ class TestPositionCache:
 
         def look():
             for lid in [*scans] * 5:
-                if _occurrences(index, [lid]).tolist() != scans[lid]:
+                if _occurrences(index, lid).tolist() != scans[lid]:
                     wrong.append(lid)
 
         threads = [threading.Thread(target=look) for _ in range(4)]
@@ -621,7 +622,7 @@ class TestPositionCache:
     def test_a_first_lookup_allocates_one_flag_per_token_and_its_positions(self):
         index = synthetic_index(1_000_000, 50, 2_000, seed=14)
         lid = int(np.argmax(np.bincount(index.lemma_ids)))
-        positions, peak = _peak_bytes(lambda: _occurrences(index, [lid]))
+        positions, peak = _peak_bytes(lambda: _occurrences(index, lid))
         assert len(positions) > 10_000
         # the scan's bool per token and the kept intp positions; nothing else
         # as long as the corpus or the occurrences
@@ -645,9 +646,9 @@ class TestLookupCost:
         index = synthetic_index(2_000_000, 50, 2_000, seed=11)
         freqs = np.bincount(index.lemma_ids)
         lid = int(np.argmax(freqs))
-        _occurrences(index, [lid])  # the scan that caches the lemma's positions
+        _occurrences(index, lid)  # the scan that caches the lemma's positions
         mask = subcorpus(index, dated_within(900, 917))  # about 3% of the documents
-        positions, peak = _peak_bytes(lambda: _occurrences(index, [lid], mask))
+        positions, peak = _peak_bytes(lambda: _occurrences(index, lid, mask))
         docs = np.repeat(np.arange(len(index)), np.diff(index.doc_starts))
         want = np.flatnonzero((index.lemma_ids == lid) & mask[docs])
         assert positions.tolist() == want.tolist()
@@ -670,12 +671,12 @@ class TestLookupCost:
         index = synthetic_index(400_000, 20_000, 20_000, seed=12)
         freqs = np.bincount(index.lemma_ids, minlength=len(index.lemmas))
         lid = int(np.flatnonzero((freqs > 0) & (freqs < 40))[0])
-        _occurrences(index, [lid])  # the scan that caches the lemma's positions
+        _occurrences(index, lid)  # the scan that caches the lemma's positions
         dmask = index.doc_mask(None)
         _, n_bins, doc_bin = _year_bins(index, dmask, 50)
 
         def lookup():
-            positions = _occurrences(index, [lid], dmask)
+            positions = _occurrences(index, lid, dmask)
             docs = _occurrence_docs(index, positions)
             return positions, docs, _bin_counts(index, positions, doc_bin, n_bins)
 

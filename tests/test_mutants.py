@@ -130,6 +130,20 @@ MUTANTS = {
         ("test_diachrony.py", "test_cooc.py"),
         "yes",
     ),
+    "row-codes-from-zero": Mutant(
+        "cooc.py",
+        "    code_of[rows] = np.arange(1, len(rows) + 1)",
+        "    code_of[rows] = np.arange(len(rows))",
+        ("test_cooc.py",),
+        "yes",
+    ),
+    "mirror-keys-always-int32": Mutant(
+        "cooc.py",
+        "            key = np.subtract(docs, docs[0], dtype=np.int32 if narrow else np.int64)",
+        "            key = np.subtract(docs, docs[0], dtype=np.int32)",
+        ("test_cooc.py",),
+        "yes",
+    ),
     "one-bucket-freqs-of-allowed-tags": Mutant(
         "cooc.py",
         "        freqs = (totals if good is not None else _docset_counts(index, docs))[None]",

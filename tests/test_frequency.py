@@ -551,7 +551,7 @@ class TestPositionCache:
         index, dmask = case
         rows = list(range(len(index.lemmas)))
         for docset in (None, dmask):
-            _row_occurrences(index, [*rows, 0], docset)  # a lemma named twice is still a gather
+            _row_occurrences(index, [*rows, 0], docset)  # a lemma named twice still takes the one pass
         assert index._positions == {}
 
     def test_vocabulary_beyond_16_bits(self):

@@ -57,6 +57,7 @@ import numpy as np
 from .corpus import CorpusError, CorpusIndex, _require_collection
 from .frequency import (
     _bin_counts,
+    _bucket_counts,
     _docset_counts,
     _docset_runs,
     _docset_values,
@@ -369,8 +370,10 @@ def _pivot_scores(
     A candidate's pairs over all buckets reach ``min_count`` and, with a POS
     filter, at least half its tokens in the buckets' documents carry an
     allowed tag.  One bucket counts its frequencies and tags in one pass;
-    several count each bucket without tags, and the tags once over their
-    union, only when a filter is given.
+    several count the tags once over their union, only when a filter is
+    given, and read their frequencies from ``_bucket_counts``: counted per
+    bucket on the index's first call with this bucket map, then cached on
+    the index, so the returned table may be that cached, read-only one.
     """
     docs = None if doc_bucket is None else doc_bucket >= 0
     good = None
@@ -382,7 +385,7 @@ def _pivot_scores(
     if n_buckets == 1:
         freqs = (totals if good is not None else _docset_counts(index, docs))[None]
     else:
-        freqs = np.stack([_docset_counts(index, doc_bucket == b) for b in range(n_buckets)])
+        freqs = _bucket_counts(index, doc_bucket, n_buckets)
     pairs = _window_pairs(index, doc_bucket, n_buckets, pivot_id, window)
     candidate = pairs.sum(axis=0) >= min_count
     if good is not None:

@@ -22,7 +22,8 @@ returns such a mask, :func:`subcorpus` ANDs them, and the CLI's ``--filter``
 expressions parse into them.
 The arrays are read-only after construction, and all query modules are pure
 readers.  The lazy caches (the POS x lemma counts, each looked-up lemma's
-positions, the dated order, the records, and the entries and lookup of a
+positions, the per-bucket counts of the last bucket map, one (map, table)
+pair, the dated order, the records, and the entries and lookup of a
 :class:`Vocabulary` made by ``from_text``, as ``load_index`` makes the
 forms table) are each built into a local and assigned once, so readers on
 several threads can at worst build one twice: two threads may both scan
@@ -314,6 +315,9 @@ class CorpusIndex:
         self._lemma_pos: np.ndarray | None = None
         # lemma id -> its token positions, filled by frequency._lemma_positions
         self._positions: dict[int, np.ndarray] = {}
+        # (bucket map, per-bucket lemma counts) of the last several-bucket
+        # count, filled by frequency._bucket_counts
+        self._bucket_counts: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def documents(self) -> tuple[Document, ...]:

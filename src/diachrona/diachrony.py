@@ -5,7 +5,12 @@ tranches of near-equal token mass (never splitting a document).  Counting
 collocates per tranche, each tranche one bucket of the one collocate scorer
 ``cooc._pivot_scores``, and scoring each candidate by the least-squares
 slope of its per-tranche Dice values relative to their mean, surfaces the
-associations that rise or fall most strongly across the timeline.
+associations that rise or fall most strongly across the timeline.  The
+per-tranche lemma frequencies do not depend on the pivot: the first
+``evolving_cooccurrents`` call over a tranche set counts them, one pass
+over each tranche's tokens, and the index keeps them
+(``frequency._bucket_counts``), so a later call over the same tranches
+pays only for the pivot's occurrences and its candidates.
 
 The trend statistic is a documented reconstruction: slope / mean is
 scale-equivariant (rescaling all Dice values leaves scores unchanged) and

@@ -17,7 +17,11 @@ tokens, when each tag's flag is looked up chunk by chunk and the table has
 two rows.  Both count with one counter, ``_lemma_counts``, which widens
 ``_CHUNK`` ids at a time into one reused key buffer.  So the cost of a
 count follows the docset's tokens, and no corpus-length token mask, key
-array or per-token flag array is built.
+array or per-token flag array is built.  The per-bucket counts of a bucket
+map (the k tranches of ``evolve``) are one partial count per bucket, made
+on the first call with that map and cached on the index with the map as
+its key (``_bucket_counts``); one entry is kept, so a later call over
+another map replaces it, and every call over the same map reads it.
 Where a lemma occurs comes from one lookup, ``_occurrences``: the token
 positions of one lemma inside a docset, in corpus order, which
 ``lemma_count`` (their number), ``form_share``, time series, pair series
@@ -176,6 +180,32 @@ def _docset_counts(
                 rows = slice(1, 2)
     totals = table.sum(axis=0)
     return totals if pos_allowed is None else (totals, table[rows].sum(axis=0))
+
+
+def _bucket_counts(index: CorpusIndex, doc_bucket: np.ndarray, n_buckets: int) -> np.ndarray:
+    """Per-lemma token counts of each bucket of a bucket map, shape
+    (n_buckets, V): row b counts the documents that ``doc_bucket`` maps to
+    b (-1 leaves a document out).
+
+    Each bucket is one ``_docset_counts``, so the first call with a map
+    copies and counts the tokens of its buckets.  The table is then cached
+    on the index, read only, with a read-only copy of the map as its key
+    (``CorpusIndex._bucket_counts``), and a later call with an equal map
+    (``np.array_equal``, one pass over the documents) and bucket count
+    returns it as is, whatever object holds the map.  One entry is kept:
+    another map replaces it, so the cache holds k x V x 8 bytes plus the
+    map, 8 bytes per document.
+    """
+    entry = index._bucket_counts
+    if entry is not None and len(entry[1]) == n_buckets and np.array_equal(entry[0], doc_bucket):
+        return entry[1]
+    table = np.empty((n_buckets, len(index.lemmas)), dtype=np.int64)
+    for b in range(n_buckets):
+        table[b] = _docset_counts(index, doc_bucket == b)
+    key = doc_bucket.copy()
+    key.flags.writeable = table.flags.writeable = False
+    index._bucket_counts = (key, table)
+    return table
 
 
 def _lemma_positions(index: CorpusIndex, lid: int) -> np.ndarray:

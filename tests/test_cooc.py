@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -20,6 +22,7 @@ from diachrona.cooc import (
 from diachrona.corpus import CorpusError, CorpusIndex, DateKind, DateSpec, Vocabulary
 from diachrona.diachrony import (
     SCORE_EPSILON,
+    TrancheSet,
     evolving_cooccurrents,
     make_tranches,
     ols_slope,
@@ -35,6 +38,7 @@ from conftest import (
     doc_lemma_lists,
     id_docset,
     lemma_doc,
+    permuted_documents,
     random_index,
     record_scans,
 )
@@ -908,6 +912,123 @@ class TestRankingProperties:
             assert e.total_pairs == brute.totals[e.lemma]
         for n in range(1, 6):
             assert entries(n) == full[:n]
+
+
+def tranche_map(index, tranches):
+    """The bucket map of a tranche set: each dated document's tranche, -1 elsewhere."""
+    doc_bucket = np.full(len(index), -1)
+    for t in range(tranches.k):
+        doc_bucket[tranches.tranche_positions(t)] = t
+    return doc_bucket
+
+
+def hand_cut(index, cuts):
+    """A tranche set of the index's dated order cut at ``cuts`` (0 and the
+    dated count at its ends), with the token mass of each tranche."""
+    order = index.dated_order()
+    lengths = np.diff(index.doc_starts)[list(order)]
+    masses = tuple(int(lengths[lo:hi].sum()) for lo, hi in zip(cuts, cuts[1:]))
+    return TrancheSet(len(cuts) - 1, tuple(cuts), masses, order)
+
+
+class TestTrancheCountCache:
+    """The per-tranche lemma counts are cached on the index, one bucket map
+    at a time (``frequency._bucket_counts``)."""
+
+    @PROPERTY
+    @given(cases(st.integers(3, 8), tagged=True), st.data())
+    def test_hits_and_misses_equal_an_uncached_index_and_the_oracle(self, case, data):
+        index, window, _, _, _ = case
+        n_dated = len(index.dated_order())
+        assume(n_dated >= 3)
+        # at k <= n_dated - 1 there are at least two ways to cut the dated order
+        k = data.draw(st.integers(2, n_dated - 1))
+        first = make_tranches(index, k)
+        inner = st.sets(st.integers(1, n_dated - 1), min_size=k - 1, max_size=k - 1).map(sorted)
+        cuts = data.draw(inner.filter(lambda c: c != list(first.boundaries[1:-1])))
+        second = hand_cut(index, [0, *cuts, n_dated])
+        other = permuted_documents(index, range(len(index)))
+        lemmas = index.lemmas.entries
+        for tranches in (first, second, first):
+            pivot = data.draw(st.sampled_from(lemmas))
+            pos_filter = data.draw(st.none() | st.sets(st.sampled_from((*POS_TAGS, "XX"))))
+            min_count = data.draw(st.integers(1, 3))
+            args = (tranches, pivot, window, pos_filter, min_count, 10**9)
+            report = evolving_cooccurrents(index, *args)
+            # a fresh copy of the index holds no entry before this call
+            assert report == evolving_cooccurrents(permuted_documents(index, range(len(index))), *args)
+            key, table = index._bucket_counts
+            assert np.array_equal(key, tranche_map(index, tranches))
+            brute = brute_tranche_scores(index, tranches, pivot, window)
+            assert table.tolist() == [[freqs[x] for x in lemmas] for freqs in brute.freqs]
+            for e in report.entries:
+                assert list(e.dice_by_tranche) == brute.dice[e.lemma]
+                assert e.total_pairs == brute.totals[e.lemma]
+            # two indexes never share an entry
+            evolving_cooccurrents(other, second, pivot, window)
+            assert other._bucket_counts[1] is not table
+            assert np.array_equal(index._bucket_counts[0], key)
+
+    def test_a_warm_evolve_copies_no_tokens(self, monkeypatch):
+        index = random_index(np.random.default_rng(37), min_tokens=400, dated_fraction=1.0)
+        fresh = permuted_documents(index, range(len(index)))
+        tranches = make_tranches(index, 4)
+        a, b = index.lemmas[0], index.lemmas[1]
+        evolving_cooccurrents(index, tranches, a, 3)
+        want = evolving_cooccurrents(fresh, tranches, b, 3, {"NOM"})
+        key, table = index._bucket_counts
+        assert not key.flags.writeable and not table.flags.writeable
+
+        def no_copy(*args):
+            raise AssertionError("a token column was copied")
+
+        monkeypatch.setattr(frequency, "_docset_values", no_copy)
+        assert evolving_cooccurrents(index, tranches, b, 3, {"NOM"}) == want
+        # the patch bites: another cut of the dated order is counted anew
+        n_dated = len(index.dated_order())
+        cuts = [0, 1, 2, 3, n_dated]
+        assert cuts[1:-1] != list(tranches.boundaries[1:-1])
+        other = hand_cut(index, cuts)
+        with pytest.raises(AssertionError, match="a token column was copied"):
+            evolving_cooccurrents(index, other, b, 3)
+        monkeypatch.undo()
+        # the other set, of the same k, replaces the entry
+        assert evolving_cooccurrents(index, other, b, 3) == evolving_cooccurrents(fresh, other, b, 3)
+        key, table = index._bucket_counts
+        assert np.array_equal(key, tranche_map(index, other))
+        assert table.tolist() == fresh._bucket_counts[1].tolist()
+        assert not key.flags.writeable and not table.flags.writeable
+
+    def test_threads_over_two_tranche_sets_read_their_own_counts(self):
+        # threads replace each other's entry; a reader that takes the entry
+        # before a replacement reads the whole pair it took
+        index = random_index(np.random.default_rng(38), min_tokens=600, dated_fraction=1.0)
+        fresh = permuted_documents(index, range(len(index)))
+        n_dated = len(index.dated_order())
+        sets = [make_tranches(index, 3), hand_cut(index, [0, 1, 2, n_dated])]
+        assert sets[0].boundaries != sets[1].boundaries
+        pivots = index.lemmas.entries[:3]
+        want = {(s, p): evolving_cooccurrents(fresh, sets[s], p, 2) for s in range(2) for p in pivots}
+        wrong = []
+
+        def run(first):
+            for i in range(12):
+                s, p = (first + i) % 2, pivots[i % len(pivots)]
+                if evolving_cooccurrents(index, sets[s], p, 2) != want[s, p]:
+                    wrong.append((s, p))
+
+        threads = [threading.Thread(target=run, args=(t % 2,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 def test_two_lemma_counts_scan_each_lemma_at_most_once():

@@ -151,6 +151,20 @@ MUTANTS = {
         ("test_cooc.py",),
         "yes",
     ),
+    "bucket-counts-keyed-by-k": Mutant(
+        "frequency.py",
+        "    if entry is not None and len(entry[1]) == n_buckets and np.array_equal(entry[0], doc_bucket):",
+        "    if entry is not None and len(entry[1]) == n_buckets:",
+        ("test_cooc.py",),
+        "yes",
+    ),
+    "bucket-counts-never-replaced": Mutant(
+        "frequency.py",
+        "    index._bucket_counts = (key, table)",
+        "    index._bucket_counts = entry or (key, table)",
+        ("test_cooc.py",),
+        "yes",
+    ),
 }
 
 

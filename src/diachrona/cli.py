@@ -27,11 +27,19 @@ and ``--b``, ``--pivot``, ``--window 5``, ``--pos`` (a comma-separated
 list naming at least one tag; ``freq share --forms`` likewise names at
 least one form), ``--min 1`` (minimum pair count, at least 1), ``--bin
 50`` (years), ``--scale 1.0`` (finite) and ``--svg``.
+
+:func:`run_cli` builds one parser per process, on its first call, and
+reuses it; :func:`build_parser` returns a new parser on each call.  The
+subcommand handlers (``_freq_count``, ``_run_query``, ...) are bound into
+that parser when it is built, so replacing one in this module's namespace
+later changes nothing: patch the layer function the handler calls (such as
+``frequency.lemma_count``) instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -442,9 +450,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args writes no parser state (each call gets a new namespace,
+    # append and extend copy their defaults, and help is formatted at the
+    # COLUMNS of its call), so one parser serves every call
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
+    """Parse and dispatch; returns the process exit code.
+
+    The parser is built on the first call in a process and reused by every
+    later one; :func:`build_parser` returns a new parser on each call.
+    """
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

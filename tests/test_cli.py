@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diachrona
-from diachrona import frequency
+from diachrona import cli, frequency
 from diachrona.cli import _comma_set, _docset_from_filters, build_parser, run_cli
 from diachrona.corpus import CorpusError, DateSpec, dated_within, has_typology, is_dated, subcorpus
 from diachrona.indexio import load_index, save_index
@@ -23,6 +23,7 @@ from diachrona.ingest import index_from_documents
 from diachrona.synth import synthetic_index
 
 from conftest import v2_set_section
+from test_cli_golden import check_case
 
 SAMPLE = importlib.resources.files("diachrona") / "data" / "sample.vrt"
 
@@ -335,6 +336,47 @@ class TestParser:
                 if not isinstance(a, argparse._HelpAction)
             )
         assert found == {path: sorted(rows) for path, rows in LEAF_OPTIONS.items()}
+
+    def test_run_cli_builds_one_parser_per_process(self, sample_index, monkeypatch, capsys):
+        built = []
+
+        def spy():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        index = ["--index", str(sample_index)]
+        calls = [
+            (["freq", "count", "--lemma", "pater", *index], 0),
+            (["cooc", "top", "--pivot", "pater", "--k", "3", *index], 0),
+            (["freq", "count", "--lemma", "pater", "--bogus", *index], 2),
+            (["freq", "count", "--help"], 0),
+            (["--help"], 0),
+            ([], 2),
+            (["freq", "rank", "--lemma", "zzznope", *index], 1),
+        ]
+        assert [run_cli(argv) for argv, _ in calls] == [code for _, code in calls]
+        capsys.readouterr()
+        assert len(built) == 1
+        # each build_parser() caller gets a parser of its own, which run_cli never sees
+        first, second = build_parser(), build_parser()
+        assert first is not second and built[0] not in (first, second)
+        first.add_argument("--extra")
+        argv = ["--extra", "x", "freq", "rank", "--lemma", "pater", *index]
+        assert first.parse_args(argv).extra == "x"
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("usage: diachrona ")
+        assert len(built) == 1
+
+    def test_help_follows_columns_at_each_call(self, monkeypatch, capsys):
+        # the reused parser builds a help formatter per call, which reads COLUMNS then
+        texts = []
+        for columns in ("50", "200", "50"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert run_cli(["freq", "count", "--help"]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[2] != texts[1]
 
 
 _SYNTH_SIZES = "synthetic corpus needs n_tokens >= 0, vocab_size >= 1, n_docs >= 1"
@@ -976,3 +1018,15 @@ def test_random_argv_exits_cleanly(sample_index, fuzz_dir, data):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_random_argv_leaves_the_next_call_unchanged(sample_index, fuzz_dir, data):
+    # run_cli reuses one parser across calls: after any argv (a usage error,
+    # -h, a domain error or an unwritable --out among them), a golden case
+    # that takes every default of its options still writes its golden bytes
+    argv = data.draw(cli_argv(sample_index, fuzz_dir))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        run_cli(argv)
+    check_case("cooc-top", sample_index, fuzz_dir)

@@ -31,7 +31,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,6 +98,34 @@ CASES = {
 }
 
 
+class _ThreadStream(io.TextIOBase):
+    """A stand-in for ``sys.stdout`` or ``sys.stderr`` that sends each write
+    to the buffer that the writing thread set."""
+
+    def __init__(self):
+        self.local = threading.local()
+
+    def write(self, text):
+        return self.local.buffer.write(text)
+
+
+@contextlib.contextmanager
+def captured():
+    """The calling thread's stdout and stderr, as two StringIO, while the
+    block runs.  Threads started inside an outer ``captured()`` each capture
+    their own."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        for name, buffer in (("stdout", out), ("stderr", err)):
+            stream = getattr(sys, name)
+            if not isinstance(stream, _ThreadStream):
+                stream = _ThreadStream()
+                stack.enter_context(mock.patch.object(sys, name, stream))
+            stack.callback(setattr, stream.local, "buffer", getattr(stream.local, "buffer", None))
+            stream.local.buffer = buffer
+        yield out, err
+
+
 def run_case(
     argv: list[str], index: Path, workdir: Path, script=None
 ) -> tuple[int, bytes, str, dict[str, bytes]]:
@@ -105,8 +135,7 @@ def run_case(
     names = [a[1:] for a in argv if a.startswith("@")]
     full = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv] + ["--index", str(index)]
     if script is None:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with captured() as (out, err):
             code = run_cli(full)
         stdout, stderr = out.getvalue().encode("utf-8"), err.getvalue()
     else:
@@ -173,6 +202,34 @@ def test_goldens_do_not_depend_on_document_order(golden_index, tmp_path, seed):
     assert shuffled.doc_ids != index.doc_ids
     save_index(shuffled, tmp_path / "shuffled.csem")
     check_every_case(tmp_path / "shuffled.csem", tmp_path)
+
+
+def test_every_case_on_four_threads_matches_its_golden(golden_index, tmp_path):
+    # run_cli's one parser per process parses for threads that run at once
+    errors, done = [], []
+
+    def replay(workdir):
+        try:
+            check_every_case(golden_index, workdir)
+            done.append(workdir)
+        except Exception as exc:
+            errors.append(exc)
+
+    workdirs = [tmp_path / f"thread{t}" for t in range(4)]
+    threads = [threading.Thread(target=replay, args=(workdir,)) for workdir in workdirs]
+    interval = sys.getswitchinterval()
+    with captured():
+        sys.setswitchinterval(1e-6)
+        try:
+            for workdir, thread in zip(workdirs, threads):
+                workdir.mkdir()
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and sorted(done) == workdirs
 
 
 def test_cold_queries_scan_each_lemma_at_most_once(golden_index, tmp_path, monkeypatch):

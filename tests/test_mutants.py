@@ -80,6 +80,13 @@ MUTANTS = {
         ("test_cli.py",),
         "yes",
     ),
+    "parser-rebuilt-per-call": Mutant(
+        "cli.py",
+        "    parser = _parser()",
+        "    parser = build_parser()",
+        ("test_cli.py",),
+        "yes",
+    ),
     "lemma-counts-drop-last-key": Mutant(
         "frequency.py",
         "        table += np.bincount(keys, minlength=len(table))",
